@@ -53,7 +53,6 @@ from .errors import (
     IngestError,
     InsufficientCyclesError,
     InsufficientDataError,
-    InsufficientEventsError,
     InsufficientPeaksError,
     InvalidCutoffError,
     InvalidGridError,
@@ -92,9 +91,7 @@ from .hr import (
     hr_pipeline,
 )
 from .io import (
-    AlignmentResult,
     SubjectRecord,
-    align_streams,
     load_dataset,
     load_subject_dir,
     read_ecg_text,
@@ -189,17 +186,15 @@ __all__ = [
     "CohortSubject", "generate_cohort",
     # io
     "read_wav_pcm16", "write_wav_pcm16", "read_ecg_text", "write_ecg_text",
-    "AlignmentResult", "align_streams", "SubjectRecord", "load_subject_dir",
-    "load_dataset", "write_subject_dir", "write_json_report",
-    "write_csv_series",
+    "SubjectRecord", "load_subject_dir", "load_dataset",
+    "write_subject_dir", "write_json_report", "write_csv_series",
     # errors
     "PcgKitError", "InvalidInputError", "DegenerateSignalError",
     "UnsupportedRatioError", "TooShortError", "InvalidCutoffError",
     "DecompositionDepthError", "InvalidGridError",
     "ContractViolationError", "InsufficientPeaksError",
-    "InsufficientCyclesError", "InsufficientEventsError",
-    "InsufficientDataError", "InvalidSegmentationError",
-    "RankDeficiencyError", "NumericOverflowError",
+    "InsufficientCyclesError", "InsufficientDataError",
+    "InvalidSegmentationError", "RankDeficiencyError", "NumericOverflowError",
     "UndefinedCorrelationError", "UndefinedNormalizerError",
     "DegenerateCoverageError", "NoValidFramesError", "StageError",
     "ConfigError", "IngestError", "MissingFileError",

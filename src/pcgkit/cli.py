@@ -7,6 +7,7 @@ re-running with the same inputs reproduces it byte for byte.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
@@ -32,7 +33,7 @@ from .errors import ConfigError, PcgKitError
 from .evaluation import bland_altman, subject_aggregate
 from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
-    load_subject_dir,
+    load_dataset,
     write_csv_series,
     write_json_report,
     write_subject_dir,
@@ -50,11 +51,9 @@ from .wavelets import WaveletKind
 
 CONFIG_ENV_VAR = "PCGKIT_CONFIG"
 
-_METHODS = {"hilbert": EnvelopeMethod.HILBERT,
-            "shannon": EnvelopeMethod.SHANNON,
-            "wes": EnvelopeMethod.WES}
-_FORMULAS = {"eq7": HrFormula.EQ7_VERBATIM, "cycle": HrFormula.CYCLE_PERIOD}
-_UNITS = {"s": UnitConvention.SECONDS, "ms": UnitConvention.MILLISECONDS}
+_METHODS = {m.value: m for m in EnvelopeMethod}
+_FORMULAS = {f.value: f for f in HrFormula}
+_UNITS = {u.value: u for u in UnitConvention}
 _WAVELETS = {"morlet": WaveletKind.morlet, "morse": WaveletKind.morse,
              "bump": WaveletKind.bump}
 
@@ -90,14 +89,20 @@ class RunConfig:
             v = getattr(self, name)
             if not lo <= v <= hi:
                 raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.formula not in _FORMULAS:
-            raise ConfigError(f"unknown formula {self.formula!r}")
-        if self.units not in _UNITS:
-            raise ConfigError(f"unknown units {self.units!r}")
-        if self.wavelet not in _WAVELETS:
-            raise ConfigError(f"unknown wavelet {self.wavelet!r}")
+        for name, choices in (("method", _METHODS), ("formula", _FORMULAS),
+                              ("units", _UNITS), ("wavelet", _WAVELETS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ConfigError(
+                f"ridge_lambda={self.ridge_lambda} must be finite and >= 0")
+        # the db4 decomposition needs 2**levels samples in every frame
+        frame_samples = self.frame_len_s * self.pcg_rate_hz
+        if not (isinstance(self.denoise_levels, int)
+                and 1 <= self.denoise_levels <= math.log2(frame_samples)):
+            raise ConfigError(
+                f"denoise_levels={self.denoise_levels} must be an integer "
+                f"with 1 <= 2**levels <= {frame_samples:g} frame samples")
 
     def to_dict(self):
         return asdict(self)
@@ -106,7 +111,12 @@ class RunConfig:
 def load_config_file(path):
     """Parse a flat ``key = value`` config file into a dict of strings."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -123,7 +133,7 @@ def resolve_config(args):
     field_types = {f.name: f.type for f in dataclass_fields(RunConfig)}
     values = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path and Path(config_path).exists():
+    if config_path:
         for key, raw in load_config_file(config_path).items():
             if key not in field_types:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -145,15 +155,18 @@ def resolve_config(args):
 
 
 def _jsonable(obj):
-    """Coerce numpy scalars/arrays and tuples for deterministic JSON."""
+    """Coerce numpy scalars/arrays and tuples for deterministic JSON.
+
+    Non-finite floats become None (``null``) so reports are strict JSON.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -161,32 +174,17 @@ def _report_header(config):
     return {"version": __version__, "config": config.to_dict()}
 
 
-def _load_records(root):
-    """Load a dataset folder, collecting per-subject ingest failures."""
-    root = Path(root)
-    if not root.is_dir():
-        raise ConfigError(f"dataset directory not found: {root}")
-    dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
-    if not dirs:
-        raise ConfigError(f"{root}: no subject folders with pcg.wav")
-    records, errors = [], {}
-    for d in dirs:
-        try:
-            records.append(load_subject_dir(d))
-        except PcgKitError as exc:
-            errors[d.name] = f"ingest: {exc}"
-    return records, errors
+def _frame_results(record, config):
+    """Resample and frame a subject's PCG now; analyse frames lazily.
 
-
-def _prepared_pcg(record, config):
+    The returned iterator yields, per frame, the :class:`PipelineResult`
+    or the :class:`PcgKitError` that frame raised.
+    """
     pcg = record.pcg
     if abs(pcg.rate_hz - config.pcg_rate_hz) > 1e-9:
         pcg = resample_rational(pcg, config.pcg_rate_hz)
-    return pcg
-
-
-def _pipeline_kwargs(config):
-    return dict(
+    frames = segment_frames(pcg, FramePlan(config.frame_len_s))
+    kwargs = dict(
         method=_METHODS[config.method],
         formula=_FORMULAS[config.formula],
         denoise_levels=config.denoise_levels,
@@ -198,29 +196,35 @@ def _pipeline_kwargs(config):
         wavelet_kind=_WAVELETS[config.wavelet](),
     )
 
+    def analyse():
+        for i, frame in enumerate(frames):
+            try:
+                yield hr_pipeline(frame, frame_index=i, **kwargs)
+            except PcgKitError as exc:
+                yield exc
 
-def _features_from_meta(record):
-    feat = record.meta.get("features")
-    if not feat:
-        return None
-    names = ("t_sys", "t_dias", "t_rs1", "t_ds1", "t_rd2", "t_dd2", "hr_pcg")
-    try:
-        return PcgFeatureVector(**{k: float(feat[k]) for k in names})
-    except KeyError:
-        return None
+    return analyse()
 
 
-def _features_from_audio(record, config):
-    pcg = _prepared_pcg(record, config)
-    frames = segment_frames(pcg, FramePlan(config.frame_len_s))
-    kwargs = _pipeline_kwargs(config)
-    per_frame = []
-    for i, frame in enumerate(frames):
+def _per_subject(records, errors, analyze):
+    """``(record, analyze(record))`` pairs; failures go to ``errors``."""
+    done = []
+    for record in records:
         try:
-            result = hr_pipeline(frame, frame_index=i, **kwargs)
-        except PcgKitError:
-            continue
-        per_frame.append((result.segmentation, result.hr))
+            done.append((record, analyze(record)))
+        except PcgKitError as exc:
+            errors[record.subject_id] = str(exc)
+    return done
+
+
+def _subject_features(record, config, from_audio):
+    """Complete features from meta.json, unless ``from_audio``; else audio."""
+    feat = record.meta.get("features") or {}
+    names = [f.name for f in dataclass_fields(PcgFeatureVector)]
+    if not from_audio and all(n in feat for n in names):
+        return PcgFeatureVector(**{n: float(feat[n]) for n in names})
+    per_frame = ((r.segmentation, r.hr) for r in _frame_results(record, config)
+                 if not isinstance(r, PcgKitError))
     return extract_subject_features(per_frame).features
 
 
@@ -256,11 +260,7 @@ def cmd_synth(args):
             "dbp_ref": subject.dbp_ref,
             "hr_bpm": subject.spec.hr_bpm,
             "seed": subject.spec.seed,
-            "features": {
-                "t_sys": f.t_sys, "t_dias": f.t_dias, "t_rs1": f.t_rs1,
-                "t_ds1": f.t_ds1, "t_rd2": f.t_rd2, "t_dd2": f.t_dd2,
-                "t_s1": f.t_s1, "t_s2": f.t_s2, "hr_pcg": f.hr_pcg,
-            },
+            "features": {**asdict(f), "t_s1": f.t_s1, "t_s2": f.t_s2},
             "s1_times": list(truth.s1_times),
             "s2_times": list(truth.s2_times),
             "r_times": list(r_times),
@@ -279,64 +279,57 @@ def cmd_synth(args):
 def cmd_hr(args):
     """Per-frame and per-subject heart-rate report, with ECG agreement."""
     config = resolve_config(args)
-    records, errors = _load_records(args.dataset)
-    plan = FramePlan(config.frame_len_s)
-    kwargs = _pipeline_kwargs(config)
-    subjects = {}
+    records, errors = load_dataset(args.dataset)
     pairs = []
-    abs_diffs_by_subject = {}
-    sq_diffs_by_subject = {}
-    for record in records:
-        try:
-            pcg = _prepared_pcg(record, config)
-            frames = segment_frames(pcg, plan)
-            ecg_frames = None
-            if record.ecg is not None:
-                ecg_frames = segment_frames(record.ecg, plan)
-            frame_rows = []
-            for i, frame in enumerate(frames):
-                row = {"frame": i}
+    diffs_by_subject = {}
+
+    def analyze(record):
+        results = _frame_results(record, config)
+        ecg_frames = None
+        if record.ecg is not None:
+            ecg_frames = segment_frames(record.ecg,
+                                        FramePlan(config.frame_len_s))
+        frame_rows = []
+        for i, result in enumerate(results):
+            row = {"frame": i}
+            if isinstance(result, PcgKitError):
+                row["error"] = str(result)
+            else:
+                row["bpm_pcg"] = result.hr.bpm
+                row["flags"] = list(result.hr.flags)
+            if ecg_frames is not None and i < len(ecg_frames):
                 try:
-                    result = hr_pipeline(frame, frame_index=i, **kwargs)
-                    row["bpm_pcg"] = result.hr.bpm
-                    row["flags"] = list(result.hr.flags)
+                    ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
+                    ecg_hr = hr_from_ecg_frame(ecg_frame,
+                                               config.ecg_prominence, i)
+                    row["bpm_ecg"] = ecg_hr.bpm
                 except PcgKitError as exc:
-                    row["error"] = str(exc)
-                if ecg_frames is not None and i < len(ecg_frames):
-                    try:
-                        ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
-                        ecg_hr = hr_from_ecg_frame(ecg_frame,
-                                                   config.ecg_prominence, i)
-                        row["bpm_ecg"] = ecg_hr.bpm
-                    except PcgKitError as exc:
-                        row["ecg_error"] = str(exc)
-                if "bpm_pcg" in row and "bpm_ecg" in row and not row["flags"]:
-                    d = row["bpm_pcg"] - row["bpm_ecg"]
-                    pairs.append((row["bpm_ecg"], row["bpm_pcg"]))
-                    abs_diffs_by_subject.setdefault(
-                        record.subject_id, []).append(abs(d))
-                    sq_diffs_by_subject.setdefault(
-                        record.subject_id, []).append(d * d)
-                frame_rows.append(row)
-            if not any("bpm_pcg" in r for r in frame_rows):
-                raise PcgKitError("no frame produced a usable estimate")
-            entry = {"frames": frame_rows,
-                     "n_frames": len(frame_rows)}
-            if record.subject_id in abs_diffs_by_subject:
-                a = abs_diffs_by_subject[record.subject_id]
-                q = sq_diffs_by_subject[record.subject_id]
-                entry["mae"] = float(np.mean(a))
-                entry["rmse"] = float(np.sqrt(np.mean(q)))
-            subjects[record.subject_id] = entry
-        except PcgKitError as exc:
-            errors[record.subject_id] = str(exc)
+                    row["ecg_error"] = str(exc)
+            if "bpm_pcg" in row and "bpm_ecg" in row and not row["flags"]:
+                pairs.append((row["bpm_ecg"], row["bpm_pcg"]))
+                diffs_by_subject.setdefault(record.subject_id, []).append(
+                    row["bpm_pcg"] - row["bpm_ecg"])
+            frame_rows.append(row)
+        if not any("bpm_pcg" in r for r in frame_rows):
+            raise PcgKitError("no frame produced a usable estimate")
+        entry = {"frames": frame_rows,
+                 "n_frames": len(frame_rows)}
+        if record.subject_id in diffs_by_subject:
+            d = np.array(diffs_by_subject[record.subject_id])
+            entry["mae"] = float(np.mean(np.abs(d)))
+            entry["rmse"] = float(np.sqrt(np.mean(d * d)))
+        return entry
+
+    subjects = {r.subject_id: entry
+                for r, entry in _per_subject(records, errors, analyze)}
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors
-    if abs_diffs_by_subject:
-        cohort_mae, per_subject_mae = subject_aggregate(abs_diffs_by_subject)
-        subject_rmses = {s: float(np.sqrt(np.mean(q)))
-                         for s, q in sq_diffs_by_subject.items()}
+    if diffs_by_subject:
+        cohort_mae, per_subject_mae = subject_aggregate(
+            {s: np.abs(d) for s, d in diffs_by_subject.items()})
+        subject_rmses = {s: float(np.sqrt(np.mean(np.square(d))))
+                         for s, d in diffs_by_subject.items()}
         report["cohort"] = {
             "mae": cohort_mae,
             "rmse": float(np.mean(list(subject_rmses.values()))),
@@ -347,13 +340,7 @@ def cmd_hr(args):
         ref = [p[0] for p in pairs]
         pred = [p[1] for p in pairs]
         agreement, means, diffs = bland_altman(np.array(pred), np.array(ref))
-        report["agreement"] = {
-            "pearson_r": agreement.pearson_r,
-            "mae": agreement.mae, "rmse": agreement.rmse,
-            "bias_mean": agreement.bias_mean, "bias_sd": agreement.bias_sd,
-            "loa_low": agreement.loa_low, "loa_high": agreement.loa_high,
-            "within_loa_frac": agreement.within_loa_frac, "n": agreement.n,
-        }
+        report["agreement"] = asdict(agreement)
         out = Path(config.out_dir)
         write_csv_series(out / "hr_pairs.csv", ["bpm_ecg", "bpm_pcg"],
                          [(float(a), float(b)) for a, b in pairs])
@@ -372,28 +359,13 @@ def cmd_hr(args):
     return 0 if not errors else 1
 
 
-def _load_features(records, config, from_audio):
-    rows = []
-    errors = {}
-    for record in records:
-        try:
-            features = None if from_audio else _features_from_meta(record)
-            if features is None:
-                features = _features_from_audio(record, config)
-            rows.append((record, features))
-        except PcgKitError as exc:
-            errors[record.subject_id] = str(exc)
-    return rows, errors
-
-
 def cmd_bp(args):
     """Fit, predict, or cross-validate the pressure model on a dataset."""
     config = resolve_config(args)
     convention = _UNITS[config.units]
-    records, errors = _load_records(args.dataset)
-    rows, feature_errors = _load_features(records, config,
-                                          args.features_from_audio)
-    errors.update(feature_errors)
+    records, errors = load_dataset(args.dataset)
+    rows = _per_subject(records, errors, lambda record: _subject_features(
+        record, config, args.features_from_audio))
     report = _report_header(config)
     report["errors"] = errors
     out = Path(config.out_dir)
@@ -414,16 +386,10 @@ def cmd_bp(args):
                                         allow_rank_deficient=True)
         fit_d = fit_multiple_regression(X_d, y_d, config.ridge_lambda,
                                         allow_rank_deficient=True)
-        names_s = ("c1", "sigma_sys", "sigma_rs1", "sigma_ds1", "sigma_s1",
-                   "sigma_s_hr", "sigma_s_hr2", "sigma_sys2", "sigma_s12",
-                   "sigma_rds1")
-        names_d = ("c2", "alpha_dias", "alpha_rd2", "alpha_dd2", "alpha_s2",
-                   "alpha_d_hr", "alpha_d_hr2", "alpha_dias2", "alpha_s22",
-                   "alpha_rdd2")
-        coeff_dict = dict(zip(names_s, fit_s.coeffs))
-        coeff_dict.update(zip(names_d, fit_d.coeffs))
-        coeff_dict["unit_convention"] = convention.value
-        report["coefficients"] = coeff_dict
+        # the fields run SBP side then DBP side, in design-row order
+        report["coefficients"] = BpCoefficients(
+            *fit_s.coeffs, *fit_d.coeffs,
+            unit_convention=convention).to_json_dict()
         report["diagnostics"] = {
             "sbp": {"residual_rms": fit_s.residual_rms, "rank": fit_s.rank,
                     "condition_number": fit_s.condition_number},
@@ -464,13 +430,8 @@ def cmd_bp(args):
                      if r.sbp_ref is not None and r.dbp_ref is not None]
         labeled = [(f, r.sbp_ref, r.dbp_ref) for r, f in with_refs]
         loocv = loocv_subjectwise(labeled, convention, config.ridge_lambda)
-        report["loocv"] = {
-            "sbp_mae": loocv.sbp_mae, "sbp_rmse": loocv.sbp_rmse,
-            "dbp_mae": loocv.dbp_mae, "dbp_rmse": loocv.dbp_rmse,
-            "insample_sbp_rmse": loocv.insample_sbp_rmse,
-            "insample_dbp_rmse": loocv.insample_dbp_rmse,
-            "n_subjects": len(labeled),
-        }
+        report["loocv"] = dict(asdict(loocv), n_subjects=len(labeled))
+        del report["loocv"]["predictions"]
         report["predictions"] = {
             with_refs[i][0].subject_id: {
                 "sbp": ps, "dbp": pd, "sbp_ref": rs, "dbp_ref": rd}
@@ -484,39 +445,35 @@ def cmd_bp(args):
 def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR."""
     config = resolve_config(args)
-    records, errors = _load_records(args.dataset)
-    plan = FramePlan(config.frame_len_s)
-    kwargs = _pipeline_kwargs(config)
-    subjects = {}
-    for record in records:
-        try:
-            pcg = _prepared_pcg(record, config)
-            frames = segment_frames(pcg, plan)
-            frame_rows = []
-            n_failed = 0
-            for i, frame in enumerate(frames):
-                try:
-                    result = hr_pipeline(frame, frame_index=i, **kwargs)
-                    fq = frame_quality(result.normalized, result.segmentation)
-                    frame_rows.append(fq)
-                except PcgKitError:
-                    n_failed += 1
-            if not frame_rows:
-                raise PcgKitError("no frame survived segmentation")
-            agg = aggregate_quality(frame_rows)
-            subjects[record.subject_id] = {
-                "freq_low_hz": agg.freq_range_hz[0],
-                "freq_high_hz": agg.freq_range_hz[1],
-                "nrmse": agg.nrmse,
-                "snr_max_db": agg.snr_db[0],
-                "snr_min_db": agg.snr_db[1],
-                "snr_avg_db": agg.snr_db[2],
-                "per_frame_snr_db": list(agg.per_frame_snr),
-                "n_frames": len(frame_rows),
-                "n_failed": n_failed,
-            }
-        except PcgKitError as exc:
-            errors[record.subject_id] = str(exc)
+    records, errors = load_dataset(args.dataset)
+
+    def analyze(record):
+        qualities = []
+        for n_frames, result in enumerate(_frame_results(record, config), 1):
+            if isinstance(result, PcgKitError):
+                continue
+            try:
+                qualities.append(frame_quality(result.normalized,
+                                               result.segmentation))
+            except PcgKitError:
+                pass
+        if not qualities:
+            raise PcgKitError("no frame survived segmentation")
+        agg = aggregate_quality(qualities)
+        return {
+            "freq_low_hz": agg.freq_range_hz[0],
+            "freq_high_hz": agg.freq_range_hz[1],
+            "nrmse": agg.nrmse,
+            "snr_max_db": agg.snr_db[0],
+            "snr_min_db": agg.snr_db[1],
+            "snr_avg_db": agg.snr_db[2],
+            "per_frame_snr_db": list(agg.per_frame_snr),
+            "n_frames": len(qualities),
+            "n_failed": n_frames - len(qualities),
+        }
+
+    subjects = {r.subject_id: entry
+                for r, entry in _per_subject(records, errors, analyze)}
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors

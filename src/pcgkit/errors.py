@@ -51,10 +51,6 @@ class InsufficientCyclesError(PcgKitError):
     """No complete S1/S2 cycle present in the labeled peak list."""
 
 
-class InsufficientEventsError(PcgKitError):
-    """Too few events to attempt stream alignment."""
-
-
 class InsufficientDataError(PcgKitError):
     """Dataset smaller than the documented minimum for the operation."""
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, stream alignment, and report serialization.
+"""Dataset ingestion and report serialization.
 
 A dataset is a directory of subject folders, each holding ``pcg.wav``
 (16-bit PCM), an optional ``ecg.txt`` (one value per line, or
@@ -17,10 +17,10 @@ import numpy as np
 from .core import SampledSignal, SignalLabel
 from .errors import (
     EmptyDataError,
-    InsufficientEventsError,
     InvalidInputError,
     MissingFileError,
     ParseError,
+    PcgKitError,
     UnsupportedEncodingError,
 )
 
@@ -136,69 +136,6 @@ def write_ecg_text(path, signal):
 
 
 @dataclass(frozen=True)
-class AlignmentResult:
-    """Best lag between two event streams.
-
-    ``lag_s`` added to the second stream's times aligns them with the
-    first; ``score`` is the matched fraction; ``low_confidence`` marks
-    scores under 0.5.
-    """
-
-    lag_s: float
-    score: float
-    low_confidence: bool
-
-
-def _match_stats(ref, other, lag, tol):
-    """Greedy one-to-one matching on sorted event lists."""
-    i = j = matched = 0
-    residual = 0.0
-    while i < len(ref) and j < len(other):
-        d = other[j] + lag - ref[i]
-        if abs(d) <= tol:
-            matched += 1
-            residual += abs(d)
-            i += 1
-            j += 1
-        elif d < 0:
-            j += 1
-        else:
-            i += 1
-    return matched, residual
-
-
-def align_streams(ref_events, other_events, max_lag_s=0.5, tol_s=0.040,
-                  step_s=0.001):
-    """Find the lag that best matches two event-time streams.
-
-    Lags from ``-max_lag_s`` to ``+max_lag_s`` in ``step_s`` increments
-    are scored by the number of events matching within ``tol_s``; ties
-    prefer smaller matched residual, then smaller absolute lag.
-
-    Raises
-    ------
-    InsufficientEventsError
-        If either stream has fewer than 3 events.
-    """
-    ref = sorted(float(t) for t in ref_events)
-    other = sorted(float(t) for t in other_events)
-    if len(ref) < 3 or len(other) < 3:
-        raise InsufficientEventsError(
-            f"need >= 3 events per stream, got {len(ref)} and {len(other)}")
-    n_steps = int(round(max_lag_s / step_s))
-    best = None
-    for k in range(-n_steps, n_steps + 1):
-        lag = k * step_s
-        matched, residual = _match_stats(ref, other, lag, tol_s)
-        key = (-matched, residual, abs(lag), lag)
-        if best is None or key < best[0]:
-            best = (key, lag, matched)
-    _, lag, matched = best
-    score = matched / min(len(ref), len(other))
-    return AlignmentResult(lag_s=lag, score=score, low_confidence=score < 0.5)
-
-
-@dataclass(frozen=True)
 class SubjectRecord:
     """One subject's signals, references, and metadata."""
 
@@ -240,14 +177,29 @@ def load_subject_dir(subject_dir):
 
 
 def load_dataset(root):
-    """Load every subject folder under a dataset root, sorted by name."""
+    """Load every subject folder under a dataset root, sorted by name.
+
+    Returns ``(records, errors)``. A folder that fails to load does not
+    stop the others; ``errors`` maps its name to ``"ingest: <reason>"``.
+
+    Raises
+    ------
+    MissingFileError, EmptyDataError
+        If the root is not a directory or holds no subject folder.
+    """
     root = Path(root)
     if not root.is_dir():
         raise MissingFileError(f"dataset directory not found: {root}")
     dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
     if not dirs:
         raise EmptyDataError(f"{root}: no subject folders with pcg.wav")
-    return [load_subject_dir(d) for d in dirs]
+    records, errors = [], {}
+    for d in dirs:
+        try:
+            records.append(load_subject_dir(d))
+        except PcgKitError as exc:
+            errors[d.name] = f"ingest: {exc}"
+    return records, errors
 
 
 def write_subject_dir(subject_dir, pcg, ecg=None, meta=None):

@@ -248,17 +248,6 @@ def sample_wavelet(kind, scale):
     return w[half - r:half + r + 1], r
 
 
-def support_radius_samples(kind, grid):
-    """Largest kernel half-width over the grid, in samples.
-
-    Coefficients within this distance of either frame edge mix with the
-    zero padding and should be treated as edge-contaminated.
-    """
-    worst = max(grid.scales)
-    _, half = sample_wavelet(kind, worst)
-    return half
-
-
 class _BankCache:
     """FFT-domain kernel banks keyed by (wavelet, grid, fft length)."""
 

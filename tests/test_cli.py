@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from pcgkit import __version__, read_wav_pcm16
+from pcgkit import (
+    SynthSpec,
+    __version__,
+    generate_pcg,
+    read_wav_pcm16,
+    write_subject_dir,
+)
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
     ConfigError,
@@ -88,6 +94,30 @@ class TestConfigResolution:
         path = write_cfg(tmp_path, "frame_len_s = 100\n")
         with pytest.raises(ConfigError):
             resolve_config(argparse.Namespace(config=path))
+
+    def test_missing_config_file_rejected(self, tmp_path, monkeypatch,
+                                          capsys):
+        missing = str(tmp_path / "nonexistent.cfg")
+        with pytest.raises(ConfigError):
+            resolve_config(argparse.Namespace(config=missing))
+        monkeypatch.setenv(CONFIG_ENV_VAR, missing)
+        with pytest.raises(ConfigError):
+            resolve_config(argparse.Namespace())
+        assert main(["hr", str(tmp_path), "--config", missing]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "nonexistent.cfg" in err
+
+    @pytest.mark.parametrize("ridge", [-5.0, float("nan"), float("inf")])
+    def test_bad_ridge_rejected(self, ridge):
+        with pytest.raises(ConfigError):
+            RunConfig(ridge_lambda=ridge)
+
+    @pytest.mark.parametrize("levels", [0, 13, 2.5])
+    def test_bad_denoise_levels_rejected(self, levels):
+        # a default 4 s frame at 2 kHz holds 8000 samples: 2**12 fits
+        assert RunConfig(denoise_levels=12).denoise_levels == 12
+        with pytest.raises(ConfigError):
+            RunConfig(denoise_levels=levels)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -191,12 +221,20 @@ class TestBpCommand:
     def test_fit_reproduces_generating_targets(self, cohort_ds, tmp_path):
         out = tmp_path / "out"
         assert main(["bp", "fit", str(cohort_ds), "--out", str(out)]) == 0
-        report = json.loads((out / "bp_coefficients.json").read_text())
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((out / "bp_coefficients.json").read_text(),
+                            parse_constant=reject)
         diag = report["diagnostics"]
         assert diag["n_subjects"] == 12
         # the S1 width column equals rise + decay, so rank is always 9
         assert diag["sbp"]["rank"] == 9
         assert diag["dbp"]["rank"] == 9
+        # rank 9 of 10 makes the condition number infinite: written as null
+        assert diag["sbp"]["condition_number"] is None
+        assert diag["dbp"]["condition_number"] is None
         assert diag["sbp"]["residual_rms"] < 1e-8
         assert diag["dbp"]["residual_rms"] < 1e-8
         assert report["coefficients"]["unit_convention"] == "s"
@@ -258,6 +296,45 @@ class TestQualityCommand:
         table = (out / "quality_table.csv").read_text().splitlines()
         assert table[0].startswith("subject,freq_low_hz")
         assert len(table) == 4
+
+
+class TestFrameFailure:
+    """One subject whose second frame is silent, run through every command."""
+
+    @pytest.fixture(scope="class")
+    def silent_frame_ds(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("silent") / "ds"
+        pcg, _ = generate_pcg(SynthSpec(hr_bpm=72.0, duration_s=8.0,
+                                        snr_db=30.0, seed=3))
+        samples = 0.9 * pcg.samples / np.max(np.abs(pcg.samples))
+        samples[int(4.0 * pcg.rate_hz):] = 0.0
+        write_subject_dir(root / "s01", pcg.with_samples(samples),
+                          meta={"subject_id": "s01"})
+        return root
+
+    def test_hr_row_names_failing_stage(self, silent_frame_ds, tmp_path):
+        assert main(["hr", str(silent_frame_ds), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "hr_report.json").read_text())
+        first, second = report["subjects"]["s01"]["frames"]
+        assert abs(first["bpm_pcg"] - 72.0) <= 2.0
+        assert "bpm_pcg" not in second
+        assert "segmentation" in second["error"]
+
+    def test_quality_counts_failed_frame(self, silent_frame_ds, tmp_path):
+        assert main(["quality", str(silent_frame_ds),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "quality_report.json").read_text())
+        entry = report["subjects"]["s01"]
+        assert entry["n_frames"] == 1
+        assert entry["n_failed"] == 1
+
+    def test_bp_from_audio_uses_surviving_frame(self, silent_frame_ds,
+                                                 tmp_path):
+        assert main(["bp", "predict", str(silent_frame_ds),
+                     "--features-from-audio", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bp_predictions.json").read_text())
+        assert report["errors"] == {}
+        assert set(report["predictions"]) == {"s01"}
 
 
 class TestDeterminism:

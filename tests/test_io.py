@@ -1,4 +1,4 @@
-"""File ingestion, stream alignment, and report serialization."""
+"""File ingestion and report serialization."""
 
 import json
 import struct
@@ -9,7 +9,6 @@ import pytest
 
 from pcgkit import (
     EmptyDataError,
-    InsufficientEventsError,
     InvalidInputError,
     MissingFileError,
     ParseError,
@@ -17,7 +16,6 @@ from pcgkit import (
     SignalLabel,
     SubjectRecord,
     UnsupportedEncodingError,
-    align_streams,
     load_dataset,
     load_subject_dir,
     read_ecg_text,
@@ -188,47 +186,6 @@ class TestReadEcgText:
         assert np.array_equal(back.samples, sig.samples)
 
 
-class TestAlignStreams:
-
-    def test_fixed_offset_recovered(self):
-        r_times = [0.96 + k for k in range(10)]
-        s1_times = [t + 0.250 for t in r_times]
-        result = align_streams(r_times, s1_times)
-        assert abs(result.lag_s + 0.250) <= 0.001
-        assert result.score == 1.0
-        assert not result.low_confidence
-
-    def test_identical_streams_give_zero_lag(self):
-        times = [0.5, 1.3, 2.1, 2.9]
-        result = align_streams(times, times)
-        assert result.lag_s == 0.0
-        assert result.score == 1.0
-
-    def test_antisymmetry(self):
-        a = [1.0, 2.0, 3.0, 4.0]
-        b = [t + 0.123 for t in a]
-        fwd = align_streams(a, b)
-        rev = align_streams(b, a)
-        assert abs(fwd.lag_s + rev.lag_s) <= 0.001
-
-    def test_unrelated_streams_flagged(self):
-        ref = [float(k) for k in range(1, 11)]
-        other = [0.0, 0.37, 5.11]
-        result = align_streams(ref, other)
-        assert result.score < 0.5
-        assert result.low_confidence
-
-    def test_input_order_does_not_matter(self):
-        ref = [3.0, 1.0, 2.0, 4.0]
-        other = [4.2, 2.2, 1.2, 3.2]
-        assert align_streams(ref, other) == align_streams(sorted(ref),
-                                                          sorted(other))
-
-    def test_too_few_events_raises(self):
-        with pytest.raises(InsufficientEventsError):
-            align_streams([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 class TestSubjectRecord:
 
     def _pcg(self):
@@ -289,8 +246,20 @@ class TestSubjectDirs:
             write_subject_dir(tmp_path / name, pcg)
         (tmp_path / "notes.txt").write_text("ignore me\n")
         (tmp_path / "empty_dir").mkdir()
-        records = load_dataset(tmp_path)
+        records, errors = load_dataset(tmp_path)
         assert [r.subject_id for r in records] == ["s01", "s02", "s03"]
+        assert errors == {}
+
+    def test_bad_folder_reported_by_name(self, tmp_path):
+        pcg, _ = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, meta={"subject_id": "alpha"})
+        (tmp_path / "s02").mkdir()
+        (tmp_path / "s02" / "pcg.wav").write_bytes(b"not a wav file")
+        records, errors = load_dataset(tmp_path)
+        assert [r.subject_id for r in records] == ["alpha"]
+        assert list(errors) == ["s02"]
+        assert errors["s02"].startswith("ingest: ")
+        assert "s02" in errors["s02"]
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(MissingFileError):
