@@ -162,9 +162,13 @@ class BpCoefficients:
 
     @classmethod
     def from_json_dict(cls, d):
-        kwargs = {f: float(d[f]) for f in _SBP_FIELDS + _DBP_FIELDS}
-        return cls(unit_convention=UnitConvention(d["unit_convention"]),
-                   **kwargs)
+        try:
+            kwargs = {f: float(d[f]) for f in _SBP_FIELDS + _DBP_FIELDS}
+            convention = UnitConvention(d["unit_convention"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"coefficient entry missing or invalid: {exc}") from None
+        return cls(unit_convention=convention, **kwargs)
 
 
 def _time_scale(convention):

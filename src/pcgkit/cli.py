@@ -6,7 +6,7 @@ re-running with the same inputs reproduces it byte for byte.
 """
 
 import argparse
-import json
+import inspect
 import math
 import os
 import sys
@@ -34,6 +34,7 @@ from .evaluation import bland_altman, subject_aggregate
 from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     load_dataset,
+    read_json_object,
     write_csv_series,
     write_json_report,
     write_subject_dir,
@@ -230,23 +231,23 @@ def _subject_features(record, config, from_audio):
 
 def cmd_synth(args):
     """Generate a cohort fixture dataset on disk."""
-    params = {}
-    if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            params = json.load(fh)
-    ranges = CohortRanges(**{k: tuple(v) for k, v in
-                             params.get("ranges", {}).items()})
+    params = read_json_object(args.spec_file) if args.spec_file else {}
+    # every spec key goes to generate_cohort; the coefficients are fixed
+    spec_keys = set(inspect.signature(generate_cohort).parameters) - {"coeffs"}
+    unknown = sorted(set(params) - spec_keys)
+    if unknown:
+        raise ConfigError(f"unknown spec keys: {', '.join(unknown)}")
+    try:
+        params["ranges"] = CohortRanges(**{
+            k: (float(lo), float(hi))
+            for k, (lo, hi) in params.get("ranges", {}).items()})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad spec ranges: {exc}") from None
+    flags = {"n_subjects": args.subjects, "seed": args.seed,
+             "duration_s": args.duration}
+    params.update({k: v for k, v in flags.items() if v is not None})
     coeffs = default_cohort_coefficients()
-    cohort = generate_cohort(
-        n_subjects=args.subjects or params.get("n_subjects", 15),
-        ranges=ranges,
-        coeffs=coeffs,
-        sbp_noise_sd=params.get("sbp_noise_sd", 0.0),
-        dbp_noise_sd=params.get("dbp_noise_sd", 0.0),
-        seed=args.seed if args.seed is not None else params.get("seed", 0),
-        duration_s=args.duration or params.get("duration_s", 60.0),
-        jitter_ms=params.get("jitter_ms", 2.0),
-        snr_db=params.get("snr_db", 25.0))
+    cohort = generate_cohort(coeffs=coeffs, **params)
     out = Path(args.out)
     for subject in cohort:
         pcg, truth = generate_pcg(subject.spec)
@@ -401,8 +402,7 @@ def cmd_bp(args):
 
     elif args.bp_command == "predict":
         if args.coeffs:
-            with open(args.coeffs, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = read_json_object(args.coeffs)
             coeffs = BpCoefficients.from_json_dict(
                 payload.get("coefficients", payload))
             coeffs_id = str(args.coeffs)

@@ -104,11 +104,6 @@ class FramePlan:
             raise InvalidInputError("hop_s must be in (0, frame_len_s]")
 
 
-def _require_nonempty(s):
-    if len(s.samples) == 0:
-        raise InvalidInputError("signal is empty")
-
-
 def detrend(s):
     """Remove the least-squares straight line from a signal.
 
@@ -124,7 +119,6 @@ def detrend(s):
     SampledSignal
         Same length and rate, trend removed.
     """
-    _require_nonempty(s)
     x = s.samples
     n = len(x)
     t = np.arange(n, dtype=np.float64)
@@ -146,7 +140,6 @@ def normalize_max_abs(s):
     DegenerateSignalError
         If the signal is identically zero.
     """
-    _require_nonempty(s)
     peak = float(np.max(np.abs(s.samples)))
     if peak == 0.0:
         raise DegenerateSignalError("cannot normalize an all-zero signal")
@@ -192,7 +185,6 @@ def resample_rational(s, target_rate_hz):
     UnsupportedRatioError
         If the rate ratio has no small rational representation.
     """
-    _require_nonempty(s)
     if not target_rate_hz > 0:
         raise InvalidInputError(f"target_rate_hz must be > 0, got {target_rate_hz}")
     ratio = target_rate_hz / s.rate_hz
@@ -224,7 +216,6 @@ def segment_frames(s, plan):
     TooShortError
         If the signal is shorter than one frame.
     """
-    _require_nonempty(s)
     frame_len = int(round(plan.frame_len_s * s.rate_hz))
     hop = int(round(plan.hop_s * s.rate_hz))
     if frame_len < 2:
@@ -264,7 +255,6 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz, order=4):
     InvalidCutoffError
         If the cutoff is not inside (0, Nyquist).
     """
-    _require_nonempty(s)
     nyq = s.rate_hz / 2.0
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(

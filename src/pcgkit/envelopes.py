@@ -14,7 +14,7 @@ import numpy as np
 from scipy.signal import hilbert
 
 from .core import SampledSignal, SignalLabel, butterworth_lowpass_zero_phase
-from .errors import ContractViolationError, InvalidInputError
+from .errors import ContractViolationError
 from .wavelets import ScaleGrid, WaveletKind, wes
 
 SHANNON_EPS = 1e-12
@@ -74,8 +74,6 @@ def hilbert_envelope(frame):
     -------
     Envelope
     """
-    if len(frame.samples) == 0:
-        raise InvalidInputError("frame is empty")
     analytic = hilbert(frame.samples)
     e = np.abs(analytic)
     return Envelope(_as_envelope_signal(frame, e), EnvelopeMethod.HILBERT)
@@ -94,8 +92,6 @@ def shannon_energy_envelope(frame):
     ContractViolationError
         If the frame was not max-abs normalized first.
     """
-    if len(frame.samples) == 0:
-        raise InvalidInputError("frame is empty")
     x = frame.samples
     if np.max(np.abs(x)) > 1 + 1e-9:
         raise ContractViolationError(
@@ -141,7 +137,7 @@ def smooth(envelope, cutoff_hz=20.0, order=4):
 def compute_envelope(frame, method, kind=None, grid=None,
                      smoothing_cutoff_hz=20.0, order=4):
     """Detector dispatch plus the standard smooth-then-renormalize chain."""
-    method = EnvelopeMethod(method) if not isinstance(method, EnvelopeMethod) else method
+    method = EnvelopeMethod(method)
     if method is EnvelopeMethod.HILBERT:
         env = hilbert_envelope(frame)
     elif method is EnvelopeMethod.SHANNON:

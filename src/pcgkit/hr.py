@@ -9,7 +9,7 @@ algebraic factor ``(t_sys + t_dias)**2 / (2 * t_sys * t_dias)``.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -110,7 +110,7 @@ def hr_from_pcg(seg, formula=HrFormula.CYCLE_PERIOD,
     InvalidSegmentationError
         If either interval is non-positive.
     """
-    formula = HrFormula(formula) if not isinstance(formula, HrFormula) else formula
+    formula = HrFormula(formula)
     if not (seg.t_sys > 0 and seg.t_dias > 0):
         raise InvalidSegmentationError(
             f"intervals must be positive, got t_sys={seg.t_sys}, "
@@ -152,7 +152,7 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
     -------
     PipelineResult
     """
-    method = EnvelopeMethod(method) if not isinstance(method, EnvelopeMethod) else method
+    method = EnvelopeMethod(method)
 
     def run(stage, fn, *args, **kwargs):
         try:

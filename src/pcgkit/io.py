@@ -156,14 +156,29 @@ class SubjectRecord:
                     f"{self.sbp_ref}/{self.dbp_ref}")
 
 
+def read_json_object(path):
+    """Parse a JSON object file; MissingFileError or ParseError if not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise MissingFileError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSON syntax or text encoding
+        raise ParseError(f"{path}: not valid JSON: {exc}",
+                         getattr(exc, "lineno", None)) from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    return payload
+
+
 def load_subject_dir(subject_dir):
     """Load one subject folder (``pcg.wav`` required, rest optional)."""
     subject_dir = Path(subject_dir)
-    meta = {}
     meta_path = subject_dir / "meta.json"
-    if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+    meta = read_json_object(meta_path) if meta_path.exists() else {}
+    for key in ("ecg_rate_hz", "sbp_ref", "dbp_ref"):
+        if not isinstance(meta.get(key), (int, float, type(None))):
+            raise ParseError(f"{meta_path}: {key} must be a number")
     pcg = read_wav_pcm16(subject_dir / "pcg.wav")
     ecg = None
     ecg_path = subject_dir / "ecg.txt"

@@ -21,7 +21,6 @@ from .errors import (
     TooShortError,
     UndefinedNormalizerError,
 )
-from .segmentation import PeakLabel
 from .wavelets import ScaleGrid, WaveletKind, wes
 
 SNR_CAP_DB = 60.0
@@ -87,13 +86,10 @@ def spectrogram_stft(frame, window_len=256, overlap=0.5):
         raise ConfigError(f"overlap {overlap} leaves no hop")
     # periodic Hann: one period of the cosine, no repeated endpoint
     win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
-    n_cols = (len(x) - window_len) // hop + 1
-    cols = np.empty((window_len // 2 + 1, n_cols))
-    for j in range(n_cols):
-        seg = x[j * hop:j * hop + window_len]
-        cols[:, j] = np.abs(rfft(seg * win))
+    segs = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
+    cols = np.abs(rfft(segs * win, axis=1)).T
     freqs = rfftfreq(window_len, 1.0 / frame.rate_hz)
-    times = frame.start_time_s + (np.arange(n_cols) * hop + window_len / 2) / frame.rate_hz
+    times = frame.start_time_s + (np.arange(len(segs)) * hop + window_len / 2) / frame.rate_hz
     return Spectrogram(cols, freqs, times, float(np.sum(win ** 2)))
 
 
@@ -200,8 +196,7 @@ def snr_frame(frame, seg, window_ms=50.0):
     mask = np.zeros(len(x), dtype=bool)
     half = window_ms / 1000.0
     for p in seg.peaks:
-        if p.label in (PeakLabel.S1, PeakLabel.S2, PeakLabel.UNLABELED):
-            mask |= np.abs(t - p.time_s) <= half
+        mask |= np.abs(t - p.time_s) <= half
     if not mask.any():
         raise DegenerateCoverageError("no samples fall inside peak windows")
     if mask.all():

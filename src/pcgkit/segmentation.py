@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from .errors import (
     InsufficientCyclesError,
@@ -81,35 +82,15 @@ class CycleSegmentation:
         return self.t_rd2 + self.t_dd2
 
 
-def _strict_local_maxima(y):
-    """Indices of strict local maxima; plateaus report their center sample.
-
-    Frame endpoints are never maxima since they lack one neighbor.
-    """
-    idx = []
-    n = len(y)
-    i = 1
-    while i < n - 1:
-        if y[i] > y[i - 1]:
-            j = i
-            while j + 1 < n and y[j + 1] == y[i]:
-                j += 1
-            if j < n - 1 and y[j + 1] < y[i]:
-                idx.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return idx
-
-
 def find_envelope_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
     """Apply the raw peak rules and return every surviving peak.
 
     Rules: strict local maxima at or above ``min_height_frac`` of the
     envelope maximum, then greedy suppression that keeps the taller of
     any two peaks closer than ``min_distance_s`` (ties keep the earlier).
-    No minimum-count requirement; see :func:`detect_peaks` for the
-    usable-frame contract.
+    A plateau reports its center sample; frame endpoints are never peaks
+    since they lack one neighbor. No minimum-count requirement; see
+    :func:`detect_peaks` for the usable-frame contract.
 
     Returns
     -------
@@ -118,13 +99,11 @@ def find_envelope_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
     """
     y = envelope.samples
     rate = envelope.rate_hz
-    if len(y) == 0:
-        raise InvalidInputError("empty envelope")
     peak_max = float(np.max(y))
     if peak_max > 1 + 1e-9:
         raise InvalidInputError("envelope must be normalized to max 1")
     floor = min_height_frac * peak_max
-    cand = [i for i in _strict_local_maxima(y) if y[i] >= floor]
+    cand = find_peaks(y, height=floor)[0].tolist()
     # tall-first greedy suppression; equal heights keep the earlier peak
     order = sorted(cand, key=lambda i: (-y[i], i))
     min_gap = min_distance_s * rate
@@ -168,13 +147,11 @@ def label_s1_s2(peaks):
     return [replace(p, label=labels[k % 2]) for k, p in enumerate(peaks)]
 
 
-def cycle_intervals(labeled, rate_hz=None):
+def cycle_intervals(labeled):
     """Mean systolic and diastolic intervals from a labeled peak list.
 
     ``t_sys`` averages S1-to-next-S2 gaps, ``t_dias`` averages S2-to-next-S1
-    gaps, and ``n_cycles`` counts the former. ``rate_hz`` is accepted for
-    callers that track peaks by sample index; the computation itself is
-    purely time based.
+    gaps, and ``n_cycles`` counts the former.
 
     Returns
     -------

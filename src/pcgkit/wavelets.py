@@ -8,10 +8,12 @@ Two independent halves:
 * continuous transforms for three analytic mother wavelets (Morlet,
   generalized Morse, Bump) plus the wavelet energy spectrum built on them.
 
-CWT rows are computed by FFT convolution against a cached per-grid kernel
-bank, so repeated equal-length frames pay the kernel cost once.
+CWT rows are computed by FFT convolution (Torrence & Compo 1998) against a
+kernel bank cached per (wavelet, grid, frame length): repeated equal-length
+frames sample and transform the kernels once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,33 +250,17 @@ def sample_wavelet(kind, scale):
     return w[half - r:half + r + 1], r
 
 
-class _BankCache:
-    """FFT-domain kernel banks keyed by (wavelet, grid, fft length)."""
-
-    def __init__(self, max_entries=8):
-        self.max_entries = max_entries
-        self._store = {}
-
-    def get(self, kind, grid, n_sig):
-        kernels = [sample_wavelet(kind, sc) for sc in grid.scales]
-        max_half = max(h for _, h in kernels)
-        length = next_fast_len(n_sig + 2 * max_half)
-        key = (kind, grid.scales, length)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        bank_h = np.empty((len(kernels), length), dtype=complex)
-        offsets = np.empty(len(kernels), dtype=int)
-        for i, (w, half) in enumerate(kernels):
-            bank_h[i] = fft(np.conj(w)[::-1], length)
-            offsets[i] = half
-        if len(self._store) >= self.max_entries:
-            self._store.clear()
-        self._store[key] = (bank_h, offsets, length)
-        return self._store[key]
-
-
-_banks = _BankCache()
+@functools.lru_cache(maxsize=8)
+def _kernel_bank(kind, grid, n_sig):
+    """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
+    kernels = [sample_wavelet(kind, sc) for sc in grid.scales]
+    offsets = np.array([half for _, half in kernels])
+    length = next_fast_len(n_sig + 2 * int(offsets.max()))
+    bank_h = np.empty((len(kernels), length), dtype=complex)
+    for i, (w, _) in enumerate(kernels):
+        bank_h[i] = fft(np.conj(w)[::-1], length)
+    bank_h.flags.writeable = offsets.flags.writeable = False
+    return bank_h, offsets, length
 
 
 def cwt(s, kind, grid):
@@ -296,9 +282,7 @@ def cwt(s, kind, grid):
         Complex matrix of shape ``(len(grid), len(s))``; row order
         follows the grid (descending pseudo-frequency).
     """
-    if len(s.samples) == 0:
-        raise InvalidInputError("signal is empty")
-    bank_h, offsets, length = _banks.get(kind, grid, len(s.samples))
+    bank_h, offsets, length = _kernel_bank(kind, grid, len(s.samples))
     spectrum = fft(s.samples, length)
     rows = ifft(spectrum[None, :] * bank_h, axis=1)
     n = len(s.samples)
@@ -316,6 +300,5 @@ def wes(s, kind, grid):
     """
     coeffs = cwt(s, kind, grid)
     track = np.sum(np.abs(coeffs) ** 2, axis=0) / len(s.samples)
-    out = s.with_samples(track)
-    return SampledSignal(out.samples, out.rate_hz, SignalLabel.ENVELOPE,
-                         out.start_time_s, out.meta)
+    return SampledSignal(track, s.rate_hz, SignalLabel.ENVELOPE,
+                         s.start_time_s, dict(s.meta))

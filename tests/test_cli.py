@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcgkit import (
+    BpCoefficients,
     SynthSpec,
     __version__,
     generate_pcg,
@@ -368,3 +369,53 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestJsonInputs:
+    """User-named JSON inputs end in ``error:`` and exit 1, not a traceback."""
+
+    def fails_cleanly(self, argv, capsys, needle):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+
+    def test_missing_coeffs_file(self, small_ds, tmp_path, capsys):
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(tmp_path / "nope.json"), "--out",
+                            str(tmp_path)], capsys, "nope.json")
+
+    def test_coeffs_missing_entry(self, small_ds, tmp_path, capsys):
+        coeffs = BpCoefficients.reference().to_json_dict()
+        del coeffs["c1"]
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"coefficients": coeffs}))
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path)], capsys, "c1")
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
+                            "--spec-file", str(tmp_path / "nope.json")],
+                           capsys, "nope.json")
+
+    @pytest.mark.parametrize("spec, needle", [
+        ({"ranges": {"bogus": [1, 2]}}, "bogus"),
+        ({"ranges": {"hr_bpm": [60, 70, 80]}}, "ranges"),
+        ({"n_subject": 3}, "n_subject"),
+        ({"coeffs": {}}, "coeffs"),
+    ])
+    def test_bad_spec_rejected(self, tmp_path, capsys, spec, needle):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
+                            "--spec-file", str(path)], capsys, needle)
+        assert not (tmp_path / "ds").exists()
+
+    def test_spec_values_used(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_subjects": 2, "duration_s": 4,
+                                    "ranges": {"hr_bpm": [70, 70]}}))
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--spec-file", str(path)]) == 0
+        metas = [json.loads(p.read_text()) for p in sorted(ds.glob("*/meta.json"))]
+        assert [m["hr_bpm"] for m in metas] == [70.0, 70.0]

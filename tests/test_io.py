@@ -255,11 +255,24 @@ class TestSubjectDirs:
         write_subject_dir(tmp_path / "s01", pcg, meta={"subject_id": "alpha"})
         (tmp_path / "s02").mkdir()
         (tmp_path / "s02" / "pcg.wav").write_bytes(b"not a wav file")
+        # malformed meta.json: bad syntax, a non-object top level, a
+        # reference that is not a number
+        for name, text in (("s03", "{bad"), ("s04", "[1, 2]"),
+                           ("s05", '{"sbp_ref": "120", "dbp_ref": 80}')):
+            write_subject_dir(tmp_path / name, pcg)
+            (tmp_path / name / "meta.json").write_text(text)
         records, errors = load_dataset(tmp_path)
         assert [r.subject_id for r in records] == ["alpha"]
-        assert list(errors) == ["s02"]
-        assert errors["s02"].startswith("ingest: ")
-        assert "s02" in errors["s02"]
+        assert list(errors) == ["s02", "s03", "s04", "s05"]
+        for name in errors:
+            assert errors[name].startswith("ingest: ")
+            assert name in errors[name]
+        assert "not valid JSON" in errors["s03"]
+        assert "JSON object" in errors["s04"]
+        assert "sbp_ref must be a number" in errors["s05"]
+        with pytest.raises(ParseError) as info:
+            load_subject_dir(tmp_path / "s03")
+        assert info.value.line_no == 1
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(MissingFileError):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     ConfigError,
@@ -126,6 +127,22 @@ class TestSpectrogram:
         frame = SampledSignal(np.ones(100), RATE, SignalLabel.PCG)
         with pytest.raises(TooShortError):
             spectrogram_stft(frame)
+
+    @settings(max_examples=100, deadline=None)
+    @given(extra=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           window_len=st.sampled_from([16, 64, 100, 256]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
+    def test_matches_per_column_rfft(self, extra, seed, window_len, overlap):
+        x = np.random.default_rng(seed).standard_normal(window_len + extra)
+        spec = spectrogram_stft(SampledSignal(x, RATE, SignalLabel.PCG),
+                                window_len, overlap)
+        hop = int(round(window_len * (1.0 - overlap)))
+        win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
+        starts = range(0, len(x) - window_len + 1, hop)
+        ref = np.column_stack([np.abs(np.fft.rfft(x[j:j + window_len] * win))
+                               for j in starts])
+        np.testing.assert_allclose(spec.magnitude, ref, rtol=1e-12, atol=1e-12)
+        assert len(spec.times_s) == len(starts)
 
 
 class TestMfcc:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     CycleSegmentation,
@@ -100,6 +101,66 @@ class TestFindEnvelopePeaks:
         env = compute_envelope(frame, "shannon")
         peaks = detect_peaks(env)
         assert len(peaks) == 20
+
+
+def reference_strict_local_maxima(y):
+    """The hand-written maxima scan that ``scipy.signal.find_peaks`` replaced.
+
+    Strict local maxima; a plateau reports its center sample and frame
+    endpoints are never maxima.
+    """
+    idx = []
+    n = len(y)
+    i = 1
+    while i < n - 1:
+        if y[i] > y[i - 1]:
+            j = i
+            while j + 1 < n and y[j + 1] == y[i]:
+                j += 1
+            if j < n - 1 and y[j + 1] < y[i]:
+                idx.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return idx
+
+
+def reference_peak_indices(y, rate, min_height_frac, min_distance_s):
+    floor = min_height_frac * float(np.max(y))
+    cand = [i for i in reference_strict_local_maxima(y) if y[i] >= floor]
+    kept = []
+    for i in sorted(cand, key=lambda i: (-y[i], i)):
+        if all(abs(i - j) >= min_distance_s * rate for j in kept):
+            kept.append(i)
+    return sorted(kept)
+
+
+class TestFindEnvelopePeaksAgainstReference:
+    """``find_envelope_peaks`` against the hand-written scan it replaced."""
+
+    # values in k/4 make plateaus, ties and floor hits common
+    quantised = st.lists(st.integers(0, 4), min_size=1, max_size=300).map(
+        lambda ks: np.array(ks) / 4.0)
+    continuous = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300).map(
+        np.array)
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.one_of(quantised, continuous),
+           # exact quarters put the floor on a quantised value (">=")
+           min_height_frac=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                                     st.floats(0.0, 1.0)),
+           min_distance_s=st.floats(0.0, 0.5),
+           rate=st.sampled_from([10.0, 100.0, 2000.0]))
+    def test_same_indices_as_reference(self, y, min_height_frac,
+                                       min_distance_s, rate):
+        peaks = find_envelope_peaks(envelope_of(y, rate), min_height_frac,
+                                    min_distance_s)
+        assert [p.index for p in peaks] == reference_peak_indices(
+            y, rate, min_height_frac, min_distance_s)
+        for p in peaks:
+            assert type(p.index) is int
+            assert p.height == y[p.index]
+            assert p.time_s == p.index / rate
 
 
 class TestDetectPeaks:

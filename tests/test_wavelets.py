@@ -3,6 +3,7 @@ import pytest
 
 from pcgkit import SampledSignal, ScaleGrid, WaveletKind, cwt, dwt_denoise_db4, wes
 from pcgkit.errors import DecompositionDepthError, InvalidGridError, InvalidInputError
+from pcgkit import wavelets
 from pcgkit.wavelets import _DEC_HI, _DEC_LO, _REC_HI, _REC_LO, sample_wavelet
 
 RATE = 2000.0
@@ -164,6 +165,30 @@ class TestCwt:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidGridError):
             ScaleGrid(scales=(), pseudo_freqs_hz=())
+
+    def test_kernels_sampled_once_per_length(self, monkeypatch):
+        calls = []
+
+        def counting(kind, scale):
+            calls.append(scale)
+            return sample_wavelet(kind, scale)
+
+        monkeypatch.setattr(wavelets, "sample_wavelet", counting)
+        wavelets._kernel_bank.cache_clear()
+        kind = WaveletKind.morse()
+        rng = np.random.default_rng(3)
+        rows = []
+        for _ in range(2):
+            # a fresh but equal grid per frame, as frame_quality builds it
+            grid = ScaleGrid.log_spaced(kind, RATE, n_scales=16)
+            s = SampledSignal(rng.standard_normal(777), RATE)
+            rows.append((s, cwt(s, kind, grid)))
+        assert len(calls) == len(grid)
+        bank_h, offsets, _ = wavelets._kernel_bank(kind, grid, 777)
+        assert not bank_h.flags.writeable and not offsets.flags.writeable
+        wavelets._kernel_bank.cache_clear()
+        for s, coeffs in rows:
+            assert np.array_equal(cwt(s, kind, grid), coeffs)
 
 
 class TestWes:
