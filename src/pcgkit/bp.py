@@ -24,6 +24,15 @@ from .errors import (
     NumericOverflowError,
     RankDeficiencyError,
 )
+from .evaluation import error_metrics
+
+__all__ = [
+    "UnitConvention", "PcgFeatureVector", "BpCoefficients", "BpPrediction",
+    "FitResult", "LoocvReport", "SubjectFeatures", "design_row_sbp",
+    "design_row_dbp", "predict_sbp", "predict_dbp", "predict_pair",
+    "fit_multiple_regression", "loocv_subjectwise",
+    "extract_subject_features",
+]
 
 SBP_PLAUSIBLE = (60.0, 220.0)
 DBP_PLAUSIBLE = (30.0, 140.0)
@@ -70,18 +79,11 @@ class PcgFeatureVector:
 
     @classmethod
     def from_segmentation(cls, seg, hr_bpm):
-        return cls(t_sys=seg.t_sys, t_dias=seg.t_dias, t_rs1=seg.t_rs1,
-                   t_ds1=seg.t_ds1, t_rd2=seg.t_rd2, t_dd2=seg.t_dd2,
-                   hr_pcg=hr_bpm)
+        return cls(*(getattr(seg, n) for n in _DURATIONS), hr_pcg=hr_bpm)
 
 
-# Coefficient field order matches the design-row term order below.
-_SBP_FIELDS = ("c1", "sigma_sys", "sigma_rs1", "sigma_ds1", "sigma_s1",
-               "sigma_s_hr", "sigma_s_hr2", "sigma_sys2", "sigma_s12",
-               "sigma_rds1")
-_DBP_FIELDS = ("c2", "alpha_dias", "alpha_rd2", "alpha_dd2", "alpha_s2",
-               "alpha_d_hr", "alpha_d_hr2", "alpha_dias2", "alpha_s22",
-               "alpha_rdd2")
+# The six measured durations, in field order (hr_pcg comes last).
+_DURATIONS = tuple(f.name for f in dataclass_fields(PcgFeatureVector))[:-1]
 
 # Per-term time dimension: scaling exponent applied when converting the
 # convention (0 = unitless/HR term, 1 = linear time, 2 = quadratic time).
@@ -90,7 +92,11 @@ _TIME_POWERS = (0, 1, 1, 1, 1, 0, 0, 2, 2, 2)
 
 @dataclass(frozen=True)
 class BpCoefficients:
-    """Twenty regression coefficients plus the unit convention they assume."""
+    """Twenty regression coefficients plus the unit convention they assume.
+
+    The SBP side comes first, then the DBP side, each in design-row term
+    order.
+    """
 
     c1: float
     sigma_sys: float
@@ -115,11 +121,9 @@ class BpCoefficients:
     unit_convention: UnitConvention = UnitConvention.SECONDS
 
     def __post_init__(self):
-        for f in dataclass_fields(self):
-            if f.name == "unit_convention":
-                continue
-            if not np.isfinite(getattr(self, f.name)):
-                raise InvalidInputError(f"coefficient {f.name} is not finite")
+        for name in _SBP_FIELDS + _DBP_FIELDS:
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"coefficient {name} is not finite")
 
     @classmethod
     def reference(cls, unit_convention=UnitConvention.SECONDS):
@@ -171,28 +175,31 @@ class BpCoefficients:
         return cls(unit_convention=convention, **kwargs)
 
 
-def _time_scale(convention):
-    return 1000.0 if convention is UnitConvention.MILLISECONDS else 1.0
+# The coefficient fields, then unit_convention.
+_FIELD_NAMES = tuple(f.name for f in dataclass_fields(BpCoefficients))
+_SBP_FIELDS = _FIELD_NAMES[:N_COEFFS_PER_SIDE]
+_DBP_FIELDS = _FIELD_NAMES[N_COEFFS_PER_SIDE:2 * N_COEFFS_PER_SIDE]
+
+
+def _design_row(unit_convention, hr, *times):
+    """Ten terms of one side; ``times`` are its interval, rise, decay, sound."""
+    ms = UnitConvention(unit_convention) is UnitConvention.MILLISECONDS
+    k = 1000.0 if ms else 1.0
+    t, t_r, t_d, t_sound = (k * v for v in times)
+    return np.array([1.0, t, t_r, t_d, t_sound, hr, hr * hr,
+                     t * t, t_sound * t_sound, t_r * t_d])
 
 
 def design_row_sbp(f, unit_convention=UnitConvention.SECONDS):
     """Expanded systolic-side regression row for one feature vector."""
-    k = _time_scale(UnitConvention(unit_convention))
-    t_sys, t_rs1, t_ds1, t_s1 = (k * f.t_sys, k * f.t_rs1,
-                                 k * f.t_ds1, k * f.t_s1)
-    hr = f.hr_pcg
-    return np.array([1.0, t_sys, t_rs1, t_ds1, t_s1, hr, hr * hr,
-                     t_sys * t_sys, t_s1 * t_s1, t_rs1 * t_ds1])
+    return _design_row(unit_convention, f.hr_pcg,
+                       f.t_sys, f.t_rs1, f.t_ds1, f.t_s1)
 
 
 def design_row_dbp(f, unit_convention=UnitConvention.SECONDS):
     """Expanded diastolic-side regression row for one feature vector."""
-    k = _time_scale(UnitConvention(unit_convention))
-    t_dias, t_rd2, t_dd2, t_s2 = (k * f.t_dias, k * f.t_rd2,
-                                  k * f.t_dd2, k * f.t_s2)
-    hr = f.hr_pcg
-    return np.array([1.0, t_dias, t_rd2, t_dd2, t_s2, hr, hr * hr,
-                     t_dias * t_dias, t_s2 * t_s2, t_rd2 * t_dd2])
+    return _design_row(unit_convention, f.hr_pcg,
+                       f.t_dias, f.t_rd2, f.t_dd2, f.t_s2)
 
 
 def _checked(value, what):
@@ -293,6 +300,38 @@ def fit_multiple_regression(X, y, ridge_lambda=0.0, allow_rank_deficient=False):
     return FitResult(beta, residual_rms, cond, rank)
 
 
+def _design(dataset, unit_convention):
+    """``(X_sbp, X_dbp, y_sbp, y_dbp)`` for nonempty labeled rows."""
+    features, sbp, dbp = zip(*dataset)
+    return (np.array([design_row_sbp(f, unit_convention) for f in features]),
+            np.array([design_row_dbp(f, unit_convention) for f in features]),
+            np.array(sbp, dtype=np.float64), np.array(dbp, dtype=np.float64))
+
+
+def fit_coefficients(dataset, unit_convention=UnitConvention.SECONDS,
+                     ridge_lambda=0.0):
+    """Fit both pressure models on ``(features, sbp_ref, dbp_ref)`` rows.
+
+    Returns the :class:`BpCoefficients` under ``unit_convention``, then
+    the SBP and the DBP :class:`FitResult`. A rank-deficient design gets
+    the minimum-norm solution. Raises InsufficientDataError with fewer
+    than 12 rows (10 coefficients per side plus 2).
+    """
+    minimum = N_COEFFS_PER_SIDE + 2
+    if len(dataset) < minimum:
+        raise InsufficientDataError(
+            f"fitting needs >= {minimum} subjects with references, "
+            f"got {len(dataset)}")
+    X_sbp, X_dbp, y_sbp, y_dbp = _design(dataset, unit_convention)
+    fit_s = fit_multiple_regression(X_sbp, y_sbp, ridge_lambda,
+                                    allow_rank_deficient=True)
+    fit_d = fit_multiple_regression(X_dbp, y_dbp, ridge_lambda,
+                                    allow_rank_deficient=True)
+    coeffs = BpCoefficients(*fit_s.coeffs, *fit_d.coeffs,
+                            unit_convention=UnitConvention(unit_convention))
+    return coeffs, fit_s, fit_d
+
+
 @dataclass(frozen=True)
 class LoocvReport:
     """Out-of-sample errors from subject-wise leave-one-out fitting."""
@@ -325,18 +364,13 @@ def loocv_subjectwise(dataset, unit_convention=UnitConvention.SECONDS,
     Raises
     ------
     InsufficientDataError
-        With fewer than 12 subjects (10 coefficients per side plus 2).
+        As :func:`fit_coefficients`, whose full fit gives the in-sample
+        errors.
     """
+    _, full_s, full_d = fit_coefficients(dataset, unit_convention,
+                                         ridge_lambda)
+    X_sbp, X_dbp, y_sbp, y_dbp = _design(dataset, unit_convention)
     n = len(dataset)
-    minimum = N_COEFFS_PER_SIDE + 2
-    if n < minimum:
-        raise InsufficientDataError(
-            f"LOOCV needs at least {minimum} subjects, got {n}")
-    unit_convention = UnitConvention(unit_convention)
-    X_sbp = np.array([design_row_sbp(f, unit_convention) for f, _, _ in dataset])
-    X_dbp = np.array([design_row_dbp(f, unit_convention) for f, _, _ in dataset])
-    y_sbp = np.array([s for _, s, _ in dataset], dtype=np.float64)
-    y_dbp = np.array([d for _, _, d in dataset], dtype=np.float64)
     preds = []
     for i in range(n):
         keep = np.arange(n) != i
@@ -347,17 +381,11 @@ def loocv_subjectwise(dataset, unit_convention=UnitConvention.SECONDS,
         preds.append((i, float(X_sbp[i] @ fit_s.coeffs),
                       float(X_dbp[i] @ fit_d.coeffs),
                       float(y_sbp[i]), float(y_dbp[i])))
-    d_sbp = np.array([p[1] - p[3] for p in preds])
-    d_dbp = np.array([p[2] - p[4] for p in preds])
-    full_s = fit_multiple_regression(X_sbp, y_sbp, ridge_lambda,
-                                     allow_rank_deficient=True)
-    full_d = fit_multiple_regression(X_dbp, y_dbp, ridge_lambda,
-                                     allow_rank_deficient=True)
+    _, pred_s, pred_d, ref_s, ref_d = zip(*preds)
+    err_s, err_d = error_metrics(pred_s, ref_s), error_metrics(pred_d, ref_d)
     return LoocvReport(
-        sbp_mae=float(np.mean(np.abs(d_sbp))),
-        sbp_rmse=float(np.sqrt(np.mean(d_sbp ** 2))),
-        dbp_mae=float(np.mean(np.abs(d_dbp))),
-        dbp_rmse=float(np.sqrt(np.mean(d_dbp ** 2))),
+        sbp_mae=err_s.mae, sbp_rmse=err_s.rmse,
+        dbp_mae=err_d.mae, dbp_rmse=err_d.rmse,
         insample_sbp_rmse=full_s.residual_rms,
         insample_dbp_rmse=full_d.residual_rms,
         predictions=tuple(preds))
@@ -390,8 +418,7 @@ def extract_subject_features(per_frame):
     rows = []
     excluded = 0
     for seg, hr in per_frame:
-        durations = (seg.t_sys, seg.t_dias, seg.t_rs1, seg.t_ds1,
-                     seg.t_rd2, seg.t_dd2)
+        durations = tuple(getattr(seg, n) for n in _DURATIONS)
         if not hr.accepted or any(d <= 0 for d in durations):
             excluded += 1
             continue
@@ -399,8 +426,6 @@ def extract_subject_features(per_frame):
     if not rows:
         raise NoValidFramesError(
             f"all {excluded} frames failed the validity screen")
-    mean = np.mean(np.array(rows, dtype=np.float64), axis=0)
-    features = PcgFeatureVector(t_sys=mean[0], t_dias=mean[1], t_rs1=mean[2],
-                                t_ds1=mean[3], t_rd2=mean[4], t_dd2=mean[5],
-                                hr_pcg=mean[6])
+    features = PcgFeatureVector(*np.mean(np.array(rows, dtype=np.float64),
+                                         axis=0))
     return SubjectFeatures(features, len(rows), excluded)

@@ -20,17 +20,15 @@ from .bp import (
     BpCoefficients,
     PcgFeatureVector,
     UnitConvention,
-    design_row_dbp,
-    design_row_sbp,
     extract_subject_features,
-    fit_multiple_regression,
+    fit_coefficients,
     loocv_subjectwise,
     predict_pair,
 )
 from .core import FramePlan, resample_rational, segment_frames, detrend, normalize_max_abs
 from .envelopes import EnvelopeMethod
 from .errors import ConfigError, PcgKitError
-from .evaluation import bland_altman, subject_aggregate
+from .evaluation import bland_altman
 from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     load_dataset,
@@ -55,8 +53,10 @@ CONFIG_ENV_VAR = "PCGKIT_CONFIG"
 _METHODS = {m.value: m for m in EnvelopeMethod}
 _FORMULAS = {f.value: f for f in HrFormula}
 _UNITS = {u.value: u for u in UnitConvention}
-_WAVELETS = {"morlet": WaveletKind.morlet, "morse": WaveletKind.morse,
-             "bump": WaveletKind.bump}
+# quality_table.csv columns after "subject"; the report nests nrmse_*
+_QUALITY_COLUMNS = ("freq_low_hz", "freq_high_hz",
+                    *(f"nrmse_{f}" for f in WaveletKind.FAMILIES),
+                    "snr_max_db", "snr_min_db", "snr_avg_db")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class RunConfig:
             if not lo <= v <= hi:
                 raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
         for name, choices in (("method", _METHODS), ("formula", _FORMULAS),
-                              ("units", _UNITS), ("wavelet", _WAVELETS)):
+                              ("units", _UNITS),
+                              ("wavelet", WaveletKind.FAMILIES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
@@ -194,7 +195,7 @@ def _frame_results(record, config):
         min_height_frac=config.peak_height_frac,
         min_distance_s=config.peak_distance_s,
         baseline_frac=config.baseline_frac,
-        wavelet_kind=_WAVELETS[config.wavelet](),
+        wavelet_kind=getattr(WaveletKind, config.wavelet)(),
     )
 
     def analyse():
@@ -233,10 +234,18 @@ def cmd_synth(args):
     """Generate a cohort fixture dataset on disk."""
     params = read_json_object(args.spec_file) if args.spec_file else {}
     # every spec key goes to generate_cohort; the coefficients are fixed
-    spec_keys = set(inspect.signature(generate_cohort).parameters) - {"coeffs"}
-    unknown = sorted(set(params) - spec_keys)
+    spec_params = inspect.signature(generate_cohort).parameters
+    unknown = sorted(k for k in params if k not in spec_params or k == "coeffs")
     if unknown:
         raise ConfigError(f"unknown spec keys: {', '.join(unknown)}")
+    for key, value in params.items():
+        if key == "ranges" or (key == "snr_db" and value is None):
+            continue  # ranges are checked below; a null snr_db is noiseless
+        kind = type(spec_params[key].default)  # int or float
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ConfigError(f"spec {key} must be "
+                              f"{'an integer' if kind is int else 'a number'}"
+                              f", got {value!r}")
     try:
         params["ranges"] = CohortRanges(**{
             k: (float(lo), float(hi))
@@ -282,7 +291,6 @@ def cmd_hr(args):
     config = resolve_config(args)
     records, errors = load_dataset(args.dataset)
     pairs = []
-    diffs_by_subject = {}
 
     def analyze(record):
         results = _frame_results(record, config)
@@ -290,7 +298,7 @@ def cmd_hr(args):
         if record.ecg is not None:
             ecg_frames = segment_frames(record.ecg,
                                         FramePlan(config.frame_len_s))
-        frame_rows = []
+        frame_rows, diffs = [], []
         for i, result in enumerate(results):
             row = {"frame": i}
             if isinstance(result, PcgKitError):
@@ -308,15 +316,14 @@ def cmd_hr(args):
                     row["ecg_error"] = str(exc)
             if "bpm_pcg" in row and "bpm_ecg" in row and not row["flags"]:
                 pairs.append((row["bpm_ecg"], row["bpm_pcg"]))
-                diffs_by_subject.setdefault(record.subject_id, []).append(
-                    row["bpm_pcg"] - row["bpm_ecg"])
+                diffs.append(row["bpm_pcg"] - row["bpm_ecg"])
             frame_rows.append(row)
         if not any("bpm_pcg" in r for r in frame_rows):
             raise PcgKitError("no frame produced a usable estimate")
         entry = {"frames": frame_rows,
                  "n_frames": len(frame_rows)}
-        if record.subject_id in diffs_by_subject:
-            d = np.array(diffs_by_subject[record.subject_id])
+        if diffs:
+            d = np.array(diffs)
             entry["mae"] = float(np.mean(np.abs(d)))
             entry["rmse"] = float(np.sqrt(np.mean(d * d)))
         return entry
@@ -326,17 +333,14 @@ def cmd_hr(args):
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors
-    if diffs_by_subject:
-        cohort_mae, per_subject_mae = subject_aggregate(
-            {s: np.abs(d) for s, d in diffs_by_subject.items()})
-        subject_rmses = {s: float(np.sqrt(np.mean(np.square(d))))
-                         for s, d in diffs_by_subject.items()}
-        report["cohort"] = {
-            "mae": cohort_mae,
-            "rmse": float(np.mean(list(subject_rmses.values()))),
-            "per_subject_mae": per_subject_mae,
-            "per_subject_rmse": subject_rmses,
-        }
+    scored = {s: entry for s, entry in subjects.items() if "mae" in entry}
+    if scored:
+        # subject-first: the cohort value is the mean of the subject values
+        report["cohort"] = cohort = {}
+        for metric in ("mae", "rmse"):
+            per_subject = {s: entry[metric] for s, entry in scored.items()}
+            cohort[metric] = float(np.mean(list(per_subject.values())))
+            cohort[f"per_subject_{metric}"] = per_subject
     if len(pairs) >= 3:
         ref = [p[0] for p in pairs]
         pred = [p[1] for p in pairs]
@@ -370,34 +374,19 @@ def cmd_bp(args):
     report = _report_header(config)
     report["errors"] = errors
     out = Path(config.out_dir)
-    status = 0 if not errors else 1
+    labeled = [(r, f) for r, f in rows
+               if r.sbp_ref is not None and r.dbp_ref is not None]
+    dataset = [(f, r.sbp_ref, r.dbp_ref) for r, f in labeled]
 
     if args.bp_command == "fit":
-        labeled = [(f, r.sbp_ref, r.dbp_ref) for r, f in rows
-                   if r.sbp_ref is not None and r.dbp_ref is not None]
-        if len(labeled) < 12:
-            print(f"error: fit needs >= 12 subjects with references, "
-                  f"got {len(labeled)}", file=sys.stderr)
-            return 1
-        X_s = np.array([design_row_sbp(f, convention) for f, _, _ in labeled])
-        X_d = np.array([design_row_dbp(f, convention) for f, _, _ in labeled])
-        y_s = np.array([s for _, s, _ in labeled])
-        y_d = np.array([d for _, _, d in labeled])
-        fit_s = fit_multiple_regression(X_s, y_s, config.ridge_lambda,
-                                        allow_rank_deficient=True)
-        fit_d = fit_multiple_regression(X_d, y_d, config.ridge_lambda,
-                                        allow_rank_deficient=True)
-        # the fields run SBP side then DBP side, in design-row order
-        report["coefficients"] = BpCoefficients(
-            *fit_s.coeffs, *fit_d.coeffs,
-            unit_convention=convention).to_json_dict()
-        report["diagnostics"] = {
-            "sbp": {"residual_rms": fit_s.residual_rms, "rank": fit_s.rank,
-                    "condition_number": fit_s.condition_number},
-            "dbp": {"residual_rms": fit_d.residual_rms, "rank": fit_d.rank,
-                    "condition_number": fit_d.condition_number},
-            "n_subjects": len(labeled),
-        }
+        coeffs, *fits = fit_coefficients(dataset, convention,
+                                         config.ridge_lambda)
+        report["coefficients"] = coeffs.to_json_dict()
+        report["diagnostics"] = {"n_subjects": len(dataset)}
+        for side, fit in zip(("sbp", "dbp"), fits):
+            report["diagnostics"][side] = {
+                "residual_rms": fit.residual_rms, "rank": fit.rank,
+                "condition_number": fit.condition_number}
         write_json_report(out / "bp_coefficients.json", _jsonable(report))
 
     elif args.bp_command == "predict":
@@ -414,38 +403,35 @@ def cmd_bp(args):
             pred = predict_pair(features, coeffs, coeffs_id)
             entry = {"sbp": pred.sbp, "dbp": pred.dbp,
                      "flags": list(pred.flags)}
-            if record.sbp_ref is not None:
-                entry["sbp_ref"] = record.sbp_ref
-                entry["sbp_error"] = pred.sbp - record.sbp_ref
-            if record.dbp_ref is not None:
-                entry["dbp_ref"] = record.dbp_ref
-                entry["dbp_error"] = pred.dbp - record.dbp_ref
+            for side in ("sbp", "dbp"):
+                ref = getattr(record, f"{side}_ref")
+                if ref is not None:
+                    entry[f"{side}_ref"] = ref
+                    entry[f"{side}_error"] = getattr(pred, side) - ref
             predictions[record.subject_id] = entry
         report["coefficients_id"] = coeffs_id
         report["predictions"] = predictions
         write_json_report(out / "bp_predictions.json", _jsonable(report))
 
     else:  # loocv
-        with_refs = [(r, f) for r, f in rows
-                     if r.sbp_ref is not None and r.dbp_ref is not None]
-        labeled = [(f, r.sbp_ref, r.dbp_ref) for r, f in with_refs]
-        loocv = loocv_subjectwise(labeled, convention, config.ridge_lambda)
-        report["loocv"] = dict(asdict(loocv), n_subjects=len(labeled))
+        loocv = loocv_subjectwise(dataset, convention, config.ridge_lambda)
+        report["loocv"] = dict(asdict(loocv), n_subjects=len(dataset))
         del report["loocv"]["predictions"]
         report["predictions"] = {
-            with_refs[i][0].subject_id: {
+            labeled[i][0].subject_id: {
                 "sbp": ps, "dbp": pd, "sbp_ref": rs, "dbp_ref": rd}
             for i, ps, pd, rs, rd in loocv.predictions
         }
         write_json_report(out / "bp_loocv.json", _jsonable(report))
 
-    return status
+    return 0 if not errors else 1
 
 
 def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR."""
     config = resolve_config(args)
     records, errors = load_dataset(args.dataset)
+    table = {}
 
     def analyze(record):
         qualities = []
@@ -460,17 +446,15 @@ def cmd_quality(args):
         if not qualities:
             raise PcgKitError("no frame survived segmentation")
         agg = aggregate_quality(qualities)
-        return {
-            "freq_low_hz": agg.freq_range_hz[0],
-            "freq_high_hz": agg.freq_range_hz[1],
-            "nrmse": agg.nrmse,
-            "snr_max_db": agg.snr_db[0],
-            "snr_min_db": agg.snr_db[1],
-            "snr_avg_db": agg.snr_db[2],
-            "per_frame_snr_db": list(agg.per_frame_snr),
-            "n_frames": len(qualities),
-            "n_failed": n_frames - len(qualities),
-        }
+        row = (*agg.freq_range_hz,
+               *(agg.nrmse[f] for f in WaveletKind.FAMILIES), *agg.snr_db)
+        table[record.subject_id] = row
+        entry = {c: v for c, v in zip(_QUALITY_COLUMNS, row)
+                 if not c.startswith("nrmse_")}
+        return dict(entry, nrmse=agg.nrmse,
+                    per_frame_snr_db=list(agg.per_frame_snr),
+                    n_frames=len(qualities),
+                    n_failed=n_frames - len(qualities))
 
     subjects = {r.subject_id: entry
                 for r, entry in _per_subject(records, errors, analyze)}
@@ -479,17 +463,8 @@ def cmd_quality(args):
     report["errors"] = errors
     out = Path(config.out_dir)
     write_json_report(out / "quality_report.json", _jsonable(report))
-    rows = [(sid,
-             entry["freq_low_hz"], entry["freq_high_hz"],
-             entry["nrmse"]["morlet"], entry["nrmse"]["morse"],
-             entry["nrmse"]["bump"],
-             entry["snr_max_db"], entry["snr_min_db"], entry["snr_avg_db"])
-            for sid, entry in sorted(subjects.items())]
-    write_csv_series(out / "quality_table.csv",
-                     ["subject", "freq_low_hz", "freq_high_hz",
-                      "nrmse_morlet", "nrmse_morse", "nrmse_bump",
-                      "snr_max_db", "snr_min_db", "snr_avg_db"],
-                     rows)
+    write_csv_series(out / "quality_table.csv", ["subject", *_QUALITY_COLUMNS],
+                     [(sid, *row) for sid, row in sorted(table.items())])
     return 0 if not errors else 1
 
 
@@ -502,7 +477,8 @@ def _add_common(parser):
                         help="interval-to-rate conversion")
     parser.add_argument("--units", choices=sorted(_UNITS), default=None,
                         help="time-feature unit convention")
-    parser.add_argument("--wavelet", choices=sorted(_WAVELETS), default=None,
+    parser.add_argument("--wavelet", choices=sorted(WaveletKind.FAMILIES),
+                        default=None,
                         help="wavelet family for the WES envelope")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--config", default=None,

@@ -21,6 +21,12 @@ from .errors import (
     UnsupportedRatioError,
 )
 
+__all__ = [
+    "SampledSignal", "SignalLabel", "FramePlan", "detrend",
+    "normalize_max_abs", "resample_rational", "segment_frames",
+    "butterworth_lowpass_zero_phase",
+]
+
 
 class SignalLabel(enum.Enum):
     """What a waveform represents; propagated through transformations."""

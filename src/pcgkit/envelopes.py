@@ -17,6 +17,11 @@ from .core import SampledSignal, SignalLabel, butterworth_lowpass_zero_phase
 from .errors import ContractViolationError
 from .wavelets import ScaleGrid, WaveletKind, wes
 
+__all__ = [
+    "Envelope", "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
+    "shannon_energy_envelope", "smooth", "wes_envelope",
+]
+
 SHANNON_EPS = 1e-12
 
 

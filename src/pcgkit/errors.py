@@ -137,3 +137,8 @@ class StageError(PcgKitError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# Every class above is public.
+__all__ = [name for name, value in list(globals().items())
+           if isinstance(value, type) and issubclass(value, PcgKitError)]

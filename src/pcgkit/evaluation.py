@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import InvalidInputError, UndefinedCorrelationError
 
+__all__ = [
+    "pearson_r", "ErrorMetrics", "error_metrics", "subject_aggregate",
+    "AgreementReport", "bland_altman", "BoxStats", "box_stats",
+]
+
 
 def _pair(x, y, min_n):
     x = np.asarray(x, dtype=np.float64)

@@ -27,11 +27,17 @@ from .errors import (
 from .segmentation import CycleSegmentation, segment
 from .wavelets import dwt_denoise_db4
 
+__all__ = [
+    "HrSource", "HrFormula", "HrEstimate", "PipelineResult",
+    "hr_from_ecg_frame", "hr_from_pcg", "hr_pipeline",
+]
+
 HR_MIN_BPM = 20.0
 HR_MAX_BPM = 240.0
 
 
 class HrSource(enum.Enum):
+    # each PCG source is "pcg_" plus its EnvelopeMethod value
     ECG = "ecg"
     PCG_HILBERT = "pcg_hilbert"
     PCG_SHANNON = "pcg_shannon"
@@ -41,13 +47,6 @@ class HrSource(enum.Enum):
 class HrFormula(enum.Enum):
     EQ7_VERBATIM = "eq7"
     CYCLE_PERIOD = "cycle"
-
-
-_METHOD_SOURCE = {
-    EnvelopeMethod.HILBERT: HrSource.PCG_HILBERT,
-    EnvelopeMethod.SHANNON: HrSource.PCG_SHANNON,
-    EnvelopeMethod.WES: HrSource.PCG_WES,
-}
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,6 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
                    kind=wavelet_kind, smoothing_cutoff_hz=smoothing_cutoff_hz)
     seg = run("segmentation", segment, envelope, min_height_frac,
               min_distance_s, baseline_frac)
-    hr = run("hr", hr_from_pcg, seg, formula, _METHOD_SOURCE[method],
-             frame_index)
+    hr = run("hr", hr_from_pcg, seg, formula,
+             HrSource(f"pcg_{method.value}"), frame_index)
     return PipelineResult(hr, denoised, normalized, envelope, seg)

@@ -24,6 +24,12 @@ from .errors import (
     UnsupportedEncodingError,
 )
 
+__all__ = [
+    "read_wav_pcm16", "write_wav_pcm16", "read_ecg_text", "write_ecg_text",
+    "SubjectRecord", "load_subject_dir", "load_dataset",
+    "write_subject_dir", "write_json_report", "write_csv_series",
+]
+
 PCM16_SCALE = 32768.0
 
 
@@ -31,7 +37,8 @@ def read_wav_pcm16(path, label=SignalLabel.PCG):
     """Read a mono (or first-channel) 16-bit PCM WAV file.
 
     Samples are scaled to [-1, 1) by dividing by 32768; the rate comes
-    from the header.
+    from the header. A file cut short inside its header or inside a
+    sample frame is an UnsupportedEncodingError.
 
     Raises
     ------
@@ -49,14 +56,17 @@ def read_wav_pcm16(path, label=SignalLabel.PCG):
                 raise UnsupportedEncodingError(
                     f"{path}: only 16-bit PCM supported, "
                     f"got {8 * wf.getsampwidth()}-bit")
-            n_frames = wf.getnframes()
-            if n_frames == 0:
-                raise EmptyDataError(f"{path}: zero-length data chunk")
             n_channels = wf.getnchannels()
             rate = wf.getframerate()
-            raw = wf.readframes(n_frames)
-    except wave.Error as exc:
-        raise UnsupportedEncodingError(f"{path}: {exc}") from exc
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise UnsupportedEncodingError(
+            f"{path}: {str(exc) or 'truncated header'}") from exc
+    if not raw:
+        raise EmptyDataError(f"{path}: zero-length data chunk")
+    if len(raw) % (2 * n_channels):
+        raise UnsupportedEncodingError(
+            f"{path}: truncated data chunk ends inside a sample frame")
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels)[:, 0]
     return SampledSignal(data.astype(np.float64) / PCM16_SCALE, float(rate),
                          label)
@@ -78,19 +88,23 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
 
     Two layouts are accepted: one numeric value per line with the rate
     supplied by the caller, or "time,value" lines from which the rate is
-    inferred (the time column must increase uniformly).
+    inferred as one over the median time step. The time column must
+    increase uniformly: every step must lie within 0.5 to 1.5 times the
+    median step, which rejects a missing or an extra sample but passes
+    rounded time stamps.
 
     Raises
     ------
     ParseError
-        Non-numeric content (with its line number), or a time column
-        that is not monotone.
+        Non-numeric content, or a time column that does not increase or
+        whose step is not uniform (each with its line number).
     """
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"no such file: {path}")
     times = []
     values = []
+    time_lines = []
     has_time = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -107,6 +121,7 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
                 if has_time:
                     times.append(float(parts[0]))
                     values.append(float(parts[1]))
+                    time_lines.append(line_no)
                 else:
                     values.append(float(parts[0]))
             except ValueError:
@@ -118,11 +133,14 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
         dt = np.diff(times)
         if len(dt) == 0:
             raise ParseError(f"{path}: single row, rate cannot be inferred")
-        if np.any(dt <= 0):
-            bad = int(np.argmax(dt <= 0)) + 2
-            raise ParseError(f"{path}: time column not increasing at line {bad}",
-                             bad)
-        rate_hz = 1.0 / float(np.median(dt))
+        step = float(np.median(dt))
+        off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
+        if np.any(off):
+            bad = time_lines[int(np.argmax(off)) + 1]
+            raise ParseError(
+                f"{path}: time column does not increase uniformly at line "
+                f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
+        rate_hz = 1.0 / step
     elif rate_hz is None:
         raise InvalidInputError("rate_hz required for plain value files")
     return SampledSignal(np.asarray(values), float(rate_hz), label)

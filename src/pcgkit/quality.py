@@ -23,6 +23,12 @@ from .errors import (
 )
 from .wavelets import ScaleGrid, WaveletKind, wes
 
+__all__ = [
+    "fft_band", "spectrogram_stft", "mel_filterbank", "mfcc",
+    "energy_spectrum", "nrmse_wes_vs_es", "SnrResult", "snr_frame",
+    "FrameQuality", "frame_quality", "QualityReport", "aggregate_quality",
+]
+
 SNR_CAP_DB = 60.0
 
 
@@ -213,7 +219,7 @@ def snr_frame(frame, seg, window_ms=50.0):
     return SnrResult(10.0 * math.log10(p_signal / p_noise), saturated=False)
 
 
-_DEFAULT_KINDS = (WaveletKind.morlet(), WaveletKind.morse(), WaveletKind.bump())
+_DEFAULT_KINDS = tuple(getattr(WaveletKind, f)() for f in WaveletKind.FAMILIES)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ from .errors import (
     InvalidInputError,
 )
 
+__all__ = [
+    "PeakLabel", "PeakEvent", "RiseDecayTimes", "CycleSegmentation",
+    "find_envelope_peaks", "detect_peaks", "label_s1_s2",
+    "cycle_intervals", "rise_decay_times", "segment",
+]
+
 
 class PeakLabel(enum.Enum):
     S1 = "S1"

@@ -9,13 +9,19 @@ anchors.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
 from .core import SampledSignal, SignalLabel
 from .errors import InvalidInputError
+
+__all__ = [
+    "SynthSpec", "PcgGroundTruth", "true_features", "generate_pcg",
+    "generate_ecg", "default_cohort_coefficients", "CohortRanges",
+    "CohortSubject", "generate_cohort",
+]
 
 # Envelope fraction defining burst rise/decay times; matches the
 # segmentation baseline so analytic truth and measurement line up.
@@ -214,7 +220,10 @@ def default_cohort_coefficients():
 
 @dataclass(frozen=True)
 class CohortRanges:
-    """Uniform sampling ranges for per-subject spec parameters."""
+    """Uniform sampling ranges for per-subject spec parameters.
+
+    Each field is named after the :class:`SynthSpec` field it samples.
+    """
 
     hr_bpm: tuple = (55.0, 95.0)
     t_sys_s: tuple = (0.25, 0.36)
@@ -255,16 +264,10 @@ def generate_cohort(n_subjects=15, ranges=None, coeffs=None,
     rng = np.random.default_rng(seed)
     subjects = []
     for i in range(n_subjects):
-        def draw(lo_hi):
-            return float(rng.uniform(*lo_hi))
+        # one uniform draw per CohortRanges field, in field order
         spec = SynthSpec(
-            hr_bpm=draw(ranges.hr_bpm),
-            t_sys_s=draw(ranges.t_sys_s),
-            s1_sigma_ms=draw(ranges.s1_sigma_ms),
-            s2_sigma_ms=draw(ranges.s2_sigma_ms),
-            s1_decay_ratio=draw(ranges.s1_decay_ratio),
-            s2_decay_ratio=draw(ranges.s2_decay_ratio),
-            s2_rel_amp=draw(ranges.s2_rel_amp),
+            **{f.name: float(rng.uniform(*getattr(ranges, f.name)))
+               for f in fields(ranges)},
             jitter_ms=jitter_ms,
             snr_db=snr_db,
             duration_s=duration_s,

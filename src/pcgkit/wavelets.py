@@ -23,6 +23,11 @@ from scipy.fft import fft, ifft, next_fast_len
 from .core import SampledSignal, SignalLabel
 from .errors import DecompositionDepthError, InvalidGridError, InvalidInputError
 
+__all__ = [
+    "WaveletKind", "ScaleGrid", "cwt", "dwt_denoise_db4",
+    "sample_wavelet", "wes",
+]
+
 # db4 reconstruction lowpass (scaling) coefficients, ascending index.
 _REC_LO = np.array([
     0.23037781330885523,
@@ -123,10 +128,11 @@ class WaveletKind:
     family: str
     params: tuple
 
-    _FAMILIES = ("morlet", "morse", "bump")
+    # each family name is also the name of its constructor below
+    FAMILIES = ("morlet", "morse", "bump")
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        if self.family not in self.FAMILIES:
             raise InvalidInputError(f"unknown wavelet family {self.family!r}")
         if any(not p > 0 for p in self.params):
             raise InvalidInputError("wavelet shape parameters must be positive")

@@ -403,6 +403,9 @@ class TestJsonInputs:
         ({"ranges": {"hr_bpm": [60, 70, 80]}}, "ranges"),
         ({"n_subject": 3}, "n_subject"),
         ({"coeffs": {}}, "coeffs"),
+        ({"seed": "x"}, "seed"),
+        ({"n_subjects": "3"}, "n_subjects"),
+        ({"snr_db": "x"}, "snr_db"),
     ])
     def test_bad_spec_rejected(self, tmp_path, capsys, spec, needle):
         path = tmp_path / "spec.json"
@@ -410,6 +413,13 @@ class TestJsonInputs:
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
                             "--spec-file", str(path)], capsys, needle)
         assert not (tmp_path / "ds").exists()
+
+    def test_null_snr_spec_is_noiseless(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_subjects": 1, "duration_s": 2,
+                                    "snr_db": None}))
+        assert main(["synth", "--out", str(tmp_path / "ds"),
+                     "--spec-file", str(path)]) == 0
 
     def test_spec_values_used(self, tmp_path):
         path = tmp_path / "spec.json"

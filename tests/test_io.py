@@ -1,17 +1,22 @@
 """File ingestion and report serialization."""
 
+import io
 import json
 import struct
+import tempfile
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     EmptyDataError,
     InvalidInputError,
     MissingFileError,
     ParseError,
+    PcgKitError,
     SampledSignal,
     SignalLabel,
     SubjectRecord,
@@ -159,6 +164,22 @@ class TestReadEcgText:
             read_ecg_text(path)
         assert exc.value.line_no == 2
 
+    def test_time_gap_rejected_with_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("0,1\n0.01,2\n\n0.5,3\n0.51,4\n0.52,5\n")
+        with pytest.raises(ParseError) as exc:
+            read_ecg_text(path)
+        assert exc.value.line_no == 4
+
+    def test_rounded_time_stamps_accepted(self, tmp_path):
+        # 190 Hz stamps rounded to the millisecond: steps of 5 and 6 ms
+        times = np.round(np.arange(40) / 190.0, 3)
+        path = tmp_path / "e.txt"
+        path.write_text("".join(f"{t},{i}\n" for i, t in enumerate(times)))
+        sig = read_ecg_text(path)
+        assert len(sig.samples) == 40
+        assert 1 / 0.006 <= sig.rate_hz <= 1 / 0.005
+
     def test_time_column_must_increase(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0.0,1.0\n0.010,2.0\n0.010,3.0\n")
@@ -261,9 +282,14 @@ class TestSubjectDirs:
                            ("s05", '{"sbp_ref": "120", "dbp_ref": 80}')):
             write_subject_dir(tmp_path / name, pcg)
             (tmp_path / name / "meta.json").write_text(text)
+        # pcg.wav cut short: odd length, and only 6 bytes of the header
+        wav = (tmp_path / "s01" / "pcg.wav").read_bytes()
+        for name, data in (("s06", wav[:-1]), ("s07", wav[:6])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "pcg.wav").write_bytes(data)
         records, errors = load_dataset(tmp_path)
         assert [r.subject_id for r in records] == ["alpha"]
-        assert list(errors) == ["s02", "s03", "s04", "s05"]
+        assert list(errors) == ["s02", "s03", "s04", "s05", "s06", "s07"]
         for name in errors:
             assert errors[name].startswith("ingest: ")
             assert name in errors[name]
@@ -309,3 +335,57 @@ class TestReports:
             assert name == row[0]
             assert float(value) == row[1]
             assert int(count) == row[2]
+
+
+def _wav_bytes(values, channels):
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(2)
+        wf.setframerate(2000)
+        wf.writeframes(struct.pack(f"<{len(values)}h", *values))
+    return buf.getvalue()
+
+
+class TestIngestProperties:
+    """Ingest either loads a file or raises a PcgKitError, nothing else."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(channels=st.integers(1, 2), n_frames=st.integers(1, 12),
+           data=st.data())
+    def test_every_wav_truncation(self, channels, n_frames, data):
+        values = data.draw(st.lists(st.integers(-32768, 32767),
+                                    min_size=channels * n_frames,
+                                    max_size=channels * n_frames))
+        wav = _wav_bytes(values, channels)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pcg.wav"
+            for cut in range(len(wav) + 1):
+                path.write_bytes(wav[:cut])
+                try:
+                    sig = read_wav_pcm16(path)
+                except PcgKitError:
+                    continue
+                frames = (cut - 44) // (2 * channels)
+                assert np.array_equal(sig.samples * 32768,
+                                      values[::channels][:frames])
+
+    line = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.tuples(st.floats(-1e3, 1e3), st.floats()).map(
+            lambda tv: f"{tv[0]!r},{tv[1]!r}"),
+        st.sampled_from(["", "  ", "\t"]),
+        st.text(max_size=12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(line, max_size=30),
+           rate_hz=st.sampled_from([None, 190.0]))
+    def test_ecg_text_from_random_lines(self, lines, rate_hz):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ecg.txt"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                read_ecg_text(path, rate_hz=rate_hz)
+            except PcgKitError:
+                pass
+

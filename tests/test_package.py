@@ -1,0 +1,23 @@
+"""The package namespace is the union of the library modules' ``__all__``."""
+
+import importlib
+import pkgutil
+
+import pcgkit
+
+
+def test_package_reexports_each_module_all():
+    exported = []
+    for info in pkgutil.iter_modules(pcgkit.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pcgkit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            # listed by the module that defines it
+            assert getattr(value, "__module__", module.__name__) == \
+                module.__name__, name
+            assert getattr(pcgkit, name) is value
+            exported.append(name)
+    assert len(set(pcgkit.__all__)) == len(pcgkit.__all__)
+    assert sorted(pcgkit.__all__) == sorted(["__version__", *exported])
