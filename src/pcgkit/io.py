@@ -7,6 +7,7 @@ free-form metadata. Reports are JSON with sorted keys so identical runs
 produce identical bytes; plot series go to CSV.
 """
 
+import itertools
 import json
 import wave
 from dataclasses import dataclass, field
@@ -83,6 +84,17 @@ def write_wav_pcm16(path, signal):
         wf.writeframes(scaled.astype("<i2").tobytes())
 
 
+def _row_line(path, row):
+    """Line number of a text file's ``row``-th (0-based) non-blank line.
+
+    Found again from the file on the error path, so the reading loop keeps
+    no per-row line numbers.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, row, None))
+
+
 def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
     """Read an ECG from a text file.
 
@@ -96,15 +108,14 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
     Raises
     ------
     ParseError
-        Non-numeric content, or a time column that does not increase or
-        whose step is not uniform (each with its line number).
+        Non-numeric or non-finite content, or a time column that does not
+        increase or whose step is not uniform (each with its line number).
     """
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"no such file: {path}")
     times = []
     values = []
-    time_lines = []
     has_time = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -120,15 +131,20 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
             try:
                 if has_time:
                     times.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                    time_lines.append(line_no)
-                else:
-                    values.append(float(parts[0]))
+                values.append(float(parts[-1]))
             except ValueError:
                 raise ParseError(
                     f"{path}:{line_no}: not numeric: {line!r}", line_no) from None
     if not values:
         raise EmptyDataError(f"{path}: no samples")
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if has_time:
+        times = np.asarray(times)
+        finite &= np.isfinite(times)
+    if not finite.all():
+        bad = _row_line(path, int(np.argmin(finite)))
+        raise ParseError(f"{path}:{bad}: non-finite time or value", bad)
     if has_time:
         dt = np.diff(times)
         if len(dt) == 0:
@@ -136,14 +152,14 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
         step = float(np.median(dt))
         off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
         if np.any(off):
-            bad = time_lines[int(np.argmax(off)) + 1]
+            bad = _row_line(path, int(np.argmax(off)) + 1)
             raise ParseError(
                 f"{path}: time column does not increase uniformly at line "
                 f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
         rate_hz = 1.0 / step
     elif rate_hz is None:
         raise InvalidInputError("rate_hz required for plain value files")
-    return SampledSignal(np.asarray(values), float(rate_hz), label)
+    return SampledSignal(values, float(rate_hz), label)
 
 
 def write_ecg_text(path, signal):

@@ -10,7 +10,11 @@ Two independent halves:
 
 CWT rows are computed by FFT convolution (Torrence & Compo 1998) against a
 kernel bank cached per (wavelet, grid, frame length): repeated equal-length
-frames sample and transform the kernels once.
+frames sample and transform the kernels once. The bank is streamed through
+the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows, so a call holds one
+small complex buffer rather than several full-bank temporaries. The cached
+banks are read-only and every buffer is local to its call, so ``cwt`` and
+``wes`` may run on several threads at once.
 """
 
 import functools
@@ -43,6 +47,11 @@ _FILT_LEN = len(_REC_LO)
 _DEC_LO = _REC_LO[::-1].copy()
 _DEC_HI = np.array([(-1.0) ** k * _REC_LO[k] for k in range(_FILT_LEN)])
 _REC_HI = _DEC_HI[::-1].copy()
+
+# Kernel-bank rows multiplied and inverse-transformed together in ``cwt``:
+# enough to batch each inverse FFT, few enough that the block buffer stays
+# a small fraction of the full bank.
+CWT_BLOCK_ROWS = 8
 
 
 def _dwt_step(x):
@@ -275,6 +284,9 @@ def cwt(s, kind, grid):
     Each row is the convolution of the signal with the conjugated,
     time-reversed sampled wavelet at that scale (energy-preserving
     1/sqrt(scale) normalization), zero-padded at the frame boundaries.
+    Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
+    the call, each equal to the row of one full-bank transform. The shared
+    kernel bank is only read, so concurrent calls are safe.
 
     Parameters
     ----------
@@ -290,11 +302,16 @@ def cwt(s, kind, grid):
     """
     bank_h, offsets, length = _kernel_bank(kind, grid, len(s.samples))
     spectrum = fft(s.samples, length)
-    rows = ifft(spectrum[None, :] * bank_h, axis=1)
     n = len(s.samples)
     out = np.empty((len(grid), n), dtype=complex)
-    for i, off in enumerate(offsets):
-        out[i] = rows[i, off:off + n]
+    buf = np.empty((min(CWT_BLOCK_ROWS, len(grid)), length), dtype=complex)
+    for b0 in range(0, len(grid), CWT_BLOCK_ROWS):
+        offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
+        block = buf[:len(offs)]
+        np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
+        rows = ifft(block, axis=1, overwrite_x=True)
+        for j, off in enumerate(offs):
+            out[b0 + j] = rows[j, off:off + n]
     return out
 
 
@@ -304,7 +321,8 @@ def wes(s, kind, grid):
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
     Nonnegative, same length and rate as the input, labeled ENVELOPE.
     """
-    coeffs = cwt(s, kind, grid)
-    track = np.sum(np.abs(coeffs) ** 2, axis=0) / len(s.samples)
+    power = np.abs(cwt(s, kind, grid))
+    np.square(power, out=power)
+    track = np.sum(power, axis=0) / len(s.samples)
     return SampledSignal(track, s.rate_hz, SignalLabel.ENVELOPE,
                          s.start_time_s, dict(s.meta))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from pcgkit import (
     BpCoefficients,
     SynthSpec,
     __version__,
+    frame_quality,
     generate_pcg,
     read_wav_pcm16,
     write_subject_dir,
 )
+from pcgkit import cli
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
     ConfigError,
@@ -299,18 +302,23 @@ class TestQualityCommand:
         assert len(table) == 4
 
 
+def write_silent_frame_subject(root, name="s01"):
+    """Subject ``name``: 8 s whose second 4 s frame is silent."""
+    pcg, _ = generate_pcg(SynthSpec(hr_bpm=72.0, duration_s=8.0,
+                                    snr_db=30.0, seed=3))
+    samples = 0.9 * pcg.samples / np.max(np.abs(pcg.samples))
+    samples[int(4.0 * pcg.rate_hz):] = 0.0
+    write_subject_dir(root / name, pcg.with_samples(samples),
+                      meta={"subject_id": name})
+
+
 class TestFrameFailure:
     """One subject whose second frame is silent, run through every command."""
 
     @pytest.fixture(scope="class")
     def silent_frame_ds(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("silent") / "ds"
-        pcg, _ = generate_pcg(SynthSpec(hr_bpm=72.0, duration_s=8.0,
-                                        snr_db=30.0, seed=3))
-        samples = 0.9 * pcg.samples / np.max(np.abs(pcg.samples))
-        samples[int(4.0 * pcg.rate_hz):] = 0.0
-        write_subject_dir(root / "s01", pcg.with_samples(samples),
-                          meta={"subject_id": "s01"})
+        write_silent_frame_subject(root)
         return root
 
     def test_hr_row_names_failing_stage(self, silent_frame_ds, tmp_path):
@@ -336,6 +344,46 @@ class TestFrameFailure:
         report = json.loads((tmp_path / "bp_predictions.json").read_text())
         assert report["errors"] == {}
         assert set(report["predictions"]) == {"s01"}
+
+
+class TestQualityPool:
+    """``quality`` reports do not depend on its frame worker count."""
+
+    @pytest.fixture(scope="class")
+    def mixed_ds(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mixed") / "ds"
+        assert main(["synth", "--out", str(root), "--subjects", "3",
+                     "--seed", "5", "--duration", "12"]) == 0
+        write_silent_frame_subject(root, "silent")
+        return root
+
+    def test_reports_identical_at_any_worker_count(self, mixed_ds, tmp_path,
+                                                   monkeypatch):
+        threads = set()
+
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return frame_quality(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "frame_quality", recording)
+        payloads = {}
+        for workers in (1, 3):
+            threads.clear()
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            cwd = tmp_path / str(workers)
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main(["quality", str(mixed_ds), "--out", "out"]) == 0
+            assert threading.main_thread() not in threads
+            assert len(threads) <= workers
+            payloads[workers] = {name: (cwd / "out" / name).read_bytes()
+                                 for name in ("quality_report.json",
+                                              "quality_table.csv")}
+        assert payloads[1] == payloads[3]
+        report = json.loads(payloads[3]["quality_report.json"])
+        assert report["errors"] == {}
+        assert report["subjects"]["silent"]["n_failed"] == 1
+        assert len(report["subjects"]) == 4
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     ContractViolationError,
@@ -12,11 +13,13 @@ from pcgkit import (
     HrSource,
     InsufficientPeaksError,
     InvalidSegmentationError,
+    PcgKitError,
     SampledSignal,
     SignalLabel,
     StageError,
     SynthSpec,
     detrend,
+    frame_quality,
     generate_ecg,
     generate_pcg,
     hr_from_ecg_frame,
@@ -192,3 +195,41 @@ class TestHrPipeline:
         sig, _ = generate_pcg(spec)
         assert hr_pipeline(sig, method="hilbert").hr.source is HrSource.PCG_HILBERT
         assert hr_pipeline(sig, method="wes").hr.source is HrSource.PCG_WES
+
+
+def degenerate_frame(shape, amp, position, freq_hz, rate_hz=2000.0, n=8000):
+    """A 4 s frame with no heart sounds in it."""
+    if shape == "zero":
+        x = np.zeros(n)
+    elif shape == "constant":
+        x = np.full(n, amp)
+    elif shape == "clipped":
+        t = np.arange(n) / rate_hz
+        x = np.clip(amp * np.sin(2 * np.pi * freq_hz * t), -1.0, 1.0)
+    else:  # a single impulse
+        x = np.zeros(n)
+        x[position] = amp
+    return SampledSignal(x, rate_hz, SignalLabel.PCG)
+
+
+class TestDegenerateFrames:
+    """A frame without heart sounds gives a result or a PcgKitError."""
+
+    @pytest.mark.filterwarnings("ignore:peak at .* has truncated support")
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["zero", "constant", "clipped", "impulse"]),
+           amp=st.floats(1e-6, 1e3).flatmap(
+               lambda a: st.sampled_from([a, -a])),
+           position=st.integers(0, 7999),
+           freq_hz=st.floats(1.0, 400.0))
+    def test_result_or_toolkit_error(self, shape, amp, position, freq_hz):
+        frame = degenerate_frame(shape, amp, position, freq_hz)
+        for method in EnvelopeMethod:
+            try:
+                result = hr_pipeline(frame, method=method)
+            except PcgKitError:
+                continue
+            try:
+                frame_quality(result.normalized, result.segmentation)
+            except PcgKitError:
+                pass

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import struct
 import tempfile
 import wave
@@ -180,6 +181,24 @@ class TestReadEcgText:
         assert len(sig.samples) == 40
         assert 1 / 0.006 <= sig.rate_hz <= 1 / 0.005
 
+    @pytest.mark.parametrize("text, rate_hz, line_no", [
+        # a NaN time used to pass the step check and fail later as a
+        # nameless "rate_hz must be > 0, got nan"
+        ("0,1\n\nnan,2\n0.02,3\n0.03,4\n", None, 3),
+        ("1.0\n2.0\ninf\n", 190.0, 3),
+        ("1.0\nnan\n", None, 2),
+        ("0,1\n0.01,-inf\n0.02,3\n", None, 2),
+        ("0,1e999\n0.01,2\n", None, 1),
+    ])
+    def test_non_finite_number_cites_line(self, tmp_path, text, rate_hz,
+                                          line_no):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_ecg_text(path, rate_hz=rate_hz)
+        assert exc.value.line_no == line_no
+        assert f"{path}:{line_no}:" in str(exc.value)
+
     def test_time_column_must_increase(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0.0,1.0\n0.010,2.0\n0.010,3.0\n")
@@ -347,6 +366,17 @@ def _wav_bytes(values, channels):
     return buf.getvalue()
 
 
+def _has_non_finite_number(line):
+    """Whether a comma-separated field of the line reads as NaN or infinity."""
+    for part in line.strip().split(","):
+        try:
+            if not math.isfinite(float(part)):
+                return True
+        except ValueError:
+            pass
+    return False
+
+
 class TestIngestProperties:
     """Ingest either loads a file or raises a PcgKitError, nothing else."""
 
@@ -385,7 +415,11 @@ class TestIngestProperties:
             path = Path(tmp) / "ecg.txt"
             path.write_text("\n".join(lines), encoding="utf-8")
             try:
-                read_ecg_text(path, rate_hz=rate_hz)
+                sig = read_ecg_text(path, rate_hz=rate_hz)
+            except ParseError:
+                return  # the only error a non-finite number may raise
             except PcgKitError:
-                pass
+                sig = None
+            assert not any(map(_has_non_finite_number, lines))
+            assert sig is None or np.all(np.isfinite(sig.samples))
 

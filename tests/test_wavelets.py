@@ -1,5 +1,10 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft
 
 from pcgkit import SampledSignal, ScaleGrid, WaveletKind, cwt, dwt_denoise_db4, wes
 from pcgkit.errors import DecompositionDepthError, InvalidGridError, InvalidInputError
@@ -9,6 +14,22 @@ from pcgkit.wavelets import _DEC_HI, _DEC_LO, _REC_HI, _REC_LO, sample_wavelet
 RATE = 2000.0
 
 ALL_KINDS = [WaveletKind.morlet(), WaveletKind.morse(), WaveletKind.bump()]
+
+
+def full_matrix_cwt(s, kind, grid):
+    """Reference CWT: the whole kernel bank in one product and one ifft.
+
+    This is the transform ``cwt`` computed before it streamed the bank in
+    row blocks; the blocked form must reproduce it exactly.
+    """
+    bank_h, offsets, length = wavelets._kernel_bank(kind, grid, len(s.samples))
+    spectrum = fft(s.samples, length)
+    rows = ifft(spectrum[None, :] * bank_h, axis=1)
+    n = len(s.samples)
+    out = np.empty((len(grid), n), dtype=complex)
+    for i, off in enumerate(offsets):
+        out[i] = rows[i, off:off + n]
+    return out
 
 
 def burst_frame(centers_s=(1.0, 2.0), freq=60.0, sigma=0.012, duration=3.0,
@@ -189,6 +210,66 @@ class TestCwt:
         wavelets._kernel_bank.cache_clear()
         for s, coeffs in rows:
             assert np.array_equal(cwt(s, kind, grid), coeffs)
+
+
+class TestBlockedCwt:
+    @pytest.mark.parametrize("n", [300, 777, 8000])
+    @pytest.mark.parametrize("n_scales", [64, 13])  # 13: a partial last block
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.family)
+    def test_equals_full_matrix_oracle(self, kind, n_scales, n):
+        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=n_scales)
+        s = SampledSignal(np.random.default_rng(n + n_scales).standard_normal(n),
+                          RATE)
+        oracle = full_matrix_cwt(s, kind, grid)
+        assert np.array_equal(cwt(s, kind, grid), oracle)
+        expected = np.sum(np.abs(oracle) ** 2, axis=0) / n
+        assert np.array_equal(wes(s, kind, grid).samples, expected)
+
+    def test_peak_memory_of_a_bump_frame(self):
+        # a 4 s frame at 2 kHz has the widest bank of the three families;
+        # the full-bank product, ifft output and crop copy peaked at 40.8 MB
+        kind = WaveletKind.bump()
+        grid = ScaleGrid.log_spaced(kind, RATE)
+        s = SampledSignal(np.random.default_rng(8).standard_normal(8000), RATE)
+        cwt(s, kind, grid)  # fill the kernel-bank cache
+        tracemalloc.start()
+        try:
+            cwt(s, kind, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_concurrent_calls_match_serial(self):
+        # more threads than cores and a short switch interval, starting from
+        # an empty bank cache, so threads race on cache misses and interleave
+        # their block loops
+        kind = WaveletKind.morse()
+        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=13)
+        rng = np.random.default_rng(4)
+        signals = [SampledSignal(rng.standard_normal(n), RATE)
+                   for n in (777, 777, 1500, 1500, 777, 1500)]
+        wavelets._kernel_bank.cache_clear()
+        results = [None] * len(signals)
+
+        def work(i):
+            for _ in range(5):
+                results[i] = cwt(signals[i], kind, grid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(signals))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for s, got in zip(signals, results):
+            assert np.array_equal(got, full_matrix_cwt(s, kind, grid))
 
 
 class TestWes:
