@@ -28,7 +28,7 @@ from .bp import (
 from .core import FramePlan, resample_rational, segment_frames, detrend, normalize_max_abs
 from .envelopes import EnvelopeMethod
 from .errors import ConfigError, PcgKitError
-from .evaluation import bland_altman
+from .evaluation import bland_altman, subject_aggregate
 from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     load_dataset,
@@ -335,12 +335,10 @@ def cmd_hr(args):
     report["errors"] = errors
     scored = {s: entry for s, entry in subjects.items() if "mae" in entry}
     if scored:
-        # subject-first: the cohort value is the mean of the subject values
         report["cohort"] = cohort = {}
         for metric in ("mae", "rmse"):
-            per_subject = {s: entry[metric] for s, entry in scored.items()}
-            cohort[metric] = float(np.mean(list(per_subject.values())))
-            cohort[f"per_subject_{metric}"] = per_subject
+            cohort[metric], cohort[f"per_subject_{metric}"] = subject_aggregate(
+                {s: [entry[metric]] for s, entry in scored.items()})
     if len(pairs) >= 3:
         ref = [p[0] for p in pairs]
         pred = [p[1] for p in pairs]
@@ -366,6 +364,10 @@ def cmd_hr(args):
 
 def cmd_bp(args):
     """Fit, predict, or cross-validate the pressure model on a dataset."""
+    if args.coeffs is not None and args.bp_command != "predict":
+        raise ConfigError("--coeffs is only used by bp predict")
+    if args.ridge is not None and args.bp_command == "predict":
+        raise ConfigError("--ridge is only used by bp fit and bp loocv")
     config = resolve_config(args)
     convention = _UNITS[config.units]
     records, errors = load_dataset(args.dataset)
@@ -529,9 +531,9 @@ def build_parser():
     p_bp.add_argument("bp_command", choices=["fit", "predict", "loocv"])
     p_bp.add_argument("dataset", help="dataset directory")
     p_bp.add_argument("--coeffs", default=None,
-                      help="coefficients JSON for predict")
+                      help="coefficients JSON (predict only)")
     p_bp.add_argument("--ridge", type=float, default=None,
-                      help="ridge strength for fitting")
+                      help="ridge strength (fit and loocv only)")
     p_bp.add_argument("--features-from-audio", action="store_true",
                       help="always derive features from audio, ignoring "
                            "precomputed features in meta.json")

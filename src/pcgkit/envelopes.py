@@ -107,23 +107,21 @@ def shannon_energy_envelope(frame):
     return Envelope(_as_envelope_signal(frame, e), EnvelopeMethod.SHANNON)
 
 
-def wes_envelope(frame, kind=None, grid=None):
+def wes_envelope(frame, kind=None):
     """Wavelet-energy-spectrum envelope.
+
+    The scales are the standard 64-step 10..500 Hz ladder at the frame
+    rate (:meth:`ScaleGrid.log_spaced`).
 
     Parameters
     ----------
     frame : SampledSignal
     kind : WaveletKind, optional
         Defaults to Morlet.
-    grid : ScaleGrid, optional
-        Defaults to the standard 64-step 10..500 Hz ladder at the frame
-        rate.
     """
     if kind is None:
         kind = WaveletKind.morlet()
-    if grid is None:
-        grid = ScaleGrid.log_spaced(kind, frame.rate_hz)
-    track = wes(frame, kind, grid)
+    track = wes(frame, kind, ScaleGrid.log_spaced(kind, frame.rate_hz))
     return Envelope(track, EnvelopeMethod.WES)
 
 
@@ -139,8 +137,7 @@ def smooth(envelope, cutoff_hz=20.0, order=4):
     return replace(envelope, track=clipped, smoothing_cutoff_hz=float(cutoff_hz))
 
 
-def compute_envelope(frame, method, kind=None, grid=None,
-                     smoothing_cutoff_hz=20.0, order=4):
+def compute_envelope(frame, method, kind=None, smoothing_cutoff_hz=20.0):
     """Detector dispatch plus the standard smooth-then-renormalize chain."""
     method = EnvelopeMethod(method)
     if method is EnvelopeMethod.HILBERT:
@@ -148,5 +145,5 @@ def compute_envelope(frame, method, kind=None, grid=None,
     elif method is EnvelopeMethod.SHANNON:
         env = shannon_energy_envelope(frame)
     else:
-        env = wes_envelope(frame, kind=kind, grid=grid)
-    return smooth(env, smoothing_cutoff_hz, order).normalized()
+        env = wes_envelope(frame, kind=kind)
+    return smooth(env, smoothing_cutoff_hz).normalized()

@@ -1,10 +1,9 @@
 """Agreement statistics between paired estimates and references.
 
 Pearson correlation, frame-wise error metrics, subject-first cohort
-aggregation, Bland-Altman limits of agreement, and box-plot statistics.
-All quantities use the sample (n-1) standard deviation and linear
-interpolation quartiles so results are deterministic and comparable
-across runs.
+aggregation, and Bland-Altman limits of agreement. All quantities use the
+sample (n-1) standard deviation so results are deterministic and
+comparable across runs.
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from .errors import InvalidInputError, UndefinedCorrelationError
 
 __all__ = [
     "pearson_r", "ErrorMetrics", "error_metrics", "subject_aggregate",
-    "AgreementReport", "bland_altman", "BoxStats", "box_stats",
+    "AgreementReport", "bland_altman",
 ]
 
 
@@ -138,28 +137,3 @@ def bland_altman(pred, ref):
         within_loa_frac=within, n=len(pred))
     return report, means, diffs
 
-
-@dataclass(frozen=True)
-class BoxStats:
-    median: float
-    q1: float
-    q3: float
-    iqr: float
-    outliers: tuple
-
-
-def box_stats(values):
-    """Quartiles and 1.5 IQR fence outliers.
-
-    Quartiles use linear interpolation between order statistics.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or len(values) < 4:
-        raise InvalidInputError(f"need at least 4 values, got {values.shape}")
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
-    iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    outliers = values[(values < lo_fence) | (values > hi_fence)]
-    return BoxStats(float(med), float(q1), float(q3), float(iqr),
-                    tuple(float(v) for v in np.sort(outliers)))

@@ -1,20 +1,19 @@
 """Signal-quality measurements for recorded or synthetic PCG frames.
 
-Covers the occupied frequency band, a short-time spectrogram, mel-cepstral
-coefficients, the sample energy spectrum, the normalized error between
-wavelet and sample energy tracks, and a burst-versus-background SNR.
-Frame-level results aggregate into a per-subject :class:`QualityReport`.
+Covers the occupied frequency band, the sample energy spectrum, the
+normalized error between wavelet and sample energy tracks, and a
+burst-versus-background SNR. Frame-level results aggregate into a
+per-subject :class:`QualityReport`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, rfft, rfftfreq
+from scipy.fft import rfft, rfftfreq
 
 from .core import SampledSignal, SignalLabel
 from .errors import (
-    ConfigError,
     DegenerateCoverageError,
     DegenerateSignalError,
     InvalidInputError,
@@ -24,8 +23,7 @@ from .errors import (
 from .wavelets import ScaleGrid, WaveletKind, wes
 
 __all__ = [
-    "fft_band", "spectrogram_stft", "mel_filterbank", "mfcc",
-    "energy_spectrum", "nrmse_wes_vs_es", "SnrResult", "snr_frame",
+    "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "SnrResult", "snr_frame",
     "FrameQuality", "frame_quality", "QualityReport", "aggregate_quality",
 ]
 
@@ -60,92 +58,6 @@ def fft_band(frame, rel_threshold=0.05):
         raise DegenerateSignalError("spectrum is identically zero")
     above = np.nonzero(mag >= rel_threshold * peak)[0]
     return float(freqs[above[0]]), float(freqs[above[-1]])
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """STFT magnitudes with axes and the scaling needed for power sums.
-
-    ``magnitude[i, j]`` is the unscaled ``|rfft|`` of column j at frequency
-    bin i; divide squared magnitudes by ``window_power`` for a
-    Parseval-consistent per-column power spectrum.
-    """
-
-    magnitude: np.ndarray
-    freqs_hz: np.ndarray
-    times_s: np.ndarray
-    window_power: float
-
-
-def spectrogram_stft(frame, window_len=256, overlap=0.5):
-    """Short-time magnitude spectrogram with a periodic Hann window.
-
-    Column count is exactly ``floor((N - window_len) / hop) + 1`` with
-    ``hop = window_len * (1 - overlap)``; no padding is added.
-    """
-    x = frame.samples
-    if len(x) < window_len:
-        raise TooShortError(
-            f"spectrogram needs >= {window_len} samples, got {len(x)}")
-    hop = int(round(window_len * (1.0 - overlap)))
-    if hop < 1:
-        raise ConfigError(f"overlap {overlap} leaves no hop")
-    # periodic Hann: one period of the cosine, no repeated endpoint
-    win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
-    segs = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
-    cols = np.abs(rfft(segs * win, axis=1)).T
-    freqs = rfftfreq(window_len, 1.0 / frame.rate_hz)
-    times = frame.start_time_s + (np.arange(len(segs)) * hop + window_len / 2) / frame.rate_hz
-    return Spectrogram(cols, freqs, times, float(np.sum(win ** 2)))
-
-
-def _hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=float) / 700.0)
-
-
-def _mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_filters, n_bins, rate_hz):
-    """Triangular filters on a mel-spaced grid from 0 to Nyquist.
-
-    Returns an ``(n_filters, n_bins)`` weight matrix for rfft bins.
-    """
-    nyq = rate_hz / 2.0
-    mel_points = np.linspace(0.0, _hz_to_mel(nyq), n_filters + 2)
-    hz_points = _mel_to_hz(mel_points)
-    bin_freqs = np.linspace(0.0, nyq, n_bins)
-    bank = np.zeros((n_filters, n_bins))
-    for m in range(n_filters):
-        f_lo, f_c, f_hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        rising = (bin_freqs - f_lo) / (f_c - f_lo)
-        falling = (f_hi - bin_freqs) / (f_hi - f_c)
-        bank[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return bank
-
-
-def mfcc(frame, n_filters=26, n_coeffs=13, window_len=256, overlap=0.5,
-         log_floor=1e-10):
-    """Mel-frequency cepstral coefficients per spectrogram column.
-
-    Filter energies are floored at ``log_floor`` before the log, and an
-    orthonormal DCT-II compacts each column; the first ``n_coeffs``
-    coefficients are kept.
-
-    Returns
-    -------
-    ndarray, shape (n_coeffs, n_columns)
-    """
-    if n_coeffs > n_filters:
-        raise ConfigError(
-            f"n_coeffs {n_coeffs} cannot exceed n_filters {n_filters}")
-    spec = spectrogram_stft(frame, window_len, overlap)
-    power = spec.magnitude ** 2
-    bank = mel_filterbank(n_filters, power.shape[0], frame.rate_hz)
-    energies = np.maximum(bank @ power, log_floor)
-    cepstra = dct(np.log(energies), type=2, norm="ortho", axis=0)
-    return cepstra[:n_coeffs]
 
 
 def energy_spectrum(frame):
@@ -219,7 +131,7 @@ def snr_frame(frame, seg, window_ms=50.0):
     return SnrResult(10.0 * math.log10(p_signal / p_noise), saturated=False)
 
 
-_DEFAULT_KINDS = tuple(getattr(WaveletKind, f)() for f in WaveletKind.FAMILIES)
+_KINDS = tuple(getattr(WaveletKind, f)() for f in WaveletKind.FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -231,26 +143,25 @@ class FrameQuality:
     snr: SnrResult
 
 
-def frame_quality(frame, seg, kinds=_DEFAULT_KINDS, rel_threshold=0.05,
-                  window_ms=50.0, grid_lo_hz=10.0, grid_hi_hz=500.0,
-                  n_scales=64):
+def frame_quality(frame, seg):
     """Band, per-wavelet energy-track error, and SNR for one frame.
 
-    The wavelet and sample energy tracks are each normalized to unit
-    total energy before comparison, making the error a pure shape
-    mismatch independent of the methods' arbitrary gains.
+    Uses the defaults of :func:`fft_band`, :meth:`ScaleGrid.log_spaced`
+    (for every wavelet family) and :func:`snr_frame`. The wavelet and
+    sample energy tracks are each normalized to unit total energy before
+    comparison, making the error a pure shape mismatch independent of the
+    methods' arbitrary gains.
     """
-    band = fft_band(frame, rel_threshold)
+    band = fft_band(frame)
     es = energy_spectrum(frame).samples
     es_n = es / np.sqrt(np.sum(es ** 2))
     nrmse = {}
-    for kind in kinds:
-        grid = ScaleGrid.log_spaced(kind, frame.rate_hz, grid_lo_hz,
-                                    grid_hi_hz, n_scales)
+    for kind in _KINDS:
+        grid = ScaleGrid.log_spaced(kind, frame.rate_hz)
         track = wes(frame, kind, grid).samples
         track_n = track / np.sqrt(np.sum(track ** 2))
         nrmse[kind.family] = nrmse_wes_vs_es(track_n, es_n)
-    return FrameQuality(band, nrmse, snr_frame(frame, seg, window_ms))
+    return FrameQuality(band, nrmse, snr_frame(frame, seg))
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,29 @@ class TestBpCommand:
         for entry in report["predictions"].values():
             assert {"sbp", "dbp", "flags"} <= set(entry)
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--coeffs", "/nonexistent.json"],
+        ["loocv", "--coeffs", "/nonexistent.json"],
+        ["predict", "--ridge", "5"],
+    ], ids=["fit-coeffs", "loocv-coeffs", "predict-ridge"])
+    def test_flag_the_command_ignores_is_rejected(self, argv, small_ds,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bp", argv[0], str(small_ds), *argv[1:],
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and argv[1] in err
+        assert not out.exists()
+
+    def test_config_file_ridge_accepted_by_predict(self, small_ds, tmp_path):
+        # one config file serves every command, so predict accepts its ridge
+        config = tmp_path / "run.cfg"
+        config.write_text("ridge_lambda = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(small_ds), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert (out / "bp_predictions.json").exists()
+
 
 class TestQualityCommand:
 

@@ -1,13 +1,9 @@
-"""Band estimation, spectrogram, MFCC, energy tracks, NRMSE, and SNR."""
-
-import math
+"""Band estimation, energy tracks, NRMSE, and SNR."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
-    ConfigError,
     CycleSegmentation,
     DegenerateCoverageError,
     DegenerateSignalError,
@@ -27,11 +23,9 @@ from pcgkit import (
     frame_quality,
     generate_pcg,
     hr_pipeline,
-    mfcc,
     normalize_max_abs,
     nrmse_wes_vs_es,
     snr_frame,
-    spectrogram_stft,
 )
 
 RATE = 2000.0
@@ -83,107 +77,6 @@ class TestFftBand:
         frame = SampledSignal(np.zeros(512), RATE, SignalLabel.PCG)
         with pytest.raises(DegenerateSignalError):
             fft_band(frame)
-
-
-class TestSpectrogram:
-
-    def test_column_count_formula(self):
-        for n in (256, 1000, 8000):
-            frame = SampledSignal(np.random.default_rng(0).standard_normal(n),
-                                  RATE, SignalLabel.PCG)
-            spec = spectrogram_stft(frame)
-            assert spec.magnitude.shape[1] == (n - 256) // 128 + 1
-
-    def test_single_column_boundary(self):
-        frame = tone_frame([100.0], duration_s=256 / RATE)
-        spec = spectrogram_stft(frame)
-        assert spec.magnitude.shape == (129, 1)
-
-    def test_stationary_tone_constant_ridge(self):
-        spec = spectrogram_stft(tone_frame([200.0], duration_s=2.0))
-        ridges = np.argmax(spec.magnitude, axis=0)
-        assert np.all(ridges == ridges[0])
-        assert abs(spec.freqs_hz[ridges[0]] - 200.0) <= RATE / 256
-
-    def test_burst_energy_localized(self):
-        t = np.arange(int(3.0 * RATE)) / RATE
-        x = np.zeros_like(t)
-        for center in (0.8, 1.8):
-            x += np.cos(2 * np.pi * 80 * (t - center)) * np.exp(
-                -0.5 * ((t - center) / 0.015) ** 2)
-        spec = spectrogram_stft(SampledSignal(x, RATE, SignalLabel.PCG))
-        energy = np.sum(spec.magnitude ** 2, axis=0)
-        hop_s = 128 / RATE
-        order = np.argsort(energy)[::-1]
-        hot = sorted(spec.times_s[order[:2]])
-        assert abs(hot[0] - 0.8) <= 2 * hop_s
-        assert abs(hot[1] - 1.8) <= 2 * hop_s
-
-    def test_window_power_is_periodic_hann(self):
-        spec = spectrogram_stft(tone_frame([100.0]))
-        assert spec.window_power == pytest.approx(96.0, abs=1e-9)
-
-    def test_short_frame_raises(self):
-        frame = SampledSignal(np.ones(100), RATE, SignalLabel.PCG)
-        with pytest.raises(TooShortError):
-            spectrogram_stft(frame)
-
-    @settings(max_examples=100, deadline=None)
-    @given(extra=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
-           window_len=st.sampled_from([16, 64, 100, 256]),
-           overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
-    def test_matches_per_column_rfft(self, extra, seed, window_len, overlap):
-        x = np.random.default_rng(seed).standard_normal(window_len + extra)
-        spec = spectrogram_stft(SampledSignal(x, RATE, SignalLabel.PCG),
-                                window_len, overlap)
-        hop = int(round(window_len * (1.0 - overlap)))
-        win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window_len) / window_len)
-        starts = range(0, len(x) - window_len + 1, hop)
-        ref = np.column_stack([np.abs(np.fft.rfft(x[j:j + window_len] * win))
-                               for j in starts])
-        np.testing.assert_allclose(spec.magnitude, ref, rtol=1e-12, atol=1e-12)
-        assert len(spec.times_s) == len(starts)
-
-
-class TestMfcc:
-
-    def test_shape(self):
-        frame = tone_frame([100.0], duration_s=2.0)
-        out = mfcc(frame)
-        assert out.shape == (13, (len(frame.samples) - 256) // 128 + 1)
-
-    def test_white_noise_c0_dominates(self):
-        rng = np.random.default_rng(31)
-        mags = np.zeros(13)
-        for _ in range(50):
-            frame = SampledSignal(rng.standard_normal(1024), RATE,
-                                  SignalLabel.PCG)
-            mags += np.abs(mfcc(frame)).mean(axis=1)
-        assert np.all(mags[0] > mags[1:])
-
-    def test_amplitude_scaling_shifts_c0_only(self):
-        frame = tone_frame([100.0], duration_s=1.0)
-        scaled = frame.with_samples(frame.samples * 8.0)
-        base = mfcc(frame)
-        shifted = mfcc(scaled)
-        assert np.max(np.abs(shifted[1:] - base[1:])) < 1e-6
-        c0_shift = shifted[0] - base[0]
-        # log power rises by log(64) in every filter; the orthonormal
-        # DCT maps that constant to sqrt(n_filters) * log(64) on c0
-        expected = math.sqrt(26) * math.log(64.0)
-        assert np.allclose(c0_shift, expected, atol=1e-6)
-
-    def test_silence_gives_floor_vector(self):
-        frame = SampledSignal(np.zeros(1024), RATE, SignalLabel.PCG)
-        out = mfcc(frame)
-        assert np.allclose(out[1:], 0.0, atol=1e-9)
-        expected_c0 = math.sqrt(26) * math.log(1e-10)
-        assert np.allclose(out[0], expected_c0, rtol=1e-9)
-        assert np.allclose(out, out[:, :1], atol=1e-12)
-
-    def test_too_many_coefficients_rejected(self):
-        with pytest.raises(ConfigError):
-            mfcc(tone_frame([100.0]), n_filters=20, n_coeffs=21)
 
 
 class TestEnergySpectrum:
