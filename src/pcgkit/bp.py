@@ -77,10 +77,6 @@ class PcgFeatureVector:
     def t_s2(self):
         return self.t_rd2 + self.t_dd2
 
-    @classmethod
-    def from_segmentation(cls, seg, hr_bpm):
-        return cls(*(getattr(seg, n) for n in _DURATIONS), hr_pcg=hr_bpm)
-
 
 # The six measured durations, in field order (hr_pcg comes last).
 _DURATIONS = tuple(f.name for f in dataclass_fields(PcgFeatureVector))[:-1]
@@ -226,11 +222,10 @@ class BpPrediction:
 
     sbp: float
     dbp: float
-    coefficients_id: str = "reference"
     flags: tuple = ()
 
 
-def predict_pair(f, coeffs, coefficients_id="reference"):
+def predict_pair(f, coeffs):
     sbp = predict_sbp(f, coeffs)
     dbp = predict_dbp(f, coeffs)
     flags = []
@@ -238,7 +233,7 @@ def predict_pair(f, coeffs, coefficients_id="reference"):
         flags.append("sbp_implausible")
     if not DBP_PLAUSIBLE[0] <= dbp <= DBP_PLAUSIBLE[1]:
         flags.append("dbp_implausible")
-    return BpPrediction(sbp, dbp, coefficients_id, tuple(flags))
+    return BpPrediction(sbp, dbp, tuple(flags))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from .bp import (
     loocv_subjectwise,
     predict_pair,
 )
-from .core import FramePlan, resample_rational, segment_frames, detrend, normalize_max_abs
+from .core import detrend, normalize_max_abs, resample_rational, segment_frames
 from .envelopes import EnvelopeMethod
-from .errors import ConfigError, PcgKitError
+from .errors import ConfigError, ParseError, PcgKitError, TooShortError
 from .evaluation import bland_altman, subject_aggregate
 from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
@@ -114,19 +114,22 @@ def load_config_file(path):
     """Parse a flat ``key = value`` config file into a dict of strings."""
     values = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: "
+                          f"{exc}") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -185,7 +188,7 @@ def _frame_results(record, config):
     pcg = record.pcg
     if abs(pcg.rate_hz - config.pcg_rate_hz) > 1e-9:
         pcg = resample_rational(pcg, config.pcg_rate_hz)
-    frames = segment_frames(pcg, FramePlan(config.frame_len_s))
+    frames = segment_frames(pcg, config.frame_len_s)
     kwargs = dict(
         method=_METHODS[config.method],
         formula=_FORMULAS[config.formula],
@@ -199,9 +202,9 @@ def _frame_results(record, config):
     )
 
     def analyse():
-        for i, frame in enumerate(frames):
+        for frame in frames:
             try:
-                yield hr_pipeline(frame, frame_index=i, **kwargs)
+                yield hr_pipeline(frame, **kwargs)
             except PcgKitError as exc:
                 yield exc
 
@@ -221,9 +224,16 @@ def _per_subject(records, errors, analyze):
 
 def _subject_features(record, config, from_audio):
     """Complete features from meta.json, unless ``from_audio``; else audio."""
-    feat = record.meta.get("features") or {}
+    feat = {} if from_audio else (record.meta.get("features") or {})
+    if not isinstance(feat, dict):
+        raise ParseError(f"meta.json: features must be an object, "
+                         f"got {feat!r}")
     names = [f.name for f in dataclass_fields(PcgFeatureVector)]
-    if not from_audio and all(n in feat for n in names):
+    for n in names:
+        if n in feat and not isinstance(feat[n], (int, float)):
+            raise ParseError(f"meta.json: features.{n} must be a number, "
+                             f"got {feat[n]!r}")
+    if all(n in feat for n in names):
         return PcgFeatureVector(**{n: float(feat[n]) for n in names})
     per_frame = ((r.segmentation, r.hr) for r in _frame_results(record, config)
                  if not isinstance(r, PcgKitError))
@@ -294,10 +304,14 @@ def cmd_hr(args):
 
     def analyze(record):
         results = _frame_results(record, config)
-        ecg_frames = None
+        # the ECG is only a reference: one too short for a frame costs the
+        # rows their ECG rate, not the subject its PCG rates
+        ecg_frames, ecg_error = [], None
         if record.ecg is not None:
-            ecg_frames = segment_frames(record.ecg,
-                                        FramePlan(config.frame_len_s))
+            try:
+                ecg_frames = segment_frames(record.ecg, config.frame_len_s)
+            except TooShortError as exc:
+                ecg_error = f"ecg.txt: {exc}"
         frame_rows, diffs = [], []
         for i, result in enumerate(results):
             row = {"frame": i}
@@ -306,14 +320,16 @@ def cmd_hr(args):
             else:
                 row["bpm_pcg"] = result.hr.bpm
                 row["flags"] = list(result.hr.flags)
-            if ecg_frames is not None and i < len(ecg_frames):
+            if i < len(ecg_frames):
                 try:
                     ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
                     ecg_hr = hr_from_ecg_frame(ecg_frame,
-                                               config.ecg_prominence, i)
+                                               config.ecg_prominence)
                     row["bpm_ecg"] = ecg_hr.bpm
                 except PcgKitError as exc:
                     row["ecg_error"] = str(exc)
+            elif ecg_error:
+                row["ecg_error"] = ecg_error
             if "bpm_pcg" in row and "bpm_ecg" in row and not row["flags"]:
                 pairs.append((row["bpm_ecg"], row["bpm_pcg"]))
                 diffs.append(row["bpm_pcg"] - row["bpm_ecg"])
@@ -402,7 +418,7 @@ def cmd_bp(args):
             coeffs_id = "reference"
         predictions = {}
         for record, features in rows:
-            pred = predict_pair(features, coeffs, coeffs_id)
+            pred = predict_pair(features, coeffs)
             entry = {"sbp": pred.sbp, "dbp": pred.dbp,
                      "flags": list(pred.flags)}
             for side in ("sbp", "dbp"):

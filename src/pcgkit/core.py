@@ -1,13 +1,14 @@
 """Waveform container and the shared signal-conditioning primitives.
 
-All downstream modules consume :class:`SampledSignal`. Operations here are
-pure: they return new signals and never mutate their inputs, so frames can
-be processed in parallel without locking.
+A :class:`SampledSignal` is samples plus a rate and nothing else: raw
+recordings, frames and envelopes are all plain signals, and every
+downstream module consumes them. Operations here are pure: they return
+new signals and never mutate their inputs, so frames can be processed in
+parallel without locking.
 """
 
-import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,19 +23,9 @@ from .errors import (
 )
 
 __all__ = [
-    "SampledSignal", "SignalLabel", "FramePlan", "detrend",
-    "normalize_max_abs", "resample_rational", "segment_frames",
-    "butterworth_lowpass_zero_phase",
+    "SampledSignal", "detrend", "normalize_max_abs", "resample_rational",
+    "segment_frames", "butterworth_lowpass_zero_phase",
 ]
-
-
-class SignalLabel(enum.Enum):
-    """What a waveform represents; propagated through transformations."""
-
-    PCG = "pcg"
-    ECG = "ecg"
-    ENVELOPE = "envelope"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -46,20 +37,11 @@ class SampledSignal:
     samples : ndarray
         Amplitude values, converted to float64 and validated finite.
     rate_hz : float
-        Sampling rate, strictly positive.
-    label : SignalLabel
-        Channel kind, defaults to OTHER.
-    start_time_s : float
-        Offset of the first sample relative to the parent recording.
-    meta : dict
-        Free-form provenance entries (e.g. normalization scale).
+        Sampling rate, finite and strictly positive.
     """
 
     samples: np.ndarray
     rate_hz: float
-    label: SignalLabel = SignalLabel.OTHER
-    start_time_s: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -69,8 +51,9 @@ class SampledSignal:
             raise InvalidInputError("samples must be non-empty")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("samples contain non-finite values")
-        if not self.rate_hz > 0:
-            raise InvalidInputError(f"rate_hz must be > 0, got {self.rate_hz}")
+        if not (self.rate_hz > 0 and math.isfinite(self.rate_hz)):
+            raise InvalidInputError(
+                f"rate_hz must be finite and > 0, got {self.rate_hz}")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self):
@@ -80,34 +63,9 @@ class SampledSignal:
     def duration_s(self):
         return len(self.samples) / self.rate_hz
 
-    def times(self):
-        """Sample times in seconds, including the start offset."""
-        return self.start_time_s + np.arange(len(self.samples)) / self.rate_hz
-
-    def with_samples(self, samples, **meta):
-        """Copy of this signal with new samples and merged metadata."""
-        return replace(self, samples=np.asarray(samples, dtype=np.float64),
-                       meta={**self.meta, **meta})
-
-
-@dataclass(frozen=True)
-class FramePlan:
-    """Frame length and hop for splitting a recording.
-
-    ``hop_s == frame_len_s`` gives non-overlapping frames, the default for
-    batch evaluation.
-    """
-
-    frame_len_s: float = 4.0
-    hop_s: float = None
-
-    def __post_init__(self):
-        if self.hop_s is None:
-            object.__setattr__(self, "hop_s", self.frame_len_s)
-        if not self.frame_len_s > 0:
-            raise InvalidInputError("frame_len_s must be > 0")
-        if not 0 < self.hop_s <= self.frame_len_s:
-            raise InvalidInputError("hop_s must be in (0, frame_len_s]")
+    def with_samples(self, samples):
+        """Copy of this signal with new samples at the same rate."""
+        return SampledSignal(samples, self.rate_hz)
 
 
 def detrend(s):
@@ -138,9 +96,6 @@ def detrend(s):
 def normalize_max_abs(s):
     """Scale a signal so its maximum absolute amplitude is 1.
 
-    The applied scale factor is recorded in ``meta['norm_scale']`` so the
-    original amplitude can be recovered.
-
     Raises
     ------
     DegenerateSignalError
@@ -149,7 +104,7 @@ def normalize_max_abs(s):
     peak = float(np.max(np.abs(s.samples)))
     if peak == 0.0:
         raise DegenerateSignalError("cannot normalize an all-zero signal")
-    return s.with_samples(s.samples / peak, norm_scale=1.0 / peak)
+    return s.with_samples(s.samples / peak)
 
 
 def _antialias_fir(up, down, rate_in):
@@ -200,18 +155,17 @@ def resample_rational(s, target_rate_hz):
             f"rate ratio {ratio} not representable with denominator <= 10000")
     up, down = frac.numerator, frac.denominator
     if up == down:
-        return replace(s, rate_hz=float(target_rate_hz))
+        return SampledSignal(s.samples, float(target_rate_hz))
     h = _antialias_fir(up, down, s.rate_hz)
     out = sps.resample_poly(s.samples, up, down, window=h)
-    return replace(s, samples=out, rate_hz=float(target_rate_hz),
-                   meta={**s.meta, "resampled_from_hz": s.rate_hz})
+    return SampledSignal(out, float(target_rate_hz))
 
 
-def segment_frames(s, plan):
-    """Split a signal into frames according to a plan.
+def segment_frames(s, frame_len_s):
+    """Split a signal into consecutive non-overlapping frames.
 
-    A trailing partial frame is discarded. Each frame records its start
-    offset so event times remain absolute.
+    A trailing partial frame is discarded. Frames are independent signals
+    of their own; nothing ties them back to the recording.
 
     Returns
     -------
@@ -219,25 +173,26 @@ def segment_frames(s, plan):
 
     Raises
     ------
+    InvalidInputError
+        If a frame would be shorter than 2 samples or its length in
+        samples is not finite.
     TooShortError
         If the signal is shorter than one frame.
     """
-    frame_len = int(round(plan.frame_len_s * s.rate_hz))
-    hop = int(round(plan.hop_s * s.rate_hz))
+    frame_samples = frame_len_s * s.rate_hz
+    if not math.isfinite(frame_samples):
+        raise InvalidInputError(
+            f"frame of {frame_len_s} s at {s.rate_hz} Hz has no finite "
+            f"sample count")
+    frame_len = int(round(frame_samples))
     if frame_len < 2:
         raise InvalidInputError("frame shorter than 2 samples")
     if len(s.samples) < frame_len:
         raise TooShortError(
             f"signal of {s.duration_s:.3f} s shorter than one "
-            f"{plan.frame_len_s:.3f} s frame")
-    frames = []
-    for start in range(0, len(s.samples) - frame_len + 1, hop):
-        frames.append(replace(
-            s,
-            samples=s.samples[start:start + frame_len].copy(),
-            start_time_s=s.start_time_s + start / s.rate_hz,
-        ))
-    return frames
+            f"{frame_len_s:.3f} s frame")
+    return [s.with_samples(s.samples[start:start + frame_len].copy())
+            for start in range(0, len(s.samples) - frame_len + 1, frame_len)]
 
 
 def butterworth_lowpass_zero_phase(s, cutoff_hz, order=4):

@@ -1,24 +1,24 @@
 """Amplitude envelope detectors for heart-sound localization.
 
-Three detectors produce an :class:`Envelope`: analytic-signal magnitude,
-Shannon energy, and the wavelet energy spectrum. All are typically
-followed by :func:`smooth` (20 Hz zero-phase lowpass) and a max
-renormalization so the downstream 15% peak threshold means the same
+Three detectors turn a frame into a nonnegative envelope, itself a plain
+:class:`SampledSignal` at the frame rate: analytic-signal magnitude,
+Shannon energy, and the wavelet energy spectrum. :func:`compute_envelope`
+follows the detector with :func:`smooth` (20 Hz zero-phase lowpass) and a
+max renormalization so the downstream 15% peak threshold means the same
 thing regardless of method.
 """
 
 import enum
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import hilbert
 
-from .core import SampledSignal, SignalLabel, butterworth_lowpass_zero_phase
+from .core import butterworth_lowpass_zero_phase
 from .errors import ContractViolationError
 from .wavelets import ScaleGrid, WaveletKind, wes
 
 __all__ = [
-    "Envelope", "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
+    "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
     "shannon_energy_envelope", "smooth", "wes_envelope",
 ]
 
@@ -29,39 +29,6 @@ class EnvelopeMethod(enum.Enum):
     HILBERT = "hilbert"
     SHANNON = "shannon"
     WES = "wes"
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Nonnegative amplitude track plus how it was made.
-
-    ``smoothing_cutoff_hz`` is None until :func:`smooth` has been applied.
-    """
-
-    track: SampledSignal
-    method: EnvelopeMethod
-    smoothing_cutoff_hz: float = None
-
-    @property
-    def samples(self):
-        return self.track.samples
-
-    @property
-    def rate_hz(self):
-        return self.track.rate_hz
-
-    def normalized(self):
-        """Envelope rescaled to a maximum of 1. All-zero tracks pass through."""
-        peak = float(np.max(self.track.samples)) if len(self.track.samples) else 0.0
-        if peak <= 0:
-            return self
-        return replace(self, track=self.track.with_samples(
-            self.track.samples / peak, norm_scale=1.0 / peak))
-
-
-def _as_envelope_signal(sig, values):
-    return SampledSignal(values, sig.rate_hz, SignalLabel.ENVELOPE,
-                         sig.start_time_s, dict(sig.meta))
 
 
 def hilbert_envelope(frame):
@@ -77,11 +44,9 @@ def hilbert_envelope(frame):
 
     Returns
     -------
-    Envelope
+    SampledSignal
     """
-    analytic = hilbert(frame.samples)
-    e = np.abs(analytic)
-    return Envelope(_as_envelope_signal(frame, e), EnvelopeMethod.HILBERT)
+    return frame.with_samples(np.abs(hilbert(frame.samples)))
 
 
 def shannon_energy_envelope(frame):
@@ -104,7 +69,7 @@ def shannon_energy_envelope(frame):
     sq = x * x
     e = -sq * np.log(sq + SHANNON_EPS)
     np.maximum(e, 0.0, out=e)
-    return Envelope(_as_envelope_signal(frame, e), EnvelopeMethod.SHANNON)
+    return frame.with_samples(e)
 
 
 def wes_envelope(frame, kind=None):
@@ -121,8 +86,7 @@ def wes_envelope(frame, kind=None):
     """
     if kind is None:
         kind = WaveletKind.morlet()
-    track = wes(frame, kind, ScaleGrid.log_spaced(kind, frame.rate_hz))
-    return Envelope(track, EnvelopeMethod.WES)
+    return wes(frame, kind, ScaleGrid.log_spaced(kind, frame.rate_hz))
 
 
 def smooth(envelope, cutoff_hz=20.0, order=4):
@@ -132,13 +96,16 @@ def smooth(envelope, cutoff_hz=20.0, order=4):
     (around 8 Hz) adjacent S1/S2 peaks start to merge and timing-based
     estimates degrade, so lower values should be used deliberately.
     """
-    filtered = butterworth_lowpass_zero_phase(envelope.track, cutoff_hz, order)
-    clipped = filtered.with_samples(np.maximum(filtered.samples, 0.0))
-    return replace(envelope, track=clipped, smoothing_cutoff_hz=float(cutoff_hz))
+    filtered = butterworth_lowpass_zero_phase(envelope, cutoff_hz, order)
+    return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 
 def compute_envelope(frame, method, kind=None, smoothing_cutoff_hz=20.0):
-    """Detector dispatch plus the standard smooth-then-renormalize chain."""
+    """Detector dispatch plus the standard smooth-then-renormalize chain.
+
+    The smoothed envelope is rescaled to a maximum of 1; an all-zero
+    envelope passes through unscaled.
+    """
     method = EnvelopeMethod(method)
     if method is EnvelopeMethod.HILBERT:
         env = hilbert_envelope(frame)
@@ -146,4 +113,6 @@ def compute_envelope(frame, method, kind=None, smoothing_cutoff_hz=20.0):
         env = shannon_energy_envelope(frame)
     else:
         env = wes_envelope(frame, kind=kind)
-    return smooth(env, smoothing_cutoff_hz).normalized()
+    env = smooth(env, smoothing_cutoff_hz)
+    peak = float(np.max(env.samples))
+    return env.with_samples(env.samples / peak) if peak > 0 else env

@@ -28,20 +28,12 @@ from .segmentation import CycleSegmentation, segment
 from .wavelets import dwt_denoise_db4
 
 __all__ = [
-    "HrSource", "HrFormula", "HrEstimate", "PipelineResult",
+    "HrFormula", "HrEstimate", "PipelineResult",
     "hr_from_ecg_frame", "hr_from_pcg", "hr_pipeline",
 ]
 
 HR_MIN_BPM = 20.0
 HR_MAX_BPM = 240.0
-
-
-class HrSource(enum.Enum):
-    # each PCG source is "pcg_" plus its EnvelopeMethod value
-    ECG = "ecg"
-    PCG_HILBERT = "pcg_hilbert"
-    PCG_SHANNON = "pcg_shannon"
-    PCG_WES = "pcg_wes"
 
 
 class HrFormula(enum.Enum):
@@ -51,12 +43,9 @@ class HrFormula(enum.Enum):
 
 @dataclass(frozen=True)
 class HrEstimate:
-    """One heart-rate value with its provenance and acceptance flags."""
+    """One heart-rate value with its acceptance flags."""
 
     bpm: float
-    source: HrSource
-    formula: HrFormula
-    frame_index: int = 0
     flags: tuple = ()
 
     @property
@@ -69,7 +58,7 @@ def _range_flags(bpm):
     return ("out_of_range",) if not HR_MIN_BPM <= bpm <= HR_MAX_BPM else ()
 
 
-def hr_from_ecg_frame(frame, prominence=0.8, frame_index=0):
+def hr_from_ecg_frame(frame, prominence=0.8):
     """Reference heart rate from R-peak spacing.
 
     R-peaks are local maxima with topographic prominence at least
@@ -93,12 +82,10 @@ def hr_from_ecg_frame(frame, prominence=0.8, frame_index=0):
             f"found {len(locs)} R-peaks, need >= 2")
     mean_gap = float(np.mean(np.diff(locs)))
     bpm = 60.0 * frame.rate_hz / mean_gap
-    return HrEstimate(bpm, HrSource.ECG, HrFormula.CYCLE_PERIOD,
-                      frame_index, _range_flags(bpm))
+    return HrEstimate(bpm, _range_flags(bpm))
 
 
-def hr_from_pcg(seg, formula=HrFormula.CYCLE_PERIOD,
-                source=HrSource.PCG_SHANNON, frame_index=0):
+def hr_from_pcg(seg, formula=HrFormula.CYCLE_PERIOD):
     """Heart rate from the mean systolic and diastolic intervals.
 
     EQ7_VERBATIM computes ``(1/t_sys + 1/t_dias) * 60 / 2``; CYCLE_PERIOD
@@ -118,7 +105,7 @@ def hr_from_pcg(seg, formula=HrFormula.CYCLE_PERIOD,
         bpm = (1.0 / seg.t_sys + 1.0 / seg.t_dias) * 30.0
     else:
         bpm = 60.0 / (seg.t_sys + seg.t_dias)
-    return HrEstimate(bpm, source, formula, frame_index, _range_flags(bpm))
+    return HrEstimate(bpm, _range_flags(bpm))
 
 
 @dataclass(frozen=True)
@@ -128,16 +115,15 @@ class PipelineResult:
     hr: HrEstimate
     denoised: SampledSignal
     normalized: SampledSignal
-    envelope: object
+    envelope: SampledSignal
     segmentation: CycleSegmentation
 
 
 def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
-                formula=HrFormula.CYCLE_PERIOD, frame_index=0,
-                denoise_levels=8, denoise_threshold=0.15,
-                smoothing_cutoff_hz=20.0, min_height_frac=0.15,
-                min_distance_s=0.125, baseline_frac=0.15,
-                wavelet_kind=None):
+                formula=HrFormula.CYCLE_PERIOD, denoise_levels=8,
+                denoise_threshold=0.15, smoothing_cutoff_hz=20.0,
+                min_height_frac=0.15, min_distance_s=0.125,
+                baseline_frac=0.15, wavelet_kind=None):
     """Full heart-rate chain on one raw PCG frame.
 
     Stages: db4 denoise, max-abs normalize, envelope extraction, 20 Hz
@@ -151,8 +137,6 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
     -------
     PipelineResult
     """
-    method = EnvelopeMethod(method)
-
     def run(stage, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -169,6 +153,5 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
                    kind=wavelet_kind, smoothing_cutoff_hz=smoothing_cutoff_hz)
     seg = run("segmentation", segment, envelope, min_height_frac,
               min_distance_s, baseline_frac)
-    hr = run("hr", hr_from_pcg, seg, formula,
-             HrSource(f"pcg_{method.value}"), frame_index)
+    hr = run("hr", hr_from_pcg, seg, formula)
     return PipelineResult(hr, denoised, normalized, envelope, seg)

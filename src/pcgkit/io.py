@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SampledSignal, SignalLabel
+from .core import SampledSignal
 from .errors import (
     EmptyDataError,
     InvalidInputError,
@@ -34,7 +34,7 @@ __all__ = [
 PCM16_SCALE = 32768.0
 
 
-def read_wav_pcm16(path, label=SignalLabel.PCG):
+def read_wav_pcm16(path):
     """Read a mono (or first-channel) 16-bit PCM WAV file.
 
     Samples are scaled to [-1, 1) by dividing by 32768; the rate comes
@@ -69,8 +69,7 @@ def read_wav_pcm16(path, label=SignalLabel.PCG):
         raise UnsupportedEncodingError(
             f"{path}: truncated data chunk ends inside a sample frame")
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels)[:, 0]
-    return SampledSignal(data.astype(np.float64) / PCM16_SCALE, float(rate),
-                         label)
+    return SampledSignal(data.astype(np.float64) / PCM16_SCALE, float(rate))
 
 
 def write_wav_pcm16(path, signal):
@@ -95,7 +94,7 @@ def _row_line(path, row):
         return next(itertools.islice(lines, row, None))
 
 
-def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
+def read_ecg_text(path, rate_hz=None):
     """Read an ECG from a text file.
 
     Two layouts are accepted: one numeric value per line with the rate
@@ -108,8 +107,9 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
     Raises
     ------
     ParseError
-        Non-numeric or non-finite content, or a time column that does not
-        increase or whose step is not uniform (each with its line number).
+        Text that is not UTF-8, non-numeric or non-finite content, or a
+        time column that does not increase or whose step is not uniform
+        (each but the first with its line number).
     """
     path = Path(path)
     if not path.exists():
@@ -117,24 +117,27 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
     times = []
     values = []
     has_time = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if has_time is None:
-                has_time = len(parts) == 2
-            if len(parts) != (2 if has_time else 1):
-                raise ParseError(
-                    f"{path}:{line_no}: inconsistent column count", line_no)
-            try:
-                if has_time:
-                    times.append(float(parts[0]))
-                values.append(float(parts[-1]))
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: not numeric: {line!r}", line_no) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if has_time is None:
+                    has_time = len(parts) == 2
+                if len(parts) != (2 if has_time else 1):
+                    raise ParseError(f"{path}:{line_no}: inconsistent "
+                                     f"column count", line_no)
+                try:
+                    if has_time:
+                        times.append(float(parts[0]))
+                    values.append(float(parts[-1]))
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: not numeric: "
+                                     f"{line!r}", line_no) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not values:
         raise EmptyDataError(f"{path}: no samples")
     values = np.asarray(values)
@@ -159,7 +162,7 @@ def read_ecg_text(path, rate_hz=None, label=SignalLabel.ECG):
         rate_hz = 1.0 / step
     elif rate_hz is None:
         raise InvalidInputError("rate_hz required for plain value files")
-    return SampledSignal(values, float(rate_hz), label)
+    return SampledSignal(values, float(rate_hz))
 
 
 def write_ecg_text(path, signal):

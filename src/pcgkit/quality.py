@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import rfft, rfftfreq
 
-from .core import SampledSignal, SignalLabel
+from .core import SampledSignal
 from .errors import (
     DegenerateCoverageError,
     DegenerateSignalError,
@@ -23,7 +23,7 @@ from .errors import (
 from .wavelets import ScaleGrid, WaveletKind, wes
 
 __all__ = [
-    "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "SnrResult", "snr_frame",
+    "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "snr_frame",
     "FrameQuality", "frame_quality", "QualityReport", "aggregate_quality",
 ]
 
@@ -61,10 +61,8 @@ def fft_band(frame, rel_threshold=0.05):
 
 
 def energy_spectrum(frame):
-    """Pointwise squared amplitude, as an envelope-labeled signal."""
-    return SampledSignal(frame.samples ** 2, frame.rate_hz,
-                         SignalLabel.ENVELOPE, frame.start_time_s,
-                         dict(frame.meta))
+    """Pointwise squared amplitude, as a signal at the frame rate."""
+    return frame.with_samples(frame.samples ** 2)
 
 
 def nrmse_wes_vs_es(wes_track, es_track):
@@ -88,21 +86,18 @@ def nrmse_wes_vs_es(wes_track, es_track):
     return float(np.sqrt(np.sum((a - b) ** 2) / ref_energy))
 
 
-@dataclass(frozen=True)
-class SnrResult:
-    """SNR in dB plus whether the value hit the +-60 dB clamp."""
-
-    snr_db: float
-    saturated: bool = False
-
-
 def snr_frame(frame, seg, window_ms=50.0):
     """Burst-versus-background SNR of a segmented frame.
 
     Signal power is the mean squared amplitude within ``window_ms`` of
     each labeled peak; noise power is the mean over everything else. The
-    ratio is clamped to +-60 dB, with a saturation flag, because a
-    noiseless denominator is otherwise unbounded.
+    ratio in dB is clamped to +-60 dB, because a noiseless denominator is
+    otherwise unbounded.
+
+    Returns
+    -------
+    float
+        SNR in dB.
 
     Raises
     ------
@@ -125,10 +120,10 @@ def snr_frame(frame, seg, window_ms=50.0):
         raise DegenerateSignalError("frame is silent")
     cap = 10 ** (SNR_CAP_DB / 10.0)
     if p_noise == 0.0 or p_signal / p_noise > cap:
-        return SnrResult(SNR_CAP_DB, saturated=True)
+        return SNR_CAP_DB
     if p_signal == 0.0 or p_signal / p_noise < 1.0 / cap:
-        return SnrResult(-SNR_CAP_DB, saturated=True)
-    return SnrResult(10.0 * math.log10(p_signal / p_noise), saturated=False)
+        return -SNR_CAP_DB
+    return 10.0 * math.log10(p_signal / p_noise)
 
 
 _KINDS = tuple(getattr(WaveletKind, f)() for f in WaveletKind.FAMILIES)
@@ -140,7 +135,7 @@ class FrameQuality:
 
     band_hz: tuple
     nrmse: dict  # wavelet family name -> value
-    snr: SnrResult
+    snr_db: float
 
 
 def frame_quality(frame, seg):
@@ -187,7 +182,7 @@ def aggregate_quality(frame_qualities):
     families = list(frame_qualities[0].nrmse)
     nrmse = {fam: float(np.mean([fq.nrmse[fam] for fq in frame_qualities]))
              for fam in families}
-    snrs = [fq.snr.snr_db for fq in frame_qualities]
+    snrs = [fq.snr_db for fq in frame_qualities]
     return QualityReport(
         freq_range_hz=(float(min(lows)), float(max(highs))),
         nrmse=nrmse,

@@ -57,14 +57,6 @@ class RiseDecayTimes:
     t_dd2: float
     n_skipped: int = 0
 
-    @property
-    def t_s1(self):
-        return self.t_rs1 + self.t_ds1
-
-    @property
-    def t_s2(self):
-        return self.t_rd2 + self.t_dd2
-
 
 @dataclass(frozen=True)
 class CycleSegmentation:
@@ -78,14 +70,6 @@ class CycleSegmentation:
     t_rd2: float
     t_dd2: float
     n_cycles: int
-
-    @property
-    def t_s1(self):
-        return self.t_rs1 + self.t_ds1
-
-    @property
-    def t_s2(self):
-        return self.t_rd2 + self.t_dd2
 
 
 def find_envelope_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
-from .core import SampledSignal, SignalLabel
+from .core import SampledSignal
 from .errors import InvalidInputError
 
 __all__ = [
@@ -162,7 +162,7 @@ def generate_pcg(spec):
     period = 60.0 / spec.hr_bpm
     truth = PcgGroundTruth(tuple(s1_times), tuple(s2_times), spec.t_sys_s,
                            period - spec.t_sys_s, spec.hr_bpm)
-    signal = SampledSignal(x, spec.rate_hz, SignalLabel.PCG)
+    signal = SampledSignal(x, spec.rate_hz)
     return signal, truth
 
 
@@ -197,7 +197,7 @@ def generate_ecg(spec):
         p_spikes = float(np.mean(spikes ** 2))
         noise_sd = math.sqrt(p_spikes / 10 ** (spec.snr_db / 10.0))
         x = x + rng.normal(0.0, noise_sd, n)
-    signal = SampledSignal(x, spec.ecg_rate_hz, SignalLabel.ECG)
+    signal = SampledSignal(x, spec.ecg_rate_hz)
     return signal, tuple(r_times)
 
 

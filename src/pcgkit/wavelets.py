@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .core import SampledSignal, SignalLabel
 from .errors import DecompositionDepthError, InvalidGridError, InvalidInputError
 
 __all__ = [
@@ -319,10 +318,9 @@ def wes(s, kind, grid):
     """Wavelet energy spectrum: per-sample energy summed across scales.
 
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
-    Nonnegative, same length and rate as the input, labeled ENVELOPE.
+    Nonnegative, same length and rate as the input.
     """
     power = np.abs(cwt(s, kind, grid))
     np.square(power, out=power)
     track = np.sum(power, axis=0) / len(s.samples)
-    return SampledSignal(track, s.rate_hz, SignalLabel.ENVELOPE,
-                         s.start_time_s, dict(s.meta))
+    return s.with_samples(track)

@@ -16,13 +16,11 @@ import pytest
 from pcgkit import (
     BpCoefficients,
     CycleSegmentation,
-    Envelope,
     EnvelopeMethod,
     HrFormula,
     PcgFeatureVector,
     RankDeficiencyError,
     SampledSignal,
-    SignalLabel,
     SynthSpec,
     UnitConvention,
     bland_altman,
@@ -66,9 +64,7 @@ def seg_with(t_sys, t_dias):
 
 
 def envelope_of(values, rate_hz):
-    sig = SampledSignal(np.asarray(values, dtype=float), rate_hz,
-                        SignalLabel.ENVELOPE)
-    return Envelope(sig, EnvelopeMethod.SHANNON)
+    return SampledSignal(np.asarray(values, dtype=float), rate_hz)
 
 
 def test_criterion_01_reference_intercepts():
@@ -143,23 +139,23 @@ def test_criterion_04_ecg_reference_across_seeds():
 
 def test_criterion_05_envelope_anchors():
     t = np.arange(int(RATE)) / RATE
-    tone = SampledSignal(np.cos(2 * np.pi * 100.0 * t), RATE, SignalLabel.PCG)
+    tone = SampledSignal(np.cos(2 * np.pi * 100.0 * t), RATE)
     interior = hilbert_envelope(tone).samples[200:-200]
     assert np.all(np.abs(interior - 1.0) < 0.01)
 
     x = np.zeros(100)
     x[50] = math.exp(-0.5)
-    env = shannon_energy_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
+    env = shannon_energy_envelope(SampledSignal(x, RATE))
     assert abs(env.samples[50] - 1.0 / math.e) < 1e-9
 
-    zero = SampledSignal(np.zeros(2048), RATE, SignalLabel.PCG)
+    zero = SampledSignal(np.zeros(2048), RATE)
     assert np.all(wes_envelope(zero).samples == 0.0)
     report(5, "tone/Shannon-max/zero anchors hold")
 
 
 def test_criterion_06_denoising():
     rng = np.random.default_rng(9)
-    sig = SampledSignal(rng.standard_normal(4096), RATE, SignalLabel.PCG)
+    sig = SampledSignal(rng.standard_normal(4096), RATE)
     recon = dwt_denoise_db4(sig, levels=8, threshold_frac=0.0)
     pr_err = float(np.max(np.abs(recon.samples - sig.samples)))
     assert pr_err < 1e-8
@@ -199,7 +195,7 @@ def test_criterion_07_nrmse_algebra_and_ordering():
                                    jitter_ms=2.0, snr_db=25.0, seed=7):
         sig, _ = generate_pcg(subject.spec)
         frame = SampledSignal(sig.samples[:int(4.0 * sig.rate_hz)],
-                              sig.rate_hz, SignalLabel.PCG)
+                              sig.rate_hz)
         result = hr_pipeline(frame)
         fq = frame_quality(result.normalized, result.segmentation)
         if fq.nrmse["morlet"] <= fq.nrmse["morse"] <= fq.nrmse["bump"]:

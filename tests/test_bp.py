@@ -13,8 +13,6 @@ from pcgkit import (
     BpCoefficients,
     CycleSegmentation,
     HrEstimate,
-    HrFormula,
-    HrSource,
     InsufficientDataError,
     InvalidInputError,
     NoValidFramesError,
@@ -86,15 +84,6 @@ class TestPcgFeatureVector:
     def test_zero_vector_is_expressible(self):
         assert ZERO_FEATURES.t_s1 == 0.0
 
-    def test_from_segmentation(self):
-        seg = CycleSegmentation(peaks=(), t_sys=0.31, t_dias=0.52,
-                                t_rs1=0.041, t_ds1=0.051, t_rd2=0.046,
-                                t_dd2=0.056, n_cycles=5)
-        f = PcgFeatureVector.from_segmentation(seg, 71.5)
-        assert f.t_sys == 0.31
-        assert f.t_dd2 == 0.056
-        assert f.hr_pcg == 71.5
-
 
 class TestReferenceCoefficients:
 
@@ -165,15 +154,12 @@ class TestPredict:
         pred = predict_pair(ZERO_FEATURES, BpCoefficients.reference())
         assert "sbp_implausible" in pred.flags
         assert "dbp_implausible" in pred.flags
-        assert pred.coefficients_id == "reference"
 
     def test_pair_accepts_plausible_values(self):
-        pred = predict_pair(FEATURES, intercept_only(120.0, 80.0),
-                            coefficients_id="fitted")
+        pred = predict_pair(FEATURES, intercept_only(120.0, 80.0))
         assert pred.sbp == pytest.approx(120.0)
         assert pred.dbp == pytest.approx(80.0)
         assert pred.flags == ()
-        assert pred.coefficients_id == "fitted"
 
 
 class TestUnitConvention:
@@ -320,7 +306,7 @@ class TestLoocv:
 def frame(t_sys=0.3, hr_bpm=72.0):
     seg = CycleSegmentation(peaks=(), t_sys=t_sys, t_dias=0.5, t_rs1=0.04,
                             t_ds1=0.05, t_rd2=0.045, t_dd2=0.055, n_cycles=4)
-    est = HrEstimate(hr_bpm, HrSource.PCG_SHANNON, HrFormula.CYCLE_PERIOD)
+    est = HrEstimate(hr_bpm)
     return seg, est
 
 
@@ -345,22 +331,17 @@ class TestExtractSubjectFeatures:
 
     def test_rejected_frames_are_counted(self):
         seg, _ = frame()
-        bad_hr = (seg, HrEstimate(300.0, HrSource.PCG_SHANNON,
-                                  HrFormula.CYCLE_PERIOD,
-                                  flags=("out_of_range",)))
+        bad_hr = (seg, HrEstimate(300.0, flags=("out_of_range",)))
         bad_seg = (CycleSegmentation(peaks=(), t_sys=0.0, t_dias=0.5,
                                      t_rs1=0.04, t_ds1=0.05, t_rd2=0.045,
                                      t_dd2=0.055, n_cycles=1),
-                   HrEstimate(72.0, HrSource.PCG_SHANNON,
-                              HrFormula.CYCLE_PERIOD))
+                   HrEstimate(72.0))
         result = extract_subject_features([frame(), bad_hr, bad_seg])
         assert result.n_used == 1
         assert result.n_excluded == 2
 
     def test_no_valid_frames_raises(self):
         seg, _ = frame()
-        bad = (seg, HrEstimate(300.0, HrSource.PCG_SHANNON,
-                               HrFormula.CYCLE_PERIOD,
-                               flags=("out_of_range",)))
+        bad = (seg, HrEstimate(300.0, flags=("out_of_range",)))
         with pytest.raises(NoValidFramesError):
             extract_subject_features([bad, bad])

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shutil
 import threading
 
 import numpy as np
@@ -27,13 +28,24 @@ from pcgkit.cli import (
 )
 
 
+def synth_ds(root, subjects):
+    """Synthesize a seed-1 dataset of 8 s subjects under ``root``."""
+    assert main(["synth", "--out", str(root), "--subjects", str(subjects),
+                 "--seed", "1", "--duration", "8"]) == 0
+    return root
+
+
+def edit_meta(subject_dir, **changes):
+    path = subject_dir / "meta.json"
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta))
+
+
 @pytest.fixture(scope="module")
 def small_ds(tmp_path_factory):
     """Three subjects, two 4 s frames each; enough for hr and quality."""
-    root = tmp_path_factory.mktemp("small") / "ds"
-    assert main(["synth", "--out", str(root), "--subjects", "3",
-                 "--seed", "1", "--duration", "8"]) == 0
-    return root
+    return synth_ds(tmp_path_factory.mktemp("small") / "ds", 3)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +148,15 @@ class TestConfigResolution:
         path = write_cfg(tmp_path, "# full comment\n\nunits = ms\n")
         assert load_config_file(path) == {"units": "ms"}
 
+    def test_non_utf8_config_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"units = \xff\xfe\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config_file(str(path))
+        assert main(["hr", str(tmp_path), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSynthCommand:
 
@@ -203,9 +224,7 @@ class TestHrCommand:
         assert report["config"]["method"] == "wes"
 
     def test_bad_subject_lands_in_error_manifest(self, tmp_path):
-        ds = tmp_path / "ds"
-        assert main(["synth", "--out", str(ds), "--subjects", "1",
-                     "--seed", "1", "--duration", "8"]) == 0
+        ds = synth_ds(tmp_path / "ds", 1)
         bad = ds / "zzbad"
         bad.mkdir()
         (bad / "pcg.wav").write_bytes(b"garbage, not audio")
@@ -218,6 +237,45 @@ class TestHrCommand:
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         assert main(["hr", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [float("inf"), 1e308],
+                             ids=["Infinity", "1e308"])
+    def test_unusable_ecg_rate_is_a_subject_error(self, rate, tmp_path,
+                                                  capsys):
+        ds = synth_ds(tmp_path / "ds", 2)
+        edit_meta(ds / "s02", ecg_rate_hz=rate)
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 1
+        report = json.loads((out / "hr_report.json").read_text())
+        assert sorted(report["subjects"]) == ["s01"]
+        assert "finite" in report["errors"]["s02"]
+        assert capsys.readouterr().err == ""
+
+    def test_non_utf8_ecg_is_an_ingest_error(self, tmp_path):
+        ds = synth_ds(tmp_path / "ds", 2)
+        with open(ds / "s02" / "ecg.txt", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 1
+        report = json.loads((out / "hr_report.json").read_text())
+        assert sorted(report["subjects"]) == ["s01"]
+        assert report["errors"]["s02"].startswith("ingest: ")
+        assert "not UTF-8" in report["errors"]["s02"]
+
+    def test_short_ecg_keeps_pcg_rows(self, tmp_path):
+        ds = synth_ds(tmp_path / "ds", 1)
+        ecg = ds / "s01" / "ecg.txt"
+        ecg.write_text("".join(ecg.read_text().splitlines(True)[:100]))
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        assert report["errors"] == {}
+        rows = report["subjects"]["s01"]["frames"]
+        assert len(rows) == 2
+        for row in rows:
+            assert "bpm_pcg" in row and "bpm_ecg" not in row
+            assert row["ecg_error"].startswith("ecg.txt: ")
+            assert "shorter than one 4.000 s frame" in row["ecg_error"]
 
 
 class TestBpCommand:
@@ -294,6 +352,38 @@ class TestBpCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and argv[1] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "loocv"])
+    @pytest.mark.parametrize("value", ["abc", None, [0.3]],
+                             ids=["string", "null", "list"])
+    def test_bad_meta_feature_is_a_subject_error(self, command, value,
+                                                 cohort_ds, tmp_path, capsys):
+        # a 13th subject, so fit and loocv still have their twelve
+        ds = tmp_path / "ds"
+        shutil.copytree(cohort_ds, ds)
+        shutil.copytree(ds / "s01", ds / "s13")
+        features = json.loads((ds / "s13" / "meta.json").read_text())[
+            "features"]
+        edit_meta(ds / "s13", subject_id="s13",
+                  features=dict(features, t_sys=value))
+        out = tmp_path / "out"
+        assert main(["bp", command, str(ds), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        name = {"fit": "coefficients", "predict": "predictions",
+                "loocv": "loocv"}[command]
+        report = json.loads((out / f"bp_{name}.json").read_text())
+        assert list(report["errors"]) == ["s13"]
+        assert "features.t_sys" in report["errors"]["s13"]
+
+    def test_features_block_must_be_an_object(self, small_ds, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(small_ds, ds)
+        edit_meta(ds / "s02", features="abc")
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        report = json.loads((out / "bp_predictions.json").read_text())
+        assert sorted(report["predictions"]) == ["s01", "s03"]
+        assert "features must be an object" in report["errors"]["s02"]
 
     def test_config_file_ridge_accepted_by_predict(self, small_ds, tmp_path):
         # one config file serves every command, so predict accepts its ridge

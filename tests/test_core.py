@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from pcgkit import (
-    FramePlan,
     SampledSignal,
-    SignalLabel,
     butterworth_lowpass_zero_phase,
     detrend,
     normalize_max_abs,
@@ -42,17 +40,21 @@ class TestSampledSignal:
             SampledSignal(np.ones(4), 0.0)
         with pytest.raises(InvalidInputError):
             SampledSignal(np.ones(4), -5.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="finite"):
+                SampledSignal(np.ones(4), rate)
 
     def test_duration_and_times(self):
         s = sig([0, 1, 2, 3], rate=2.0)
         assert s.duration_s == 2.0
-        assert np.allclose(s.times(), [0.0, 0.5, 1.0, 1.5])
+        assert len(s) == 4
 
     def test_with_samples_keeps_rate_and_label(self):
-        s = SampledSignal(np.ones(8), 44100.0, SignalLabel.ECG)
+        s = SampledSignal(np.ones(8), 44100.0)
         out = s.with_samples(np.zeros(8) + 2)
         assert out.rate_hz == 44100.0
-        assert out.label is SignalLabel.ECG
+        assert np.all(out.samples == 2.0)
+        assert np.all(s.samples == 1.0)
 
 
 class TestDetrend:
@@ -103,10 +105,6 @@ class TestNormalize:
         b = normalize_max_abs(sig(1234.5 * x)).samples
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_records_scale(self):
-        out = normalize_max_abs(sig([0.0, -0.25]))
-        assert out.meta["norm_scale"] == 4.0
-
 
 class TestResample:
     def test_identity_rate(self, tone):
@@ -151,40 +149,38 @@ class TestResample:
 class TestFrames:
     def test_fifteen_frames_per_minute(self):
         s = SampledSignal(np.zeros(120000) + 1.0, 2000.0)
-        frames = segment_frames(s, FramePlan(4.0))
+        frames = segment_frames(s, 4.0)
         assert len(frames) == 15
         assert all(len(f) == 8000 for f in frames)
 
     def test_six_second_frames(self):
         s = SampledSignal(np.ones(120000), 2000.0)
-        assert len(segment_frames(s, FramePlan(6.0))) == 10
+        assert len(segment_frames(s, 6.0)) == 10
 
     def test_trailing_partial_discarded(self):
         s = SampledSignal(np.ones(11000), 1000.0)
-        frames = segment_frames(s, FramePlan(4.0))
+        frames = segment_frames(s, 4.0)
         assert len(frames) == 2
 
     def test_start_offsets(self):
         s = SampledSignal(np.arange(12000, dtype=float) + 1, 1000.0)
-        frames = segment_frames(s, FramePlan(4.0))
-        assert [f.start_time_s for f in frames] == [0.0, 4.0, 8.0]
+        frames = segment_frames(s, 4.0)
+        assert [f.samples[0] for f in frames] == [1.0, 4001.0, 8001.0]
         assert frames[1].samples[0] == s.samples[4000]
 
     def test_too_short_raises(self):
         s = SampledSignal(np.ones(5000), 1000.0)
         with pytest.raises(TooShortError):
-            segment_frames(s, FramePlan(6.0))
-
-    def test_overlapping_hop(self):
-        s = SampledSignal(np.ones(8000), 1000.0)
-        frames = segment_frames(s, FramePlan(4.0, hop_s=2.0))
-        assert [f.start_time_s for f in frames] == [0.0, 2.0, 4.0]
+            segment_frames(s, 6.0)
 
     def test_bad_plan(self):
-        with pytest.raises(InvalidInputError):
-            FramePlan(0.0)
-        with pytest.raises(InvalidInputError):
-            FramePlan(4.0, hop_s=5.0)
+        s = SampledSignal(np.ones(8000), 1000.0)
+        for frame_len_s in (0.0, -4.0, 0.001, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                segment_frames(s, frame_len_s)
+        # 4 s at 1e308 Hz overflows to an infinite sample count
+        with pytest.raises(InvalidInputError, match="finite"):
+            segment_frames(SampledSignal(np.ones(10), 1e308), 4.0)
 
 
 class TestZeroPhaseLowpass:

@@ -7,10 +7,8 @@ import pytest
 
 from pcgkit import (
     ContractViolationError,
-    Envelope,
     EnvelopeMethod,
     SampledSignal,
-    SignalLabel,
     SynthSpec,
     WaveletKind,
     compute_envelope,
@@ -39,7 +37,7 @@ class TestHilbertEnvelope:
         assert np.all(np.abs(interior - 1.0) < 0.01)
 
     def test_zero_frame_gives_zero_envelope(self):
-        frame = SampledSignal(np.zeros(400), RATE, SignalLabel.PCG)
+        frame = SampledSignal(np.zeros(400), RATE)
         env = hilbert_envelope(frame)
         assert np.all(env.samples == 0.0)
 
@@ -49,41 +47,40 @@ class TestHilbertEnvelope:
         t = np.arange(int(2.0 * RATE)) / RATE
         a = 0.5 + 0.3 * np.sin(2 * np.pi * 2.0 * t)
         x = a * np.cos(2 * np.pi * 100.0 * t)
-        env = hilbert_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
+        env = hilbert_envelope(SampledSignal(x, RATE))
         interior = slice(200, -200)
         assert np.all(np.abs(env.samples[interior] - a[interior]) < 0.02)
 
     def test_dominates_rectified_input(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2048)
-        env = hilbert_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
+        env = hilbert_envelope(SampledSignal(x, RATE))
         assert np.all(env.samples >= np.abs(x) - 1e-12)
 
     def test_negation_invariance_exact(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(1024)
-        e_pos = hilbert_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
-        e_neg = hilbert_envelope(SampledSignal(-x, RATE, SignalLabel.PCG))
+        e_pos = hilbert_envelope(SampledSignal(x, RATE))
+        e_neg = hilbert_envelope(SampledSignal(-x, RATE))
         assert np.array_equal(e_pos.samples, e_neg.samples)
 
     def test_result_metadata(self, tone):
-        env = hilbert_envelope(tone(25.0))
-        assert env.method is EnvelopeMethod.HILBERT
-        assert env.track.label is SignalLabel.ENVELOPE
+        frame = tone(25.0)
+        env = hilbert_envelope(frame)
+        assert isinstance(env, SampledSignal)
         assert env.rate_hz == RATE
-        assert env.smoothing_cutoff_hz is None
+        assert len(env) == len(frame)
 
 
 class TestShannonEnergyEnvelope:
 
     def test_zero_maps_to_zero(self):
-        frame = SampledSignal(np.zeros(64), RATE, SignalLabel.PCG)
+        frame = SampledSignal(np.zeros(64), RATE)
         env = shannon_energy_envelope(frame)
         assert np.all(env.samples == 0.0)
 
     def test_full_scale_maps_to_epsilon_zero(self):
-        frame = SampledSignal(np.array([1.0, -1.0, 0.0, 1.0]), RATE,
-                              SignalLabel.PCG)
+        frame = SampledSignal(np.array([1.0, -1.0, 0.0, 1.0]), RATE)
         env = shannon_energy_envelope(frame)
         # -log(1 + eps) is a hair negative and gets clipped
         assert np.all(env.samples >= 0.0)
@@ -91,8 +88,7 @@ class TestShannonEnergyEnvelope:
 
     def test_maximum_at_inverse_sqrt_e(self):
         x_star = math.exp(-0.5)
-        frame = SampledSignal(np.array([x_star, 0.2, -x_star]), RATE,
-                              SignalLabel.PCG)
+        frame = SampledSignal(np.array([x_star, 0.2, -x_star]), RATE)
         env = shannon_energy_envelope(frame)
         assert abs(env.samples[0] - 1.0 / math.e) < 1e-9
         assert abs(env.samples[2] - 1.0 / math.e) < 1e-9
@@ -100,26 +96,25 @@ class TestShannonEnergyEnvelope:
     def test_even_in_input_sign(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, 512)
-        e_pos = shannon_energy_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
-        e_neg = shannon_energy_envelope(SampledSignal(-x, RATE, SignalLabel.PCG))
+        e_pos = shannon_energy_envelope(SampledSignal(x, RATE))
+        e_neg = shannon_energy_envelope(SampledSignal(-x, RATE))
         assert np.array_equal(e_pos.samples, e_neg.samples)
 
     def test_nonnegative_on_normalized_input(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, 2048)
         x[100] = 1.0
-        env = shannon_energy_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
+        env = shannon_energy_envelope(SampledSignal(x, RATE))
         assert np.all(env.samples >= 0.0)
         assert np.all(np.isfinite(env.samples))
 
     def test_rejects_unnormalized_frame(self):
-        frame = SampledSignal(np.array([1.5, 0.0, -0.3]), RATE, SignalLabel.PCG)
+        frame = SampledSignal(np.array([1.5, 0.0, -0.3]), RATE)
         with pytest.raises(ContractViolationError):
             shannon_energy_envelope(frame)
 
     def test_tolerates_roundoff_above_one(self):
-        frame = SampledSignal(np.array([1.0 + 1e-10, 0.0]), RATE,
-                              SignalLabel.PCG)
+        frame = SampledSignal(np.array([1.0 + 1e-10, 0.0]), RATE)
         env = shannon_energy_envelope(frame)
         assert np.all(env.samples >= 0.0)
 
@@ -127,17 +122,16 @@ class TestShannonEnergyEnvelope:
 class TestWesEnvelope:
 
     def test_zero_frame_exactly_zero(self):
-        frame = SampledSignal(np.zeros(1024), RATE, SignalLabel.PCG)
+        frame = SampledSignal(np.zeros(1024), RATE)
         env = wes_envelope(frame)
-        assert env.method is EnvelopeMethod.WES
         assert np.all(env.samples == 0.0)
 
     def test_two_bursts_localized_after_smoothing(self):
         centers = (0.7, 1.4)
         t = np.arange(int(2.0 * RATE)) / RATE
         x = sum(gaussian_burst(t, c, 60.0, 0.012) for c in centers)
-        frame = SampledSignal(x, RATE, SignalLabel.PCG)
-        env = smooth(wes_envelope(frame)).normalized()
+        frame = SampledSignal(x, RATE)
+        env = normalize_max_abs(smooth(wes_envelope(frame)))
         peaks = find_envelope_peaks(env)
         assert len(peaks) == 2
         for peak, center in zip(peaks, centers):
@@ -146,28 +140,25 @@ class TestWesEnvelope:
     def test_quadratic_amplitude_scaling(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(1400)
-        base = wes_envelope(SampledSignal(x, RATE, SignalLabel.PCG))
-        scaled = wes_envelope(SampledSignal(5.0 * x, RATE, SignalLabel.PCG))
+        base = wes_envelope(SampledSignal(x, RATE))
+        scaled = wes_envelope(SampledSignal(5.0 * x, RATE))
         assert np.allclose(scaled.samples, 25.0 * base.samples, rtol=1e-9,
                            atol=1e-12)
 
     def test_accepts_explicit_kind(self, tone):
         env = wes_envelope(tone(40.0), kind=WaveletKind.bump())
-        assert env.method is EnvelopeMethod.WES
         assert np.max(env.samples) > 0
 
 
 class TestSmooth:
 
     def _envelope(self, values):
-        return Envelope(SampledSignal(values, RATE, SignalLabel.ENVELOPE),
-                        EnvelopeMethod.HILBERT)
+        return SampledSignal(values, RATE)
 
     def test_constant_unchanged(self):
         env = self._envelope(np.full(4000, 0.7))
         out = smooth(env)
         assert np.all(np.abs(out.samples - 0.7) < 1e-6)
-        assert out.smoothing_cutoff_hz == 20.0
 
     def test_ripple_attenuated(self):
         t = np.arange(int(2.0 * RATE)) / RATE
@@ -186,8 +177,9 @@ class TestSmooth:
         sigma = 0.060 / 2.355
         bumps = (np.exp(-0.5 * ((t - 0.5) / sigma) ** 2)
                  + np.exp(-0.5 * ((t - 0.8) / sigma) ** 2))
-        at_8 = smooth(self._envelope(bumps), cutoff_hz=8.0).normalized()
-        at_20 = smooth(self._envelope(bumps), cutoff_hz=20.0).normalized()
+        at_8 = normalize_max_abs(smooth(self._envelope(bumps), cutoff_hz=8.0))
+        at_20 = normalize_max_abs(smooth(self._envelope(bumps),
+                                         cutoff_hz=20.0))
         peaks_8 = find_envelope_peaks(at_8)
         peaks_20 = find_envelope_peaks(at_20)
         assert len(peaks_8) == 2
@@ -204,16 +196,12 @@ class TestSmooth:
         out = smooth(self._envelope(values))
         assert np.all(out.samples >= 0.0)
 
-    def test_records_cutoff(self):
-        out = smooth(self._envelope(np.full(500, 0.2)), cutoff_hz=12.5)
-        assert out.smoothing_cutoff_hz == 12.5
-
 
 def interior_cycles_frame():
     """Four complete cycles at 60 bpm with no event on a frame edge."""
     spec = SynthSpec(hr_bpm=60.0, duration_s=4.8, jitter_ms=0.0, snr_db=None)
     sig, _ = generate_pcg(spec)
-    return SampledSignal(sig.samples[800:8800], sig.rate_hz, SignalLabel.PCG)
+    return SampledSignal(sig.samples[800:8800], sig.rate_hz)
 
 
 class TestMethodInvariants:
@@ -237,6 +225,12 @@ class TestMethodInvariants:
     def test_compute_envelope_normalizes_and_smooths(self):
         frame = normalize_max_abs(interior_cycles_frame())
         env = compute_envelope(frame, "shannon")
-        assert env.method is EnvelopeMethod.SHANNON
         assert abs(np.max(env.samples) - 1.0) < 1e-12
-        assert env.smoothing_cutoff_hz == 20.0
+        smoothed = smooth(shannon_energy_envelope(frame), 20.0)
+        assert np.array_equal(env.samples,
+                              normalize_max_abs(smoothed).samples)
+
+    def test_compute_envelope_passes_zero_frame_unscaled(self):
+        env = compute_envelope(SampledSignal(np.zeros(4000), RATE), "hilbert")
+        assert env.rate_hz == RATE
+        assert np.all(env.samples == 0.0)

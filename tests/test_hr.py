@@ -10,14 +10,13 @@ from pcgkit import (
     EnvelopeMethod,
     HrEstimate,
     HrFormula,
-    HrSource,
     InsufficientPeaksError,
     InvalidSegmentationError,
     PcgKitError,
     SampledSignal,
-    SignalLabel,
     StageError,
     SynthSpec,
+    compute_envelope,
     detrend,
     frame_quality,
     generate_ecg,
@@ -36,7 +35,7 @@ def impulse_train(gap, n_peaks, rate_hz=ECG_RATE, amp=1.0, start=None):
     x = np.zeros(start + gap * n_peaks)
     for k in range(n_peaks):
         x[start + k * gap] = amp
-    return SampledSignal(x, rate_hz, SignalLabel.ECG)
+    return SampledSignal(x, rate_hz)
 
 
 def seg_with(t_sys, t_dias):
@@ -50,7 +49,6 @@ class TestHrFromEcg:
     def test_sixty_bpm_from_one_second_gaps(self):
         est = hr_from_ecg_frame(impulse_train(190, 5))
         assert est.bpm == pytest.approx(60.0, abs=1e-12)
-        assert est.source is HrSource.ECG
         assert est.accepted
 
     def test_one_twenty_bpm_from_half_second_gaps(self):
@@ -76,7 +74,7 @@ class TestHrFromEcg:
         x = np.zeros(500)
         x[100] = 1.0
         with pytest.raises(InsufficientPeaksError):
-            hr_from_ecg_frame(SampledSignal(x, ECG_RATE, SignalLabel.ECG))
+            hr_from_ecg_frame(SampledSignal(x, ECG_RATE))
 
     def test_unnormalized_frame_raises(self):
         with pytest.raises(ContractViolationError):
@@ -94,7 +92,6 @@ class TestHrFromPcg:
     def test_equal_one_second_intervals_verbatim(self):
         est = hr_from_pcg(seg_with(1.0, 1.0), HrFormula.EQ7_VERBATIM)
         assert est.bpm == pytest.approx(60.0, abs=1e-12)
-        assert est.formula is HrFormula.EQ7_VERBATIM
 
     def test_resting_intervals_both_formulas(self):
         eq7 = hr_from_pcg(seg_with(0.3, 0.5), HrFormula.EQ7_VERBATIM)
@@ -129,12 +126,6 @@ class TestHrFromPcg:
         assert est.bpm == pytest.approx(15.0)
         assert not est.accepted
 
-    def test_source_and_frame_index_recorded(self):
-        est = hr_from_pcg(seg_with(0.3, 0.5), HrFormula.CYCLE_PERIOD,
-                          HrSource.PCG_WES, frame_index=4)
-        assert est.source is HrSource.PCG_WES
-        assert est.frame_index == 4
-
 
 class TestHrPipeline:
 
@@ -155,7 +146,7 @@ class TestHrPipeline:
         assert abs(result.hr.bpm - 75.0) <= 2.0
 
     def test_silence_fails_at_segmentation(self):
-        frame = SampledSignal(np.zeros(8000), 2000.0, SignalLabel.PCG)
+        frame = SampledSignal(np.zeros(8000), 2000.0)
         with pytest.raises(StageError) as excinfo:
             hr_pipeline(frame)
         assert excinfo.value.stage == "segmentation"
@@ -173,11 +164,11 @@ class TestHrPipeline:
         spec = SynthSpec(hr_bpm=75.0, duration_s=8.0, jitter_ms=0.0,
                          snr_db=None)
         sig, _ = generate_pcg(spec)
-        result = hr_pipeline(sig, frame_index=3)
+        result = hr_pipeline(sig)
         assert abs(np.max(np.abs(result.normalized.samples)) - 1.0) < 1e-12
-        assert result.envelope.smoothing_cutoff_hz == 20.0
+        assert abs(np.max(result.envelope.samples) - 1.0) < 1e-12
+        assert result.envelope.rate_hz == sig.rate_hz
         assert result.segmentation.n_cycles >= 1
-        assert result.hr.frame_index == 3
         assert result.denoised.rate_hz == sig.rate_hz
 
     def test_verbatim_formula_passthrough(self):
@@ -186,15 +177,16 @@ class TestHrPipeline:
         sig, _ = generate_pcg(spec)
         eq7 = hr_pipeline(sig, formula="eq7")
         cyc = hr_pipeline(sig, formula="cycle")
-        assert eq7.hr.formula is HrFormula.EQ7_VERBATIM
         assert eq7.hr.bpm > cyc.hr.bpm
 
     def test_method_source_tagging(self):
         spec = SynthSpec(hr_bpm=75.0, duration_s=8.0, jitter_ms=0.0,
                          snr_db=None)
         sig, _ = generate_pcg(spec)
-        assert hr_pipeline(sig, method="hilbert").hr.source is HrSource.PCG_HILBERT
-        assert hr_pipeline(sig, method="wes").hr.source is HrSource.PCG_WES
+        for method in ("hilbert", "wes"):
+            result = hr_pipeline(sig, method=method)
+            expected = compute_envelope(result.normalized, method)
+            assert np.array_equal(result.envelope.samples, expected.samples)
 
 
 def degenerate_frame(shape, amp, position, freq_hz, rate_hz=2000.0, n=8000):
@@ -209,7 +201,7 @@ def degenerate_frame(shape, amp, position, freq_hz, rate_hz=2000.0, n=8000):
     else:  # a single impulse
         x = np.zeros(n)
         x[position] = amp
-    return SampledSignal(x, rate_hz, SignalLabel.PCG)
+    return SampledSignal(x, rate_hz)
 
 
 class TestDegenerateFrames:

@@ -19,7 +19,6 @@ from pcgkit import (
     ParseError,
     PcgKitError,
     SampledSignal,
-    SignalLabel,
     SubjectRecord,
     UnsupportedEncodingError,
     load_dataset,
@@ -54,7 +53,6 @@ class TestReadWav:
         sig = read_wav_pcm16(path)
         assert np.array_equal(sig.samples, [0.0, 0.5, -1.0])
         assert sig.rate_hz == 2000.0
-        assert sig.label is SignalLabel.PCG
 
     def test_rate_comes_from_header(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -70,11 +68,6 @@ class TestReadWav:
             wf.writeframes(struct.pack("<6h", 100, -5, 200, -5, 300, -5))
         sig = read_wav_pcm16(path)
         assert np.array_equal(sig.samples * 32768.0, [100.0, 200.0, 300.0])
-
-    def test_label_override(self, tmp_path):
-        path = tmp_path / "a.wav"
-        raw_wav(path, [1])
-        assert read_wav_pcm16(path, label=SignalLabel.ECG).label is SignalLabel.ECG
 
     @pytest.mark.parametrize("width", [1, 3, 4])
     def test_non_16_bit_rejected(self, tmp_path, width):
@@ -105,7 +98,7 @@ class TestWriteWav:
     def test_grid_values_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         ints = rng.integers(-32768, 32768, size=1000)
-        sig = SampledSignal(ints / 32768.0, 2000.0, SignalLabel.PCG)
+        sig = SampledSignal(ints / 32768.0, 2000.0)
         path = tmp_path / "a.wav"
         write_wav_pcm16(path, sig)
         back = read_wav_pcm16(path)
@@ -113,14 +106,14 @@ class TestWriteWav:
         assert back.rate_hz == sig.rate_hz
 
     def test_overrange_clips_to_full_scale(self, tmp_path):
-        sig = SampledSignal(np.array([1.5, -2.0]), 2000.0, SignalLabel.PCG)
+        sig = SampledSignal(np.array([1.5, -2.0]), 2000.0)
         path = tmp_path / "a.wav"
         write_wav_pcm16(path, sig)
         back = read_wav_pcm16(path)
         assert np.array_equal(back.samples * 32768.0, [32767.0, -32768.0])
 
     def test_subgrid_values_round_to_nearest_step(self, tmp_path):
-        sig = SampledSignal(np.array([1e-5]), 2000.0, SignalLabel.PCG)
+        sig = SampledSignal(np.array([1e-5]), 2000.0)
         path = tmp_path / "a.wav"
         write_wav_pcm16(path, sig)
         assert read_wav_pcm16(path).samples[0] == 0.0
@@ -134,7 +127,6 @@ class TestReadEcgText:
         sig = read_ecg_text(path, rate_hz=190.0)
         assert np.array_equal(sig.samples, [1.0, -2.5, 3.0])
         assert sig.rate_hz == 190.0
-        assert sig.label is SignalLabel.ECG
         with pytest.raises(InvalidInputError):
             read_ecg_text(path)
 
@@ -199,6 +191,12 @@ class TestReadEcgText:
         assert exc.value.line_no == line_no
         assert f"{path}:{line_no}:" in str(exc.value)
 
+    def test_non_utf8_text_is_parse_error(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_ecg_text(path, rate_hz=190.0)
+
     def test_time_column_must_increase(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0.0,1.0\n0.010,2.0\n0.010,3.0\n")
@@ -219,7 +217,7 @@ class TestReadEcgText:
 
     def test_write_read_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(23)
-        sig = SampledSignal(rng.standard_normal(64), 190.0, SignalLabel.ECG)
+        sig = SampledSignal(rng.standard_normal(64), 190.0)
         path = tmp_path / "e.txt"
         write_ecg_text(path, sig)
         back = read_ecg_text(path, rate_hz=190.0)
@@ -229,7 +227,7 @@ class TestReadEcgText:
 class TestSubjectRecord:
 
     def _pcg(self):
-        return SampledSignal(np.zeros(10), 2000.0, SignalLabel.PCG)
+        return SampledSignal(np.zeros(10), 2000.0)
 
     def test_pcg_required(self):
         with pytest.raises(InvalidInputError):
@@ -252,8 +250,8 @@ class TestSubjectDirs:
 
     def _signals(self):
         ints = np.arange(-100, 100)
-        pcg = SampledSignal(ints / 32768.0, 2000.0, SignalLabel.PCG)
-        ecg = SampledSignal(np.linspace(-1.0, 1.0, 50), 190.0, SignalLabel.ECG)
+        pcg = SampledSignal(ints / 32768.0, 2000.0)
+        ecg = SampledSignal(np.linspace(-1.0, 1.0, 50), 190.0)
         return pcg, ecg
 
     def test_write_then_load_round_trip(self, tmp_path):

@@ -2,8 +2,12 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pcgkit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_reexports_each_module_all():
@@ -21,3 +25,13 @@ def test_package_reexports_each_module_all():
             exported.append(name)
     assert len(set(pcgkit.__all__)) == len(pcgkit.__all__)
     assert sorted(pcgkit.__all__) == sorted(["__version__", *exported])
+
+
+def test_readme_library_example(capsys):
+    """The README's Python block runs as written and prints its estimate."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    bpm, t_sys, t_dias = map(float, capsys.readouterr().out.split())
+    assert abs(bpm - 75.0) <= 2.0
+    assert 0.0 < t_sys < t_dias

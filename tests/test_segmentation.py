@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     CycleSegmentation,
-    Envelope,
-    EnvelopeMethod,
     InsufficientCyclesError,
     InsufficientPeaksError,
     InvalidInputError,
     PeakEvent,
     PeakLabel,
     SampledSignal,
-    SignalLabel,
     SynthSpec,
     compute_envelope,
     cycle_intervals,
@@ -29,9 +26,7 @@ from pcgkit import (
 
 
 def envelope_of(values, rate_hz):
-    sig = SampledSignal(np.asarray(values, dtype=float), rate_hz,
-                        SignalLabel.ENVELOPE)
-    return Envelope(sig, EnvelopeMethod.SHANNON)
+    return SampledSignal(np.asarray(values, dtype=float), rate_hz)
 
 
 def peaks_at(times, labels=None):
@@ -55,7 +50,7 @@ def ten_cycle_frame():
     """Ten complete cycles at 75 bpm, no event on a frame edge."""
     spec = SynthSpec(hr_bpm=75.0, duration_s=8.6, jitter_ms=0.0, snr_db=None)
     sig, _ = generate_pcg(spec)
-    return SampledSignal(sig.samples[800:17200], sig.rate_hz, SignalLabel.PCG)
+    return SampledSignal(sig.samples[800:17200], sig.rate_hz)
 
 
 class TestFindEnvelopePeaks:
@@ -254,7 +249,6 @@ class TestRiseDecayTimes:
         rd = rise_decay_times(envelope_of(y, rate), labeled)
         for value in (rd.t_rs1, rd.t_ds1, rd.t_rd2, rd.t_dd2):
             assert value == pytest.approx(0.034, abs=1e-12)
-        assert rd.t_s1 == pytest.approx(0.068, abs=1e-12)
         assert rd.n_skipped == 0
 
     def test_baseline_is_relative_to_each_peaks_height(self):
@@ -344,7 +338,6 @@ class TestSegmentChain:
         assert seg.n_cycles == 2
         assert seg.t_sys == pytest.approx(0.3, abs=1e-9)
         assert seg.t_dias == pytest.approx(0.7, abs=1e-9)
-        assert seg.t_s1 == pytest.approx(seg.t_rs1 + seg.t_ds1)
         labels = [p.label for p in seg.peaks]
         assert labels == [PeakLabel.S1, PeakLabel.S2, PeakLabel.S1,
                           PeakLabel.S2, PeakLabel.S1]

@@ -8,7 +8,6 @@ import pytest
 from pcgkit import (
     CohortRanges,
     InvalidInputError,
-    SignalLabel,
     SynthSpec,
     default_cohort_coefficients,
     generate_cohort,
@@ -92,7 +91,6 @@ class TestPcgWaveform:
     def test_signal_metadata(self):
         sig, _ = generate_pcg(clean_spec())
         assert sig.rate_hz == 2000.0
-        assert sig.label is SignalLabel.PCG
         assert len(sig.samples) == 20000
 
     def test_seed_determinism(self):
@@ -152,7 +150,6 @@ class TestEcg:
         # the R belonging to the S1 at t=0 would land before zero
         assert r_times == tuple(float(k) - 0.04 for k in range(1, 10))
         assert sig.rate_hz == 190.0
-        assert sig.label is SignalLabel.ECG
         assert len(sig.samples) == 1900
 
     def test_wander_fills_quiet_stretches(self):
