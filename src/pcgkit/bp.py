@@ -123,7 +123,11 @@ class BpCoefficients:
 
     @classmethod
     def reference(cls, unit_convention=UnitConvention.SECONDS):
-        """Built-in reference set fitted on resting adult recordings."""
+        """Built-in reference set fitted on resting adult recordings.
+
+        The values are fitted in seconds; any other convention gets the
+        equivalent set from :meth:`converted`.
+        """
         return cls(
             c1=0.655, sigma_sys=-1.112, sigma_rs1=48.90, sigma_ds1=48.45,
             sigma_s1=-50.44, sigma_s_hr=-6.940e-3, sigma_s_hr2=0.41e-5,
@@ -131,7 +135,7 @@ class BpCoefficients:
             c2=1.799, alpha_dias=2.463, alpha_rd2=11.96, alpha_dd2=7.878,
             alpha_s2=-9.643, alpha_d_hr=-5.291e-2, alpha_d_hr2=3.05e-4,
             alpha_dias2=-2.816, alpha_s22=30.49, alpha_rdd2=-10.94,
-            unit_convention=unit_convention)
+        ).converted(unit_convention)
 
     def sbp_vector(self):
         return np.array([getattr(self, f) for f in _SBP_FIELDS])

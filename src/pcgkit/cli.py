@@ -53,9 +53,10 @@ CONFIG_ENV_VAR = "PCGKIT_CONFIG"
 _METHODS = {m.value: m for m in EnvelopeMethod}
 _FORMULAS = {f.value: f for f in HrFormula}
 _UNITS = {u.value: u for u in UnitConvention}
+_WAVELETS = {k.value: k for k in WaveletKind}
 # quality_table.csv columns after "subject"; the report nests nrmse_*
 _QUALITY_COLUMNS = ("freq_low_hz", "freq_high_hz",
-                    *(f"nrmse_{f}" for f in WaveletKind.FAMILIES),
+                    *(f"nrmse_{w}" for w in _WAVELETS),
                     "snr_max_db", "snr_min_db", "snr_avg_db")
 
 
@@ -91,8 +92,7 @@ class RunConfig:
             if not lo <= v <= hi:
                 raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
         for name, choices in (("method", _METHODS), ("formula", _FORMULAS),
-                              ("units", _UNITS),
-                              ("wavelet", WaveletKind.FAMILIES)):
+                              ("units", _UNITS), ("wavelet", _WAVELETS)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
@@ -134,7 +134,12 @@ def load_config_file(path):
 
 
 def resolve_config(args):
-    """Merge defaults, an optional config file, and CLI overrides."""
+    """Merge defaults, an optional config file, and CLI overrides.
+
+    ``--wavelet`` is rejected unless the resolved method is ``wes``, the
+    only method that reads it; a config-file ``wavelet`` is always
+    accepted, because one file serves every command.
+    """
     field_types = {f.name: f.type for f in dataclass_fields(RunConfig)}
     values = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
@@ -156,7 +161,10 @@ def resolve_config(args):
         "out_dir": getattr(args, "out", None),
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    if overrides["wavelet"] is not None and config.method != "wes":
+        raise ConfigError("--wavelet is only used with --method wes")
+    return config
 
 
 def _jsonable(obj):
@@ -198,7 +206,7 @@ def _frame_results(record, config):
         min_height_frac=config.peak_height_frac,
         min_distance_s=config.peak_distance_s,
         baseline_frac=config.baseline_frac,
-        wavelet_kind=getattr(WaveletKind, config.wavelet)(),
+        wavelet_kind=_WAVELETS[config.wavelet],
     )
 
     def analyse():
@@ -223,8 +231,17 @@ def _per_subject(records, errors, analyze):
 
 
 def _subject_features(record, config, from_audio):
-    """Complete features from meta.json, unless ``from_audio``; else audio."""
-    feat = {} if from_audio else (record.meta.get("features") or {})
+    """The meta.json features block, unless ``from_audio``; else audio.
+
+    A subject without a block uses audio features; a block that lacks a
+    feature is an error, so its values are never silently replaced.
+    """
+    feat = None if from_audio else record.meta.get("features")
+    if feat is None:
+        per_frame = ((r.segmentation, r.hr)
+                     for r in _frame_results(record, config)
+                     if not isinstance(r, PcgKitError))
+        return extract_subject_features(per_frame).features
     if not isinstance(feat, dict):
         raise ParseError(f"meta.json: features must be an object, "
                          f"got {feat!r}")
@@ -233,11 +250,11 @@ def _subject_features(record, config, from_audio):
         if n in feat and not isinstance(feat[n], (int, float)):
             raise ParseError(f"meta.json: features.{n} must be a number, "
                              f"got {feat[n]!r}")
-    if all(n in feat for n in names):
-        return PcgFeatureVector(**{n: float(feat[n]) for n in names})
-    per_frame = ((r.segmentation, r.hr) for r in _frame_results(record, config)
-                 if not isinstance(r, PcgKitError))
-    return extract_subject_features(per_frame).features
+    missing = [n for n in names if n not in feat]
+    if missing:
+        raise ParseError(f"meta.json: features lacks {', '.join(missing)} "
+                         f"(use --features-from-audio to ignore the block)")
+    return PcgFeatureVector(**{n: float(feat[n]) for n in names})
 
 
 def cmd_synth(args):
@@ -304,12 +321,14 @@ def cmd_hr(args):
 
     def analyze(record):
         results = _frame_results(record, config)
-        # the ECG is only a reference: one too short for a frame costs the
-        # rows their ECG rate, not the subject its PCG rates
+        # the ECG is only a reference: rows past its end lose their ECG
+        # rate, not the subject its PCG rates
         ecg_frames, ecg_error = [], None
         if record.ecg is not None:
             try:
                 ecg_frames = segment_frames(record.ecg, config.frame_len_s)
+                ecg_error = (f"ecg.txt: {record.ecg.duration_s:.3f} s ends "
+                             f"before this frame")
             except TooShortError as exc:
                 ecg_error = f"ecg.txt: {exc}"
         frame_rows, diffs = [], []
@@ -481,8 +500,8 @@ def cmd_quality(args):
         if not qualities:
             raise PcgKitError("no frame survived segmentation")
         agg = aggregate_quality(qualities)
-        row = (*agg.freq_range_hz,
-               *(agg.nrmse[f] for f in WaveletKind.FAMILIES), *agg.snr_db)
+        row = (*agg.freq_range_hz, *(agg.nrmse[w] for w in _WAVELETS),
+               *agg.snr_db)
         table[record.subject_id] = row
         entry = {c: v for c, v in zip(_QUALITY_COLUMNS, row)
                  if not c.startswith("nrmse_")}
@@ -509,13 +528,9 @@ def _add_common(parser):
                         help="frame length in seconds (default 4)")
     parser.add_argument("--method", choices=sorted(_METHODS), default=None,
                         help="envelope method")
-    parser.add_argument("--formula", choices=sorted(_FORMULAS), default=None,
-                        help="interval-to-rate conversion")
-    parser.add_argument("--units", choices=sorted(_UNITS), default=None,
-                        help="time-feature unit convention")
-    parser.add_argument("--wavelet", choices=sorted(WaveletKind.FAMILIES),
-                        default=None,
-                        help="wavelet family for the WES envelope")
+    parser.add_argument("--wavelet", choices=sorted(_WAVELETS), default=None,
+                        help="wavelet family for the WES envelope "
+                             "(--method wes only)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--config", default=None,
                         help=f"config file (default ${CONFIG_ENV_VAR})")
@@ -553,6 +568,8 @@ def build_parser():
     p_bp.add_argument("--features-from-audio", action="store_true",
                       help="always derive features from audio, ignoring "
                            "precomputed features in meta.json")
+    p_bp.add_argument("--units", choices=sorted(_UNITS), default=None,
+                      help="time-feature unit convention")
     _add_common(p_bp)
     p_bp.set_defaults(func=cmd_bp)
 
@@ -560,6 +577,11 @@ def build_parser():
     p_q.add_argument("dataset", help="dataset directory")
     _add_common(p_q)
     p_q.set_defaults(func=cmd_quality)
+
+    # quality computes no rate, so only hr and bp take a formula
+    for p in (p_hr, p_bp):
+        p.add_argument("--formula", choices=sorted(_FORMULAS), default=None,
+                       help="interval-to-rate conversion")
 
     return parser
 

@@ -27,6 +27,9 @@ __all__ = [
     "segment_frames", "butterworth_lowpass_zero_phase",
 ]
 
+# Single-pass order of the zero-phase Butterworth lowpass.
+LOWPASS_ORDER = 4
+
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -195,21 +198,20 @@ def segment_frames(s, frame_len_s):
             for start in range(0, len(s.samples) - frame_len + 1, frame_len)]
 
 
-def butterworth_lowpass_zero_phase(s, cutoff_hz, order=4):
+def butterworth_lowpass_zero_phase(s, cutoff_hz):
     """Lowpass filter with no phase distortion.
 
-    Applies a Butterworth filter forward and backward, giving the squared
-    magnitude response of a single pass and exactly zero phase. Edges are
-    handled by reflective padding of at least three times the impulse
-    settle length, so short frames do not ring at their boundaries.
+    Applies a 4th-order Butterworth filter forward and backward, giving
+    the squared magnitude response of a single pass and exactly zero
+    phase. Edges are handled by reflective padding of at least three
+    times the impulse settle length, so short frames do not ring at their
+    boundaries.
 
     Parameters
     ----------
     s : SampledSignal
     cutoff_hz : float
         Must lie strictly inside (0, Nyquist).
-    order : int
-        Single-pass filter order, at least 1.
 
     Raises
     ------
@@ -220,10 +222,9 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz, order=4):
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
-    if order < 1:
-        raise InvalidInputError(f"order must be >= 1, got {order}")
-    sos = sps.butter(order, cutoff_hz, btype="low", fs=s.rate_hz, output="sos")
-    settle = int(math.ceil(s.rate_hz / cutoff_hz)) * order
+    sos = sps.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=s.rate_hz,
+                     output="sos")
+    settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
     padlen = min(len(s.samples) - 1, 3 * settle)
     out = sps.sosfiltfilt(sos, s.samples, padtype="even", padlen=padlen)
     return s.with_samples(out)

@@ -15,7 +15,7 @@ from scipy.signal import hilbert
 
 from .core import butterworth_lowpass_zero_phase
 from .errors import ContractViolationError
-from .wavelets import ScaleGrid, WaveletKind, wes
+from .wavelets import WaveletKind, wes
 
 __all__ = [
     "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
@@ -73,10 +73,7 @@ def shannon_energy_envelope(frame):
 
 
 def wes_envelope(frame, kind=None):
-    """Wavelet-energy-spectrum envelope.
-
-    The scales are the standard 64-step 10..500 Hz ladder at the frame
-    rate (:meth:`ScaleGrid.log_spaced`).
+    """Wavelet-energy-spectrum envelope over the 64-step 500..10 Hz ladder.
 
     Parameters
     ----------
@@ -84,19 +81,17 @@ def wes_envelope(frame, kind=None):
     kind : WaveletKind, optional
         Defaults to Morlet.
     """
-    if kind is None:
-        kind = WaveletKind.morlet()
-    return wes(frame, kind, ScaleGrid.log_spaced(kind, frame.rate_hz))
+    return wes(frame, WaveletKind.MORLET if kind is None else kind)
 
 
-def smooth(envelope, cutoff_hz=20.0, order=4):
-    """Zero-phase lowpass an envelope and clip filter undershoot to zero.
+def smooth(envelope, cutoff_hz=20.0):
+    """Zero-phase 4th-order lowpass an envelope, clipping undershoot to zero.
 
     The default 20 Hz cutoff sits in a broad stable region; well below
     (around 8 Hz) adjacent S1/S2 peaks start to merge and timing-based
     estimates degrade, so lower values should be used deliberately.
     """
-    filtered = butterworth_lowpass_zero_phase(envelope, cutoff_hz, order)
+    filtered = butterworth_lowpass_zero_phase(envelope, cutoff_hz)
     return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 

@@ -35,10 +35,6 @@ class DecompositionDepthError(TooShortError):
     """Signal too short for the requested wavelet decomposition depth."""
 
 
-class InvalidGridError(InvalidInputError):
-    """Scale grid empty or not strictly monotone."""
-
-
 class ContractViolationError(InvalidInputError):
     """Caller skipped a required preparation step (e.g. normalization)."""
 

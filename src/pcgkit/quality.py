@@ -1,9 +1,11 @@
 """Signal-quality measurements for recorded or synthetic PCG frames.
 
 Covers the occupied frequency band, the sample energy spectrum, the
-normalized error between wavelet and sample energy tracks, and a
-burst-versus-background SNR. Frame-level results aggregate into a
-per-subject :class:`QualityReport`.
+normalized error between each wavelet family's energy track and the
+sample energy track, and a burst-versus-background SNR. Each measure has
+one fixed setting: a 5% band threshold, the 64-step 500..10 Hz wavelet
+scale ladder and a +-50 ms peak window. Frame-level results aggregate
+into a per-subject :class:`QualityReport`.
 """
 
 import math
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import rfft, rfftfreq
 
-from .core import SampledSignal
 from .errors import (
     DegenerateCoverageError,
     DegenerateSignalError,
@@ -20,7 +21,7 @@ from .errors import (
     TooShortError,
     UndefinedNormalizerError,
 )
-from .wavelets import ScaleGrid, WaveletKind, wes
+from .wavelets import WaveletKind, wes
 
 __all__ = [
     "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "snr_frame",
@@ -28,18 +29,18 @@ __all__ = [
 ]
 
 SNR_CAP_DB = 60.0
+# Share of the non-DC spectral peak that counts as occupied band.
+BAND_REL_THRESHOLD = 0.05
+# Half-width of the signal window around each labeled peak, in seconds.
+SNR_WINDOW_S = 0.05
 
 
-def _samples_of(x):
-    return x.samples if isinstance(x, SampledSignal) else np.asarray(x, dtype=np.float64)
-
-
-def fft_band(frame, rel_threshold=0.05):
+def fft_band(frame):
     """Occupied frequency band of a frame.
 
     The Hann-windowed magnitude spectrum (zero-padded to the next power
-    of two) is thresholded at ``rel_threshold`` of its non-DC peak; the
-    band is the lowest and highest surviving frequency.
+    of two) is thresholded at ``BAND_REL_THRESHOLD`` of its non-DC peak;
+    the band is the lowest and highest surviving frequency.
 
     Returns
     -------
@@ -56,7 +57,7 @@ def fft_band(frame, rel_threshold=0.05):
     peak = mag.max()
     if peak <= 0:
         raise DegenerateSignalError("spectrum is identically zero")
-    above = np.nonzero(mag >= rel_threshold * peak)[0]
+    above = np.nonzero(mag >= BAND_REL_THRESHOLD * peak)[0]
     return float(freqs[above[0]]), float(freqs[above[-1]])
 
 
@@ -69,15 +70,15 @@ def nrmse_wes_vs_es(wes_track, es_track):
     """Normalized RMSE between two energy tracks.
 
     ``sqrt(sum((a - b)**2) / sum(b**2))`` with the second argument the
-    reference. Both arguments may be signals or arrays.
+    reference. Both arguments are arrays.
 
     Raises
     ------
     UndefinedNormalizerError
         If the reference has zero energy.
     """
-    a = _samples_of(wes_track)
-    b = _samples_of(es_track)
+    a = np.asarray(wes_track, dtype=np.float64)
+    b = np.asarray(es_track, dtype=np.float64)
     if len(a) != len(b):
         raise InvalidInputError(f"length mismatch: {len(a)} vs {len(b)}")
     ref_energy = float(np.sum(b * b))
@@ -86,10 +87,10 @@ def nrmse_wes_vs_es(wes_track, es_track):
     return float(np.sqrt(np.sum((a - b) ** 2) / ref_energy))
 
 
-def snr_frame(frame, seg, window_ms=50.0):
+def snr_frame(frame, seg):
     """Burst-versus-background SNR of a segmented frame.
 
-    Signal power is the mean squared amplitude within ``window_ms`` of
+    Signal power is the mean squared amplitude within ``SNR_WINDOW_S`` of
     each labeled peak; noise power is the mean over everything else. The
     ratio in dB is clamped to +-60 dB, because a noiseless denominator is
     otherwise unbounded.
@@ -107,9 +108,8 @@ def snr_frame(frame, seg, window_ms=50.0):
     x = frame.samples
     t = np.arange(len(x)) / frame.rate_hz
     mask = np.zeros(len(x), dtype=bool)
-    half = window_ms / 1000.0
     for p in seg.peaks:
-        mask |= np.abs(t - p.time_s) <= half
+        mask |= np.abs(t - p.time_s) <= SNR_WINDOW_S
     if not mask.any():
         raise DegenerateCoverageError("no samples fall inside peak windows")
     if mask.all():
@@ -126,9 +126,6 @@ def snr_frame(frame, seg, window_ms=50.0):
     return 10.0 * math.log10(p_signal / p_noise)
 
 
-_KINDS = tuple(getattr(WaveletKind, f)() for f in WaveletKind.FAMILIES)
-
-
 @dataclass(frozen=True)
 class FrameQuality:
     """Quality measurements of one frame."""
@@ -141,9 +138,9 @@ class FrameQuality:
 def frame_quality(frame, seg):
     """Band, per-wavelet energy-track error, and SNR for one frame.
 
-    Uses the defaults of :func:`fft_band`, :meth:`ScaleGrid.log_spaced`
-    (for every wavelet family) and :func:`snr_frame`. The wavelet and
-    sample energy tracks are each normalized to unit total energy before
+    Runs :func:`fft_band`, :func:`wes` for every :class:`WaveletKind` in
+    declaration order and :func:`snr_frame`. The wavelet and sample
+    energy tracks are each normalized to unit total energy before
     comparison, making the error a pure shape mismatch independent of the
     methods' arbitrary gains.
     """
@@ -151,11 +148,10 @@ def frame_quality(frame, seg):
     es = energy_spectrum(frame).samples
     es_n = es / np.sqrt(np.sum(es ** 2))
     nrmse = {}
-    for kind in _KINDS:
-        grid = ScaleGrid.log_spaced(kind, frame.rate_hz)
-        track = wes(frame, kind, grid).samples
+    for kind in WaveletKind:
+        track = wes(frame, kind).samples
         track_n = track / np.sqrt(np.sum(track ** 2))
-        nrmse[kind.family] = nrmse_wes_vs_es(track_n, es_n)
+        nrmse[kind.value] = nrmse_wes_vs_es(track_n, es_n)
     return FrameQuality(band, nrmse, snr_frame(frame, seg))
 
 

@@ -5,11 +5,13 @@ Two independent halves:
 * an 8-tap Daubechies (db4) discrete transform used only for denoising,
   implemented directly so the analysis/synthesis pair is guaranteed to
   reconstruct perfectly at zero threshold;
-* continuous transforms for three analytic mother wavelets (Morlet,
-  generalized Morse, Bump) plus the wavelet energy spectrum built on them.
+* continuous transforms for three analytic mother wavelets of fixed shape
+  (Morlet, generalized Morse, Bump) on one scale ladder, 64 log-spaced
+  pseudo-frequencies from 500 Hz down to 10 Hz, plus the wavelet energy
+  spectrum built on them.
 
 CWT rows are computed by FFT convolution (Torrence & Compo 1998) against a
-kernel bank cached per (wavelet, grid, frame length): repeated equal-length
+kernel bank cached per (wavelet, rate, frame length): repeated equal-length
 frames sample and transform the kernels once. The bank is streamed through
 the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows, so a call holds one
 small complex buffer rather than several full-bank temporaries. The cached
@@ -17,19 +19,24 @@ banks are read-only and every buffer is local to its call, so ``cwt`` and
 ``wes`` may run on several threads at once.
 """
 
+import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .errors import DecompositionDepthError, InvalidGridError, InvalidInputError
+from .errors import DecompositionDepthError, InvalidInputError
 
-__all__ = [
-    "WaveletKind", "ScaleGrid", "cwt", "dwt_denoise_db4",
-    "sample_wavelet", "wes",
-]
+__all__ = ["WaveletKind", "cwt", "dwt_denoise_db4", "sample_wavelet", "wes"]
+
+# Mother wavelet shapes: Morlet centre frequency (radians per unit time),
+# generalized Morse gamma and beta, Bump centre mu and half-width sigma.
+MORLET_OMEGA0 = 6.0
+MORSE_GAMMA = 3.0
+MORSE_BETA = 20.0
+BUMP_MU = 5.0
+BUMP_SIGMA = 0.6
 
 # db4 reconstruction lowpass (scaling) coefficients, ascending index.
 _REC_LO = np.array([
@@ -126,91 +133,40 @@ def dwt_denoise_db4(s, levels=8, threshold_frac=0.15):
     return s.with_samples(approx)
 
 
-@dataclass(frozen=True)
-class WaveletKind:
-    """Analytic mother wavelet family with its shape parameters.
+class WaveletKind(enum.Enum):
+    """Analytic mother wavelet family, each with one fixed shape.
 
-    Use the constructors; parameter meaning differs per family.
+    Morlet has centre frequency ``MORLET_OMEGA0``; generalized Morse has
+    ``MORSE_GAMMA`` and ``MORSE_BETA``; Bump has ``BUMP_MU`` and
+    ``BUMP_SIGMA``.
     """
 
-    family: str
-    params: tuple
-
-    # each family name is also the name of its constructor below
-    FAMILIES = ("morlet", "morse", "bump")
-
-    def __post_init__(self):
-        if self.family not in self.FAMILIES:
-            raise InvalidInputError(f"unknown wavelet family {self.family!r}")
-        if any(not p > 0 for p in self.params):
-            raise InvalidInputError("wavelet shape parameters must be positive")
-
-    @classmethod
-    def morlet(cls, center_freq_param=6.0):
-        return cls("morlet", (float(center_freq_param),))
-
-    @classmethod
-    def morse(cls, gamma=3.0, beta=20.0):
-        return cls("morse", (float(gamma), float(beta)))
-
-    @classmethod
-    def bump(cls, mu=5.0, sigma=0.6):
-        return cls("bump", (float(mu), float(sigma)))
+    MORLET = "morlet"
+    MORSE = "morse"
+    BUMP = "bump"
 
     @property
     def center_freq_cycles(self):
         """Peak response frequency of the unit-scale wavelet, in cycles."""
-        if self.family == "morlet":
-            return self.params[0] / (2 * math.pi)
-        if self.family == "morse":
-            gamma, beta = self.params
-            return (beta / gamma) ** (1.0 / gamma) / (2 * math.pi)
-        mu, _ = self.params
-        return mu / (2 * math.pi)
+        if self is WaveletKind.MORLET:
+            return MORLET_OMEGA0 / (2 * math.pi)
+        if self is WaveletKind.MORSE:
+            return (MORSE_BETA / MORSE_GAMMA) ** (1.0 / MORSE_GAMMA) / (2 * math.pi)
+        return BUMP_MU / (2 * math.pi)
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    """Matched scale / pseudo-frequency ladder, ordered by descending frequency.
+def _scale_ladder(kind, rate_hz):
+    """Scales of the 64-step pseudo-frequency ladder from 500 Hz to 10 Hz.
 
-    ``scales[i] = center_freq_cycles * rate_hz / pseudo_freqs_hz[i]``, so
-    ascending scales correspond to descending frequencies.
+    ``scale = center_freq_cycles * rate_hz / freq`` for log-spaced
+    frequencies in descending order, so the scales ascend.
     """
-
-    scales: tuple
-    pseudo_freqs_hz: tuple
-
-    def __post_init__(self):
-        if len(self.scales) == 0:
-            raise InvalidGridError("scale grid is empty")
-        if len(self.scales) != len(self.pseudo_freqs_hz):
-            raise InvalidGridError("scales and pseudo-frequencies differ in length")
-        sc = np.asarray(self.scales)
-        fr = np.asarray(self.pseudo_freqs_hz)
-        if np.any(sc <= 0) or np.any(fr <= 0):
-            raise InvalidGridError("scales and frequencies must be positive")
-        if len(sc) > 1 and (np.any(np.diff(sc) <= 0) or np.any(np.diff(fr) >= 0)):
-            raise InvalidGridError(
-                "grid must be strictly ascending in scale, descending in frequency")
-
-    def __len__(self):
-        return len(self.scales)
-
-    @classmethod
-    def log_spaced(cls, kind, rate_hz, f_lo_hz=10.0, f_hi_hz=500.0, n_scales=64):
-        """Logarithmic pseudo-frequency ladder from ``f_hi_hz`` down to ``f_lo_hz``."""
-        if not 0 < f_lo_hz < f_hi_hz:
-            raise InvalidGridError("need 0 < f_lo_hz < f_hi_hz")
-        if n_scales < 2:
-            raise InvalidGridError(f"need at least 2 scales, got {n_scales}")
-        freqs = np.geomspace(f_hi_hz, f_lo_hz, int(n_scales))
-        scales = kind.center_freq_cycles * rate_hz / freqs
-        return cls(tuple(scales.tolist()), tuple(freqs.tolist()))
+    return kind.center_freq_cycles * rate_hz / np.geomspace(500.0, 10.0, 64)
 
 
-def _morse_freq_response(omega, gamma, beta):
+def _morse_freq_response(omega):
     """Generalized Morse spectrum, peak-normalized to 2, zero for omega <= 0."""
-    omega = np.asarray(omega, dtype=float)
+    gamma, beta = MORSE_GAMMA, MORSE_BETA
     peak = (beta / gamma) ** (1.0 / gamma)
     out = np.zeros_like(omega)
     pos = omega > 0
@@ -219,10 +175,9 @@ def _morse_freq_response(omega, gamma, beta):
     return out
 
 
-def _bump_freq_response(omega, mu, sigma):
+def _bump_freq_response(omega):
     """Bump spectrum: compactly supported on (mu - sigma, mu + sigma)."""
-    omega = np.asarray(omega, dtype=float)
-    u = (omega - mu) / sigma
+    u = (omega - BUMP_MU) / BUMP_SIGMA
     out = np.zeros_like(omega)
     inside = np.abs(u) < 1
     out[inside] = 2.0 * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
@@ -241,20 +196,19 @@ def sample_wavelet(kind, scale):
         are sampled in frequency and inverted, then trimmed to where the
         magnitude exceeds 1e-8 of its peak.
     """
-    if kind.family == "morlet":
-        omega0 = kind.params[0]
+    if kind is WaveletKind.MORLET:
         half = int(math.ceil(8.0 * scale))
         t = np.arange(-half, half + 1) / scale
-        psi = np.pi ** -0.25 * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t)
+        psi = np.pi ** -0.25 * np.exp(1j * MORLET_OMEGA0 * t) * np.exp(-0.5 * t * t)
         return psi / np.sqrt(scale), half
     radius = 40.0  # natural time units; generous for both spectra
     half = int(math.ceil(radius * scale))
     nfft = int(2 ** math.ceil(math.log2(2 * half + 2)))
     omega = 2 * np.pi * np.arange(nfft) / nfft * scale
-    if kind.family == "morse":
-        spec = _morse_freq_response(omega, *kind.params)
+    if kind is WaveletKind.MORSE:
+        spec = _morse_freq_response(omega)
     else:
-        spec = _bump_freq_response(omega, *kind.params)
+        spec = _bump_freq_response(omega)
     psi = np.fft.ifft(spec) * scale
     psi = np.concatenate([psi[-half:], psi[:half + 1]])
     w = psi / np.sqrt(scale)
@@ -265,9 +219,9 @@ def sample_wavelet(kind, scale):
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_bank(kind, grid, n_sig):
+def _kernel_bank(kind, rate_hz, n_sig):
     """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
-    kernels = [sample_wavelet(kind, sc) for sc in grid.scales]
+    kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
     offsets = np.array([half for _, half in kernels])
     length = next_fast_len(n_sig + 2 * int(offsets.max()))
     bank_h = np.empty((len(kernels), length), dtype=complex)
@@ -277,8 +231,8 @@ def _kernel_bank(kind, grid, n_sig):
     return bank_h, offsets, length
 
 
-def cwt(s, kind, grid):
-    """Continuous wavelet transform of a signal over a scale grid.
+def cwt(s, kind):
+    """Continuous wavelet transform of a signal over the scale ladder.
 
     Each row is the convolution of the signal with the conjugated,
     time-reversed sampled wavelet at that scale (energy-preserving
@@ -291,20 +245,20 @@ def cwt(s, kind, grid):
     ----------
     s : SampledSignal
     kind : WaveletKind
-    grid : ScaleGrid
 
     Returns
     -------
     ndarray
-        Complex matrix of shape ``(len(grid), len(s))``; row order
-        follows the grid (descending pseudo-frequency).
+        Complex matrix of shape ``(64, len(s))``; row ``i`` is the
+        ``i``-th pseudo-frequency of the ladder, from 500 Hz down to 10 Hz.
     """
-    bank_h, offsets, length = _kernel_bank(kind, grid, len(s.samples))
-    spectrum = fft(s.samples, length)
     n = len(s.samples)
-    out = np.empty((len(grid), n), dtype=complex)
-    buf = np.empty((min(CWT_BLOCK_ROWS, len(grid)), length), dtype=complex)
-    for b0 in range(0, len(grid), CWT_BLOCK_ROWS):
+    bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
+    spectrum = fft(s.samples, length)
+    n_rows = len(offsets)
+    out = np.empty((n_rows, n), dtype=complex)
+    buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
+    for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
         offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
         block = buf[:len(offs)]
         np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
@@ -314,13 +268,13 @@ def cwt(s, kind, grid):
     return out
 
 
-def wes(s, kind, grid):
+def wes(s, kind):
     """Wavelet energy spectrum: per-sample energy summed across scales.
 
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
     Nonnegative, same length and rate as the input.
     """
-    power = np.abs(cwt(s, kind, grid))
+    power = np.abs(cwt(s, kind))
     np.square(power, out=power)
     track = np.sum(power, axis=0) / len(s.samples)
     return s.with_samples(track)

@@ -277,6 +277,33 @@ class TestHrCommand:
             assert row["ecg_error"].startswith("ecg.txt: ")
             assert "shorter than one 4.000 s frame" in row["ecg_error"]
 
+    def test_rows_past_the_ecg_end_name_it(self, tmp_path):
+        # 1000 of 1520 lines: the ECG covers the first 4 s frame only
+        ds = synth_ds(tmp_path / "ds", 1)
+        ecg = ds / "s01" / "ecg.txt"
+        ecg.write_text("".join(ecg.read_text().splitlines(True)[:1000]))
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 0
+        first, second = json.loads((out / "hr_report.json").read_text())[
+            "subjects"]["s01"]["frames"]
+        assert "bpm_ecg" in first and "ecg_error" not in first
+        assert "bpm_pcg" in second and "bpm_ecg" not in second
+        assert second["ecg_error"].startswith("ecg.txt: ")
+        assert "ends before this frame" in second["ecg_error"]
+
+    def test_wes_wavelet_flag_reaches_the_envelope(self, small_ds, tmp_path):
+        out = tmp_path / "out"
+        assert main(["hr", str(small_ds), "--method", "wes",
+                     "--wavelet", "bump", "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        assert report["config"]["wavelet"] == "bump"
+        assert report["errors"] == {}
+        for sid, entry in report["subjects"].items():
+            meta = json.loads((small_ds / sid / "meta.json").read_text())
+            assert entry["n_frames"] == 2
+            for row in entry["frames"]:
+                assert abs(row["bpm_pcg"] - meta["hr_bpm"]) <= 2.0
+
 
 class TestBpCommand:
 
@@ -384,6 +411,66 @@ class TestBpCommand:
         report = json.loads((out / "bp_predictions.json").read_text())
         assert sorted(report["predictions"]) == ["s01", "s03"]
         assert "features must be an object" in report["errors"]["s02"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_millisecond_units_predict_the_same(self, source, small_ds,
+                                                tmp_path):
+        units = (["--units", "ms"] if source == "flag" else
+                 ["--config", write_cfg(tmp_path, "units = ms\n")])
+
+        def predictions(name, extra):
+            out = tmp_path / name
+            assert main(["bp", "predict", str(small_ds), *extra,
+                         "--out", str(out)]) == 0
+            return json.loads((out / "bp_predictions.json").read_text())[
+                "predictions"]
+
+        seconds = predictions("s", ["--units", "s"])
+        millis = predictions("ms", units)
+        assert sorted(millis) == ["s01", "s02", "s03"]
+        for sid, entry in seconds.items():
+            for side in ("sbp", "dbp"):
+                assert millis[sid][side] == pytest.approx(entry[side],
+                                                          rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "loocv"])
+    def test_partial_features_block_is_a_subject_error(self, command,
+                                                       cohort_ds, tmp_path,
+                                                       capsys):
+        # a 13th subject, so fit and loocv still have their twelve
+        ds = tmp_path / "ds"
+        shutil.copytree(cohort_ds, ds)
+        shutil.copytree(ds / "s01", ds / "s13")
+        features = json.loads((ds / "s13" / "meta.json").read_text())[
+            "features"]
+        del features["t_dd2"], features["hr_pcg"]
+        edit_meta(ds / "s13", subject_id="s13",
+                  features=dict(features, t_sys=5.0))
+        out = tmp_path / "out"
+        assert main(["bp", command, str(ds), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        name = {"fit": "coefficients", "predict": "predictions",
+                "loocv": "loocv"}[command]
+        report = json.loads((out / f"bp_{name}.json").read_text())
+        assert list(report["errors"]) == ["s13"]
+        assert "t_dd2, hr_pcg" in report["errors"]["s13"]
+
+    def test_partial_features_block_ignored_from_audio(self, small_ds,
+                                                       tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(small_ds, ds)
+        edit_meta(ds / "s02", features={"t_sys": 5.0})
+        meta = json.loads((ds / "s03" / "meta.json").read_text())
+        del meta["features"]  # no block at all: audio features
+        (ds / "s03" / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(ds), "--features-from-audio",
+                     "--out", str(out)]) == 0
+        audio = json.loads((out / "bp_predictions.json").read_text())
+        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        report = json.loads((out / "bp_predictions.json").read_text())
+        assert list(report["errors"]) == ["s02"]
+        assert report["predictions"]["s03"] == audio["predictions"]["s03"]
 
     def test_config_file_ridge_accepted_by_predict(self, small_ds, tmp_path):
         # one config file serves every command, so predict accepts its ridge
@@ -530,6 +617,56 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestUnreadFlags:
+    """A flag the command would ignore is rejected; config values are not."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hr", "--units", "ms"],
+        ["quality", "--units", "ms"],
+        ["quality", "--formula", "eq7"],
+    ], ids=["hr-units", "quality-units", "quality-formula"])
+    def test_flag_not_registered(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(tmp_path), *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["hr"],
+        ["hr", "--method", "hilbert"],
+        ["quality"],
+        ["bp", "predict"],
+    ], ids=["hr", "hr-hilbert", "quality", "bp"])
+    def test_wavelet_without_wes_rejected(self, argv, tmp_path, capsys):
+        # the dataset does not exist: the flag is rejected before loading
+        out = tmp_path / "out"
+        assert main([*argv, str(tmp_path / "nope"), "--wavelet", "morse",
+                      "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --wavelet is only used with --method wes\n")
+        assert not out.exists()
+
+    def test_wavelet_with_config_file_wes_accepted(self, small_ds, tmp_path):
+        config = write_cfg(tmp_path, "method = wes\n")
+        out = tmp_path / "out"
+        assert main(["hr", str(small_ds), "--config", config,
+                     "--wavelet", "morse", "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        assert report["config"]["wavelet"] == "morse"
+
+    @pytest.mark.parametrize("command", ["hr", "quality"])
+    def test_config_file_values_accepted(self, command, small_ds, tmp_path):
+        config = write_cfg(tmp_path, "units = ms\nformula = eq7\n"
+                                     "wavelet = bump\n")
+        out = tmp_path / "out"
+        assert main([command, str(small_ds), "--config", config,
+                     "--out", str(out)]) == 0
+        report = json.loads(
+            (out / f"{command}_report.json").read_text())
+        assert report["config"]["units"] == "ms"
+        assert report["config"]["wavelet"] == "bump"
 
 
 class TestJsonInputs:

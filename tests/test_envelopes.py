@@ -146,7 +146,7 @@ class TestWesEnvelope:
                            atol=1e-12)
 
     def test_accepts_explicit_kind(self, tone):
-        env = wes_envelope(tone(40.0), kind=WaveletKind.bump())
+        env = wes_envelope(tone(40.0), kind=WaveletKind.BUMP)
         assert np.max(env.samples) > 0
 
 

@@ -129,10 +129,6 @@ class TestNrmse:
         with pytest.raises(InvalidInputError):
             nrmse_wes_vs_es(np.ones(4), np.ones(5))
 
-    def test_accepts_signals(self):
-        sig = SampledSignal(np.array([1.0, 2.0]), RATE)
-        assert nrmse_wes_vs_es(sig, sig) == 0.0
-
 
 def forced_segmentation(times):
     peaks = tuple(PeakEvent(time_s=t, height=1.0, label=lab)

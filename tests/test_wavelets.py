@@ -6,27 +6,33 @@ import numpy as np
 import pytest
 from scipy.fft import fft, ifft
 
-from pcgkit import SampledSignal, ScaleGrid, WaveletKind, cwt, dwt_denoise_db4, wes
-from pcgkit.errors import DecompositionDepthError, InvalidGridError, InvalidInputError
+from pcgkit import SampledSignal, WaveletKind, cwt, dwt_denoise_db4, wes
+from pcgkit.errors import DecompositionDepthError, InvalidInputError
 from pcgkit import wavelets
 from pcgkit.wavelets import _DEC_HI, _DEC_LO, _REC_HI, _REC_LO, sample_wavelet
 
 RATE = 2000.0
 
-ALL_KINDS = [WaveletKind.morlet(), WaveletKind.morse(), WaveletKind.bump()]
+ALL_KINDS = list(WaveletKind)
 
 
-def full_matrix_cwt(s, kind, grid):
+def pseudo_freqs(kind, rate=RATE):
+    """Pseudo-frequency of each row of the scale ladder."""
+    return kind.center_freq_cycles * rate / wavelets._scale_ladder(kind, rate)
+
+
+def full_matrix_cwt(s, kind):
     """Reference CWT: the whole kernel bank in one product and one ifft.
 
     This is the transform ``cwt`` computed before it streamed the bank in
     row blocks; the blocked form must reproduce it exactly.
     """
-    bank_h, offsets, length = wavelets._kernel_bank(kind, grid, len(s.samples))
+    bank_h, offsets, length = wavelets._kernel_bank(kind, s.rate_hz,
+                                                    len(s.samples))
     spectrum = fft(s.samples, length)
     rows = ifft(spectrum[None, :] * bank_h, axis=1)
     n = len(s.samples)
-    out = np.empty((len(grid), n), dtype=complex)
+    out = np.empty((len(offsets), n), dtype=complex)
     for i, off in enumerate(offsets):
         out[i] = rows[i, off:off + n]
     return out
@@ -99,14 +105,14 @@ class TestDenoise:
 class TestWaveletKinds:
     def test_center_frequencies(self):
         # analytic values: omega0/2pi, (beta/gamma)^(1/gamma)/2pi, mu/2pi
-        assert abs(WaveletKind.morlet().center_freq_cycles
+        assert abs(WaveletKind.MORLET.center_freq_cycles
                    - 0.954929658551372) < 1e-12
-        assert abs(WaveletKind.morse().center_freq_cycles
+        assert abs(WaveletKind.MORSE.center_freq_cycles
                    - 0.29954107124796653) < 1e-12
-        assert abs(WaveletKind.bump().center_freq_cycles
+        assert abs(WaveletKind.BUMP.center_freq_cycles
                    - 0.7957747154594768) < 1e-12
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_kernel_energy_invariant_across_scales(self, kind):
         # the 1/sqrt(scale) convention keeps kernel energy scale-free
         energies = []
@@ -118,74 +124,58 @@ class TestWaveletKinds:
 
     def test_morlet_kernel_is_unit_energy(self):
         # closed-form Morlet is L2-normalized, a known absolute anchor
-        w, _ = sample_wavelet(WaveletKind.morlet(), 16.0)
+        w, _ = sample_wavelet(WaveletKind.MORLET, 16.0)
         assert abs(np.sum(np.abs(w) ** 2) - 1.0) < 0.01
 
-    def test_bad_params(self):
-        with pytest.raises(InvalidInputError):
-            WaveletKind.morlet(-1.0)
-        with pytest.raises(InvalidInputError):
-            WaveletKind.morse(gamma=0.0)
+    def test_names_are_the_report_keys(self):
+        assert [k.value for k in WaveletKind] == ["morlet", "morse", "bump"]
 
 
 class TestScaleGrid:
     def test_log_spacing_and_bounds(self):
-        grid = ScaleGrid.log_spaced(WaveletKind.morlet(), RATE)
-        assert len(grid) == 64
-        freqs = np.array(grid.pseudo_freqs_hz)
-        assert abs(freqs[0] - 500.0) < 1e-9
-        assert abs(freqs[-1] - 10.0) < 1e-9
-        assert np.all(np.diff(freqs) < 0)
-        ratios = freqs[:-1] / freqs[1:]
-        assert np.allclose(ratios, ratios[0], rtol=1e-9)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(InvalidGridError):
-            ScaleGrid.log_spaced(WaveletKind.morlet(), RATE, 500.0, 10.0)
-        with pytest.raises(InvalidGridError):
-            ScaleGrid.log_spaced(WaveletKind.morlet(), RATE, 10.0, 500.0, 1)
+        for kind in WaveletKind:
+            scales = wavelets._scale_ladder(kind, RATE)
+            assert len(scales) == 64
+            assert np.all(np.diff(scales) > 0)
+            freqs = pseudo_freqs(kind)
+            assert abs(freqs[0] - 500.0) < 1e-9
+            assert abs(freqs[-1] - 10.0) < 1e-9
+            ratios = freqs[:-1] / freqs[1:]
+            assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
 class TestCwt:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_tone_ridge_at_matching_frequency(self, kind, tone):
-        grid = ScaleGrid.log_spaced(kind, RATE)
         s = tone(40.0, 2.0, RATE)
-        coeffs = cwt(s, kind, grid)
+        coeffs = cwt(s, kind)
         assert coeffs.shape == (64, len(s))
         interior = np.abs(coeffs[:, 1000:-1000])
         ridge = int(np.argmax(interior.mean(axis=1)))
-        freqs = np.array(grid.pseudo_freqs_hz)
+        freqs = pseudo_freqs(kind)
         target = int(np.argmin(np.abs(freqs - 40.0)))
         assert abs(ridge - target) <= 1
 
     def test_zero_signal_zero_matrix(self):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.MORLET
         s = SampledSignal(np.zeros(1000), RATE)
-        assert np.all(cwt(s, kind, grid) == 0)
+        assert np.all(cwt(s, kind) == 0)
 
     def test_linearity_in_amplitude(self, tone):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.MORLET
         x = tone(60.0, 1.0, RATE)
-        a = cwt(x, kind, grid)
-        b = cwt(x.with_samples(3.0 * x.samples), kind, grid)
+        a = cwt(x, kind)
+        b = cwt(x.with_samples(3.0 * x.samples), kind)
         assert np.max(np.abs(b - 3.0 * a)) < 1e-12 * np.max(np.abs(a)) * 3 + 1e-12
 
     def test_additivity(self, tone):
-        kind = WaveletKind.morse()
-        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=16)
+        kind = WaveletKind.MORSE
         x = tone(50.0, 0.5, RATE)
         y = tone(120.0, 0.5, RATE)
         both = x.with_samples(x.samples + y.samples)
-        lhs = cwt(both, kind, grid)
-        rhs = cwt(x, kind, grid) + cwt(y, kind, grid)
+        lhs = cwt(both, kind)
+        rhs = cwt(x, kind) + cwt(y, kind)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidGridError):
-            ScaleGrid(scales=(), pseudo_freqs_hz=())
 
     def test_kernels_sampled_once_per_length(self, monkeypatch):
         calls = []
@@ -196,56 +186,56 @@ class TestCwt:
 
         monkeypatch.setattr(wavelets, "sample_wavelet", counting)
         wavelets._kernel_bank.cache_clear()
-        kind = WaveletKind.morse()
+        kind = WaveletKind.MORSE
         rng = np.random.default_rng(3)
         rows = []
         for _ in range(2):
-            # a fresh but equal grid per frame, as frame_quality builds it
-            grid = ScaleGrid.log_spaced(kind, RATE, n_scales=16)
             s = SampledSignal(rng.standard_normal(777), RATE)
-            rows.append((s, cwt(s, kind, grid)))
-        assert len(calls) == len(grid)
-        bank_h, offsets, _ = wavelets._kernel_bank(kind, grid, 777)
+            rows.append((s, cwt(s, kind)))
+        assert len(calls) == 64
+        bank_h, offsets, _ = wavelets._kernel_bank(kind, RATE, 777)
         assert not bank_h.flags.writeable and not offsets.flags.writeable
         wavelets._kernel_bank.cache_clear()
         for s, coeffs in rows:
-            assert np.array_equal(cwt(s, kind, grid), coeffs)
+            assert np.array_equal(cwt(s, kind), coeffs)
 
 
 class TestBlockedCwt:
     @pytest.mark.parametrize("n", [300, 777, 8000])
-    @pytest.mark.parametrize("n_scales", [64, 13])  # 13: a partial last block
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.family)
-    def test_equals_full_matrix_oracle(self, kind, n_scales, n):
-        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=n_scales)
-        s = SampledSignal(np.random.default_rng(n + n_scales).standard_normal(n),
+    # rows per block over the 64-row ladder: 8 (the default) and 64 fill
+    # every block; 13 leaves a partial last block of 12 rows
+    @pytest.mark.parametrize("block_rows", [64, 13, 8])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_equals_full_matrix_oracle(self, kind, block_rows, n,
+                                       monkeypatch):
+        monkeypatch.setattr(wavelets, "CWT_BLOCK_ROWS", block_rows)
+        s = SampledSignal(np.random.default_rng(n + block_rows).standard_normal(n),
                           RATE)
-        oracle = full_matrix_cwt(s, kind, grid)
-        assert np.array_equal(cwt(s, kind, grid), oracle)
+        oracle = full_matrix_cwt(s, kind)
+        assert np.array_equal(cwt(s, kind), oracle)
         expected = np.sum(np.abs(oracle) ** 2, axis=0) / n
-        assert np.array_equal(wes(s, kind, grid).samples, expected)
+        assert np.array_equal(wes(s, kind).samples, expected)
 
     def test_peak_memory_of_a_bump_frame(self):
         # a 4 s frame at 2 kHz has the widest bank of the three families;
         # the full-bank product, ifft output and crop copy peaked at 40.8 MB
-        kind = WaveletKind.bump()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.BUMP
         s = SampledSignal(np.random.default_rng(8).standard_normal(8000), RATE)
-        cwt(s, kind, grid)  # fill the kernel-bank cache
+        cwt(s, kind)  # fill the kernel-bank cache
         tracemalloc.start()
         try:
-            cwt(s, kind, grid)
+            cwt(s, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_concurrent_calls_match_serial(self):
+    def test_concurrent_calls_match_serial(self, monkeypatch):
         # more threads than cores and a short switch interval, starting from
         # an empty bank cache, so threads race on cache misses and interleave
-        # their block loops
-        kind = WaveletKind.morse()
-        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=13)
+        # their block loops; 64 = 12 * 5 + 4 rows leaves a partial block
+        monkeypatch.setattr(wavelets, "CWT_BLOCK_ROWS", 5)
+        kind = WaveletKind.MORSE
         rng = np.random.default_rng(4)
         signals = [SampledSignal(rng.standard_normal(n), RATE)
                    for n in (777, 777, 1500, 1500, 777, 1500)]
@@ -254,7 +244,7 @@ class TestBlockedCwt:
 
         def work(i):
             for _ in range(5):
-                results[i] = cwt(signals[i], kind, grid)
+                results[i] = cwt(signals[i], kind)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -269,32 +259,29 @@ class TestBlockedCwt:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for s, got in zip(signals, results):
-            assert np.array_equal(got, full_matrix_cwt(s, kind, grid))
+            assert np.array_equal(got, full_matrix_cwt(s, kind))
 
 
 class TestWes:
     def test_zero_signal(self):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.MORLET
         s = SampledSignal(np.zeros(800), RATE)
-        out = wes(s, kind, grid)
+        out = wes(s, kind)
         assert np.all(out.samples == 0)
         assert out.rate_hz == RATE
         assert len(out) == 800
 
     def test_quadratic_scaling(self, tone):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE, n_scales=16)
+        kind = WaveletKind.MORLET
         x = tone(60.0, 0.5, RATE)
-        a = wes(x, kind, grid).samples
-        b = wes(x.with_samples(2.0 * x.samples), kind, grid).samples
+        a = wes(x, kind).samples
+        b = wes(x.with_samples(2.0 * x.samples), kind).samples
         assert np.allclose(b, 4.0 * a, rtol=1e-9, atol=1e-15)
 
     def test_two_bursts_two_peaks_at_centers(self):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.MORLET
         s = burst_frame(centers_s=(1.0, 2.0))
-        track = wes(s, kind, grid).samples
+        track = wes(s, kind).samples
         floor = 0.15 * track.max()
         above = track >= floor
         # count local maxima above the floor
@@ -306,9 +293,8 @@ class TestWes:
         assert abs(times[1] - 2.0) < 0.010
 
     def test_silence_region_stays_quiet(self):
-        kind = WaveletKind.morlet()
-        grid = ScaleGrid.log_spaced(kind, RATE)
+        kind = WaveletKind.MORLET
         s = burst_frame(centers_s=(2.5,), duration=3.0)
-        track = wes(s, kind, grid).samples
+        track = wes(s, kind).samples
         # first second is silence, far outside any wavelet support
         assert track[: int(1.0 * RATE)].max() < 1e-6 * track.max()
