@@ -166,8 +166,13 @@ class BpCoefficients:
 
     @classmethod
     def from_json_dict(cls, d):
+        def number(f):
+            if isinstance(d[f], bool):  # float(True) would pass as 1.0
+                raise TypeError(f"{f} must be a number, got {d[f]!r}")
+            return float(d[f])
+
         try:
-            kwargs = {f: float(d[f]) for f in _SBP_FIELDS + _DBP_FIELDS}
+            kwargs = {f: number(f) for f in _SBP_FIELDS + _DBP_FIELDS}
             convention = UnitConvention(d["unit_convention"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(

@@ -1,8 +1,9 @@
 """Command-line front end: dataset synthesis, HR, BP, and quality runs.
 
-Every report embeds the fully resolved :class:`RunConfig` and the
-toolkit version, so a report documents exactly how it was produced and
-re-running with the same inputs reproduces it byte for byte.
+Every report embeds the fully resolved :class:`RunConfig`, the analysis
+chain's fixed settings and the toolkit version, so a report documents
+exactly how it was produced and re-running with the same inputs
+reproduces it byte for byte.
 """
 
 import argparse
@@ -26,10 +27,10 @@ from .bp import (
     predict_pair,
 )
 from .core import detrend, normalize_max_abs, resample_rational, segment_frames
-from .envelopes import EnvelopeMethod
+from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
 from .errors import ConfigError, ParseError, PcgKitError, TooShortError
 from .evaluation import bland_altman, subject_aggregate
-from .hr import HrFormula, hr_from_ecg_frame, hr_pipeline
+from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     load_dataset,
     read_json_object,
@@ -39,6 +40,7 @@ from .io import (
 )
 from .plots import write_scatter_svg
 from .quality import aggregate_quality, frame_quality
+from .segmentation import BASELINE_FRAC, PEAK_DISTANCE_S, PEAK_HEIGHT_FRAC
 from .synth import (
     CohortRanges,
     default_cohort_coefficients,
@@ -46,9 +48,11 @@ from .synth import (
     generate_ecg,
     generate_pcg,
 )
-from .wavelets import WaveletKind
+from .wavelets import DENOISE_LEVELS, DENOISE_THRESHOLD, WaveletKind
 
 CONFIG_ENV_VAR = "PCGKIT_CONFIG"
+# Every PCG is resampled to this rate before it is framed.
+PCG_RATE_HZ = 2000.0
 
 _METHODS = {m.value: m for m in EnvelopeMethod}
 _FORMULAS = {f.value: f for f in HrFormula}
@@ -58,39 +62,31 @@ _WAVELETS = {k.value: k for k in WaveletKind}
 _QUALITY_COLUMNS = ("freq_low_hz", "freq_high_hz",
                     *(f"nrmse_{w}" for w in _WAVELETS),
                     "snr_max_db", "snr_min_db", "snr_avg_db")
+# The analysis chain's fixed settings, listed in every report's config.
+_FIXED_SETTINGS = dict(
+    peak_height_frac=PEAK_HEIGHT_FRAC, peak_distance_s=PEAK_DISTANCE_S,
+    baseline_frac=BASELINE_FRAC, smoothing_cutoff_hz=SMOOTHING_CUTOFF_HZ,
+    denoise_levels=DENOISE_LEVELS, denoise_threshold=DENOISE_THRESHOLD,
+    ecg_prominence=ECG_PROMINENCE, pcg_rate_hz=PCG_RATE_HZ)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved analysis parameters, embedded verbatim in every report."""
+    """Resolved user settings, embedded in every report."""
 
     frame_len_s: float = 4.0
     method: str = "shannon"
     formula: str = "cycle"
     wavelet: str = "morlet"
     units: str = "s"
-    peak_height_frac: float = 0.15
-    peak_distance_s: float = 0.125
-    smoothing_cutoff_hz: float = 20.0
-    denoise_threshold: float = 0.15
-    denoise_levels: int = 8
-    ecg_prominence: float = 0.8
-    baseline_frac: float = 0.15
-    pcg_rate_hz: float = 2000.0
     ridge_lambda: float = 0.0
     out_dir: str = "."
 
     def __post_init__(self):
-        checks = [
-            ("frame_len_s", 0.5, 30.0), ("peak_height_frac", 0.0, 1.0),
-            ("peak_distance_s", 0.01, 2.0), ("smoothing_cutoff_hz", 1.0, 200.0),
-            ("denoise_threshold", 0.0, 1.0), ("ecg_prominence", 0.0, 1.0),
-            ("baseline_frac", 0.01, 0.9), ("pcg_rate_hz", 200.0, 48000.0),
-        ]
-        for name, lo, hi in checks:
-            v = getattr(self, name)
-            if not lo <= v <= hi:
-                raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
+        # 0.5 s at PCG_RATE_HZ is 1000 samples, deep enough for the denoise
+        if not 0.5 <= self.frame_len_s <= 30.0:
+            raise ConfigError(
+                f"frame_len_s={self.frame_len_s} outside [0.5, 30.0]")
         for name, choices in (("method", _METHODS), ("formula", _FORMULAS),
                               ("units", _UNITS), ("wavelet", _WAVELETS)):
             if getattr(self, name) not in choices:
@@ -98,16 +94,10 @@ class RunConfig:
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ConfigError(
                 f"ridge_lambda={self.ridge_lambda} must be finite and >= 0")
-        # the db4 decomposition needs 2**levels samples in every frame
-        frame_samples = self.frame_len_s * self.pcg_rate_hz
-        if not (isinstance(self.denoise_levels, int)
-                and 1 <= self.denoise_levels <= math.log2(frame_samples)):
-            raise ConfigError(
-                f"denoise_levels={self.denoise_levels} must be an integer "
-                f"with 1 <= 2**levels <= {frame_samples:g} frame samples")
 
     def to_dict(self):
-        return asdict(self)
+        """These settings and the chain's fixed ones, for a report."""
+        return dict(asdict(self), **_FIXED_SETTINGS)
 
 
 def load_config_file(path):
@@ -194,20 +184,12 @@ def _frame_results(record, config):
     or the :class:`PcgKitError` that frame raised.
     """
     pcg = record.pcg
-    if abs(pcg.rate_hz - config.pcg_rate_hz) > 1e-9:
-        pcg = resample_rational(pcg, config.pcg_rate_hz)
+    if abs(pcg.rate_hz - PCG_RATE_HZ) > 1e-9:
+        pcg = resample_rational(pcg, PCG_RATE_HZ)
     frames = segment_frames(pcg, config.frame_len_s)
-    kwargs = dict(
-        method=_METHODS[config.method],
-        formula=_FORMULAS[config.formula],
-        denoise_levels=config.denoise_levels,
-        denoise_threshold=config.denoise_threshold,
-        smoothing_cutoff_hz=config.smoothing_cutoff_hz,
-        min_height_frac=config.peak_height_frac,
-        min_distance_s=config.peak_distance_s,
-        baseline_frac=config.baseline_frac,
-        wavelet_kind=_WAVELETS[config.wavelet],
-    )
+    kwargs = dict(method=_METHODS[config.method],
+                  formula=_FORMULAS[config.formula],
+                  wavelet_kind=_WAVELETS[config.wavelet])
 
     def analyse():
         for frame in frames:
@@ -247,7 +229,8 @@ def _subject_features(record, config, from_audio):
                          f"got {feat!r}")
     names = [f.name for f in dataclass_fields(PcgFeatureVector)]
     for n in names:
-        if n in feat and not isinstance(feat[n], (int, float)):
+        if n in feat and (isinstance(feat[n], bool)
+                          or not isinstance(feat[n], (int, float))):
             raise ParseError(f"meta.json: features.{n} must be a number, "
                              f"got {feat[n]!r}")
     missing = [n for n in names if n not in feat]
@@ -342,9 +325,7 @@ def cmd_hr(args):
             if i < len(ecg_frames):
                 try:
                     ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
-                    ecg_hr = hr_from_ecg_frame(ecg_frame,
-                                               config.ecg_prominence)
-                    row["bpm_ecg"] = ecg_hr.bpm
+                    row["bpm_ecg"] = hr_from_ecg_frame(ecg_frame).bpm
                 except PcgKitError as exc:
                     row["ecg_error"] = str(exc)
             elif ecg_error:
@@ -404,6 +385,13 @@ def cmd_bp(args):
     if args.ridge is not None and args.bp_command == "predict":
         raise ConfigError("--ridge is only used by bp fit and bp loocv")
     config = resolve_config(args)
+    # these flags shape audio features, which only --features-from-audio
+    # is sure to use: a meta.json features block replaces them
+    if not args.features_from_audio:
+        for flag in ("method", "wavelet", "frames"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(
+                    f"--{flag} is only used with --features-from-audio")
     convention = _UNITS[config.units]
     records, errors = load_dataset(args.dataset)
     rows = _per_subject(records, errors, lambda record: _subject_features(
@@ -590,7 +578,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PcgKitError as exc:
+    except (PcgKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

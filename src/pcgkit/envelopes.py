@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 SHANNON_EPS = 1e-12
+# Envelope smoothing cutoff: in a broad stable region, well above the
+# ~8 Hz where adjacent S1/S2 peaks start to merge.
+SMOOTHING_CUTOFF_HZ = 20.0
 
 
 class EnvelopeMethod(enum.Enum):
@@ -84,22 +87,22 @@ def wes_envelope(frame, kind=None):
     return wes(frame, WaveletKind.MORLET if kind is None else kind)
 
 
-def smooth(envelope, cutoff_hz=20.0):
+def smooth(envelope, cutoff_hz=SMOOTHING_CUTOFF_HZ):
     """Zero-phase 4th-order lowpass an envelope, clipping undershoot to zero.
 
-    The default 20 Hz cutoff sits in a broad stable region; well below
-    (around 8 Hz) adjacent S1/S2 peaks start to merge and timing-based
-    estimates degrade, so lower values should be used deliberately.
+    Well below the default cutoff (around 8 Hz) adjacent S1/S2 peaks
+    start to merge and timing-based estimates degrade.
     """
     filtered = butterworth_lowpass_zero_phase(envelope, cutoff_hz)
     return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 
-def compute_envelope(frame, method, kind=None, smoothing_cutoff_hz=20.0):
+def compute_envelope(frame, method, kind=None):
     """Detector dispatch plus the standard smooth-then-renormalize chain.
 
-    The smoothed envelope is rescaled to a maximum of 1; an all-zero
-    envelope passes through unscaled.
+    The envelope is smoothed at ``SMOOTHING_CUTOFF_HZ`` and rescaled to a
+    maximum of 1; an all-zero envelope passes through unscaled. Only the
+    WES detector reads ``kind``.
     """
     method = EnvelopeMethod(method)
     if method is EnvelopeMethod.HILBERT:
@@ -108,6 +111,6 @@ def compute_envelope(frame, method, kind=None, smoothing_cutoff_hz=20.0):
         env = shannon_energy_envelope(frame)
     else:
         env = wes_envelope(frame, kind=kind)
-    env = smooth(env, smoothing_cutoff_hz)
+    env = smooth(env)
     peak = float(np.max(env.samples))
     return env.with_samples(env.samples / peak) if peak > 0 else env

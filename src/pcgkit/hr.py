@@ -34,6 +34,8 @@ __all__ = [
 
 HR_MIN_BPM = 20.0
 HR_MAX_BPM = 240.0
+# Least topographic prominence of an R-peak on a max-abs normalized frame.
+ECG_PROMINENCE = 0.8
 
 
 class HrFormula(enum.Enum):
@@ -58,11 +60,11 @@ def _range_flags(bpm):
     return ("out_of_range",) if not HR_MIN_BPM <= bpm <= HR_MAX_BPM else ()
 
 
-def hr_from_ecg_frame(frame, prominence=0.8):
+def hr_from_ecg_frame(frame):
     """Reference heart rate from R-peak spacing.
 
     R-peaks are local maxima with topographic prominence at least
-    ``prominence`` on the detrended, max-abs normalized frame; the rate
+    ``ECG_PROMINENCE`` on the detrended, max-abs normalized frame; the rate
     is ``60 * rate_hz / mean(sample gaps)``.
 
     Raises
@@ -76,7 +78,7 @@ def hr_from_ecg_frame(frame, prominence=0.8):
     if np.max(np.abs(x)) > 1 + 1e-9:
         raise ContractViolationError(
             "ECG frame must be detrended and max-abs normalized")
-    locs, _ = find_peaks(x, prominence=prominence)
+    locs, _ = find_peaks(x, prominence=ECG_PROMINENCE)
     if len(locs) < 2:
         raise InsufficientPeaksError(
             f"found {len(locs)} R-peaks, need >= 2")
@@ -120,18 +122,17 @@ class PipelineResult:
 
 
 def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
-                formula=HrFormula.CYCLE_PERIOD, denoise_levels=8,
-                denoise_threshold=0.15, smoothing_cutoff_hz=20.0,
-                min_height_frac=0.15, min_distance_s=0.125,
-                baseline_frac=0.15, wavelet_kind=None):
+                formula=HrFormula.CYCLE_PERIOD, wavelet_kind=None):
     """Full heart-rate chain on one raw PCG frame.
 
-    Stages: db4 denoise, max-abs normalize, envelope extraction, 20 Hz
-    zero-phase smoothing with renormalization, peak segmentation, rate
-    conversion. Any toolkit error raised inside a stage is rethrown as a
-    :class:`StageError` naming that stage. An all-zero frame passes the
-    normalize stage unscaled and fails at segmentation, which is the
-    informative failure.
+    Stages: db4 denoise, max-abs normalize, envelope extraction by
+    ``method`` (``wavelet_kind`` picks the WES wavelet, Morlet when None),
+    20 Hz zero-phase smoothing with renormalization, peak segmentation,
+    and rate conversion by ``formula``. The other settings are constants
+    of the stage modules. Any toolkit error raised inside a stage is
+    rethrown as a :class:`StageError` naming that stage. An all-zero frame
+    passes the normalize stage unscaled and fails at segmentation, which
+    is the informative failure.
 
     Returns
     -------
@@ -143,15 +144,13 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
         except PcgKitError as exc:
             raise StageError(stage, exc) from exc
 
-    denoised = run("denoise", dwt_denoise_db4, pcg_frame,
-                   denoise_levels, denoise_threshold)
+    denoised = run("denoise", dwt_denoise_db4, pcg_frame)
     try:
         normalized = normalize_max_abs(denoised)
     except DegenerateSignalError:
         normalized = denoised
     envelope = run("envelope", compute_envelope, normalized, method,
-                   kind=wavelet_kind, smoothing_cutoff_hz=smoothing_cutoff_hz)
-    seg = run("segmentation", segment, envelope, min_height_frac,
-              min_distance_s, baseline_frac)
+                   kind=wavelet_kind)
+    seg = run("segmentation", segment, envelope)
     hr = run("hr", hr_from_pcg, seg, formula)
     return PipelineResult(hr, denoised, normalized, envelope, seg)

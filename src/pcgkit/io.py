@@ -214,7 +214,9 @@ def load_subject_dir(subject_dir):
     meta_path = subject_dir / "meta.json"
     meta = read_json_object(meta_path) if meta_path.exists() else {}
     for key in ("ecg_rate_hz", "sbp_ref", "dbp_ref"):
-        if not isinstance(meta.get(key), (int, float, type(None))):
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, type(None))):
             raise ParseError(f"{meta_path}: {key} must be a number")
     pcg = read_wav_pcm16(subject_dir / "pcg.wav")
     ecg = None
@@ -231,8 +233,10 @@ def load_subject_dir(subject_dir):
 def load_dataset(root):
     """Load every subject folder under a dataset root, sorted by name.
 
-    Returns ``(records, errors)``. A folder that fails to load does not
-    stop the others; ``errors`` maps its name to ``"ingest: <reason>"``.
+    Returns ``(records, errors)``. A folder that fails to load, with a
+    toolkit error or an ``OSError`` such as a directory named ``ecg.txt``,
+    does not stop the others; ``errors`` maps its name to
+    ``"ingest: <reason>"``.
 
     Raises
     ------
@@ -249,7 +253,7 @@ def load_dataset(root):
     for d in dirs:
         try:
             records.append(load_subject_dir(d))
-        except PcgKitError as exc:
+        except (PcgKitError, OSError) as exc:
             errors[d.name] = f"ingest: {exc}"
     return records, errors
 

@@ -26,6 +26,12 @@ __all__ = [
     "cycle_intervals", "rise_decay_times", "segment",
 ]
 
+# Peak floor (fraction of the envelope maximum), least peak spacing, and
+# the rise/decay baseline (fraction of each peak's own height).
+PEAK_HEIGHT_FRAC = 0.15
+PEAK_DISTANCE_S = 0.125
+BASELINE_FRAC = 0.15
+
 
 class PeakLabel(enum.Enum):
     S1 = "S1"
@@ -72,7 +78,8 @@ class CycleSegmentation:
     n_cycles: int
 
 
-def find_envelope_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
+def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
+                        min_distance_s=PEAK_DISTANCE_S):
     """Apply the raw peak rules and return every surviving peak.
 
     Rules: strict local maxima at or above ``min_height_frac`` of the
@@ -105,7 +112,7 @@ def find_envelope_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
     return [PeakEvent(time_s=i / rate, height=float(y[i]), index=i) for i in kept]
 
 
-def detect_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
+def detect_peaks(envelope):
     """Peak detection for segmentation; a usable frame needs 3 peaks.
 
     Raises
@@ -114,7 +121,7 @@ def detect_peaks(envelope, min_height_frac=0.15, min_distance_s=0.125):
         If fewer than 3 peaks survive the rules, since labeling and
         interval work are impossible below that.
     """
-    peaks = find_envelope_peaks(envelope, min_height_frac, min_distance_s)
+    peaks = find_envelope_peaks(envelope)
     if len(peaks) < 3:
         raise InsufficientPeaksError(
             f"only {len(peaks)} peaks survive detection; need >= 3")
@@ -182,10 +189,10 @@ def _crossing_forward(y, peak_idx, level, stop_idx):
     return None
 
 
-def rise_decay_times(envelope, labeled, baseline_frac=0.15):
+def rise_decay_times(envelope, labeled):
     """Average rise and decay times of S1 and S2 envelope peaks.
 
-    For each peak the baseline is ``baseline_frac`` of that peak's own
+    For each peak the baseline is ``BASELINE_FRAC`` of that peak's own
     height. Rise time runs from the last preceding sample at or below the
     baseline to the peak; decay time from the peak to the first following
     such sample. Searches stop at the neighboring peaks; a peak whose
@@ -209,7 +216,7 @@ def rise_decay_times(envelope, labeled, baseline_frac=0.15):
         if p.label not in per_label:
             continue
         idx = p.index if p.index >= 0 else int(round(p.time_s * rate))
-        level = baseline_frac * p.height
+        level = BASELINE_FRAC * p.height
         lo = labeled[k - 1].index if k > 0 else -1
         hi = labeled[k + 1].index if k + 1 < len(labeled) else len(y)
         back = _crossing_backward(y, idx, level, lo)
@@ -235,16 +242,16 @@ def rise_decay_times(envelope, labeled, baseline_frac=0.15):
         n_skipped=skipped)
 
 
-def segment(envelope, min_height_frac=0.15, min_distance_s=0.125,
-            baseline_frac=0.15):
+def segment(envelope):
     """Full segmentation of one normalized, smoothed envelope.
 
     Chains peak detection, labeling, interval averaging, and rise/decay
-    timing into a :class:`CycleSegmentation`.
+    timing into a :class:`CycleSegmentation`, at the module's fixed
+    peak floor, spacing and baseline.
     """
-    labeled = label_s1_s2(detect_peaks(envelope, min_height_frac, min_distance_s))
+    labeled = label_s1_s2(detect_peaks(envelope))
     t_sys, t_dias, n_cycles = cycle_intervals(labeled)
-    rd = rise_decay_times(envelope, labeled, baseline_frac)
+    rd = rise_decay_times(envelope, labeled)
     return CycleSegmentation(
         peaks=tuple(labeled), t_sys=t_sys, t_dias=t_dias,
         t_rs1=rd.t_rs1, t_ds1=rd.t_ds1, t_rd2=rd.t_rd2, t_dd2=rd.t_dd2,

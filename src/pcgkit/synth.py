@@ -16,6 +16,7 @@ import numpy as np
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
 from .core import SampledSignal
 from .errors import InvalidInputError
+from .segmentation import BASELINE_FRAC
 
 __all__ = [
     "SynthSpec", "PcgGroundTruth", "true_features", "generate_pcg",
@@ -23,9 +24,8 @@ __all__ = [
     "CohortSubject", "generate_cohort",
 ]
 
-# Envelope fraction defining burst rise/decay times; matches the
-# segmentation baseline so analytic truth and measurement line up.
-BASELINE_FRAC = 0.15
+# Rise/decay of a Gaussian burst in units of sigma, at the segmentation
+# baseline, so analytic truth and measurement line up.
 _K15 = math.sqrt(2.0 * math.log(1.0 / BASELINE_FRAC))
 
 

@@ -38,6 +38,11 @@ MORSE_BETA = 20.0
 BUMP_MU = 5.0
 BUMP_SIGMA = 0.6
 
+# db4 denoising depth, and each detail band's soft threshold as a fraction
+# of that band's largest coefficient magnitude.
+DENOISE_LEVELS = 8
+DENOISE_THRESHOLD = 0.15
+
 # db4 reconstruction lowpass (scaling) coefficients, ascending index.
 _REC_LO = np.array([
     0.23037781330885523,
@@ -80,7 +85,8 @@ def _idwt_step(approx, detail, out_len):
     return y[off:off + out_len]
 
 
-def dwt_denoise_db4(s, levels=8, threshold_frac=0.15):
+def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
+                    threshold_frac=DENOISE_THRESHOLD):
     """Denoise by soft-thresholding db4 detail coefficients.
 
     The signal is decomposed ``levels`` deep; each detail band is soft

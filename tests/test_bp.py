@@ -110,6 +110,13 @@ class TestReferenceCoefficients:
         with pytest.raises(InvalidInputError):
             intercept_only(float("inf"), 80.0)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_boolean_rejected(self, value):
+        # float(True) is 1.0; a JSON boolean is not a coefficient
+        d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
+        with pytest.raises(InvalidInputError, match="c1 must be a number"):
+            BpCoefficients.from_json_dict(d)
+
 
 class TestPredict:
 

@@ -28,6 +28,15 @@ from pcgkit.cli import (
 )
 
 
+# The analysis chain's fixed settings, as every report's config lists them.
+FIXED_SETTINGS = {
+    "peak_height_frac": 0.15, "peak_distance_s": 0.125,
+    "smoothing_cutoff_hz": 20.0, "denoise_threshold": 0.15,
+    "denoise_levels": 8, "ecg_prominence": 0.8, "baseline_frac": 0.15,
+    "pcg_rate_hz": 2000.0,
+}
+
+
 def synth_ds(root, subjects):
     """Synthesize a seed-1 dataset of 8 s subjects under ``root``."""
     assert main(["synth", "--out", str(root), "--subjects", str(subjects),
@@ -70,14 +79,11 @@ class TestConfigResolution:
 
     def test_file_values_applied_and_cast(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = 6.0\n"
-                                   "method = wes\n"
-                                   "denoise_levels = 6  # trailing comment\n"
+                                   "method = wes  # trailing comment\n"
                                    "\n")
         cfg = resolve_config(argparse.Namespace(config=path))
         assert cfg.frame_len_s == 6.0
         assert cfg.method == "wes"
-        assert cfg.denoise_levels == 6
-        assert isinstance(cfg.denoise_levels, int)
 
     def test_cli_flag_beats_file(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = 6.0\n")
@@ -99,6 +105,13 @@ class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "no_such_knob = 1\n")
         with pytest.raises(ConfigError):
+            resolve_config(argparse.Namespace(config=path))
+
+    @pytest.mark.parametrize("key", sorted(FIXED_SETTINGS))
+    def test_fixed_setting_key_rejected(self, key, tmp_path):
+        # even at its fixed value: the chain's settings are not options
+        path = write_cfg(tmp_path, f"{key} = {FIXED_SETTINGS[key]}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             resolve_config(argparse.Namespace(config=path))
 
     def test_unparseable_value_rejected(self, tmp_path):
@@ -127,13 +140,6 @@ class TestConfigResolution:
     def test_bad_ridge_rejected(self, ridge):
         with pytest.raises(ConfigError):
             RunConfig(ridge_lambda=ridge)
-
-    @pytest.mark.parametrize("levels", [0, 13, 2.5])
-    def test_bad_denoise_levels_rejected(self, levels):
-        # a default 4 s frame at 2 kHz holds 8000 samples: 2**12 fits
-        assert RunConfig(denoise_levels=12).denoise_levels == 12
-        with pytest.raises(ConfigError):
-            RunConfig(denoise_levels=levels)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -216,6 +222,17 @@ class TestHrCommand:
                      "hr_scatter.svg", "hr_bland_altman.svg"):
             assert (out / name).exists()
 
+    def test_report_config_lists_every_setting(self, small_ds, tmp_path):
+        out = tmp_path / "out"
+        assert main(["hr", str(small_ds), "--out", str(out)]) == 0
+        text = (out / "hr_report.json").read_text()
+        assert json.loads(text)["config"] == {
+            "frame_len_s": 4.0, "method": "shannon", "formula": "cycle",
+            "wavelet": "morlet", "units": "s", "ridge_lambda": 0.0,
+            "out_dir": str(out), **FIXED_SETTINGS}
+        assert '"denoise_levels": 8,' in text
+        assert '"pcg_rate_hz": 2000.0,' in text
+
     def test_method_flag_propagates(self, small_ds, tmp_path):
         out = tmp_path / "out"
         assert main(["hr", str(small_ds), "--method", "wes",
@@ -237,6 +254,21 @@ class TestHrCommand:
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         assert main(["hr", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hr", "synth"])
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["file", "below-file"])
+    def test_output_path_blocked_by_a_file(self, command, below, small_ds,
+                                           tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        argv = (["hr", str(small_ds)] if command == "hr" else
+                ["synth", "--subjects", "1", "--duration", "4"])
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "blocker" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("rate", [float("inf"), 1e308],
                              ids=["Infinity", "1e308"])
@@ -381,8 +413,8 @@ class TestBpCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "predict", "loocv"])
-    @pytest.mark.parametrize("value", ["abc", None, [0.3]],
-                             ids=["string", "null", "list"])
+    @pytest.mark.parametrize("value", ["abc", None, [0.3], True],
+                             ids=["string", "null", "list", "bool"])
     def test_bad_meta_feature_is_a_subject_error(self, command, value,
                                                  cohort_ds, tmp_path, capsys):
         # a 13th subject, so fit and loocv still have their twelve
@@ -656,6 +688,40 @@ class TestUnreadFlags:
         report = json.loads((out / "hr_report.json").read_text())
         assert report["config"]["wavelet"] == "morse"
 
+    @pytest.mark.parametrize("flag", ["method", "wavelet", "frames"])
+    def test_bp_analysis_flag_needs_features_from_audio(self, flag, tmp_path,
+                                                         capsys):
+        # the dataset does not exist: the flag is rejected before loading
+        argv = {"method": ["--method", "hilbert"],
+                "wavelet": ["--config", write_cfg(tmp_path, "method = wes\n"),
+                            "--wavelet", "bump"],
+                "frames": ["--frames", "2"]}[flag]
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(tmp_path / "nope"), *argv,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --{flag} is only used with --features-from-audio\n")
+        assert not out.exists()
+
+    def test_bp_analysis_flags_used_from_audio(self, small_ds, tmp_path):
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(small_ds), "--features-from-audio",
+                     "--method", "wes", "--wavelet", "bump", "--frames", "4",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "bp_predictions.json").read_text())[
+            "config"]
+        assert (config["method"], config["wavelet"]) == ("wes", "bump")
+
+    def test_bp_config_file_analysis_values_accepted(self, small_ds,
+                                                     tmp_path):
+        config = write_cfg(tmp_path, "method = wes\nwavelet = bump\n"
+                                     "frame_len_s = 4.0\n")
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(small_ds), "--config", config,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "bp_predictions.json").read_text())
+        assert report["config"]["method"] == "wes"
+
     @pytest.mark.parametrize("command", ["hr", "quality"])
     def test_config_file_values_accepted(self, command, small_ds, tmp_path):
         config = write_cfg(tmp_path, "units = ms\nformula = eq7\n"
@@ -690,6 +756,15 @@ class TestJsonInputs:
         path.write_text(json.dumps({"coefficients": coeffs}))
         self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
                             str(path), "--out", str(tmp_path)], capsys, "c1")
+
+    def test_coeffs_boolean_entry(self, small_ds, tmp_path, capsys):
+        # JSON true would otherwise read as the number 1.0
+        coeffs = dict(BpCoefficients.reference().to_json_dict(), c1=True)
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"coefficients": coeffs}))
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path)], capsys,
+                           "c1 must be a number")
 
     def test_missing_spec_file(self, tmp_path, capsys):
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),

@@ -317,6 +317,25 @@ class TestSubjectDirs:
             load_subject_dir(tmp_path / "s03")
         assert info.value.line_no == 1
 
+    @pytest.mark.parametrize("key", ["ecg_rate_hz", "sbp_ref", "dbp_ref"])
+    def test_boolean_meta_number_rejected(self, key, tmp_path):
+        # JSON true is a Python int: it must not pass as the number 1
+        pcg, ecg = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, ecg=ecg, meta={key: True})
+        with pytest.raises(ParseError, match=f"{key} must be a number"):
+            load_subject_dir(tmp_path / "s01")
+
+    def test_unreadable_file_is_an_ingest_error(self, tmp_path):
+        pcg, ecg = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, ecg=ecg)
+        write_subject_dir(tmp_path / "s02", pcg)
+        (tmp_path / "s02" / "ecg.txt").mkdir()
+        records, errors = load_dataset(tmp_path)
+        assert [r.subject_id for r in records] == ["s01"]
+        assert list(errors) == ["s02"]
+        assert errors["s02"].startswith("ingest: ")
+        assert "ecg.txt" in errors["s02"]
+
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_dataset(tmp_path / "nope")
