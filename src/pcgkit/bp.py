@@ -167,7 +167,8 @@ class BpCoefficients:
     @classmethod
     def from_json_dict(cls, d):
         def number(f):
-            if isinstance(d[f], bool):  # float(True) would pass as 1.0
+            # float() would pass True as 1.0 and "1.5" as 1.5
+            if isinstance(d[f], bool) or not isinstance(d[f], (int, float)):
                 raise TypeError(f"{f} must be a number, got {d[f]!r}")
             return float(d[f])
 

@@ -32,7 +32,7 @@ from .errors import ConfigError, ParseError, PcgKitError, TooShortError
 from .evaluation import bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
-    load_dataset,
+    _stream_dataset,
     read_json_object,
     write_csv_series,
     write_json_report,
@@ -202,13 +202,18 @@ def _frame_results(record, config):
 
 
 def _per_subject(records, errors, analyze):
-    """``(record, analyze(record))`` pairs; failures go to ``errors``."""
-    done = []
+    """``{subject_id: analyze(record)}``; failures go to ``errors``.
+
+    Records are taken one at a time and none is kept, so with a streamed
+    dataset one subject's signals are in memory at a time.
+    """
+    done = {}
     for record in records:
         try:
-            done.append((record, analyze(record)))
+            done[record.subject_id] = analyze(record)
         except PcgKitError as exc:
             errors[record.subject_id] = str(exc)
+        del record  # before the next folder loads
     return done
 
 
@@ -299,7 +304,7 @@ def cmd_synth(args):
 def cmd_hr(args):
     """Per-frame and per-subject heart-rate report, with ECG agreement."""
     config = resolve_config(args)
-    records, errors = load_dataset(args.dataset)
+    records, errors = _stream_dataset(args.dataset)
     pairs = []
 
     def analyze(record):
@@ -344,8 +349,7 @@ def cmd_hr(args):
             entry["rmse"] = float(np.sqrt(np.mean(d * d)))
         return entry
 
-    subjects = {r.subject_id: entry
-                for r, entry in _per_subject(records, errors, analyze)}
+    subjects = _per_subject(records, errors, analyze)
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors
@@ -393,15 +397,17 @@ def cmd_bp(args):
                 raise ConfigError(
                     f"--{flag} is only used with --features-from-audio")
     convention = _UNITS[config.units]
-    records, errors = load_dataset(args.dataset)
-    rows = _per_subject(records, errors, lambda record: _subject_features(
-        record, config, args.features_from_audio))
+    records, errors = _stream_dataset(args.dataset)
+    # subject id -> (features, sbp_ref, dbp_ref)
+    rows = _per_subject(records, errors, lambda record: (
+        _subject_features(record, config, args.features_from_audio),
+        record.sbp_ref, record.dbp_ref))
     report = _report_header(config)
     report["errors"] = errors
     out = Path(config.out_dir)
-    labeled = [(r, f) for r, f in rows
-               if r.sbp_ref is not None and r.dbp_ref is not None]
-    dataset = [(f, r.sbp_ref, r.dbp_ref) for r, f in labeled]
+    labeled = [sid for sid, (_, sbp, dbp) in rows.items()
+               if sbp is not None and dbp is not None]
+    dataset = [rows[sid] for sid in labeled]
 
     if args.bp_command == "fit":
         coeffs, *fits = fit_coefficients(dataset, convention,
@@ -424,16 +430,15 @@ def cmd_bp(args):
             coeffs = BpCoefficients.reference(convention)
             coeffs_id = "reference"
         predictions = {}
-        for record, features in rows:
+        for sid, (features, *refs) in rows.items():
             pred = predict_pair(features, coeffs)
             entry = {"sbp": pred.sbp, "dbp": pred.dbp,
                      "flags": list(pred.flags)}
-            for side in ("sbp", "dbp"):
-                ref = getattr(record, f"{side}_ref")
+            for side, ref in zip(("sbp", "dbp"), refs):
                 if ref is not None:
                     entry[f"{side}_ref"] = ref
                     entry[f"{side}_error"] = getattr(pred, side) - ref
-            predictions[record.subject_id] = entry
+            predictions[sid] = entry
         report["coefficients_id"] = coeffs_id
         report["predictions"] = predictions
         write_json_report(out / "bp_predictions.json", _jsonable(report))
@@ -443,7 +448,7 @@ def cmd_bp(args):
         report["loocv"] = dict(asdict(loocv), n_subjects=len(dataset))
         del report["loocv"]["predictions"]
         report["predictions"] = {
-            labeled[i][0].subject_id: {
+            labeled[i]: {
                 "sbp": ps, "dbp": pd, "sbp_ref": rs, "dbp_ref": rd}
             for i, ps, pd, rs, rd in loocv.predictions
         }
@@ -471,7 +476,7 @@ def cmd_quality(args):
     from concurrent.futures import ThreadPoolExecutor
 
     config = resolve_config(args)
-    records, errors = load_dataset(args.dataset)
+    records, errors = _stream_dataset(args.dataset)
     table = {}
 
     def quality_of(result):
@@ -499,8 +504,7 @@ def cmd_quality(args):
                     n_failed=len(results) - len(qualities))
 
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        subjects = {r.subject_id: entry
-                    for r, entry in _per_subject(records, errors, analyze)}
+        subjects = _per_subject(records, errors, analyze)
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors

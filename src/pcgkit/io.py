@@ -218,30 +218,28 @@ def load_subject_dir(subject_dir):
         if isinstance(value, bool) or not isinstance(
                 value, (int, float, type(None))):
             raise ParseError(f"{meta_path}: {key} must be a number")
+    subject_id = meta.get("subject_id", subject_dir.name)
+    if not (isinstance(subject_id, str) and subject_id):
+        raise ParseError(f"{meta_path}: subject_id must be a non-empty "
+                         f"string, got {subject_id!r}")
     pcg = read_wav_pcm16(subject_dir / "pcg.wav")
     ecg = None
     ecg_path = subject_dir / "ecg.txt"
     if ecg_path.exists():
         ecg = read_ecg_text(ecg_path, rate_hz=meta.get("ecg_rate_hz"))
     return SubjectRecord(
-        subject_id=str(meta.get("subject_id", subject_dir.name)),
-        pcg=pcg, ecg=ecg,
+        subject_id=subject_id, pcg=pcg, ecg=ecg,
         sbp_ref=meta.get("sbp_ref"), dbp_ref=meta.get("dbp_ref"),
         meta=meta)
 
 
-def load_dataset(root):
-    """Load every subject folder under a dataset root, sorted by name.
+def _stream_dataset(root):
+    """Check a dataset root now; load its subject folders one at a time.
 
-    Returns ``(records, errors)``. A folder that fails to load, with a
-    toolkit error or an ``OSError`` such as a directory named ``ecg.txt``,
-    does not stop the others; ``errors`` maps its name to
-    ``"ingest: <reason>"``.
-
-    Raises
-    ------
-    MissingFileError, EmptyDataError
-        If the root is not a directory or holds no subject folder.
+    Returns ``(records, errors)`` at once. ``records`` is a generator that
+    loads each folder only when the next record is asked for and fills
+    ``errors`` as it goes, so a caller that drops each record before it
+    asks for the next holds one subject at a time.
     """
     root = Path(root)
     if not root.is_dir():
@@ -249,13 +247,43 @@ def load_dataset(root):
     dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
     if not dirs:
         raise EmptyDataError(f"{root}: no subject folders with pcg.wav")
-    records, errors = [], {}
-    for d in dirs:
-        try:
-            records.append(load_subject_dir(d))
-        except (PcgKitError, OSError) as exc:
-            errors[d.name] = f"ingest: {exc}"
-    return records, errors
+    errors = {}
+
+    def records():
+        folder_of = {}
+        for d in dirs:
+            try:
+                record = load_subject_dir(d)
+            except (PcgKitError, OSError) as exc:
+                errors[d.name] = f"ingest: {exc}"
+                continue
+            first = folder_of.setdefault(record.subject_id, d.name)
+            if first == d.name:
+                yield record
+            else:
+                errors[d.name] = (f"ingest: duplicate subject_id "
+                                  f"{record.subject_id} (also {first})")
+            del record  # before the next folder loads
+
+    return records(), errors
+
+
+def load_dataset(root):
+    """Load every subject folder under a dataset root, sorted by name.
+
+    Returns ``(records, errors)``. A folder that fails to load, with a
+    toolkit error or an ``OSError`` such as a directory named ``ecg.txt``,
+    or whose ``subject_id`` an earlier folder already has, does not stop
+    the others; ``errors`` maps its name to ``"ingest: <reason>"``. The
+    commands take the same folders one at a time instead of all at once.
+
+    Raises
+    ------
+    MissingFileError, EmptyDataError
+        If the root is not a directory or holds no subject folder.
+    """
+    records, errors = _stream_dataset(root)
+    return list(records), errors
 
 
 def write_subject_dir(subject_dir, pcg, ecg=None, meta=None):

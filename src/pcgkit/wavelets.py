@@ -12,16 +12,20 @@ Two independent halves:
 
 CWT rows are computed by FFT convolution (Torrence & Compo 1998) against a
 kernel bank cached per (wavelet, rate, frame length): repeated equal-length
-frames sample and transform the kernels once. The bank is streamed through
-the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows, so a call holds one
-small complex buffer rather than several full-bank temporaries. The cached
-banks are read-only and every buffer is local to its call, so ``cwt`` and
-``wes`` may run on several threads at once.
+frames sample and transform the kernels once, and a lock around the build
+makes threads that miss together wait for one build rather than each make
+its own. The bank is streamed through the inverse FFT in blocks of
+``CWT_BLOCK_ROWS`` rows, so a call holds one small complex buffer rather
+than several full-bank temporaries, and ``wes`` adds the squared magnitude
+of one row at a time into its track. The cached banks are read-only and
+every buffer is local to its call, so ``cwt`` and ``wes`` may run on
+several threads at once.
 """
 
 import enum
 import functools
 import math
+import threading
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -225,7 +229,7 @@ def sample_wavelet(kind, scale):
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_bank(kind, rate_hz, n_sig):
+def _build_kernel_bank(kind, rate_hz, n_sig):
     """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
     kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
     offsets = np.array([half for _, half in kernels])
@@ -235,6 +239,17 @@ def _kernel_bank(kind, rate_hz, n_sig):
         bank_h[i] = fft(np.conj(w)[::-1], length)
     bank_h.flags.writeable = offsets.flags.writeable = False
     return bank_h, offsets, length
+
+
+# lru_cache does not lock while it fills a miss, so without this lock
+# threads that miss together would each build (and hold) the same bank.
+_BANK_LOCK = threading.Lock()
+
+
+def _kernel_bank(kind, rate_hz, n_sig):
+    """The cached bank for these arguments, built at most once."""
+    with _BANK_LOCK:
+        return _build_kernel_bank(kind, rate_hz, n_sig)
 
 
 def cwt(s, kind):
@@ -278,9 +293,11 @@ def wes(s, kind):
     """Wavelet energy spectrum: per-sample energy summed across scales.
 
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
-    Nonnegative, same length and rate as the input.
+    Nonnegative, same length and rate as the input. Rows are added in
+    ladder order, one at a time, which is the order of
+    ``np.sum(..., axis=0)``, so no second matrix is built.
     """
-    power = np.abs(cwt(s, kind))
-    np.square(power, out=power)
-    track = np.sum(power, axis=0) / len(s.samples)
-    return s.with_samples(track)
+    track = np.zeros(len(s.samples))
+    for row in cwt(s, kind):
+        track += np.abs(row) ** 2
+    return s.with_samples(track / len(s.samples))

@@ -117,6 +117,13 @@ class TestReferenceCoefficients:
         with pytest.raises(InvalidInputError, match="c1 must be a number"):
             BpCoefficients.from_json_dict(d)
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", None, [1.5]])
+    def test_json_non_number_rejected(self, value):
+        # float("1.5") is 1.5; a JSON string is not a coefficient either
+        d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
+        with pytest.raises(InvalidInputError, match="c1 must be a number"):
+            BpCoefficients.from_json_dict(d)
+
 
 class TestPredict:
 

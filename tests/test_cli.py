@@ -1,9 +1,11 @@
 """Command-line front end: config layering, subcommands, reports."""
 
 import argparse
+import gc
 import json
 import shutil
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from pcgkit import (
     read_wav_pcm16,
     write_subject_dir,
 )
-from pcgkit import cli
+from pcgkit import cli, load_dataset
+from pcgkit import io as pcgkit_io
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
     ConfigError,
@@ -250,6 +253,22 @@ class TestHrCommand:
         report = json.loads((out / "hr_report.json").read_text())
         assert "ingest" in report["errors"]["zzbad"]
         assert "s01" in report["subjects"]
+
+    def test_duplicate_subject_id_runs_the_first_folder(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--subjects", "2",
+                     "--seed", "1", "--duration", "16"]) == 0
+        edit_meta(ds / "s02", subject_id="s01")
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 1
+        report = json.loads((out / "hr_report.json").read_text())
+        assert report["errors"] == {
+            "s02": "ingest: duplicate subject_id s01 (also s01)"}
+        assert list(report["subjects"]) == ["s01"]
+        # the agreement counts only the frames of the subject it reports
+        paired = [r for r in report["subjects"]["s01"]["frames"]
+                  if "bpm_pcg" in r and "bpm_ecg" in r and not r["flags"]]
+        assert report["agreement"]["n"] == len(paired) >= 3
 
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         assert main(["hr", str(tmp_path / "nope")]) == 1
@@ -616,6 +635,53 @@ class TestQualityPool:
         assert report["errors"] == {}
         assert report["subjects"]["silent"]["n_failed"] == 1
         assert len(report["subjects"]) == 4
+
+
+class TestStreaming:
+    """Commands hold one subject's record at a time, with eager results."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hr"], ["quality"], ["bp", "loocv", "--features-from-audio"]],
+        ids=lambda argv: argv[-1])
+    @pytest.mark.parametrize("bad_middle", [False, True],
+                             ids=["clean", "bad_middle"])
+    def test_one_live_record_and_eager_reports(self, argv, bad_middle,
+                                               cohort_ds, tmp_path,
+                                               monkeypatch):
+        ds = shutil.copytree(cohort_ds, tmp_path / "ds")
+        if bad_middle:  # sorts between s06 and s07
+            (ds / "s06x").mkdir()
+            (ds / "s06x" / "pcg.wav").write_bytes(b"garbage, not audio")
+        monkeypatch.chdir(tmp_path)
+
+        def run():
+            rc = main([*argv, str(ds), "--out", "out"])
+            payload = {p.name: p.read_bytes()
+                       for p in (tmp_path / "out").iterdir()}
+            shutil.rmtree(tmp_path / "out")
+            return rc, payload
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_stream_dataset", load_dataset)
+            eager = run()
+
+        loaded, live_at_load = [], []
+        load = pcgkit_io.load_subject_dir
+
+        def tracked(subject_dir):
+            gc.collect()
+            live_at_load.append(sum(r() is not None for r in loaded))
+            record = load(subject_dir)
+            loaded.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(pcgkit_io, "load_subject_dir", tracked)
+        streamed = run()
+        assert len(live_at_load) == 12 + bad_middle
+        # no earlier record is alive when the next folder loads
+        assert max(live_at_load) == 0
+        assert streamed == eager
+        assert eager[0] == (1 if bad_middle else 0)
 
 
 class TestDeterminism:

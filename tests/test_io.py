@@ -325,6 +325,33 @@ class TestSubjectDirs:
         with pytest.raises(ParseError, match=f"{key} must be a number"):
             load_subject_dir(tmp_path / "s01")
 
+    @pytest.mark.parametrize("subject_id", [None, "", 5, ["s01"]])
+    def test_subject_id_must_be_a_non_empty_string(self, subject_id,
+                                                   tmp_path):
+        pcg, _ = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg,
+                          meta={"subject_id": subject_id})
+        with pytest.raises(ParseError, match="subject_id must be a "
+                                             "non-empty string"):
+            load_subject_dir(tmp_path / "s01")
+        write_subject_dir(tmp_path / "s02", pcg)
+        records, errors = load_dataset(tmp_path)
+        assert [r.subject_id for r in records] == ["s02"]
+        assert list(errors) == ["s01"]
+        assert errors["s01"].startswith("ingest: ")
+
+    def test_duplicate_subject_id_is_an_ingest_error(self, tmp_path):
+        pcg, _ = self._signals()
+        for name in ("a", "b", "c"):
+            write_subject_dir(tmp_path / name, pcg, meta={"subject_id": "s01"})
+        # a folder named after an id another folder already took
+        write_subject_dir(tmp_path / "s01", pcg)
+        records, errors = load_dataset(tmp_path)
+        assert [r.subject_id for r in records] == ["s01"]
+        assert errors == {
+            name: "ingest: duplicate subject_id s01 (also a)"
+            for name in ("b", "c", "s01")}
+
     def test_unreadable_file_is_an_ingest_error(self, tmp_path):
         pcg, ecg = self._signals()
         write_subject_dir(tmp_path / "s01", pcg, ecg=ecg)

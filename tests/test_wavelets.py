@@ -185,7 +185,7 @@ class TestCwt:
             return sample_wavelet(kind, scale)
 
         monkeypatch.setattr(wavelets, "sample_wavelet", counting)
-        wavelets._kernel_bank.cache_clear()
+        wavelets._build_kernel_bank.cache_clear()
         kind = WaveletKind.MORSE
         rng = np.random.default_rng(3)
         rows = []
@@ -195,7 +195,7 @@ class TestCwt:
         assert len(calls) == 64
         bank_h, offsets, _ = wavelets._kernel_bank(kind, RATE, 777)
         assert not bank_h.flags.writeable and not offsets.flags.writeable
-        wavelets._kernel_bank.cache_clear()
+        wavelets._build_kernel_bank.cache_clear()
         for s, coeffs in rows:
             assert np.array_equal(cwt(s, kind), coeffs)
 
@@ -239,7 +239,7 @@ class TestBlockedCwt:
         rng = np.random.default_rng(4)
         signals = [SampledSignal(rng.standard_normal(n), RATE)
                    for n in (777, 777, 1500, 1500, 777, 1500)]
-        wavelets._kernel_bank.cache_clear()
+        wavelets._build_kernel_bank.cache_clear()
         results = [None] * len(signals)
 
         def work(i):
@@ -263,6 +263,55 @@ class TestBlockedCwt:
 
 
 class TestWes:
+    def test_threads_missing_together_build_one_bank(self, monkeypatch):
+        # lru_cache alone lets every thread that misses build its own bank;
+        # the threads start together from an empty cache on one frame length
+        calls = []
+
+        def counting(kind, scale):
+            calls.append(scale)
+            return sample_wavelet(kind, scale)
+
+        monkeypatch.setattr(wavelets, "sample_wavelet", counting)
+        wavelets._build_kernel_bank.cache_clear()
+        kind = WaveletKind.BUMP
+        s = SampledSignal(np.random.default_rng(5).standard_normal(8000), RATE)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = wes(s, kind).samples
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 64
+        for got in results:
+            assert np.array_equal(got, results[0])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_peak_memory_adds_no_matrix_to_cwt(self, kind):
+        # wes holds the cwt matrix plus length-n tracks, not a float copy
+        # of the matrix (64 x 8000 doubles is 4.1 MB); Bump has the widest
+        # bank, so its cwt peak hides the most
+        s = SampledSignal(np.random.default_rng(9).standard_normal(8000), RATE)
+        wes(s, kind)  # fill the kernel-bank cache
+        peaks = {}
+        for func in (cwt, wes):
+            tracemalloc.start()
+            try:
+                func(s, kind)
+                peaks[func] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[wes] < peaks[cwt] + 2 * 2 ** 20
+
     def test_zero_signal(self):
         kind = WaveletKind.MORLET
         s = SampledSignal(np.zeros(800), RATE)
