@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DegenerateSignalError,
@@ -122,6 +122,8 @@ def _antialias_fir(up, down, rate_in):
     f_lim = min(rate_in, rate_in * up / down) / 2.0
     width = 0.3 * f_lim
     cutoff = 0.75 * f_lim
+    from scipy import signal as sps  # loaded only to resample
+
     numtaps, beta = sps.kaiserord(60.0, width / (rate_up / 2.0))
     numtaps |= 1  # force odd length for a symmetric (type I) filter
     return sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=rate_up)
@@ -159,6 +161,8 @@ def resample_rational(s, target_rate_hz):
     up, down = frac.numerator, frac.denominator
     if up == down:
         return SampledSignal(s.samples, float(target_rate_hz))
+    from scipy import signal as sps  # loaded only to resample
+
     h = _antialias_fir(up, down, s.rate_hz)
     out = sps.resample_poly(s.samples, up, down, window=h)
     return SampledSignal(out, float(target_rate_hz))
@@ -198,6 +202,46 @@ def segment_frames(s, frame_len_s):
             for start in range(0, len(s.samples) - frame_len + 1, frame_len)]
 
 
+def _butter_lowpass_sos(cutoff_hz, rate_hz):
+    """Order-``LOWPASS_ORDER`` Butterworth lowpass as second-order sections.
+
+    The steps of ``scipy.signal.butter(..., output="sos")``: analog
+    prototype poles, tangent prewarp, bilinear transform, then one section
+    per conjugate pole pair with the pair nearest the unit circle last and
+    the gain on the first section. Every zero lies at -1, so each section's
+    numerator is ``(1, 2, 1)``.
+    """
+    order = LOWPASS_ORDER
+    warped = 4.0 * np.tan(np.pi * (cutoff_hz / (rate_hz / 2.0)) / 2.0)
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order)) * warped
+    gain = warped ** order * np.real(1.0 / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    p = p[p.imag > 0]
+    p = p[np.argsort(-np.abs(1.0 - np.abs(p)))]
+    sos = np.zeros((len(p), 6))
+    sos[:, :4] = (1.0, 2.0, 1.0, 1.0)
+    sos[:, 4] = -2.0 * p.real
+    sos[:, 5] = p.real ** 2 + p.imag ** 2
+    sos[0, :3] *= gain
+    return sos
+
+
+def _sos_steady_state(sos):
+    """Per-section initial state of a unit step's steady state.
+
+    ``scipy.signal.sosfilt_zi``: each section's ``lfilter_zi`` scaled by
+    the DC gain of the sections before it.
+    """
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        zi[k] = scale * np.linalg.solve([[1.0 + a1, -1.0], [a2, 1.0]],
+                                        [b1 - a1 * b0, b2 - a2 * b0])
+        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+    return zi
+
+
 def butterworth_lowpass_zero_phase(s, cutoff_hz):
     """Lowpass filter with no phase distortion.
 
@@ -206,6 +250,14 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     phase. Edges are handled by reflective padding of at least three
     times the impulse settle length, so short frames do not ring at their
     boundaries.
+
+    This is ``scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen)``
+    with the sections of ``scipy.signal.butter``, computed without loading
+    ``scipy.signal``. Each pass of a section ``y[n] + a1 y[n-1] + a2 y[n-2]
+    = (b * x)[n]``, started in its steady state for the first sample, is
+    one unit-diagonal lower-triangular banded solve (LAPACK ``dtbtrs``,
+    two subdiagonals). The tests check it against ``sosfiltfilt`` to
+    within 1e-12 of the output peak.
 
     Parameters
     ----------
@@ -222,9 +274,27 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
-    sos = sps.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=s.rate_hz,
-                     output="sos")
+    sos = _butter_lowpass_sos(cutoff_hz, s.rate_hz)
+    zi = _sos_steady_state(sos)
+    x = s.samples
     settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
-    padlen = min(len(s.samples) - 1, 3 * settle)
-    out = sps.sosfiltfilt(sos, s.samples, padtype="even", padlen=padlen)
-    return s.with_samples(out)
+    padlen = min(len(x) - 1, 3 * settle)
+    # even extension: mirror about each end sample
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-padlen - 2:-1]))
+    n = len(ext)
+    bands = []
+    for a1, a2 in sos[:, 4:]:
+        band = np.empty((n, 3))
+        band[:] = (1.0, a1, a2)
+        bands.append(band.T)  # Fortran order, as LAPACK takes it
+
+    def one_pass(y):
+        y0 = y[0]
+        for b, z, band in zip(sos[:, :3], zi, bands):
+            rhs = np.convolve(y, b)[:n]
+            rhs[:2] += z[:n] * y0
+            y, _ = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+        return y
+
+    out = one_pass(one_pass(ext)[::-1])[::-1]
+    return s.with_samples(out[padlen:n - padlen])

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import SampledSignal, normalize_max_abs
 from .envelopes import EnvelopeMethod, compute_envelope
@@ -24,7 +23,7 @@ from .errors import (
     PcgKitError,
     StageError,
 )
-from .segmentation import CycleSegmentation, segment
+from .segmentation import CycleSegmentation, _local_maxima, segment
 from .wavelets import dwt_denoise_db4
 
 __all__ = [
@@ -60,12 +59,36 @@ def _range_flags(bpm):
     return ("out_of_range",) if not HR_MIN_BPM <= bpm <= HR_MAX_BPM else ()
 
 
+def _r_peaks(x):
+    """Local maxima of ``x`` with prominence at least ``ECG_PROMINENCE``.
+
+    ``scipy.signal.find_peaks(x, prominence=ECG_PROMINENCE)``: a peak's
+    base on each side is the lowest sample between it and the nearest
+    higher sample (or the frame edge), and its prominence is its height
+    over the higher of the two bases. No prominence exceeds
+    ``x[p] - min(x)``, so that bound drops most maxima before any search.
+    """
+    peaks = _local_maxima(x)
+    peaks = peaks[x[peaks] - x.min() >= ECG_PROMINENCE]
+    kept = []
+    for p in peaks.tolist():
+        height = x[p]
+        higher = np.flatnonzero(x[:p] > height)
+        left = x[higher[-1] + 1 if len(higher) else 0:p + 1].min()
+        higher = np.flatnonzero(x[p:] > height)
+        right = x[p:p + higher[0] if len(higher) else len(x)].min()
+        if height - max(left, right) >= ECG_PROMINENCE:
+            kept.append(p)
+    return kept
+
+
 def hr_from_ecg_frame(frame):
     """Reference heart rate from R-peak spacing.
 
     R-peaks are local maxima with topographic prominence at least
-    ``ECG_PROMINENCE`` on the detrended, max-abs normalized frame; the rate
-    is ``60 * rate_hz / mean(sample gaps)``.
+    ``ECG_PROMINENCE`` on the detrended, max-abs normalized frame, the
+    peaks ``scipy.signal.find_peaks(x, prominence=ECG_PROMINENCE)`` gives;
+    the rate is ``60 * rate_hz / mean(sample gaps)``.
 
     Raises
     ------
@@ -78,7 +101,7 @@ def hr_from_ecg_frame(frame):
     if np.max(np.abs(x)) > 1 + 1e-9:
         raise ContractViolationError(
             "ECG frame must be detrended and max-abs normalized")
-    locs, _ = find_peaks(x, prominence=ECG_PROMINENCE)
+    locs = _r_peaks(x)
     if len(locs) < 2:
         raise InsufficientPeaksError(
             f"found {len(locs)} R-peaks, need >= 2")

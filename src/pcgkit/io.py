@@ -247,6 +247,7 @@ def _stream_dataset(root):
     dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
     if not dirs:
         raise EmptyDataError(f"{root}: no subject folders with pcg.wav")
+    names = {d.name for d in dirs}
     errors = {}
 
     def records():
@@ -257,12 +258,18 @@ def _stream_dataset(root):
             except (PcgKitError, OSError) as exc:
                 errors[d.name] = f"ingest: {exc}"
                 continue
-            first = folder_of.setdefault(record.subject_id, d.name)
-            if first == d.name:
-                yield record
+            sid = record.subject_id
+            # results are keyed by subject_id and ingest errors by folder
+            # name, so an id may not be another folder's name
+            if sid in folder_of:
+                errors[d.name] = (f"ingest: duplicate subject_id {sid} "
+                                  f"(also {folder_of[sid]})")
+            elif sid != d.name and sid in names:
+                errors[d.name] = (f"ingest: subject_id {sid} is the name "
+                                  f"of another folder")
             else:
-                errors[d.name] = (f"ingest: duplicate subject_id "
-                                  f"{record.subject_id} (also {first})")
+                folder_of[sid] = d.name
+                yield record
             del record  # before the next folder loads
 
     return records(), errors
@@ -273,9 +280,12 @@ def load_dataset(root):
 
     Returns ``(records, errors)``. A folder that fails to load, with a
     toolkit error or an ``OSError`` such as a directory named ``ecg.txt``,
-    or whose ``subject_id`` an earlier folder already has, does not stop
-    the others; ``errors`` maps its name to ``"ingest: <reason>"``. The
-    commands take the same folders one at a time instead of all at once.
+    whose ``subject_id`` is the name of another subject folder, or whose
+    ``subject_id`` an earlier folder already has, does not stop the others;
+    ``errors`` maps its name to ``"ingest: <reason>"``. So every folder
+    lands exactly once, as a record or as an error, under a key no other
+    folder uses. The commands take the same folders one at a time instead
+    of all at once.
 
     Raises
     ------

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (
     InsufficientCyclesError,
@@ -78,6 +77,23 @@ class CycleSegmentation:
     n_cycles: int
 
 
+def _local_maxima(y):
+    """Indices of the local maxima of ``y``, plateau centres included.
+
+    A maximum is a run of equal samples with a lower sample on each side;
+    it reports its centre sample, rounded down. A run touching either end
+    of ``y`` lacks a neighbour and is never a maximum. These are the
+    candidates of ``scipy.signal.find_peaks``.
+    """
+    step = np.diff(y)
+    ends = np.flatnonzero(step)  # last sample of every run but the last
+    # run k + 1 spans ends[k] + 1..ends[k + 1]; a rise into it and a fall
+    # out of it make it a maximum
+    rise = step[ends] > 0
+    up = np.flatnonzero(rise[:-1] & ~rise[1:])
+    return (ends[up] + 1 + ends[up + 1]) // 2
+
+
 def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
                         min_distance_s=PEAK_DISTANCE_S):
     """Apply the raw peak rules and return every surviving peak.
@@ -86,8 +102,10 @@ def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
     envelope maximum, then greedy suppression that keeps the taller of
     any two peaks closer than ``min_distance_s`` (ties keep the earlier).
     A plateau reports its center sample; frame endpoints are never peaks
-    since they lack one neighbor. No minimum-count requirement; see
-    :func:`detect_peaks` for the usable-frame contract.
+    since they lack one neighbor. The candidates before suppression are
+    those of ``scipy.signal.find_peaks(y, height=floor)``, found here with
+    ``np.diff`` over runs of equal samples. No minimum-count requirement;
+    see :func:`detect_peaks` for the usable-frame contract.
 
     Returns
     -------
@@ -100,7 +118,8 @@ def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
     if peak_max > 1 + 1e-9:
         raise InvalidInputError("envelope must be normalized to max 1")
     floor = min_height_frac * peak_max
-    cand = find_peaks(y, height=floor)[0].tolist()
+    cand = _local_maxima(y)
+    cand = cand[y[cand] >= floor].tolist()
     # tall-first greedy suppression; equal heights keep the earlier peak
     order = sorted(cand, key=lambda i: (-y[i], i))
     min_gap = min_distance_s * rate

@@ -4,11 +4,14 @@ import argparse
 import gc
 import json
 import shutil
+import tempfile
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcgkit import (
     BpCoefficients,
@@ -868,3 +871,72 @@ class TestJsonInputs:
         assert main(["synth", "--out", str(ds), "--spec-file", str(path)]) == 0
         metas = [json.loads(p.read_text()) for p in sorted(ds.glob("*/meta.json"))]
         assert [m["hr_bpm"] for m in metas] == [70.0, 70.0]
+
+
+BREAKAGES = (None, "pcg.wav", "meta.json", "ecg.txt")
+BROKEN_BYTES = {"pcg.wav": b"not a wav", "meta.json": b"{not json",
+                "ecg.txt": b"0.5\nnot a number\n"}
+
+
+@st.composite
+def dataset_specs(draw):
+    """1-5 folders, each with a subject_id and at most one broken file.
+
+    An id is absent (the folder name is used), another folder's name, or
+    junk shared with other folders.
+    """
+    names = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    ids = st.one_of(st.none(), st.sampled_from(names),
+                    st.sampled_from(["x", "y"]))
+    return [(name, draw(ids), draw(st.sampled_from(BREAKAGES)))
+            for name in names]
+
+
+@pytest.fixture(scope="module")
+def template_subject(tmp_path_factory):
+    """One 4 s subject (one frame) to copy into generated datasets."""
+    root = tmp_path_factory.mktemp("template")
+    assert main(["synth", "--out", str(root), "--subjects", "1",
+                 "--seed", "1", "--duration", "4"]) == 0
+    return root / "s01"
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestEveryFolderOnce:
+    """Each folder lands once, as a result or an error, under its own key."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=dataset_specs())
+    # a folder taking the id of a later folder, broken or not
+    @example(spec=[("f0", "f1", None), ("f1", None, "pcg.wav")])
+    @example(spec=[("f0", "f1", None), ("f1", None, None)])
+    def test_reports_count_each_folder_once(self, spec, template_subject):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = Path(tmp) / "ds"
+            for name, subject_id, broken in spec:
+                folder = shutil.copytree(template_subject, ds / name)
+                meta = json.loads((folder / "meta.json").read_text())
+                del meta["subject_id"]  # without one the folder name is used
+                if subject_id is not None:
+                    meta["subject_id"] = subject_id
+                (folder / "meta.json").write_text(json.dumps(meta))
+                if broken:
+                    (folder / broken).write_bytes(BROKEN_BYTES[broken])
+            for argv, report_name, key in (
+                    (["hr"], "hr_report.json", "subjects"),
+                    (["quality"], "quality_report.json", "subjects"),
+                    (["bp", "predict"], "bp_predictions.json",
+                     "predictions")):
+                out = Path(tmp) / "out"
+                rc = main([*argv, str(ds), "--out", str(out)])
+                report = strict_json((out / report_name).read_text())
+                shutil.rmtree(out)
+                results, errors = report[key], report["errors"]
+                assert not set(results) & set(errors), argv
+                assert len(results) + len(errors) == len(spec), argv
+                assert rc == (1 if errors else 0), argv

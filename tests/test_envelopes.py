@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from pcgkit import (
     ContractViolationError,
@@ -70,6 +71,13 @@ class TestHilbertEnvelope:
         assert isinstance(env, SampledSignal)
         assert env.rate_hz == RATE
         assert len(env) == len(frame)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 760, 7999, 8000])
+    def test_equals_scipy_hilbert(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        env = hilbert_envelope(SampledSignal(x, RATE))
+        assert np.array_equal(env.samples, np.abs(sps.hilbert(x)))
 
 
 class TestShannonEnergyEnvelope:

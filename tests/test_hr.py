@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from pcgkit import (
     ContractViolationError,
@@ -26,6 +27,7 @@ from pcgkit import (
     hr_pipeline,
     normalize_max_abs,
 )
+from pcgkit.hr import ECG_PROMINENCE, _r_peaks
 
 ECG_RATE = 190.0
 
@@ -85,6 +87,34 @@ class TestHrFromEcg:
         assert est.bpm == pytest.approx(300.0, abs=1e-9)
         assert "out_of_range" in est.flags
         assert not est.accepted
+
+
+class TestRPeaksAgainstFindPeaks:
+    """R-peak selection equals ``find_peaks(x, prominence=0.8)``."""
+
+    # fifths put prominences on and around 0.8; runs make plateaus and ties
+    fifths = st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)),
+                      min_size=1, max_size=120).map(lambda runs: np.repeat(
+                          [v / 5.0 for v, _ in runs], [k for _, k in runs]))
+    continuous = st.lists(st.floats(-1.0, 1.0), min_size=1,
+                          max_size=300).map(np.array)
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.one_of(fifths, continuous))
+    def test_same_peaks(self, x):
+        assert _r_peaks(x) == find_peaks(
+            x, prominence=ECG_PROMINENCE)[0].tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_peaks_on_synthetic_ecg_frames(self, seed):
+        spec = SynthSpec(hr_bpm=60.0 + 20 * seed, duration_s=16.0,
+                         jitter_ms=2.0, snr_db=10.0, seed=seed)
+        sig, _ = generate_ecg(spec)
+        for start in range(0, len(sig.samples) - 760 + 1, 760):
+            x = normalize_max_abs(detrend(sig.with_samples(
+                sig.samples[start:start + 760]))).samples
+            assert _r_peaks(x) == find_peaks(
+                x, prominence=ECG_PROMINENCE)[0].tolist()
 
 
 class TestHrFromPcg:

@@ -343,14 +343,58 @@ class TestSubjectDirs:
     def test_duplicate_subject_id_is_an_ingest_error(self, tmp_path):
         pcg, _ = self._signals()
         for name in ("a", "b", "c"):
-            write_subject_dir(tmp_path / name, pcg, meta={"subject_id": "s01"})
-        # a folder named after an id another folder already took
+            write_subject_dir(tmp_path / name, pcg, meta={"subject_id": "s09"})
+        # a later folder repeating the id of a folder named after it
         write_subject_dir(tmp_path / "s01", pcg)
+        write_subject_dir(tmp_path / "t", pcg, meta={"subject_id": "s01"})
+        records, errors = load_dataset(tmp_path)
+        assert [r.subject_id for r in records] == ["s09", "s01"]
+        assert errors == {
+            "b": "ingest: duplicate subject_id s09 (also a)",
+            "c": "ingest: duplicate subject_id s09 (also a)",
+            "t": "ingest: duplicate subject_id s01 (also s01)"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(folders=st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(st.one_of(st.none(),
+                            st.sampled_from([f"f{i}" for i in range(n)]),
+                            st.sampled_from(["x", "y"])),
+                  st.sampled_from([None, "pcg.wav", "meta.json",
+                                   "ecg.txt"])),
+        min_size=n, max_size=n)))
+    def test_every_folder_lands_once(self, folders):
+        pcg, ecg = self._signals()
+        broken_bytes = {"pcg.wav": b"not a wav", "meta.json": b"{",
+                        "ecg.txt": b"nan\n"}
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, (subject_id, broken) in enumerate(folders):
+                folder = Path(tmp) / f"f{i}"
+                meta = {} if subject_id is None else {"subject_id": subject_id}
+                write_subject_dir(folder, pcg, ecg=ecg, meta=meta)
+                if broken:
+                    (folder / broken).write_bytes(broken_bytes[broken])
+            records, errors = load_dataset(tmp)
+        ids = [r.subject_id for r in records]
+        assert len(set(ids)) == len(ids)
+        assert not set(ids) & set(errors)
+        assert len(ids) + len(errors) == len(folders)
+
+    def test_subject_id_naming_another_folder_is_an_ingest_error(
+            self, tmp_path):
+        pcg, _ = self._signals()
+        # "a" takes the name of a later folder, "b" of one that fails to load
+        write_subject_dir(tmp_path / "a", pcg, meta={"subject_id": "s01"})
+        write_subject_dir(tmp_path / "b", pcg, meta={"subject_id": "s02"})
+        write_subject_dir(tmp_path / "s01", pcg)
+        write_subject_dir(tmp_path / "s02", pcg)
+        (tmp_path / "s02" / "pcg.wav").write_bytes(b"not a wav")
         records, errors = load_dataset(tmp_path)
         assert [r.subject_id for r in records] == ["s01"]
-        assert errors == {
-            name: "ingest: duplicate subject_id s01 (also a)"
-            for name in ("b", "c", "s01")}
+        assert errors["a"] == "ingest: subject_id s01 is the name of " \
+                              "another folder"
+        assert errors["b"] == "ingest: subject_id s02 is the name of " \
+                              "another folder"
+        assert list(errors) == ["a", "b", "s02"]
 
     def test_unreadable_file_is_an_ingest_error(self, tmp_path):
         pcg, ecg = self._signals()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from pcgkit import (
     CycleSegmentation,
@@ -99,7 +100,7 @@ class TestFindEnvelopePeaks:
 
 
 def reference_strict_local_maxima(y):
-    """The hand-written maxima scan that ``scipy.signal.find_peaks`` replaced.
+    """A hand-written maxima scan, independent of numpy and scipy.
 
     Strict local maxima; a plateau reports its center sample and frame
     endpoints are never maxima.
@@ -131,7 +132,7 @@ def reference_peak_indices(y, rate, min_height_frac, min_distance_s):
 
 
 class TestFindEnvelopePeaksAgainstReference:
-    """``find_envelope_peaks`` against the hand-written scan it replaced."""
+    """``find_envelope_peaks`` against a hand-written scan and rules."""
 
     # values in k/4 make plateaus, ties and floor hits common
     quantised = st.lists(st.integers(0, 4), min_size=1, max_size=300).map(
@@ -156,6 +157,31 @@ class TestFindEnvelopePeaksAgainstReference:
             assert type(p.index) is int
             assert p.height == y[p.index]
             assert p.time_s == p.index / rate
+
+
+def runs_of(levels, denominator):
+    """Arrays of repeated levels: plateaus of 1-5 equal samples."""
+    return st.lists(st.tuples(st.integers(*levels), st.integers(1, 5)),
+                    min_size=1, max_size=80).map(lambda runs: np.repeat(
+                        [v / denominator for v, _ in runs],
+                        [k for _, k in runs]))
+
+
+class TestCandidatesAgainstFindPeaks:
+    """With no spacing rule, the peaks are ``find_peaks(y, height=)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.one_of(runs_of((0, 4), 4.0),
+                       TestFindEnvelopePeaksAgainstReference.quantised,
+                       TestFindEnvelopePeaksAgainstReference.continuous),
+           min_height_frac=st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                                     st.floats(0.0, 1.0)))
+    def test_same_indices_as_find_peaks(self, y, min_height_frac):
+        peaks = find_envelope_peaks(envelope_of(y, 100.0), min_height_frac,
+                                    0.0)
+        floor = min_height_frac * float(np.max(y))
+        assert [p.index for p in peaks] == \
+            find_peaks(y, height=floor)[0].tolist()
 
 
 class TestDetectPeaks:
