@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DegenerateSignalError,
@@ -274,6 +273,8 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
+    from scipy.linalg.lapack import dtbtrs  # loaded only to filter
+
     sos = _butter_lowpass_sos(cutoff_hz, s.rate_hz)
     zi = _sos_steady_state(sos)
     x = s.samples

@@ -11,7 +11,6 @@ thing regardless of method.
 import enum
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .core import butterworth_lowpass_zero_phase
 from .errors import ContractViolationError
@@ -51,6 +50,8 @@ def hilbert_envelope(frame):
     -------
     SampledSignal
     """
+    from scipy.fft import fft, ifft  # loaded only for this detector
+
     n = len(frame.samples)
     spectrum = fft(frame.samples)
     spectrum[1:(n + 1) // 2] *= 2.0  # positive frequencies; Nyquist kept

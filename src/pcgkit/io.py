@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 PCM16_SCALE = 32768.0
+# Largest relative gap between an ECG rate given with a file that has a
+# time column and the rate that column gives; past it the file is rejected.
+ECG_RATE_TOLERANCE = 1e-3
 
 
 def read_wav_pcm16(path):
@@ -94,26 +97,12 @@ def _row_line(path, row):
         return next(itertools.islice(lines, row, None))
 
 
-def read_ecg_text(path, rate_hz=None):
-    """Read an ECG from a text file.
+def _read_ecg_lines(path):
+    """Parse an ECG text file line by line: ``(times or None, values)``.
 
-    Two layouts are accepted: one numeric value per line with the rate
-    supplied by the caller, or "time,value" lines from which the rate is
-    inferred as one over the median time step. The time column must
-    increase uniformly: every step must lie within 0.5 to 1.5 times the
-    median step, which rejects a missing or an extra sample but passes
-    rounded time stamps.
-
-    Raises
-    ------
-    ParseError
-        Text that is not UTF-8, non-numeric or non-finite content, or a
-        time column that does not increase or whose step is not uniform
-        (each but the first with its line number).
+    The slow path of :func:`read_ecg_text`, and the source of every
+    message it raises about the file's text.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
     times = []
     values = []
     has_time = None
@@ -140,29 +129,81 @@ def read_ecg_text(path, rate_hz=None):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not values:
         raise EmptyDataError(f"{path}: no samples")
-    values = np.asarray(values)
+    return (np.asarray(times) if has_time else None), np.asarray(values)
+
+
+def read_ecg_text(path, rate_hz=None):
+    """Read an ECG from a text file.
+
+    Two layouts are accepted: one numeric value per line with the rate
+    supplied by the caller, or "time,value" lines from which the rate is
+    inferred as one over the median time step. The time column must
+    increase uniformly: every step must lie within 0.5 to 1.5 times the
+    median step, which rejects a missing or an extra sample but passes
+    rounded time stamps. A ``rate_hz`` given for a file with a time
+    column must agree with the inferred rate to within
+    ``ECG_RATE_TOLERANCE`` of itself; the inferred rate is the one used.
+
+    The whole text is parsed in one ``np.loadtxt`` call. Blank text, text
+    that call rejects and rows of more than two columns are parsed again
+    line by line, which accepts exactly what Python's ``float`` accepts
+    (``1_0`` or non-ASCII digits, say) and names the line of the first
+    fault, so either path gives the same samples or the same error.
+
+    Raises
+    ------
+    ParseError
+        Text that is not UTF-8, non-numeric or non-finite content, a
+        time column that does not increase or whose step is not uniform
+        (each but the first with its line number), or a time column whose
+        rate disagrees with ``rate_hz``.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MissingFileError(f"no such file: {path}")
+    table = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.strip():
+            # the lines as the loop reads them; comments=None, as the loop
+            # reads "#" as text, not as a comment
+            table = np.loadtxt(text.split("\n"), delimiter=",",
+                               comments=None, ndmin=2)
+    except ValueError:  # not UTF-8, not numeric or ragged: loop names it
+        pass
+    if table is None or table.shape[1] > 2:
+        times, values = _read_ecg_lines(path)
+    else:
+        times = table[:, 0] if table.shape[1] == 2 else None
+        values = np.ascontiguousarray(table[:, -1])
     finite = np.isfinite(values)
-    if has_time:
-        times = np.asarray(times)
+    if times is not None:
         finite &= np.isfinite(times)
     if not finite.all():
         bad = _row_line(path, int(np.argmin(finite)))
         raise ParseError(f"{path}:{bad}: non-finite time or value", bad)
-    if has_time:
-        dt = np.diff(times)
-        if len(dt) == 0:
-            raise ParseError(f"{path}: single row, rate cannot be inferred")
-        step = float(np.median(dt))
-        off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
-        if np.any(off):
-            bad = _row_line(path, int(np.argmax(off)) + 1)
-            raise ParseError(
-                f"{path}: time column does not increase uniformly at line "
-                f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
-        rate_hz = 1.0 / step
-    elif rate_hz is None:
-        raise InvalidInputError("rate_hz required for plain value files")
-    return SampledSignal(values, float(rate_hz))
+    if times is None:
+        if rate_hz is None:
+            raise InvalidInputError("rate_hz required for plain value files")
+        return SampledSignal(values, float(rate_hz))
+    dt = np.diff(times)
+    if len(dt) == 0:
+        raise ParseError(f"{path}: single row, rate cannot be inferred")
+    step = float(np.median(dt))
+    off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
+    if np.any(off):
+        bad = _row_line(path, int(np.argmax(off)) + 1)
+        raise ParseError(
+            f"{path}: time column does not increase uniformly at line "
+            f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
+    inferred = 1.0 / step
+    if rate_hz is not None and not (
+            abs(inferred - rate_hz) <= ECG_RATE_TOLERANCE * rate_hz):
+        raise ParseError(f"{path}: time column gives {inferred:g} Hz, more "
+                         f"than {ECG_RATE_TOLERANCE:.1%} off the given rate "
+                         f"{rate_hz:g} Hz")
+    return SampledSignal(values, inferred)
 
 
 def write_ecg_text(path, signal):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft, rfftfreq
 
 from .errors import (
     DegenerateCoverageError,
@@ -50,6 +49,8 @@ def fft_band(frame):
     x = frame.samples
     if len(x) < 256:
         raise TooShortError(f"band estimate needs >= 256 samples, got {len(x)}")
+    from scipy.fft import rfft, rfftfreq  # loaded only for quality
+
     nfft = 1 << int(math.ceil(math.log2(len(x))))
     mag = np.abs(rfft(x * np.hanning(len(x)), nfft))
     freqs = rfftfreq(nfft, 1.0 / frame.rate_hz)

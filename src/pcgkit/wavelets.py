@@ -28,7 +28,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import DecompositionDepthError, InvalidInputError
 
@@ -203,8 +202,11 @@ def sample_wavelet(kind, scale):
         Complex samples ``psi(m / scale) / sqrt(scale)`` for
         ``m in [-half, half]``, and ``half`` itself (the support radius
         in samples). Morlet is evaluated in closed form; Morse and Bump
-        are sampled in frequency and inverted, then trimmed to where the
-        magnitude exceeds 1e-8 of its peak.
+        are sampled in frequency, inverted over a radius of 40 natural
+        time units, then trimmed to where the magnitude exceeds 1e-8 of
+        its peak. For Bump that trim never fires: its kernel still holds
+        0.1-0.5% of its peak at that radius (all 64 ladder scales at
+        2000 Hz), so it is cut off there, not trimmed.
     """
     if kind is WaveletKind.MORLET:
         half = int(math.ceil(8.0 * scale))
@@ -231,6 +233,8 @@ def sample_wavelet(kind, scale):
 @functools.lru_cache(maxsize=8)
 def _build_kernel_bank(kind, rate_hz, n_sig):
     """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
+    from scipy.fft import fft, next_fast_len  # loaded only for the CWT
+
     kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
     offsets = np.array([half for _, half in kernels])
     length = next_fast_len(n_sig + 2 * int(offsets.max()))
@@ -273,6 +277,8 @@ def cwt(s, kind):
         Complex matrix of shape ``(64, len(s))``; row ``i`` is the
         ``i``-th pseudo-frequency of the ladder, from 500 Hz down to 10 Hz.
     """
+    from scipy.fft import fft, ifft  # loaded only for the CWT
+
     n = len(s.samples)
     bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
     spectrum = fft(s.samples, length)

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 import wave
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from pcgkit import (
     write_subject_dir,
     write_wav_pcm16,
 )
+from pcgkit.io import ECG_RATE_TOLERANCE, _row_line
 
 
 def raw_wav(path, values, rate=2000, sampwidth=2, channels=1):
@@ -222,6 +224,174 @@ class TestReadEcgText:
         write_ecg_text(path, sig)
         back = read_ecg_text(path, rate_hz=190.0)
         assert np.array_equal(back.samples, sig.samples)
+
+    @pytest.mark.parametrize("rate_hz", [250.0, 250.2, 249.8])
+    def test_given_rate_agreeing_with_time_column(self, tmp_path, rate_hz):
+        path = tmp_path / "e.txt"
+        path.write_text("".join(f"{i / 250.0!r},{i}\n" for i in range(50)))
+        sig = read_ecg_text(path, rate_hz=rate_hz)
+        assert sig.rate_hz == pytest.approx(250.0, rel=1e-12)
+        assert sig.rate_hz == read_ecg_text(path).rate_hz
+
+    @pytest.mark.parametrize("rate_hz", [190.0, 250.3, 249.7])
+    def test_given_rate_disagreeing_with_time_column(self, tmp_path,
+                                                     rate_hz):
+        path = tmp_path / "e.txt"
+        path.write_text("".join(f"{i / 250.0!r},{i}\n" for i in range(50)))
+        with pytest.raises(ParseError, match="more than 0.1% off the given "
+                           f"rate {rate_hz:g} Hz"):
+            read_ecg_text(path, rate_hz=rate_hz)
+
+
+def _read_ecg_text_by_lines(path, rate_hz=None):
+    """The line-by-line ECG reader that ``read_ecg_text`` replaced.
+
+    Kept as the oracle of the one-call parse: every file must give this
+    reader's samples and rate, or its exception and message.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MissingFileError(f"no such file: {path}")
+    times = []
+    values = []
+    has_time = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if has_time is None:
+                    has_time = len(parts) == 2
+                if len(parts) != (2 if has_time else 1):
+                    raise ParseError(f"{path}:{line_no}: inconsistent "
+                                     f"column count", line_no)
+                try:
+                    if has_time:
+                        times.append(float(parts[0]))
+                    values.append(float(parts[-1]))
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: not numeric: "
+                                     f"{line!r}", line_no) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if not values:
+        raise EmptyDataError(f"{path}: no samples")
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if has_time:
+        times = np.asarray(times)
+        finite &= np.isfinite(times)
+    if not finite.all():
+        bad = _row_line(path, int(np.argmin(finite)))
+        raise ParseError(f"{path}:{bad}: non-finite time or value", bad)
+    if has_time:
+        dt = np.diff(times)
+        if len(dt) == 0:
+            raise ParseError(f"{path}: single row, rate cannot be inferred")
+        step = float(np.median(dt))
+        off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
+        if np.any(off):
+            bad = _row_line(path, int(np.argmax(off)) + 1)
+            raise ParseError(
+                f"{path}: time column does not increase uniformly at line "
+                f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
+        rate_hz = 1.0 / step
+    elif rate_hz is None:
+        raise InvalidInputError("rate_hz required for plain value files")
+    return SampledSignal(values, float(rate_hz))
+
+
+def _ecg_outcome(reader, path, rate_hz):
+    """``(samples bytes, rate)``, or ``(exception class, message)``."""
+    try:
+        sig = reader(path, rate_hz)
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return type(exc), str(exc)
+    assert sig.samples.dtype == np.float64
+    return sig.samples.tobytes(), sig.rate_hz
+
+
+class TestEcgTextAgainstLineReader:
+    """``read_ecg_text`` gives what the line-by-line reader gives."""
+
+    number = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from([
+            "1_0", "2_5.0_1", "\u0661\u0662", "\u0663.\u0665", "nan",
+            "-inf", "inf", "Infinity", "1e999", "-1e999", "1e-400", "+.5",
+            "5.", "-0", "0x10", "1e", ".", "1.0.0", "abc"]))
+    spaced = st.tuples(st.sampled_from(["", " ", "\t", "\u00a0", "\x0c"]),
+                       number, st.sampled_from(["", " ", "\t", "\u2028"])
+                       ).map("".join)
+    line = st.one_of(
+        spaced,
+        # a regular time column at 190 Hz: the layout that passes
+        st.tuples(st.integers(0, 40), spaced).map(
+            lambda iv: f"{iv[0] / 190.0!r},{iv[1]}"),
+        st.tuples(spaced, spaced).map(",".join),
+        st.sampled_from(["", "  ", "\t", "\u00a0", "\x0b"]),
+        # comments, trailing commas and extra columns
+        st.sampled_from(["# header", "#", "1.0 # note", "1.0#2"]),
+        st.tuples(spaced, st.sampled_from(["#c", " # 2", "#"])).map("".join),
+        st.tuples(spaced, st.sampled_from([",", ",,", ", "])).map("".join),
+        st.tuples(spaced, spaced, spaced).map(",".join),
+        st.text(max_size=8))
+
+    @staticmethod
+    def _file(lines, ending, bom, junk):
+        data = ending.join(lines).encode("utf-8")
+        if bom:
+            data = b"\xef\xbb\xbf" + data
+        if junk is not None:
+            cut = junk % (len(data) + 1)
+            data = data[:cut] + b"\xff\xfe" + data[cut:]
+        return data
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(line, max_size=12),
+           regular=st.lists(st.integers(0, 2000), max_size=30),
+           timed=st.booleans(),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]),
+           tail=st.booleans(), bom=st.booleans(),
+           junk=st.one_of(st.none(), st.integers(0, 10**6)),
+           rate_hz=st.sampled_from([None, 190.0, 200.0]))
+    def test_same_samples_or_same_error(self, lines, regular, timed, ending,
+                                        tail, bom, junk, rate_hz):
+        # mostly-valid rows around the generated lines, on either layout
+        rows = [f"{i / 190.0!r},{i * 0.5!r}" if timed else f"{i * 0.5!r}"
+                for i in sorted(regular)]
+        half = len(rows) // 2
+        data = self._file(rows[:half] + lines + rows[half:] + [""] * tail,
+                          ending, bom, junk)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ecg.txt"
+            path.write_bytes(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _ecg_outcome(read_ecg_text, path, rate_hz)
+            want = _ecg_outcome(_read_ecg_text_by_lines, path, rate_hz)
+        if (isinstance(want[0], bytes) and rate_hz is not None
+                and abs(want[1] - rate_hz) > ECG_RATE_TOLERANCE * rate_hz):
+            # a time column whose rate the old reader did not check
+            assert got[0] is ParseError
+            assert "off the given rate" in got[1]
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n\n", b"  \r\n\t\n", b"\xef\xbb\xbf1.0\n",
+        b"1.0\n\xff\n", b"1.0\r2.0\r", b"1_0\n2\n",
+        "\u0661\n\u0662\n".encode(), b"# t\n1.0\n", b"1.0 # c\n",
+        b"1.0,\n2.0,\n", b"1,2,3\n4,5,6\n", b"0,1\n0.004,nan\n",
+        b"0,1\n0.004,2\n\n0.008,1e999\n"])
+    def test_edge_files(self, tmp_path, data):
+        path = tmp_path / "ecg.txt"
+        path.write_bytes(data)
+        assert _ecg_outcome(read_ecg_text, path, 190.0) == \
+            _ecg_outcome(_read_ecg_text_by_lines, path, 190.0)
 
 
 class TestSubjectRecord:

@@ -11,19 +11,25 @@ import textwrap
 from pathlib import Path
 
 import pcgkit
+from pcgkit import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_python(code, cwd):
-    """Run ``code`` in a fresh interpreter that imports this package."""
+def run_interpreter(args, cwd):
+    """Run a fresh interpreter that imports this package; its result."""
     src = str(Path(pcgkit.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter; its standard output."""
+    return run_interpreter(["-c", textwrap.dedent(code)], cwd).stdout
 
 
 def test_package_reexports_each_module_all():
@@ -53,15 +59,83 @@ def test_readme_library_example(capsys):
     assert 0.0 < t_sys < t_dias
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
-    """Start-up pays for scipy.fft and LAPACK only, not scipy.signal."""
+def _scipy_modules_after(code, cwd):
+    """Sorted ``scipy*`` modules loaded once ``code`` has run."""
+    out = run_python(textwrap.dedent(code) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")))
+    """), cwd)
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_and_version_load_no_scipy(tmp_path):
+    """Start-up pays for numpy only; scipy loads where it is used."""
+    for code in ("import pcgkit", "import pcgkit.cli"):
+        assert _scipy_modules_after(code, tmp_path) == [], code
+    proc = run_interpreter(["-X", "importtime", "-m", "pcgkit", "--version"],
+                           tmp_path)
+    assert pcgkit.__version__ in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "pcgkit.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def _synth(cwd):
+    """A two-subject, 8 s dataset ``ds`` under ``cwd``."""
+    run_python("""
+        from pcgkit.cli import main
+        assert main(["synth", "--out", "ds", "--subjects", "2", "--seed",
+                     "3", "--duration", "8"]) == 0
+    """, cwd)
+
+
+def test_hr_loads_lapack_not_fft_and_quality_loads_fft(tmp_path):
+    """The default envelope filters through LAPACK and needs no FFT."""
+    _synth(tmp_path)
+    loaded = {}
+    for command in ("hr", "quality"):
+        loaded[command] = _scipy_modules_after(f"""
+            from pcgkit.cli import main
+            assert main(["{command}", "ds", "--out", "r"]) == 0
+        """, tmp_path)
+    assert "scipy.linalg" in loaded["hr"]
+    assert not [m for m in loaded["hr"] if m.startswith("scipy.fft")]
+    assert "scipy.fft" in loaded["quality"]
+
+
+def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
+    """Three threads that load scipy.fft at first use write the reports
+    a single worker writes."""
+    _synth(tmp_path)
     out = run_python("""
-        import sys
-        import pcgkit.cli
-        print(sorted(m for m in sys.modules
-                     if m.startswith(("scipy.signal", "scipy.stats"))))
+        import json, sys, threading
+        import pcgkit.cli as cli
+
+        class Watch:
+            threads = []
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.fft":
+                    self.threads.append(threading.current_thread().name)
+                return None  # the usual finders load it
+
+        sys.meta_path.insert(0, Watch())
+        cli._usable_cpus = lambda: 3
+        assert cli.main(["quality", "ds", "--out", "r"]) == 0
+        print(json.dumps(Watch.threads))
     """, tmp_path)
-    assert out.strip() == "[]"
+    threads = json.loads(out.splitlines()[-1])
+    assert threads and "MainThread" not in threads
+    (tmp_path / "r").rename(tmp_path / "three")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["quality", "ds", "--out", "r"]) == 0
+    for name in ("quality_report.json", "quality_table.csv"):
+        assert (tmp_path / "three" / name).read_bytes() == \
+            (tmp_path / "r" / name).read_bytes()
 
 
 def test_non_2000_hz_wav_resamples_through_hr(tmp_path):
