@@ -256,9 +256,13 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     = (b * x)[n]``, started in its steady state for the first sample, is
     one unit-diagonal lower-triangular banded solve (LAPACK ``dtbtrs``,
     two subdiagonals). The tests check it against ``sosfiltfilt`` to
-    within 1e-12 of the output peak, except for frames shorter than one
-    period of a cutoff below 0.015 of Nyquist, where ``sosfiltfilt`` is
-    itself that far from an extended-precision run.
+    within 1e-12 of the output peak. On frames shorter than one period
+    of a cutoff below 0.015 of Nyquist the output peak can fall to 1e-4
+    of the input's, and neither filter keeps to that: the banded solve
+    was at most 7.2e-12 of the peak from an extended-precision run of
+    the same sections in about 1.4e5 random frames (``sosfiltfilt``
+    8.1e-12 on that same frame), so there the tests hold it to 1e-11 of
+    the peak from the extended-precision run.
 
     Parameters
     ----------
