@@ -7,6 +7,7 @@ new signals and never mutate their inputs, so frames can be processed in
 parallel without locking.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,14 @@ __all__ = [
 
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
+
+# Samples per block of the blocked second-order section solve.
+IIR_BLOCK = 32
+
+# numpy's OpenBLAS runs a matrix product with M*N*K at most this on the
+# calling thread and a larger one on its own thread pool. Frames run in
+# threads of their own, so every product here is split to stay under it.
+_BLAS_SERIAL_MNK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,125 @@ def _sos_steady_state(sos):
     return zi
 
 
+def _matmul_serial(a, b):
+    """``a @ b``, in row chunks small enough for one OpenBLAS thread."""
+    out = np.empty((len(a), b.shape[1]))
+    step = max(1, _BLAS_SERIAL_MNK // b.size)
+    for i in range(0, len(a), step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
+
+
+def _read_only_float64(a):
+    a = a.astype(np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _section_levels(a1, a2):
+    """Block operators of ``y[n] + a1 y[n-1] + a2 y[n-2] = r[n]``.
+
+    One ``(toeplitz_t, homog, carry_t)`` per level of :func:`_blocked_solve`:
+    the transposed ``IIR_BLOCK``-square lower-triangular Toeplitz matrix of
+    the impulse response ``h``; the responses ``(h[1:], -a2 h[:-1])`` to a
+    unit ``y[-1]`` and a unit ``y[-2]``; and ``(M - tr(M) I)^T`` for the
+    2x2 map ``M`` from one block's end state to the next's, or None where
+    ``M`` vanishes. The next level's section has ``a1 = -tr(M)`` and
+    ``a2 = det(M) = a2**IIR_BLOCK``: its poles are this level's raised to
+    the block length. Built in ``np.longdouble``; entries below eps**2 of
+    the largest ``|h|`` are set to zero, since they add nothing to a
+    float64 sum and, in deeper levels, would make subnormal products.
+    """
+    b = IIR_BLOCK
+    tiny = np.finfo(np.float64).eps ** 2
+    lag = np.arange(b) - np.arange(b)[:, None]
+    a1, a2 = np.longdouble(a1), np.longdouble(a2)
+    levels = []
+    while True:
+        h = np.empty(b + 1, dtype=np.longdouble)
+        h[:2] = 1, -a1
+        for k in range(2, b + 1):
+            h[k] = -a1 * h[k - 1] - a2 * h[k - 2]
+        homog = np.array([h[1:], -a2 * h[:-1]])
+        floor = tiny * np.max(np.abs(h))
+        h[np.abs(h) < floor] = 0
+        homog[np.abs(homog) < floor] = 0
+        m = homog[:, :-3:-1].T  # rows: the y[B-1] and y[B-2] responses
+        trace = m[0, 0] + m[1, 1]
+        # the carry vanishes, or only a sequence longer than 2**63 samples
+        # would need it (poles within 1e-16 of the unit circle get here)
+        deep = not m.any() or b ** (len(levels) + 1) >= 2 ** 63
+        levels.append((
+            _read_only_float64(np.where(lag >= 0, h[np.maximum(lag, 0)], 0)),
+            _read_only_float64(homog),
+            None if deep else _read_only_float64((m - trace * np.eye(2)).T)))
+        if deep:
+            return tuple(levels)
+        a1, a2 = -trace, a2 ** b
+        a1 = a1 if abs(a1) >= tiny else np.longdouble(0)
+        a2 = a2 if abs(a2) >= tiny else np.longdouble(0)
+
+
+def _blocked_solve(r, levels):
+    """Solve ``y[n] + a1 y[n-1] + a2 y[n-2] = r[n]`` from rest, per row.
+
+    ``r`` holds one sequence per row. Each is cut into blocks of
+    ``IIR_BLOCK`` samples, and one matrix product gives every block's
+    zero-state response. The two end samples of each block then follow
+    ``s[k] = e[k] + M s[k-1]``, and each of them is itself a second-order
+    recursion, so the next level of ``levels`` solves it the same way.
+    Each block's homogeneous part, from the end state of the block
+    before it, is added with one ``(nb, 2) @ (2, B)`` product.
+    """
+    toeplitz_t, homog, carry_t = levels[0]
+    rows, n = r.shape
+    if n <= IIR_BLOCK:
+        return _matmul_serial(r, toeplitz_t[:n, :n])
+    nb = -(-n // IIR_BLOCK)
+    if n % IIR_BLOCK:
+        blocks = np.zeros((rows * nb, IIR_BLOCK))
+        blocks.reshape(rows, nb * IIR_BLOCK)[:, :n] = r
+    else:
+        blocks = r.reshape(rows * nb, IIR_BLOCK)
+    y = _matmul_serial(blocks, toeplitz_t)
+    ends = y[:, :-3:-1]
+    if carry_t is None:
+        states = ends.copy()
+    else:
+        force = ends.copy()
+        force[1:] += _matmul_serial(ends[:-1], carry_t)
+        force[::nb] = ends[::nb]  # each row starts from rest
+        states = _blocked_solve(force.T.reshape(2 * rows, nb), levels[1:])
+        states = states.reshape(2, rows * nb).T
+    states[nb - 1::nb] = 0  # a row's last state starts no block
+    y[1:] += _matmul_serial(states[:-1], homog)
+    return y.reshape(rows, nb * IIR_BLOCK)[:, :n]
+
+
+def _solve_section(rhs, a1, a2, levels):
+    """One section's recursion by the blocked solve plus one refinement."""
+    y = _blocked_solve(rhs[None], levels)[0]
+    fit = y.copy()
+    fit[1:] += a1 * y[:-1]
+    fit[2:] += a2 * y[:-2]
+    np.subtract(rhs, fit, out=fit)
+    y += _blocked_solve(fit[None], levels)[0]
+    return y
+
+
+@functools.lru_cache(maxsize=8)
+def _lowpass_plan(cutoff_hz, rate_hz):
+    """``(sos, zi, levels)`` of one cutoff and rate, shared and read-only.
+
+    A concurrent miss may build the plan twice; it is small and the
+    copies are equal, so no lock guards the cache.
+    """
+    sos = _butter_lowpass_sos(cutoff_hz, rate_hz)
+    zi = _sos_steady_state(sos)
+    sos.flags.writeable = zi.flags.writeable = False
+    return sos, zi, tuple(_section_levels(a1, a2) for a1, a2 in sos[:, 4:])
+
+
 def butterworth_lowpass_zero_phase(s, cutoff_hz):
     """Lowpass filter with no phase distortion.
 
@@ -251,18 +379,39 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     boundaries.
 
     This is ``scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen)``
-    with the sections of ``scipy.signal.butter``, computed without loading
-    ``scipy.signal``. Each pass of a section ``y[n] + a1 y[n-1] + a2 y[n-2]
-    = (b * x)[n]``, started in its steady state for the first sample, is
-    one unit-diagonal lower-triangular banded solve (LAPACK ``dtbtrs``,
-    two subdiagonals). The tests check it against ``sosfiltfilt`` to
-    within 1e-12 of the output peak. On frames shorter than one period
-    of a cutoff below 0.015 of Nyquist the output peak can fall to 1e-4
-    of the input's, and neither filter keeps to that: the banded solve
-    was at most 7.2e-12 of the peak from an extended-precision run of
-    the same sections in about 1.4e5 random frames (``sosfiltfilt``
-    8.1e-12 on that same frame), so there the tests hold it to 1e-11 of
-    the peak from the extended-precision run.
+    with the sections of ``scipy.signal.butter``, computed in numpy alone.
+    Each pass of a section ``y[n] + a1 y[n-1] + a2 y[n-2] = (b * x)[n]``,
+    started in its steady state for the first sample, is solved in blocks
+    of ``IIR_BLOCK`` samples (:func:`_blocked_solve`): products with the
+    Toeplitz block of the section's impulse response give each block's
+    zero-state response, the block-end states are carried across blocks,
+    and one product adds each block's homogeneous part. The sections,
+    steady states and block operators are built once per cutoff and rate.
+    One step of iterative refinement follows each solve: the residual
+    ``rhs - (y + a1 y[n-1] + a2 y[n-2])``, taken elementwise, is solved
+    the same way and added. It keeps the carry's rounding from growing
+    through poles near the unit circle.
+
+    Every matrix product is cut into row chunks of at most 2**18
+    multiply-adds (M*N*K), the size up to which numpy's OpenBLAS runs a
+    product on the calling thread. Above it OpenBLAS uses its own thread
+    pool, which only contends with the frame threads of ``quality``, and
+    ``OPENBLAS_NUM_THREADS`` has no effect once numpy has loaded.
+
+    The tests check the result against ``sosfiltfilt`` to within 1e-12
+    of the output peak. On frames shorter than one period of a cutoff
+    below 0.015 of Nyquist the output peak can fall to 1e-5 of the
+    input's, and float64 sections lose that many digits. There the tests
+    hold the filter to 1e-11 of the peak from an extended-precision run
+    of the same sections. In 4e4 random such frames the 99.9th
+    percentile of the error was 2.4e-12 of the peak here, 2.3e-12 for
+    LAPACK's banded solve and 2.8e-12 for ``sosfiltfilt``; without the
+    refinement it was 3.6e-12, and 2.9e-11 on the frame where the refined
+    solve was 6.8e-12. Two of those frames were over 1e-11 here (at most
+    3.5e-11), one for the banded solve and two for ``sosfiltfilt``. Even
+    with each section solved exactly and rounded to float64, the worst
+    of them is 3.0e-11 off: the rounding between sections sets that
+    floor.
 
     Parameters
     ----------
@@ -279,28 +428,21 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
-    from scipy.linalg.lapack import dtbtrs  # loaded only to filter
-
-    sos = _butter_lowpass_sos(cutoff_hz, s.rate_hz)
-    zi = _sos_steady_state(sos)
+    sos, zi, solvers = _lowpass_plan(cutoff_hz, s.rate_hz)
     x = s.samples
     settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
     padlen = min(len(x) - 1, 3 * settle)
     # even extension: mirror about each end sample
     ext = np.concatenate((x[padlen:0:-1], x, x[-2:-padlen - 2:-1]))
     n = len(ext)
-    bands = []
-    for a1, a2 in sos[:, 4:]:
-        band = np.empty((n, 3))
-        band[:] = (1.0, a1, a2)
-        bands.append(band.T)  # Fortran order, as LAPACK takes it
 
     def one_pass(y):
         y0 = y[0]
-        for b, z, band in zip(sos[:, :3], zi, bands):
+        for b, z, (a1, a2), levels in zip(sos[:, :3], zi, sos[:, 4:],
+                                          solvers):
             rhs = np.convolve(y, b)[:n]
             rhs[:2] += z[:n] * y0
-            y, _ = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+            y = _solve_section(rhs, a1, a2, levels)
         return y
 
     out = one_pass(one_pass(ext)[::-1])[::-1]

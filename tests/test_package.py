@@ -83,27 +83,30 @@ def test_import_and_version_load_no_scipy(tmp_path):
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
-def _synth(cwd):
-    """A two-subject, 8 s dataset ``ds`` under ``cwd``."""
-    run_python("""
+def _synth(cwd, subjects=2):
+    """A ``subjects``-subject, 8 s dataset ``ds`` under ``cwd``."""
+    run_python(f"""
         from pcgkit.cli import main
-        assert main(["synth", "--out", "ds", "--subjects", "2", "--seed",
-                     "3", "--duration", "8"]) == 0
+        assert main(["synth", "--out", "ds", "--subjects", "{subjects}",
+                     "--seed", "3", "--duration", "8"]) == 0
     """, cwd)
 
 
-def test_hr_loads_lapack_not_fft_and_quality_loads_fft(tmp_path):
-    """The default envelope filters through LAPACK and needs no FFT."""
-    _synth(tmp_path)
+def test_hr_and_bp_load_no_scipy_and_quality_loads_fft_only(tmp_path):
+    """The default envelope filters in numpy alone; the CWT needs scipy.fft."""
+    _synth(tmp_path, subjects=12)  # the fitting minimum, for bp loocv
     loaded = {}
-    for command in ("hr", "quality"):
-        loaded[command] = _scipy_modules_after(f"""
+    for argv in (["hr", "ds"],
+                 ["bp", "loocv", "ds", "--features-from-audio"],
+                 ["quality", "ds"]):
+        loaded[argv[0]] = _scipy_modules_after(f"""
             from pcgkit.cli import main
-            assert main(["{command}", "ds", "--out", "r"]) == 0
+            assert main({argv + ["--out", "r"]!r}) == 0
         """, tmp_path)
-    assert "scipy.linalg" in loaded["hr"]
-    assert not [m for m in loaded["hr"] if m.startswith("scipy.fft")]
+    assert loaded["hr"] == []
+    assert loaded["bp"] == []
     assert "scipy.fft" in loaded["quality"]
+    assert not [m for m in loaded["quality"] if m.startswith("scipy.linalg")]
 
 
 def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
