@@ -469,9 +469,9 @@ def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR.
 
     Frame quality runs on a thread pool of one worker per usable CPU while
-    the main thread segments the next frames; its FFTs and array arithmetic
-    release the interpreter lock. Results are taken in frame order, so the
-    reports are identical at any worker count.
+    the main thread segments the next frames; its ``numpy.fft`` transforms
+    and array arithmetic release the interpreter lock. Results are taken in
+    frame order, so the reports are identical at any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import butterworth_lowpass_zero_phase
 from .errors import ContractViolationError
-from .wavelets import WaveletKind, wes
+from .wavelets import WaveletKind, _fft_of_real, wes
 
 __all__ = [
     "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
@@ -39,7 +39,8 @@ def hilbert_envelope(frame):
     The quadrature component comes from the frequency-domain construction
     (negative frequencies zeroed, positive doubled), so the result
     dominates the rectified input pointwise. The steps are those of
-    ``scipy.signal.hilbert`` on ``scipy.fft``, and the tests check that
+    ``scipy.signal.hilbert``, on ``numpy.fft`` with the real-input
+    spectrum built as ``scipy.fft`` builds it, and the tests check that
     the two are equal bit for bit.
 
     Parameters
@@ -50,13 +51,11 @@ def hilbert_envelope(frame):
     -------
     SampledSignal
     """
-    from scipy.fft import fft, ifft  # loaded only for this detector
-
     n = len(frame.samples)
-    spectrum = fft(frame.samples)
+    spectrum = _fft_of_real(frame.samples, n)
     spectrum[1:(n + 1) // 2] *= 2.0  # positive frequencies; Nyquist kept
     spectrum[n // 2 + 1:] = 0.0
-    return frame.with_samples(np.abs(ifft(spectrum)))
+    return frame.with_samples(np.abs(np.fft.ifft(spectrum)))
 
 
 def shannon_energy_envelope(frame):

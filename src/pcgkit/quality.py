@@ -5,7 +5,8 @@ normalized error between each wavelet family's energy track and the
 sample energy track, and a burst-versus-background SNR. Each measure has
 one fixed setting: a 5% band threshold, the 64-step 500..10 Hz wavelet
 scale ladder and a +-50 ms peak window. Frame-level results aggregate
-into a per-subject :class:`QualityReport`.
+into a per-subject :class:`QualityReport`. Every transform runs on
+``numpy.fft``, so no measure loads scipy.
 """
 
 import math
@@ -49,11 +50,9 @@ def fft_band(frame):
     x = frame.samples
     if len(x) < 256:
         raise TooShortError(f"band estimate needs >= 256 samples, got {len(x)}")
-    from scipy.fft import rfft, rfftfreq  # loaded only for quality
-
     nfft = 1 << int(math.ceil(math.log2(len(x))))
-    mag = np.abs(rfft(x * np.hanning(len(x)), nfft))
-    freqs = rfftfreq(nfft, 1.0 / frame.rate_hz)
+    mag = np.abs(np.fft.rfft(x * np.hanning(len(x)), nfft))
+    freqs = np.fft.rfftfreq(nfft, 1.0 / frame.rate_hz)
     mag[0] = 0.0  # DC excluded from both peak and band
     peak = mag.max()
     if peak <= 0:

@@ -10,16 +10,18 @@ Two independent halves:
   pseudo-frequencies from 500 Hz down to 10 Hz, plus the wavelet energy
   spectrum built on them.
 
-CWT rows are computed by FFT convolution (Torrence & Compo 1998) against a
-kernel bank cached per (wavelet, rate, frame length): repeated equal-length
-frames sample and transform the kernels once, and a lock around the build
-makes threads that miss together wait for one build rather than each make
-its own. The bank is streamed through the inverse FFT in blocks of
-``CWT_BLOCK_ROWS`` rows, so a call holds one small complex buffer rather
-than several full-bank temporaries, and ``wes`` adds the squared magnitude
-of one row at a time into its track. The cached banks are read-only and
-every buffer is local to its call, so ``cwt`` and ``wes`` may run on
-several threads at once.
+CWT rows are computed by FFT convolution (Torrence & Compo 1998) on
+``numpy.fft``, at the smallest 2*3*5*7*11-smooth length that holds the
+frame and the widest kernel, against a kernel bank cached per (wavelet,
+rate, frame length): repeated equal-length frames sample and transform
+the kernels once, and a lock around the build makes threads that miss
+together wait for one build rather than each make its own. The bank is
+streamed through the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows,
+each transformed in place, so a call holds one small complex buffer
+rather than several full-bank temporaries, and ``wes`` adds the squared
+magnitude of one row at a time into its track. The cached banks are
+read-only and every buffer is local to its call, so ``cwt`` and ``wes``
+may run on several threads at once.
 """
 
 import enum
@@ -230,17 +232,46 @@ def sample_wavelet(kind, scale):
     return w[half - r:half + r + 1], r
 
 
+def _next_fast_len(n):
+    """Smallest 2*3*5*7*11-smooth length >= ``n``, a fast complex FFT size.
+
+    This is ``scipy.fft.next_fast_len(n)`` (its complex-transform rule).
+    """
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _fft_of_real(x, n):
+    """Full ``n``-point spectrum of a real array, from its real FFT.
+
+    numpy's complex ``fft`` of a real array rounds differently from
+    ``scipy.fft.fft``, which transforms real input by its real FFT. This
+    does the same: the half spectrum of ``rfft`` and its conjugate mirror,
+    so the result equals scipy's bit for bit.
+    """
+    half = np.fft.rfft(x, n)
+    out = np.empty(n, dtype=complex)
+    out[:len(half)] = half
+    np.conjugate(half[(n - 1) // 2:0:-1], out=out[len(half):])
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _build_kernel_bank(kind, rate_hz, n_sig):
     """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
-    from scipy.fft import fft, next_fast_len  # loaded only for the CWT
-
     kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
     offsets = np.array([half for _, half in kernels])
-    length = next_fast_len(n_sig + 2 * int(offsets.max()))
+    length = _next_fast_len(n_sig + 2 * int(offsets.max()))
     bank_h = np.empty((len(kernels), length), dtype=complex)
     for i, (w, _) in enumerate(kernels):
-        bank_h[i] = fft(np.conj(w)[::-1], length)
+        np.fft.fft(np.conj(w)[::-1], length, out=bank_h[i])
     bank_h.flags.writeable = offsets.flags.writeable = False
     return bank_h, offsets, length
 
@@ -277,11 +308,9 @@ def cwt(s, kind):
         Complex matrix of shape ``(64, len(s))``; row ``i`` is the
         ``i``-th pseudo-frequency of the ladder, from 500 Hz down to 10 Hz.
     """
-    from scipy.fft import fft, ifft  # loaded only for the CWT
-
     n = len(s.samples)
     bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
-    spectrum = fft(s.samples, length)
+    spectrum = _fft_of_real(s.samples, length)
     n_rows = len(offsets)
     out = np.empty((n_rows, n), dtype=complex)
     buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
@@ -289,9 +318,9 @@ def cwt(s, kind):
         offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
         block = buf[:len(offs)]
         np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
-        rows = ifft(block, axis=1, overwrite_x=True)
+        np.fft.ifft(block, axis=1, out=block)
         for j, off in enumerate(offs):
-            out[b0 + j] = rows[j, off:off + n]
+            out[b0 + j] = block[j, off:off + n]
     return out
 
 

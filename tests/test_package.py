@@ -92,25 +92,21 @@ def _synth(cwd, subjects=2):
     """, cwd)
 
 
-def test_hr_and_bp_load_no_scipy_and_quality_loads_fft_only(tmp_path):
-    """The default envelope filters in numpy alone; the CWT needs scipy.fft."""
+def test_hr_bp_and_quality_load_no_scipy(tmp_path):
+    """Every envelope, the lowpass and the CWT run on numpy alone."""
     _synth(tmp_path, subjects=12)  # the fitting minimum, for bp loocv
-    loaded = {}
-    for argv in (["hr", "ds"],
-                 ["bp", "loocv", "ds", "--features-from-audio"],
-                 ["quality", "ds"]):
-        loaded[argv[0]] = _scipy_modules_after(f"""
-            from pcgkit.cli import main
-            assert main({argv + ["--out", "r"]!r}) == 0
-        """, tmp_path)
-    assert loaded["hr"] == []
-    assert loaded["bp"] == []
-    assert "scipy.fft" in loaded["quality"]
-    assert not [m for m in loaded["quality"] if m.startswith("scipy.linalg")]
+    commands = [["hr", "ds"], ["hr", "ds", "--method", "hilbert"],
+                ["hr", "ds", "--method", "wes"],
+                ["bp", "loocv", "ds", "--features-from-audio"],
+                ["quality", "ds"]]
+    # in one interpreter: no scipy module after all of them, so after none
+    code = "from pcgkit.cli import main\n" + "".join(
+        f"assert main({argv + ['--out', 'r']!r}) == 0\n" for argv in commands)
+    assert _scipy_modules_after(code, tmp_path) == []
 
 
 def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
-    """Three threads that load scipy.fft at first use write the reports
+    """Three threads that load numpy.fft at first use write the reports
     a single worker writes."""
     _synth(tmp_path)
     out = run_python("""
@@ -121,10 +117,11 @@ def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
             threads = []
 
             def find_spec(self, name, path=None, target=None):
-                if name == "scipy.fft":
+                if name == "numpy.fft":
                     self.threads.append(threading.current_thread().name)
                 return None  # the usual finders load it
 
+        assert "numpy.fft" not in sys.modules
         sys.meta_path.insert(0, Watch())
         cli._usable_cpus = lambda: 3
         assert cli.main(["quality", "ds", "--out", "r"]) == 0

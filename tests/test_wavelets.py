@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import fft, ifft
+from scipy.fft import fft, ifft, next_fast_len
 
 from pcgkit import SampledSignal, WaveletKind, cwt, dwt_denoise_db4, wes
 from pcgkit.errors import DecompositionDepthError, InvalidInputError
@@ -198,6 +198,28 @@ class TestCwt:
         wavelets._build_kernel_bank.cache_clear()
         for s, coeffs in rows:
             assert np.array_equal(cwt(s, kind), coeffs)
+
+
+class TestFftHelpers:
+    def test_next_fast_len_equals_scipy(self):
+        # every n to 3000, a sample around the 4 s bank lengths, and the
+        # bank lengths of a 4 s frame at 2000 Hz (Morlet, Morse, Bump)
+        for n in [*range(1, 3000), *range(8000, 21000, 13),
+                  11088, 10935, 20736]:
+            assert wavelets._next_fast_len(n) == next_fast_len(n), n
+
+    def test_bank_lengths_of_a_4_s_frame(self):
+        lengths = [wavelets._kernel_bank(kind, RATE, 8000)[2]
+                   for kind in ALL_KINDS]
+        assert lengths == [11088, 10935, 20736]
+
+    # even and odd n, each equal to and longer than the input
+    @pytest.mark.parametrize("n_x, n", [(1, 1), (2, 2), (3, 3), (8000, 8000),
+                                        (777, 777), (777, 2000), (777, 2001),
+                                        (8000, 11088), (8000, 10935)])
+    def test_fft_of_real_equals_scipy(self, n_x, n):
+        x = np.random.default_rng(n_x + n).standard_normal(n_x)
+        assert np.array_equal(wavelets._fft_of_real(x, n), fft(x, n))
 
 
 class TestBlockedCwt:
