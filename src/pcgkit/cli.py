@@ -7,11 +7,12 @@ reproduces it byte for byte.
 """
 
 import argparse
+import enum
 import inspect
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +55,9 @@ CONFIG_ENV_VAR = "PCGKIT_CONFIG"
 # Every PCG is resampled to this rate before it is framed.
 PCG_RATE_HZ = 2000.0
 
-_METHODS = {m.value: m for m in EnvelopeMethod}
-_FORMULAS = {f.value: f for f in HrFormula}
-_UNITS = {u.value: u for u in UnitConvention}
-_WAVELETS = {k.value: k for k in WaveletKind}
 # quality_table.csv columns after "subject"; the report nests nrmse_*
 _QUALITY_COLUMNS = ("freq_low_hz", "freq_high_hz",
-                    *(f"nrmse_{w}" for w in _WAVELETS),
+                    *(f"nrmse_{w.value}" for w in WaveletKind),
                     "snr_max_db", "snr_min_db", "snr_avg_db")
 # The analysis chain's fixed settings, listed in every report's config.
 _FIXED_SETTINGS = dict(
@@ -75,29 +72,35 @@ class RunConfig:
     """Resolved user settings, embedded in every report."""
 
     frame_len_s: float = 4.0
-    method: str = "shannon"
-    formula: str = "cycle"
-    wavelet: str = "morlet"
-    units: str = "s"
+    method: EnvelopeMethod = EnvelopeMethod.SHANNON
+    formula: HrFormula = HrFormula.CYCLE_PERIOD
+    wavelet: WaveletKind = WaveletKind.MORLET
+    units: UnitConvention = UnitConvention.SECONDS
     ridge_lambda: float = 0.0
     out_dir: str = "."
 
     def __post_init__(self):
+        # config-file strings and flag values become the defaults' types
+        for f in dataclass_fields(self):
+            kind, raw = type(f.default), getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, kind(raw))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"unknown {f.name} {raw!r}" if issubclass(kind, enum.Enum)
+                    else f"bad value for {f.name!r}: {raw!r}") from None
         # 0.5 s at PCG_RATE_HZ is 1000 samples, deep enough for the denoise
         if not 0.5 <= self.frame_len_s <= 30.0:
             raise ConfigError(
                 f"frame_len_s={self.frame_len_s} outside [0.5, 30.0]")
-        for name, choices in (("method", _METHODS), ("formula", _FORMULAS),
-                              ("units", _UNITS), ("wavelet", _WAVELETS)):
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ConfigError(
                 f"ridge_lambda={self.ridge_lambda} must be finite and >= 0")
 
     def to_dict(self):
-        """These settings and the chain's fixed ones, for a report."""
-        return dict(asdict(self), **_FIXED_SETTINGS)
+        """These settings (enums by value) and the fixed ones, for a report."""
+        return {**{k: getattr(v, "value", v) for k, v in vars(self).items()},
+                **_FIXED_SETTINGS}
 
 
 def load_config_file(path):
@@ -126,33 +129,21 @@ def load_config_file(path):
 def resolve_config(args):
     """Merge defaults, an optional config file, and CLI overrides.
 
+    A setting flag's ``dest`` is its field; the file is checked whole.
     ``--wavelet`` is rejected unless the resolved method is ``wes``, the
     only method that reads it; a config-file ``wavelet`` is always
     accepted, because one file serves every command.
     """
-    field_types = {f.name: f.type for f in dataclass_fields(RunConfig)}
-    values = {}
+    names = [f.name for f in dataclass_fields(RunConfig)]
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        for key, raw in load_config_file(config_path).items():
-            if key not in field_types:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                values[key] = field_types[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    overrides = {
-        "frame_len_s": getattr(args, "frames", None),
-        "method": getattr(args, "method", None),
-        "formula": getattr(args, "formula", None),
-        "units": getattr(args, "units", None),
-        "wavelet": getattr(args, "wavelet", None),
-        "ridge_lambda": getattr(args, "ridge", None),
-        "out_dir": getattr(args, "out", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    config = RunConfig(**values)
-    if overrides["wavelet"] is not None and config.method != "wes":
+    values = load_config_file(config_path) if config_path else {}
+    for key in values:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r}")
+    flags = {name: getattr(args, name, None) for name in names}
+    config = replace(RunConfig(**values),
+                     **{k: v for k, v in flags.items() if v is not None})
+    if flags["wavelet"] and config.method is not EnvelopeMethod.WES:
         raise ConfigError("--wavelet is only used with --method wes")
     return config
 
@@ -187,14 +178,12 @@ def _frame_results(record, config):
     if abs(pcg.rate_hz - PCG_RATE_HZ) > 1e-9:
         pcg = resample_rational(pcg, PCG_RATE_HZ)
     frames = segment_frames(pcg, config.frame_len_s)
-    kwargs = dict(method=_METHODS[config.method],
-                  formula=_FORMULAS[config.formula],
-                  wavelet_kind=_WAVELETS[config.wavelet])
 
     def analyse():
         for frame in frames:
             try:
-                yield hr_pipeline(frame, **kwargs)
+                yield hr_pipeline(frame, config.method, config.formula,
+                                  config.wavelet)
             except PcgKitError as exc:
                 yield exc
 
@@ -384,19 +373,14 @@ def cmd_hr(args):
 
 def cmd_bp(args):
     """Fit, predict, or cross-validate the pressure model on a dataset."""
-    if args.coeffs is not None and args.bp_command != "predict":
-        raise ConfigError("--coeffs is only used by bp predict")
-    if args.ridge is not None and args.bp_command == "predict":
-        raise ConfigError("--ridge is only used by bp fit and bp loocv")
     config = resolve_config(args)
     # these flags shape audio features, which only --features-from-audio
     # is sure to use: a meta.json features block replaces them
     if not args.features_from_audio:
-        for flag in ("method", "wavelet", "frames"):
-            if getattr(args, flag) is not None:
+        for flag in ("--method", "--wavelet", "--frames"):
+            if getattr(args, _FLAGS[flag]["dest"]) is not None:
                 raise ConfigError(
-                    f"--{flag} is only used with --features-from-audio")
-    convention = _UNITS[config.units]
+                    f"{flag} is only used with --features-from-audio")
     records, errors = _stream_dataset(args.dataset)
     # subject id -> (features, sbp_ref, dbp_ref)
     rows = _per_subject(records, errors, lambda record: (
@@ -410,7 +394,7 @@ def cmd_bp(args):
     dataset = [rows[sid] for sid in labeled]
 
     if args.bp_command == "fit":
-        coeffs, *fits = fit_coefficients(dataset, convention,
+        coeffs, *fits = fit_coefficients(dataset, config.units,
                                          config.ridge_lambda)
         report["coefficients"] = coeffs.to_json_dict()
         report["diagnostics"] = {"n_subjects": len(dataset)}
@@ -427,7 +411,7 @@ def cmd_bp(args):
                 payload.get("coefficients", payload))
             coeffs_id = str(args.coeffs)
         else:
-            coeffs = BpCoefficients.reference(convention)
+            coeffs = BpCoefficients.reference(config.units)
             coeffs_id = "reference"
         predictions = {}
         for sid, (features, *refs) in rows.items():
@@ -444,7 +428,7 @@ def cmd_bp(args):
         write_json_report(out / "bp_predictions.json", _jsonable(report))
 
     else:  # loocv
-        loocv = loocv_subjectwise(dataset, convention, config.ridge_lambda)
+        loocv = loocv_subjectwise(dataset, config.units, config.ridge_lambda)
         report["loocv"] = dict(asdict(loocv), n_subjects=len(dataset))
         del report["loocv"]["predictions"]
         report["predictions"] = {
@@ -493,8 +477,8 @@ def cmd_quality(args):
         if not qualities:
             raise PcgKitError("no frame survived segmentation")
         agg = aggregate_quality(qualities)
-        row = (*agg.freq_range_hz, *(agg.nrmse[w] for w in _WAVELETS),
-               *agg.snr_db)
+        row = (*agg.freq_range_hz,
+               *(agg.nrmse[w.value] for w in WaveletKind), *agg.snr_db)
         table[record.subject_id] = row
         entry = {c: v for c, v in zip(_QUALITY_COLUMNS, row)
                  if not c.startswith("nrmse_")}
@@ -515,17 +499,44 @@ def cmd_quality(args):
     return 0 if not errors else 1
 
 
-def _add_common(parser):
-    parser.add_argument("--frames", type=float, default=None,
-                        help="frame length in seconds (default 4)")
-    parser.add_argument("--method", choices=sorted(_METHODS), default=None,
-                        help="envelope method")
-    parser.add_argument("--wavelet", choices=sorted(_WAVELETS), default=None,
-                        help="wavelet family for the WES envelope "
-                             "(--method wes only)")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--config", default=None,
-                        help=f"config file (default ${CONFIG_ENV_VAR})")
+# Every report-command flag. A setting's dest is its RunConfig field and
+# its metavar the flag's name; an enum's values are its choices.
+_FLAGS = {
+    "--coeffs": dict(help="coefficients JSON"),
+    "--ridge": dict(dest="ridge_lambda", metavar="RIDGE", type=float,
+                    help="ridge strength"),
+    "--features-from-audio": dict(action="store_true", help=(
+        "always derive features from audio, ignoring precomputed "
+        "features in meta.json")),
+    "--units": dict(dest="units", choices=UnitConvention,
+                    help="time-feature unit convention"),
+    "--frames": dict(dest="frame_len_s", metavar="FRAMES", type=float,
+                     help="frame length in seconds (default 4)"),
+    "--method": dict(dest="method", choices=EnvelopeMethod,
+                     help="envelope method"),
+    "--wavelet": dict(dest="wavelet", choices=WaveletKind,
+                      help="wavelet family for the WES envelope "
+                           "(--method wes only)"),
+    "--out": dict(dest="out_dir", metavar="OUT", help="output directory"),
+    "--config": dict(help=f"config file (default ${CONFIG_ENV_VAR})"),
+    # quality computes no rate, so only hr and bp take a formula
+    "--formula": dict(dest="formula", choices=HrFormula,
+                      help="interval-to-rate conversion"),
+}
+_ANALYSIS_FLAGS = ("--frames", "--method", "--wavelet", "--out", "--config")
+_BP_FLAGS = ("--features-from-audio", "--units", *_ANALYSIS_FLAGS, "--formula")
+
+
+def _add_command(sub, name, help, func, flags):
+    """A report command: a dataset argument and the flags it reads."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("dataset", help="dataset directory")
+    for flag in flags:
+        kwargs = dict(_FLAGS[flag])
+        if "choices" in kwargs:
+            kwargs["choices"] = sorted(m.value for m in kwargs["choices"])
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
 
 
 def build_parser():
@@ -545,36 +556,17 @@ def build_parser():
                          help="JSON file with cohort parameters")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_hr = sub.add_parser("hr", help="heart-rate estimation report")
-    p_hr.add_argument("dataset", help="dataset directory")
-    _add_common(p_hr)
-    p_hr.set_defaults(func=cmd_hr)
-
-    p_bp = sub.add_parser("bp", help="blood-pressure model commands")
-    p_bp.add_argument("bp_command", choices=["fit", "predict", "loocv"])
-    p_bp.add_argument("dataset", help="dataset directory")
-    p_bp.add_argument("--coeffs", default=None,
-                      help="coefficients JSON (predict only)")
-    p_bp.add_argument("--ridge", type=float, default=None,
-                      help="ridge strength (fit and loocv only)")
-    p_bp.add_argument("--features-from-audio", action="store_true",
-                      help="always derive features from audio, ignoring "
-                           "precomputed features in meta.json")
-    p_bp.add_argument("--units", choices=sorted(_UNITS), default=None,
-                      help="time-feature unit convention")
-    _add_common(p_bp)
-    p_bp.set_defaults(func=cmd_bp)
-
-    p_q = sub.add_parser("quality", help="signal-quality report")
-    p_q.add_argument("dataset", help="dataset directory")
-    _add_common(p_q)
-    p_q.set_defaults(func=cmd_quality)
-
-    # quality computes no rate, so only hr and bp take a formula
-    for p in (p_hr, p_bp):
-        p.add_argument("--formula", choices=sorted(_FORMULAS), default=None,
-                       help="interval-to-rate conversion")
-
+    _add_command(sub, "hr", "heart-rate estimation report", cmd_hr,
+                 (*_ANALYSIS_FLAGS, "--formula"))
+    bp = sub.add_parser("bp", help="blood-pressure model commands")
+    bp_sub = bp.add_subparsers(dest="bp_command", required=True)
+    for name, flag, help in (
+            ("fit", "--ridge", "fit the pressure model"),
+            ("predict", "--coeffs", "predict pressures"),
+            ("loocv", "--ridge", "leave-one-subject-out cross-validation")):
+        _add_command(bp_sub, name, help, cmd_bp, (flag, *_BP_FLAGS))
+    _add_command(sub, "quality", "signal-quality report", cmd_quality,
+                 _ANALYSIS_FLAGS)
     return parser
 
 

@@ -81,16 +81,15 @@ def shannon_energy_envelope(frame):
     return frame.with_samples(e)
 
 
-def wes_envelope(frame, kind=None):
+def wes_envelope(frame, kind=WaveletKind.MORLET):
     """Wavelet-energy-spectrum envelope over the 64-step 500..10 Hz ladder.
 
     Parameters
     ----------
     frame : SampledSignal
-    kind : WaveletKind, optional
-        Defaults to Morlet.
+    kind : WaveletKind
     """
-    return wes(frame, WaveletKind.MORLET if kind is None else kind)
+    return wes(frame, kind)
 
 
 def smooth(envelope, cutoff_hz=SMOOTHING_CUTOFF_HZ):
@@ -103,7 +102,7 @@ def smooth(envelope, cutoff_hz=SMOOTHING_CUTOFF_HZ):
     return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 
-def compute_envelope(frame, method, kind=None):
+def compute_envelope(frame, method, kind=WaveletKind.MORLET):
     """Detector dispatch plus the standard smooth-then-renormalize chain.
 
     The envelope is smoothed at ``SMOOTHING_CUTOFF_HZ`` and rescaled to a

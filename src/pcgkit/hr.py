@@ -24,7 +24,7 @@ from .errors import (
     StageError,
 )
 from .segmentation import CycleSegmentation, _local_maxima, segment
-from .wavelets import dwt_denoise_db4
+from .wavelets import WaveletKind, dwt_denoise_db4
 
 __all__ = [
     "HrFormula", "HrEstimate", "PipelineResult",
@@ -145,11 +145,12 @@ class PipelineResult:
 
 
 def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
-                formula=HrFormula.CYCLE_PERIOD, wavelet_kind=None):
+                formula=HrFormula.CYCLE_PERIOD,
+                wavelet_kind=WaveletKind.MORLET):
     """Full heart-rate chain on one raw PCG frame.
 
     Stages: db4 denoise, max-abs normalize, envelope extraction by
-    ``method`` (``wavelet_kind`` picks the WES wavelet, Morlet when None),
+    ``method`` (``wavelet_kind`` picks the WES wavelet),
     20 Hz zero-phase smoothing with renormalization, peak segmentation,
     and rate conversion by ``formula``. The other settings are constants
     of the stage modules. Any toolkit error raised inside a stage is

@@ -234,14 +234,21 @@ class SubjectRecord:
                     f"{self.sbp_ref}/{self.dbp_ref}")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} is not strict JSON")
+
+
 def read_json_object(path):
-    """Parse a JSON object file; MissingFileError or ParseError if not one."""
+    """Parse a JSON object file; MissingFileError or ParseError if not one.
+
+    ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: a ParseError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise MissingFileError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSON syntax or text encoding
+    except ValueError as exc:  # JSON syntax, NaN/Infinity or text encoding
         raise ParseError(f"{path}: not valid JSON: {exc}",
                          getattr(exc, "lineno", None)) from None
     if not isinstance(payload, dict):

@@ -66,8 +66,8 @@ class SynthSpec:
         for name in ("s1_freq_hz", "s2_freq_hz", "s1_sigma_ms", "s2_sigma_ms",
                      "s1_decay_ratio", "s2_decay_ratio", "duration_s",
                      "rate_hz", "ecg_rate_hz"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

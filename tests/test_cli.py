@@ -1,6 +1,7 @@
 """Command-line front end: config layering, subcommands, reports."""
 
 import argparse
+import dataclasses
 import gc
 import json
 import shutil
@@ -15,7 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcgkit import (
     BpCoefficients,
+    EnvelopeMethod,
+    HrFormula,
     SynthSpec,
+    UnitConvention,
+    WaveletKind,
     __version__,
     frame_quality,
     generate_pcg,
@@ -28,6 +33,7 @@ from pcgkit.cli import (
     CONFIG_ENV_VAR,
     ConfigError,
     RunConfig,
+    build_parser,
     load_config_file,
     main,
     resolve_config,
@@ -89,17 +95,19 @@ class TestConfigResolution:
                                    "\n")
         cfg = resolve_config(argparse.Namespace(config=path))
         assert cfg.frame_len_s == 6.0
-        assert cfg.method == "wes"
+        assert cfg.method is EnvelopeMethod.WES
 
     def test_cli_flag_beats_file(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = 6.0\n")
-        cfg = resolve_config(argparse.Namespace(config=path, frames=5.0))
+        cfg = resolve_config(argparse.Namespace(config=path,
+                                                frame_len_s=5.0))
         assert cfg.frame_len_s == 5.0
 
     def test_env_var_supplies_file(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, "method = hilbert\n")
         monkeypatch.setenv(CONFIG_ENV_VAR, path)
-        assert resolve_config(argparse.Namespace()).method == "hilbert"
+        assert (resolve_config(argparse.Namespace()).method
+                is EnvelopeMethod.HILBERT)
 
     def test_explicit_path_beats_env_var(self, tmp_path, monkeypatch):
         env_path = write_cfg(tmp_path, "frame_len_s = 6.0\n", "env.cfg")
@@ -122,8 +130,18 @@ class TestConfigResolution:
 
     def test_unparseable_value_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = abc\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^bad value for 'frame_len_s': 'abc'$"):
             resolve_config(argparse.Namespace(config=path))
+
+    @pytest.mark.parametrize("value", ["abc", "100"])
+    def test_bad_file_value_rejected_under_a_flag(self, value, tmp_path,
+                                                  capsys):
+        # the file is checked whole, also where a flag overrides a value
+        path = write_cfg(tmp_path, f"frame_len_s = {value}\n")
+        assert main(["hr", str(tmp_path / "nope"), "--config", path,
+                     "--frames", "5"]) == 1
+        assert "frame_len_s" in capsys.readouterr().err
 
     def test_out_of_range_value_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = 100\n")
@@ -148,8 +166,24 @@ class TestConfigResolution:
             RunConfig(ridge_lambda=ridge)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^unknown method 'fourier'$"):
             RunConfig(method="fourier")
+
+    def test_every_field_from_file_takes_its_type(self, tmp_path):
+        path = write_cfg(tmp_path, "frame_len_s = 4\nmethod = shannon\n"
+                                   "formula = cycle\nwavelet = morlet\n"
+                                   "units = s\nridge_lambda = 0\n"
+                                   "out_dir = reports\n")
+        cfg = resolve_config(argparse.Namespace(config=path))
+        assert (cfg.method, cfg.formula, cfg.wavelet, cfg.units) == (
+            EnvelopeMethod.SHANNON, HrFormula.CYCLE_PERIOD,
+            WaveletKind.MORLET, UnitConvention.SECONDS)
+        assert type(cfg.frame_len_s) is float
+        assert type(cfg.ridge_lambda) is float
+        assert cfg.to_dict() == {
+            "frame_len_s": 4.0, "method": "shannon", "formula": "cycle",
+            "wavelet": "morlet", "units": "s", "ridge_lambda": 0.0,
+            "out_dir": "reports", **FIXED_SETTINGS}
 
     def test_missing_equals_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "just a bare line\n")
@@ -419,20 +453,6 @@ class TestBpCommand:
         assert sorted(report["predictions"]) == ["s01", "s02", "s03"]
         for entry in report["predictions"].values():
             assert {"sbp", "dbp", "flags"} <= set(entry)
-
-    @pytest.mark.parametrize("argv", [
-        ["fit", "--coeffs", "/nonexistent.json"],
-        ["loocv", "--coeffs", "/nonexistent.json"],
-        ["predict", "--ridge", "5"],
-    ], ids=["fit-coeffs", "loocv-coeffs", "predict-ridge"])
-    def test_flag_the_command_ignores_is_rejected(self, argv, small_ds,
-                                                  tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["bp", argv[0], str(small_ds), *argv[1:],
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and argv[1] in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "predict", "loocv"])
     @pytest.mark.parametrize("value", ["abc", None, [0.3], True],
@@ -723,16 +743,49 @@ class TestMainEntry:
 class TestUnreadFlags:
     """A flag the command would ignore is rejected; config values are not."""
 
-    @pytest.mark.parametrize("argv", [
-        ["hr", "--units", "ms"],
-        ["quality", "--units", "ms"],
-        ["quality", "--formula", "eq7"],
-    ], ids=["hr-units", "quality-units", "quality-formula"])
-    def test_flag_not_registered(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        (["hr"], ["--units", "ms"]),
+        (["quality"], ["--units", "ms"]),
+        (["quality"], ["--formula", "eq7"]),
+        (["bp", "fit"], ["--coeffs", "/nonexistent.json"]),
+        (["bp", "loocv"], ["--coeffs", "/nonexistent.json"]),
+        (["bp", "predict"], ["--ridge", "5"]),
+    ], ids=["hr-units", "quality-units", "quality-formula", "bp-fit-coeffs",
+            "bp-loocv-coeffs", "bp-predict-ridge"])
+    def test_flag_not_registered(self, command, flag, small_ds, tmp_path,
+                                 capsys):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], str(tmp_path), *argv[1:]])
+            main([*command, str(small_ds), *flag, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_command_registers_the_flags_it_reads(self):
+        def subcommands(parser):
+            action, = (a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            return action.choices
+
+        def flags(parser):
+            return {s for a in parser._actions for s in a.option_strings
+                    if s not in ("-h", "--help")}
+
+        commands = subcommands(build_parser())
+        bp = subcommands(commands["bp"])
+        analysis = {"--frames", "--method", "--wavelet", "--out", "--config"}
+        bp_flags = analysis | {"--formula", "--units", "--features-from-audio"}
+        assert flags(commands["hr"]) == analysis | {"--formula"}
+        assert flags(commands["quality"]) == analysis
+        assert flags(bp["fit"]) == bp_flags | {"--ridge"}
+        assert flags(bp["predict"]) == bp_flags | {"--coeffs"}
+        assert flags(bp["loocv"]) == bp_flags | {"--ridge"}
+        # a setting flag stores its value under the RunConfig field name
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        for parser in (commands["hr"], commands["quality"], *bp.values()):
+            dests = {a.dest for a in parser._actions if a.option_strings}
+            assert dests - {"help", "config", "coeffs",
+                            "features_from_audio"} <= fields
 
     @pytest.mark.parametrize("argv", [
         ["hr"],
@@ -834,6 +887,37 @@ class TestJsonInputs:
         self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
                             str(path), "--out", str(tmp_path)], capsys,
                            "c1 must be a number")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_meta(self, constant, small_ds, tmp_path):
+        ds = shutil.copytree(small_ds, tmp_path / "ds")
+        edit_meta(ds / "s02", sbp_ref=float(constant))  # json writes constant
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        report = strict_json((out / "bp_predictions.json").read_text())
+        assert sorted(report["predictions"]) == ["s01", "s03"]
+        error = report["errors"]["s02"]
+        assert error.startswith("ingest:") and constant in error
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_coeffs(self, constant, small_ds,
+                                           tmp_path, capsys):
+        coeffs = dict(BpCoefficients.reference().to_json_dict(),
+                      c1=float(constant))
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"coefficients": coeffs}))
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path / "out")],
+                           capsys, constant)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_spec(self, constant, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"duration_s": {constant}}}')
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
+                            "--spec-file", str(path)], capsys, constant)
+        assert not (tmp_path / "ds").exists()
 
     def test_missing_spec_file(self, tmp_path, capsys):
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),

@@ -57,6 +57,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             SynthSpec(s1_sigma_ms=-1.0)
 
+    @pytest.mark.parametrize("name", [
+        "s1_freq_hz", "s2_freq_hz", "s1_sigma_ms", "s2_sigma_ms",
+        "s1_decay_ratio", "s2_decay_ratio", "duration_s", "rate_hz",
+        "ecg_rate_hz"])
+    def test_positive_parameters_finite(self, name):
+        # an infinite duration or rate would never finish the event loop
+        with pytest.raises(InvalidInputError, match=name):
+            SynthSpec(**{name: math.inf})
+
 
 class TestEventPlacement:
 
