@@ -22,7 +22,6 @@ from .errors import (
     InvalidInputError,
     NoValidFramesError,
     NumericOverflowError,
-    RankDeficiencyError,
 )
 from .evaluation import error_metrics
 
@@ -256,7 +255,7 @@ class FitResult:
     rank: int
 
 
-def fit_multiple_regression(X, y, ridge_lambda=0.0, allow_rank_deficient=False):
+def fit_multiple_regression(X, y, ridge_lambda=0.0):
     """Ordinary (or ridge) least squares via orthogonal decomposition.
 
     Parameters
@@ -267,17 +266,11 @@ def fit_multiple_regression(X, y, ridge_lambda=0.0, allow_rank_deficient=False):
         Targets in mmHg.
     ridge_lambda : float
         Tikhonov strength; 0 gives plain least squares.
-    allow_rank_deficient : bool
-        With plain least squares and a rank-deficient design, return the
-        minimum-norm solution instead of raising. The solution still
-        reproduces every target reachable from the row space, which is
-        what cross-validation on structurally collinear features needs.
 
-    Raises
-    ------
-    RankDeficiencyError
-        Rank-deficient design with ``ridge_lambda == 0`` and
-        ``allow_rank_deficient`` unset.
+    A rank-deficient design gets the minimum-norm least-squares solution,
+    which still reproduces every target reachable from the row space, as
+    cross-validation on structurally collinear features needs. Its
+    ``rank`` and ``condition_number`` (infinite) report the deficiency.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -297,9 +290,6 @@ def fit_multiple_regression(X, y, ridge_lambda=0.0, allow_rank_deficient=False):
         y_aug = np.concatenate([y, np.zeros(p)])
         beta = np.linalg.lstsq(X_aug, y_aug, rcond=None)[0]
     else:
-        if rank < p and not allow_rank_deficient:
-            raise RankDeficiencyError(
-                f"design matrix has rank {rank} < {p}", rank, p)
         beta = np.linalg.lstsq(X, y, rcond=None)[0]
     residual_rms = float(np.sqrt(np.mean((X @ beta - y) ** 2)))
     return FitResult(beta, residual_rms, cond, rank)
@@ -328,10 +318,8 @@ def fit_coefficients(dataset, unit_convention=UnitConvention.SECONDS,
             f"fitting needs >= {minimum} subjects with references, "
             f"got {len(dataset)}")
     X_sbp, X_dbp, y_sbp, y_dbp = _design(dataset, unit_convention)
-    fit_s = fit_multiple_regression(X_sbp, y_sbp, ridge_lambda,
-                                    allow_rank_deficient=True)
-    fit_d = fit_multiple_regression(X_dbp, y_dbp, ridge_lambda,
-                                    allow_rank_deficient=True)
+    fit_s = fit_multiple_regression(X_sbp, y_sbp, ridge_lambda)
+    fit_d = fit_multiple_regression(X_dbp, y_dbp, ridge_lambda)
     coeffs = BpCoefficients(*fit_s.coeffs, *fit_d.coeffs,
                             unit_convention=UnitConvention(unit_convention))
     return coeffs, fit_s, fit_d
@@ -380,9 +368,9 @@ def loocv_subjectwise(dataset, unit_convention=UnitConvention.SECONDS,
     for i in range(n):
         keep = np.arange(n) != i
         fit_s = fit_multiple_regression(X_sbp[keep], y_sbp[keep],
-                                        ridge_lambda, allow_rank_deficient=True)
+                                        ridge_lambda)
         fit_d = fit_multiple_regression(X_dbp[keep], y_dbp[keep],
-                                        ridge_lambda, allow_rank_deficient=True)
+                                        ridge_lambda)
         preds.append((i, float(X_sbp[i] @ fit_s.coeffs),
                       float(X_dbp[i] @ fit_d.coeffs),
                       float(y_sbp[i]), float(y_dbp[i])))

@@ -29,7 +29,13 @@ from .bp import (
 )
 from .core import detrend, normalize_max_abs, resample_rational, segment_frames
 from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
-from .errors import ConfigError, ParseError, PcgKitError, TooShortError
+from .errors import (
+    ConfigError,
+    NoValidFramesError,
+    ParseError,
+    PcgKitError,
+    TooShortError,
+)
 from .evaluation import bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
@@ -214,9 +220,14 @@ def _subject_features(record, config, from_audio):
     """
     feat = None if from_audio else record.meta.get("features")
     if feat is None:
-        per_frame = ((r.segmentation, r.hr)
-                     for r in _frame_results(record, config)
-                     if not isinstance(r, PcgKitError))
+        per_frame, n_failed = [], 0
+        for r in _frame_results(record, config):
+            if isinstance(r, PcgKitError):
+                n_failed += 1
+            else:
+                per_frame.append((r.segmentation, r.hr))
+        if not per_frame:
+            raise NoValidFramesError(f"all {n_failed} frames failed analysis")
         return extract_subject_features(per_frame).features
     if not isinstance(feat, dict):
         raise ParseError(f"meta.json: features must be an object, "

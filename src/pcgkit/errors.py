@@ -55,23 +55,6 @@ class InvalidSegmentationError(PcgKitError):
     """Segmentation carries non-positive or inconsistent intervals."""
 
 
-class RankDeficiencyError(PcgKitError):
-    """Design matrix is numerically rank deficient.
-
-    Attributes
-    ----------
-    rank : int
-        Numerical rank detected.
-    n_cols : int
-        Number of columns expected to be independent.
-    """
-
-    def __init__(self, message, rank, n_cols):
-        super().__init__(message)
-        self.rank = rank
-        self.n_cols = n_cols
-
-
 class NumericOverflowError(PcgKitError):
     """A model evaluation produced a non-finite value."""
 
@@ -89,7 +72,7 @@ class DegenerateCoverageError(PcgKitError):
 
 
 class NoValidFramesError(PcgKitError):
-    """Every frame of a subject failed segmentation."""
+    """Every frame of a subject failed analysis or the validity screen."""
 
 
 class ConfigError(PcgKitError):

@@ -7,7 +7,6 @@ free-form metadata. Reports are JSON with sorted keys so identical runs
 produce identical bytes; plot series go to CSV.
 """
 
-import itertools
 import json
 import wave
 from dataclasses import dataclass, field
@@ -86,50 +85,27 @@ def write_wav_pcm16(path, signal):
         wf.writeframes(scaled.astype("<i2").tobytes())
 
 
-def _row_line(path, row):
-    """Line number of a text file's ``row``-th (0-based) non-blank line.
+def _row_lines(lines):
+    """Line numbers (1-based) of the non-blank ``lines``, in order."""
+    return [n for n, line in enumerate(lines, start=1) if line.strip()]
 
-    Found again from the file on the error path, so the reading loop keeps
-    no per-row line numbers.
+
+def _raise_first_fault(path, lines, rows, width):
+    """Raise a ParseError naming the first row that is not ``width`` floats.
+
+    ``rows`` are the non-blank ``lines``, stripped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(lines, row, None))
-
-
-def _read_ecg_lines(path):
-    """Parse an ECG text file line by line: ``(times or None, values)``.
-
-    The slow path of :func:`read_ecg_text`, and the source of every
-    message it raises about the file's text.
-    """
-    times = []
-    values = []
-    has_time = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if has_time is None:
-                    has_time = len(parts) == 2
-                if len(parts) != (2 if has_time else 1):
-                    raise ParseError(f"{path}:{line_no}: inconsistent "
-                                     f"column count", line_no)
-                try:
-                    if has_time:
-                        times.append(float(parts[0]))
-                    values.append(float(parts[-1]))
-                except ValueError:
-                    raise ParseError(f"{path}:{line_no}: not numeric: "
-                                     f"{line!r}", line_no) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    if not values:
-        raise EmptyDataError(f"{path}: no samples")
-    return (np.asarray(times) if has_time else None), np.asarray(values)
+    for line_no, row in zip(_row_lines(lines), rows):
+        parts = row.split(",")
+        if len(parts) != width:
+            raise ParseError(f"{path}:{line_no}: inconsistent column count",
+                             line_no)
+        try:
+            for part in parts:
+                float(part)
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: not numeric: {row!r}",
+                             line_no) from None
 
 
 def read_ecg_text(path, rate_hz=None):
@@ -137,51 +113,60 @@ def read_ecg_text(path, rate_hz=None):
 
     Two layouts are accepted: one numeric value per line with the rate
     supplied by the caller, or "time,value" lines from which the rate is
-    inferred as one over the median time step. The time column must
-    increase uniformly: every step must lie within 0.5 to 1.5 times the
-    median step, which rejects a missing or an extra sample but passes
-    rounded time stamps. A ``rate_hz`` given for a file with a time
-    column must agree with the inferred rate to within
+    inferred as one over the median time step. The first non-blank line
+    sets the layout and every other line must follow it. The time column
+    must increase uniformly: every step must lie within 0.5 to 1.5 times
+    the median step, which rejects a missing or an extra sample but
+    passes rounded time stamps. A ``rate_hz`` given for a file with a
+    time column must agree with the inferred rate to within
     ``ECG_RATE_TOLERANCE`` of itself; the inferred rate is the one used.
 
-    The whole text is parsed in one ``np.loadtxt`` call. Blank text, text
-    that call rejects and rows of more than two columns are parsed again
-    line by line, which accepts exactly what Python's ``float`` accepts
-    (``1_0`` or non-ASCII digits, say) and names the line of the first
-    fault, so either path gives the same samples or the same error.
+    A line ends at a line feed, a carriage return or both. Blank lines
+    are skipped but still counted in line numbers. Each field is read as
+    Python's ``float`` reads it: surrounding whitespace, ``1_0`` and
+    non-ASCII digits are accepted, and ``#`` starts no comment. The file
+    is read once and its rows are converted in one numpy cast, which
+    calls ``float`` on each field; only when that cast fails are the
+    rows walked again to name the first bad line.
 
     Raises
     ------
     ParseError
-        Text that is not UTF-8, non-numeric or non-finite content, a
-        time column that does not increase or whose step is not uniform
-        (each but the first with its line number), or a time column whose
-        rate disagrees with ``rate_hz``.
+        Text that is not UTF-8, refused whole before any line is read; a
+        line with the wrong number of fields, a field ``float`` does not
+        read, a non-finite time or value, or a time step that is not
+        positive and uniform, each with its line number; a single timed
+        row; or a time column whose rate disagrees with ``rate_hz``.
+    EmptyDataError
+        A file with no non-blank line.
+    InvalidInputError
+        Plain values without ``rate_hz``.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"no such file: {path}")
-    table = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.strip():
-            # the lines as the loop reads them; comments=None, as the loop
-            # reads "#" as text, not as a comment
-            table = np.loadtxt(text.split("\n"), delimiter=",",
-                               comments=None, ndmin=2)
-    except ValueError:  # not UTF-8, not numeric or ragged: loop names it
-        pass
-    if table is None or table.shape[1] > 2:
-        times, values = _read_ecg_lines(path)
-    else:
-        times = table[:, 0] if table.shape[1] == 2 else None
-        values = np.ascontiguousarray(table[:, -1])
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = list(filter(None, map(str.strip, lines)))
+    if not rows:
+        raise EmptyDataError(f"{path}: no samples")
+    # any first row but a two-field one is read as one plain value
+    width = 2 if rows[0].count(",") == 1 else 1
+    try:
+        table = np.array([row.split(",") for row in rows] if width == 2
+                         else rows, dtype=np.float64)
+    except ValueError:
+        _raise_first_fault(path, lines, rows, width)
+        raise  # the cast refuses only what ``float`` or the width refuses
+    times, values = table.T if width == 2 else (None, table)
     finite = np.isfinite(values)
     if times is not None:
         finite &= np.isfinite(times)
     if not finite.all():
-        bad = _row_line(path, int(np.argmin(finite)))
+        bad = _row_lines(lines)[int(np.argmin(finite))]
         raise ParseError(f"{path}:{bad}: non-finite time or value", bad)
     if times is None:
         if rate_hz is None:
@@ -193,7 +178,7 @@ def read_ecg_text(path, rate_hz=None):
     step = float(np.median(dt))
     off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
     if np.any(off):
-        bad = _row_line(path, int(np.argmax(off)) + 1)
+        bad = _row_lines(lines)[int(np.argmax(off)) + 1]
         raise ParseError(
             f"{path}: time column does not increase uniformly at line "
             f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
@@ -203,7 +188,7 @@ def read_ecg_text(path, rate_hz=None):
         raise ParseError(f"{path}: time column gives {inferred:g} Hz, more "
                          f"than {ECG_RATE_TOLERANCE:.1%} off the given rate "
                          f"{rate_hz:g} Hz")
-    return SampledSignal(values, inferred)
+    return SampledSignal(np.ascontiguousarray(values), inferred)
 
 
 def write_ecg_text(path, signal):

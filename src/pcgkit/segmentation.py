@@ -1,8 +1,9 @@
 """Envelope peak detection, S1/S2 labeling, and cycle timing features.
 
-The rules are deliberately small and exact: strict local maxima with a
-relative height floor, greedy tall-first distance suppression, a
-first-gap labeling decision, and threshold-crossing rise/decay times.
+The rules are deliberately small and exact: local maxima (plateau
+centres included) with a relative height floor, greedy tall-first
+distance suppression, a first-gap labeling decision, and
+threshold-crossing rise/decay times.
 Everything downstream (heart rate, blood-pressure features) consumes the
 :class:`CycleSegmentation` produced here.
 """
@@ -98,10 +99,11 @@ def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
                         min_distance_s=PEAK_DISTANCE_S):
     """Apply the raw peak rules and return every surviving peak.
 
-    Rules: strict local maxima at or above ``min_height_frac`` of the
-    envelope maximum, then greedy suppression that keeps the taller of
-    any two peaks closer than ``min_distance_s`` (ties keep the earlier).
-    A plateau reports its center sample; frame endpoints are never peaks
+    Rules: local maxima at or above ``min_height_frac`` of the envelope
+    maximum, then greedy suppression that keeps the taller of any two
+    peaks closer than ``min_distance_s`` (ties keep the earlier). A run of
+    equal samples with a lower sample on each side is a maximum too and
+    reports its center sample; frame endpoints are never peaks
     since they lack one neighbor. The candidates before suppression are
     those of ``scipy.signal.find_peaks(y, height=floor)``, found here with
     ``np.diff`` over runs of equal samples. No minimum-count requirement;

@@ -27,6 +27,9 @@ __all__ = [
 # Rise/decay of a Gaussian burst in units of sigma, at the segmentation
 # baseline, so analytic truth and measurement line up.
 _K15 = math.sqrt(2.0 * math.log(1.0 / BASELINE_FRAC))
+# Most samples one generated PCG or ECG may hold: 2**24 is 2.3 h at
+# 2000 Hz. A longer spec is refused before its cycles are laid out.
+MAX_SAMPLES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,12 @@ class SynthSpec:
                      "rate_hz", "ecg_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
+        for name in ("rate_hz", "ecg_rate_hz"):
+            if self.duration_s * getattr(self, name) > MAX_SAMPLES:
+                raise InvalidInputError(
+                    f"duration_s {self.duration_s:g} at {name} "
+                    f"{getattr(self, name):g} needs more than {MAX_SAMPLES} "
+                    f"samples")
 
 
 @dataclass(frozen=True)

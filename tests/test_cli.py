@@ -7,6 +7,7 @@ import json
 import shutil
 import tempfile
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -311,6 +312,16 @@ class TestHrCommand:
         assert main(["hr", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_synth_duration_refused_promptly(self, tmp_path, capsys):
+        # one Python step per cardiac cycle would take hours to lay out
+        start = time.perf_counter()
+        assert main(["synth", "--out", str(tmp_path / "ds"), "--subjects",
+                     "1", "--duration", "1e9"]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "duration_s" in err
+        assert not (tmp_path / "ds").exists()
+
     @pytest.mark.parametrize("command", ["hr", "synth"])
     @pytest.mark.parametrize("below", [False, True],
                              ids=["file", "below-file"])
@@ -576,12 +587,15 @@ class TestQualityCommand:
         assert len(table) == 4
 
 
-def write_silent_frame_subject(root, name="s01"):
-    """Subject ``name``: 8 s whose second 4 s frame is silent."""
+def write_silent_frame_subject(root, name="s01", silent_from_s=4.0):
+    """Subject ``name``: 8 s, silent from ``silent_from_s`` on.
+
+    By default the second 4 s frame is silent; 0 silences both.
+    """
     pcg, _ = generate_pcg(SynthSpec(hr_bpm=72.0, duration_s=8.0,
                                     snr_db=30.0, seed=3))
     samples = 0.9 * pcg.samples / np.max(np.abs(pcg.samples))
-    samples[int(4.0 * pcg.rate_hz):] = 0.0
+    samples[int(silent_from_s * pcg.rate_hz):] = 0.0
     write_subject_dir(root / name, pcg.with_samples(samples),
                       meta={"subject_id": name})
 
@@ -618,6 +632,18 @@ class TestFrameFailure:
         report = json.loads((tmp_path / "bp_predictions.json").read_text())
         assert report["errors"] == {}
         assert set(report["predictions"]) == {"s01"}
+
+    def test_bp_from_audio_names_all_failed_frames(self, small_ds, tmp_path):
+        ds = shutil.copytree(small_ds, tmp_path / "ds")
+        write_silent_frame_subject(ds, "silent", silent_from_s=0.0)
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(ds), "--features-from-audio",
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "bp_predictions.json").read_text())
+        # the screen saw no frame; both failed before it
+        assert report["errors"] == {
+            "silent": "all 2 frames failed analysis"}
+        assert sorted(report["predictions"]) == ["s01", "s02", "s03"]
 
 
 class TestQualityPool:

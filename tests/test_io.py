@@ -1,6 +1,7 @@
 """File ingestion and report serialization."""
 
 import io
+import itertools
 import json
 import math
 import struct
@@ -32,7 +33,8 @@ from pcgkit import (
     write_subject_dir,
     write_wav_pcm16,
 )
-from pcgkit.io import ECG_RATE_TOLERANCE, _row_line
+from pcgkit import io as pcgkit_io
+from pcgkit.io import ECG_RATE_TOLERANCE
 
 
 def raw_wav(path, values, rate=2000, sampwidth=2, channels=1):
@@ -199,6 +201,13 @@ class TestReadEcgText:
         with pytest.raises(ParseError, match="not UTF-8"):
             read_ecg_text(path, rate_hz=190.0)
 
+    def test_non_utf8_text_refused_whole(self, tmp_path):
+        # the bad byte comes after a bad line and past the first 8 KiB
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"abc\n" + b"1.0\n" * 3000 + b"\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8.* position 12004:"):
+            read_ecg_text(path, rate_hz=190.0)
+
     def test_time_column_must_increase(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0.0,1.0\n0.010,2.0\n0.010,3.0\n")
@@ -225,6 +234,32 @@ class TestReadEcgText:
         back = read_ecg_text(path, rate_hz=190.0)
         assert np.array_equal(back.samples, sig.samples)
 
+    @pytest.mark.parametrize("text, rate_hz", [
+        ("1.0\n2.0\n", 190.0),
+        ("0,1\n0.01,2\n", None),
+        ("1.0\nabc\n", 190.0),
+        ("0,1\n2\n", None),
+        ("1.0\nnan\n", 190.0),
+        ("0,1\n0.01,2\n\n0.5,3\n0.51,4\n", None),
+        ("\n\n", 190.0),
+    ], ids=["plain", "timed", "not-numeric", "ragged", "non-finite",
+            "non-uniform-step", "blank"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, text, rate_hz):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pcgkit_io, "open", counting_open, raising=False)
+        try:
+            read_ecg_text(path, rate_hz=rate_hz)
+        except PcgKitError:
+            pass
+        assert opened == [path]
+
     @pytest.mark.parametrize("rate_hz", [250.0, 250.2, 249.8])
     def test_given_rate_agreeing_with_time_column(self, tmp_path, rate_hz):
         path = tmp_path / "e.txt"
@@ -241,6 +276,13 @@ class TestReadEcgText:
         with pytest.raises(ParseError, match="more than 0.1% off the given "
                            f"rate {rate_hz:g} Hz"):
             read_ecg_text(path, rate_hz=rate_hz)
+
+
+def _row_line(path, row):
+    """Line number of a text file's ``row``-th (0-based) non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, row, None))
 
 
 def _read_ecg_text_by_lines(path, rate_hz=None):
@@ -314,7 +356,14 @@ def _ecg_outcome(reader, path, rate_hz):
 
 
 class TestEcgTextAgainstLineReader:
-    """``read_ecg_text`` gives what the line-by-line reader gives."""
+    """``read_ecg_text`` gives what the line-by-line reader gives.
+
+    Text that is not UTF-8 is drawn only in files under 8 KiB that do not
+    end inside a UTF-8 sequence. Past that the line reader, which decodes
+    8 KiB at a time, can name a bad line before the bad bytes or count
+    the byte offset from a chunk, where ``read_ecg_text`` refuses the
+    whole text (``test_non_utf8_text_refused_whole``).
+    """
 
     number = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -381,12 +430,28 @@ class TestEcgTextAgainstLineReader:
         else:
             assert got == want
 
+    # times of a 190 Hz column, and the same spelt in Arabic-Indic digits
+    T = [repr(i / 190.0) for i in range(4)]
+    T_ARABIC = [t.translate(str.maketrans("0123456789",
+                                          "\u0660\u0661\u0662\u0663\u0664"
+                                          "\u0665\u0666\u0667\u0668\u0669"))
+                for t in T]
+
     @pytest.mark.parametrize("data", [
         b"", b"\n\n", b"  \r\n\t\n", b"\xef\xbb\xbf1.0\n",
         b"1.0\n\xff\n", b"1.0\r2.0\r", b"1_0\n2\n",
         "\u0661\n\u0662\n".encode(), b"# t\n1.0\n", b"1.0 # c\n",
         b"1.0,\n2.0,\n", b"1,2,3\n4,5,6\n", b"0,1\n0.004,nan\n",
-        b"0,1\n0.004,2\n\n0.008,1e999\n"])
+        b"0,1\n0.004,2\n\n0.008,1e999\n",
+        # where a numpy cast of Python strings and np.loadtxt part ways
+        f"{T[0]},1_0\n{T[1][:4]}_{T[1][4:]},2\n{T[2]},3_5\n".encode(),
+        f"{T_ARABIC[0]},1\n{T_ARABIC[1]},\u0662\n{T[2]},3\n".encode(),
+        b"1.0\n2\x00\n", b"\x001.0\n", f"{T[0]},1\n\x00{T[1]},2\n".encode(),
+        f"{T[0]},1\n{T[1]}\n{T[2]},3\n".encode(),
+        f"{T[0]},1\n{T[1]},2,3\n{T[2]},3\n".encode(),
+        b"1,2,3\n", b"\n1,2,3\n4\n",
+        f"{T[0]}\u2028,1\n{T[1]},\u20282\n{T[2]},3\u2028\n".encode(),
+        "1.0\u2028\n\u20282.0\n".encode(), "1\u20282\n".encode()])
     def test_edge_files(self, tmp_path, data):
         path = tmp_path / "ecg.txt"
         path.write_bytes(data)

@@ -102,7 +102,7 @@ class TestFindEnvelopePeaks:
 def reference_strict_local_maxima(y):
     """A hand-written maxima scan, independent of numpy and scipy.
 
-    Strict local maxima; a plateau reports its center sample and frame
+    Local maxima; a plateau reports its center sample and frame
     endpoints are never maxima.
     """
     idx = []

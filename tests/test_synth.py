@@ -18,6 +18,7 @@ from pcgkit import (
     predict_sbp,
     true_features,
 )
+from pcgkit.synth import MAX_SAMPLES
 
 K15 = math.sqrt(2.0 * math.log(1.0 / 0.15))
 
@@ -65,6 +66,23 @@ class TestSpecValidation:
         # an infinite duration or rate would never finish the event loop
         with pytest.raises(InvalidInputError, match=name):
             SynthSpec(**{name: math.inf})
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"duration_s": 1e9}, "rate_hz"),
+        ({"duration_s": 8400.0}, "rate_hz"),
+        ({"rate_hz": 1e12}, "rate_hz"),
+        ({"duration_s": 8000.0, "ecg_rate_hz": 2500.0}, "ecg_rate_hz"),
+    ])
+    def test_sample_count_bounded(self, fields, name):
+        # a huge finite duration would lay out its cycles one at a time
+        with pytest.raises(InvalidInputError,
+                           match=f"duration_s .* at {name} .* more than "
+                                 f"{MAX_SAMPLES} samples"):
+            SynthSpec(**fields)
+
+    def test_longest_accepted_spec(self):
+        # 8000 s is 1.6e7 PCG samples at 2000 Hz, under 2**24
+        SynthSpec(duration_s=8000.0)
 
 
 class TestEventPlacement:
