@@ -24,6 +24,7 @@ from .errors import (
     NumericOverflowError,
 )
 from .evaluation import error_metrics
+from .io import is_json_number
 
 __all__ = [
     "UnitConvention", "PcgFeatureVector", "BpCoefficients", "BpPrediction",
@@ -167,7 +168,7 @@ class BpCoefficients:
     def from_json_dict(cls, d):
         def number(f):
             # float() would pass True as 1.0 and "1.5" as 1.5
-            if isinstance(d[f], bool) or not isinstance(d[f], (int, float)):
+            if not is_json_number(d[f]):
                 raise TypeError(f"{f} must be a number, got {d[f]!r}")
             return float(d[f])
 

@@ -40,6 +40,7 @@ from .evaluation import bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     _stream_dataset,
+    is_json_number,
     read_json_object,
     write_csv_series,
     write_json_report,
@@ -154,22 +155,6 @@ def resolve_config(args):
     return config
 
 
-def _jsonable(obj):
-    """Coerce numpy scalars/arrays and tuples for deterministic JSON.
-
-    Non-finite floats become None (``null``) so reports are strict JSON.
-    """
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, np.integer):
-        return obj.item()
-    return obj
-
-
 def _report_header(config):
     return {"version": __version__, "config": config.to_dict()}
 
@@ -234,8 +219,7 @@ def _subject_features(record, config, from_audio):
                          f"got {feat!r}")
     names = [f.name for f in dataclass_fields(PcgFeatureVector)]
     for n in names:
-        if n in feat and (isinstance(feat[n], bool)
-                          or not isinstance(feat[n], (int, float))):
+        if n in feat and not is_json_number(feat[n]):
             raise ParseError(f"meta.json: features.{n} must be a number, "
                              f"got {feat[n]!r}")
     missing = [n for n in names if n not in feat]
@@ -257,14 +241,18 @@ def cmd_synth(args):
         if key == "ranges" or (key == "snr_db" and value is None):
             continue  # ranges are checked below; a null snr_db is noiseless
         kind = type(spec_params[key].default)  # int or float
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        if not is_json_number(value) or not isinstance(value, (int, kind)):
             raise ConfigError(f"spec {key} must be "
                               f"{'an integer' if kind is int else 'a number'}"
                               f", got {value!r}")
+    bounds = {}
     try:
-        params["ranges"] = CohortRanges(**{
-            k: (float(lo), float(hi))
-            for k, (lo, hi) in params.get("ranges", {}).items()})
+        for key, (lo, hi) in params.get("ranges", {}).items():
+            if not (is_json_number(lo) and is_json_number(hi)):
+                raise TypeError(f"{key} bounds must be numbers, "
+                                f"got {[lo, hi]!r}")
+            bounds[key] = (float(lo), float(hi))
+        params["ranges"] = CohortRanges(**bounds)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad spec ranges: {exc}") from None
     flags = {"n_subjects": args.subjects, "seed": args.seed,
@@ -286,17 +274,17 @@ def cmd_synth(args):
             "hr_bpm": subject.spec.hr_bpm,
             "seed": subject.spec.seed,
             "features": {**asdict(f), "t_s1": f.t_s1, "t_s2": f.t_s2},
-            "s1_times": list(truth.s1_times),
-            "s2_times": list(truth.s2_times),
-            "r_times": list(r_times),
+            "s1_times": truth.s1_times,
+            "s2_times": truth.s2_times,
+            "r_times": r_times,
         }
-        write_subject_dir(out / subject.subject_id, pcg, ecg, _jsonable(meta))
+        write_subject_dir(out / subject.subject_id, pcg, ecg, meta)
     manifest = {
         "version": __version__,
         "n_subjects": len(cohort),
         "target_coefficients": coeffs.to_json_dict(),
     }
-    write_json_report(out / "manifest.json", _jsonable(manifest))
+    write_json_report(out / "manifest.json", manifest)
     print(f"wrote {len(cohort)} subjects to {out}")
     return 0
 
@@ -326,7 +314,7 @@ def cmd_hr(args):
                 row["error"] = str(result)
             else:
                 row["bpm_pcg"] = result.hr.bpm
-                row["flags"] = list(result.hr.flags)
+                row["flags"] = result.hr.flags
             if i < len(ecg_frames):
                 try:
                     ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
@@ -365,10 +353,9 @@ def cmd_hr(args):
         agreement, means, diffs = bland_altman(np.array(pred), np.array(ref))
         report["agreement"] = asdict(agreement)
         out = Path(config.out_dir)
-        write_csv_series(out / "hr_pairs.csv", ["bpm_ecg", "bpm_pcg"],
-                         [(float(a), float(b)) for a, b in pairs])
+        write_csv_series(out / "hr_pairs.csv", ["bpm_ecg", "bpm_pcg"], pairs)
         write_csv_series(out / "hr_bland_altman.csv", ["mean_bpm", "diff_bpm"],
-                         list(zip(map(float, means), map(float, diffs))))
+                         zip(means, diffs))
         write_scatter_svg(out / "hr_scatter.svg", ref, pred,
                           "ECG heart rate (bpm)", "PCG heart rate (bpm)",
                           "Frame-wise heart-rate agreement", identity=True)
@@ -378,7 +365,7 @@ def cmd_hr(args):
                           hlines=((agreement.bias_mean, False),
                                   (agreement.loa_low, True),
                                   (agreement.loa_high, True)))
-    write_json_report(Path(config.out_dir) / "hr_report.json", _jsonable(report))
+    write_json_report(Path(config.out_dir) / "hr_report.json", report)
     return 0 if not errors else 1
 
 
@@ -413,7 +400,7 @@ def cmd_bp(args):
             report["diagnostics"][side] = {
                 "residual_rms": fit.residual_rms, "rank": fit.rank,
                 "condition_number": fit.condition_number}
-        write_json_report(out / "bp_coefficients.json", _jsonable(report))
+        write_json_report(out / "bp_coefficients.json", report)
 
     elif args.bp_command == "predict":
         if args.coeffs:
@@ -428,7 +415,7 @@ def cmd_bp(args):
         for sid, (features, *refs) in rows.items():
             pred = predict_pair(features, coeffs)
             entry = {"sbp": pred.sbp, "dbp": pred.dbp,
-                     "flags": list(pred.flags)}
+                     "flags": pred.flags}
             for side, ref in zip(("sbp", "dbp"), refs):
                 if ref is not None:
                     entry[f"{side}_ref"] = ref
@@ -436,7 +423,7 @@ def cmd_bp(args):
             predictions[sid] = entry
         report["coefficients_id"] = coeffs_id
         report["predictions"] = predictions
-        write_json_report(out / "bp_predictions.json", _jsonable(report))
+        write_json_report(out / "bp_predictions.json", report)
 
     else:  # loocv
         loocv = loocv_subjectwise(dataset, config.units, config.ridge_lambda)
@@ -447,7 +434,7 @@ def cmd_bp(args):
                 "sbp": ps, "dbp": pd, "sbp_ref": rs, "dbp_ref": rd}
             for i, ps, pd, rs, rd in loocv.predictions
         }
-        write_json_report(out / "bp_loocv.json", _jsonable(report))
+        write_json_report(out / "bp_loocv.json", report)
 
     return 0 if not errors else 1
 
@@ -494,7 +481,7 @@ def cmd_quality(args):
         entry = {c: v for c, v in zip(_QUALITY_COLUMNS, row)
                  if not c.startswith("nrmse_")}
         return dict(entry, nrmse=agg.nrmse,
-                    per_frame_snr_db=list(agg.per_frame_snr),
+                    per_frame_snr_db=agg.per_frame_snr,
                     n_frames=len(qualities),
                     n_failed=len(results) - len(qualities))
 
@@ -504,7 +491,7 @@ def cmd_quality(args):
     report["subjects"] = subjects
     report["errors"] = errors
     out = Path(config.out_dir)
-    write_json_report(out / "quality_report.json", _jsonable(report))
+    write_json_report(out / "quality_report.json", report)
     write_csv_series(out / "quality_table.csv", ["subject", *_QUALITY_COLUMNS],
                      [(sid, *row) for sid, row in sorted(table.items())])
     return 0 if not errors else 1

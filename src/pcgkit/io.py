@@ -4,10 +4,13 @@ A dataset is a directory of subject folders, each holding ``pcg.wav``
 (16-bit PCM), an optional ``ecg.txt`` (one value per line, or
 "time,value" lines), and an optional ``meta.json`` with references and
 free-form metadata. Reports are JSON with sorted keys so identical runs
-produce identical bytes; plot series go to CSV.
+produce identical bytes; plot series go to CSV. Only this module knows
+the JSON format: how values are written and which are read as numbers.
 """
 
 import json
+import math
+import sys
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,6 +222,17 @@ class SubjectRecord:
                     f"{self.sbp_ref}/{self.dbp_ref}")
 
 
+def is_json_number(value):
+    """Whether a parsed JSON value is a number that fits a float64.
+
+    JSON ``true`` and ``false`` parse as Python bools, which are ints, so
+    they are refused; so are ``1e400``, which parses as ``inf``, and an
+    integer literal too long for a float64.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite {name} is not strict JSON")
 
@@ -247,9 +261,7 @@ def load_subject_dir(subject_dir):
     meta_path = subject_dir / "meta.json"
     meta = read_json_object(meta_path) if meta_path.exists() else {}
     for key in ("ecg_rate_hz", "sbp_ref", "dbp_ref"):
-        value = meta.get(key)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, type(None))):
+        if meta.get(key) is not None and not is_json_number(meta[key]):
             raise ParseError(f"{meta_path}: {key} must be a number")
     subject_id = meta.get("subject_id", subject_dir.name)
     if not (isinstance(subject_id, str) and subject_id):
@@ -330,7 +342,11 @@ def load_dataset(root):
 
 
 def write_subject_dir(subject_dir, pcg, ecg=None, meta=None):
-    """Write one subject folder in the layout :func:`load_subject_dir` reads."""
+    """Write one subject folder in the layout :func:`load_subject_dir` reads.
+
+    ``meta.json`` goes through :func:`write_json_report`, so a NaN
+    reference in ``meta`` is written as ``null`` and loads back as none.
+    """
     subject_dir = Path(subject_dir)
     subject_dir.mkdir(parents=True, exist_ok=True)
     write_wav_pcm16(subject_dir / "pcg.wav", pcg)
@@ -338,17 +354,35 @@ def write_subject_dir(subject_dir, pcg, ecg=None, meta=None):
     if ecg is not None:
         write_ecg_text(subject_dir / "ecg.txt", ecg)
         meta.setdefault("ecg_rate_hz", ecg.rate_hz)
-    with open(subject_dir / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_report(subject_dir / "meta.json", meta)
+
+
+def _plain(obj):
+    """``obj`` as the plain values :func:`write_json_report` writes."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return obj.item()
+    return obj
 
 
 def write_json_report(path, payload):
-    """Serialize a report with sorted keys for reproducible bytes."""
+    """Write ``payload`` as strict JSON with sorted keys, creating its folder.
+
+    numpy scalars and arrays become plain numbers and lists, tuples become
+    lists and dict keys strings, and a NaN or infinite float becomes
+    ``null``; so every file this writes parses under a strict JSON reader,
+    and the same payload always gives the same bytes.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

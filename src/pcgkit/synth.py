@@ -267,9 +267,30 @@ def generate_cohort(n_subjects=15, ranges=None, coeffs=None,
     Returns
     -------
     list of CohortSubject
+
+    Raises
+    ------
+    InvalidInputError
+        ``n_subjects`` below 1, a negative ``seed``, ``sbp_noise_sd``,
+        ``dbp_noise_sd`` or ``jitter_ms``, or a range whose low end is
+        above its high end or whose width is not finite; checked before
+        anything is drawn.
     """
     ranges = ranges or CohortRanges()
     coeffs = coeffs or default_cohort_coefficients()
+    if not n_subjects >= 1:
+        raise InvalidInputError(f"n_subjects must be >= 1, got {n_subjects}")
+    for name, value in (("seed", seed), ("sbp_noise_sd", sbp_noise_sd),
+                        ("dbp_noise_sd", dbp_noise_sd),
+                        ("jitter_ms", jitter_ms)):
+        if not value >= 0:
+            raise InvalidInputError(f"{name} must be >= 0, got {value}")
+    for f in fields(ranges):
+        low, high = getattr(ranges, f.name)
+        if not 0 <= high - low < math.inf:
+            raise InvalidInputError(
+                f"ranges.{f.name} must be finite with low <= high, "
+                f"got {[low, high]}")
     rng = np.random.default_rng(seed)
     subjects = []
     for i in range(n_subjects):

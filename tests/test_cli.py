@@ -239,6 +239,19 @@ class TestSynthCommand:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--subjects", "-3"], "n_subjects must be >= 1"),
+        (["--subjects", "0"], "n_subjects must be >= 1"),
+    ])
+    def test_out_of_domain_flag_refused(self, flags, needle, tmp_path,
+                                        capsys):
+        assert main(["synth", "--out", str(tmp_path / "ds"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ds").exists()
+
 
 class TestHrCommand:
 
@@ -883,6 +896,12 @@ class TestUnreadFlags:
         assert report["config"]["wavelet"] == "bump"
 
 
+# JSON numbers no float64 holds: 1e400 parses as inf, and a 400-digit
+# integer overflows any float conversion
+out_of_range = pytest.mark.parametrize(
+    "literal", ["1e400", "1" + "0" * 399], ids=["1e400", "400_digits"])
+
+
 class TestJsonInputs:
     """User-named JSON inputs end in ``error:`` and exit 1, not a traceback."""
 
@@ -945,6 +964,61 @@ class TestJsonInputs:
                             "--spec-file", str(path)], capsys, constant)
         assert not (tmp_path / "ds").exists()
 
+    @staticmethod
+    def write_with(path, payload, literal):
+        """Write ``payload`` as JSON, each ``"@"`` in it as ``literal``."""
+        path.write_text(json.dumps(payload).replace('"@"', literal))
+        return path
+
+    @out_of_range
+    @pytest.mark.parametrize("keys, argv, prefix", [
+        (("sbp_ref",), ["bp", "predict"], "ingest: "),
+        (("ecg_rate_hz",), ["hr"], "ingest: "),
+        (("features", "t_sys"), ["bp", "predict"], "meta.json: features."),
+    ])
+    def test_out_of_range_number_in_meta(self, keys, argv, prefix, literal,
+                                         small_ds, tmp_path):
+        ds = shutil.copytree(small_ds, tmp_path / "ds")
+        meta = json.loads((ds / "s02" / "meta.json").read_text())
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = "@"
+        self.write_with(ds / "s02" / "meta.json", meta, literal)
+        out = tmp_path / "out"
+        assert main([*argv, str(ds), "--out", str(out)]) == 1
+        name = "hr_report.json" if argv == ["hr"] else "bp_predictions.json"
+        report = strict_json((out / name).read_text())
+        results = report["subjects" if argv == ["hr"] else "predictions"]
+        assert sorted(results) == ["s01", "s03"]
+        assert list(report["errors"]) == ["s02"]
+        error = report["errors"]["s02"]
+        assert error.startswith(prefix)
+        assert f"{keys[-1]} must be a number" in error
+
+    @out_of_range
+    def test_out_of_range_number_in_coeffs(self, literal, small_ds, tmp_path,
+                                           capsys):
+        coeffs = dict(BpCoefficients.reference().to_json_dict(), c1="@")
+        path = self.write_with(tmp_path / "coeffs.json",
+                               {"coefficients": coeffs}, literal)
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path / "out")],
+                           capsys, "c1 must be a number")
+        assert not (tmp_path / "out").exists()
+
+    @out_of_range
+    @pytest.mark.parametrize("spec, needle", [
+        ({"duration_s": "@"}, "duration_s must be a number"),
+        ({"ranges": {"hr_bpm": [60, "@"]}}, "hr_bpm bounds must be numbers"),
+    ])
+    def test_out_of_range_number_in_spec(self, spec, needle, literal,
+                                         tmp_path, capsys):
+        path = self.write_with(tmp_path / "spec.json", spec, literal)
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
+                            "--spec-file", str(path)], capsys, needle)
+        assert not (tmp_path / "ds").exists()
+
     def test_missing_spec_file(self, tmp_path, capsys):
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
                             "--spec-file", str(tmp_path / "nope.json")],
@@ -958,6 +1032,15 @@ class TestJsonInputs:
         ({"seed": "x"}, "seed"),
         ({"n_subjects": "3"}, "n_subjects"),
         ({"snr_db": "x"}, "snr_db"),
+        # float() would read "0.5" as 0.5 and true as 1.0
+        ({"ranges": {"s2_rel_amp": ["0.5", 0.8]}}, "ranges"),
+        ({"ranges": {"s2_rel_amp": [0.5, True]}}, "ranges"),
+        ({"ranges": {"hr_bpm": [90, 60]}}, "ranges.hr_bpm"),
+        ({"n_subjects": 0}, "n_subjects"),
+        ({"seed": -1}, "seed"),
+        ({"sbp_noise_sd": -1}, "sbp_noise_sd"),
+        ({"dbp_noise_sd": -0.5}, "dbp_noise_sd"),
+        ({"jitter_ms": -1}, "jitter_ms"),
     ])
     def test_bad_spec_rejected(self, tmp_path, capsys, spec, needle):
         path = tmp_path / "spec.json"

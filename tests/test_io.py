@@ -560,6 +560,14 @@ class TestSubjectDirs:
         with pytest.raises(ParseError, match=f"{key} must be a number"):
             load_subject_dir(tmp_path / "s01")
 
+    def test_non_finite_meta_number_loads_as_none(self, tmp_path):
+        pcg, _ = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg,
+                          meta={"sbp_ref": math.nan, "dbp_ref": 80.0})
+        assert "NaN" not in (tmp_path / "s01" / "meta.json").read_text()
+        record = load_subject_dir(tmp_path / "s01")
+        assert record.sbp_ref is None and record.dbp_ref == 80.0
+
     @pytest.mark.parametrize("subject_id", [None, "", 5, ["s01"]])
     def test_subject_id_must_be_a_non_empty_string(self, subject_id,
                                                    tmp_path):
@@ -665,6 +673,19 @@ class TestReports:
         assert text.index('"alpha"') < text.index('"zeta"')
         assert text.endswith("\n")
         assert json.loads(text) == payload
+
+    def test_json_is_strict_and_plain(self, tmp_path):
+        payload = {"f": np.float64(1.5), "h": np.float32(0.25),
+                   "i": np.int64(3), "a": np.array([1.0, np.nan]),
+                   "t": (1, (2.0, -math.inf)), "nan": math.nan,
+                   "inf": math.inf, "ninf": -np.inf, 4: "key"}
+        path = tmp_path / "r.json"
+        write_json_report(path, payload)
+        # the strict reader refuses NaN and Infinity
+        assert pcgkit_io.read_json_object(path) == {
+            "f": 1.5, "h": 0.25, "i": 3, "a": [1.0, None],
+            "t": [1, [2.0, None]], "nan": None, "inf": None, "ninf": None,
+            "4": "key"}
 
     def test_csv_floats_survive_reparse(self, tmp_path):
         rows = [("a", 0.1 + 0.2, 1), ("b", 1e-17, 2)]

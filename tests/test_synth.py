@@ -242,3 +242,25 @@ class TestCohort:
     def test_seed_determinism(self):
         assert generate_cohort(seed=6) == generate_cohort(seed=6)
         assert generate_cohort(seed=6) != generate_cohort(seed=7)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_subjects=0), "n_subjects"),
+        (dict(n_subjects=-3), "n_subjects"),
+        (dict(seed=-1), "seed"),
+        (dict(sbp_noise_sd=-1.0), "sbp_noise_sd"),
+        (dict(dbp_noise_sd=math.nan), "dbp_noise_sd"),
+        (dict(jitter_ms=-0.5), "jitter_ms"),
+        (dict(ranges=CohortRanges(hr_bpm=(90.0, 60.0))), "ranges.hr_bpm"),
+        (dict(ranges=CohortRanges(s2_rel_amp=(0.5, math.inf))),
+         "ranges.s2_rel_amp"),
+    ])
+    def test_out_of_domain_arguments_refused(self, kwargs, name):
+        with pytest.raises(InvalidInputError, match=name):
+            generate_cohort(**kwargs)
+
+    def test_domain_edges_accepted(self):
+        cohort = generate_cohort(n_subjects=1, seed=0, sbp_noise_sd=0.0,
+                                 dbp_noise_sd=0.0, jitter_ms=0.0,
+                                 ranges=CohortRanges(hr_bpm=(70.0, 70.0)),
+                                 duration_s=2.0)
+        assert [s.spec.hr_bpm for s in cohort] == [70.0]
