@@ -30,6 +30,10 @@ _K15 = math.sqrt(2.0 * math.log(1.0 / BASELINE_FRAC))
 # Most samples one generated PCG or ECG may hold: 2**24 is 2.3 h at
 # 2000 Hz. A longer spec is refused before its cycles are laid out.
 MAX_SAMPLES = 2 ** 24
+# Largest signal-to-noise magnitude a spec may ask for, in dB. The noise
+# scale is 10 ** (snr_db / 10), which overflows past about +3080 dB and
+# underflows to zero below about -3230 dB.
+MAX_SNR_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class SynthSpec:
 
     ``s*_decay_ratio`` widens (or narrows) the decay side of each burst
     relative to its rise side, which decorrelates rise and decay features
-    across a cohort. ``snr_db = None`` means noiseless.
+    across a cohort. ``snr_db = None`` means noiseless; otherwise it is
+    finite and within ``MAX_SNR_DB`` of 0.
     """
 
     hr_bpm: float = 75.0
@@ -71,6 +76,10 @@ class SynthSpec:
                      "rate_hz", "ecg_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
+        if self.snr_db is not None and not abs(self.snr_db) <= MAX_SNR_DB:
+            raise InvalidInputError(
+                f"snr_db must be None or within +-{MAX_SNR_DB:g} dB, "
+                f"got {self.snr_db}")
         for name in ("rate_hz", "ecg_rate_hz"):
             if self.duration_s * getattr(self, name) > MAX_SAMPLES:
                 raise InvalidInputError(

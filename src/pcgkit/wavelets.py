@@ -18,8 +18,11 @@ the kernels once, and a lock around the build makes threads that miss
 together wait for one build rather than each make its own. The bank is
 streamed through the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows,
 each transformed in place, so a call holds one small complex buffer
-rather than several full-bank temporaries, and ``wes`` adds the squared
-magnitude of one row at a time into its track. The cached banks are
+rather than several full-bank temporaries. ``cwt`` hands each cropped
+row, in ladder order, either to its output matrix or to a caller's
+``each_row`` callback; ``wes`` passes one that adds the row's squared
+magnitude into its track, so a ``wes`` call holds the block buffer and
+two length-n tracks but never the 64-row matrix. The cached banks are
 read-only and every buffer is local to its call, so ``cwt`` and ``wes``
 may run on several threads at once.
 """
@@ -287,7 +290,7 @@ def _kernel_bank(kind, rate_hz, n_sig):
         return _build_kernel_bank(kind, rate_hz, n_sig)
 
 
-def cwt(s, kind):
+def cwt(s, kind, *, each_row=None):
     """Continuous wavelet transform of a signal over the scale ladder.
 
     Each row is the convolution of the signal with the conjugated,
@@ -301,18 +304,29 @@ def cwt(s, kind):
     ----------
     s : SampledSignal
     kind : WaveletKind
+    each_row : callable, optional
+        Called as ``each_row(i, row)`` for ``i = 0 .. 63`` in ladder
+        order, with ``row`` the complex ``i``-th row as a view into the
+        block buffer, valid only during that call. When given, no matrix
+        is allocated and the call holds only the block buffer
+        (``CWT_BLOCK_ROWS`` rows of the bank length) and the signal's
+        spectrum.
 
     Returns
     -------
-    ndarray
-        Complex matrix of shape ``(64, len(s))``; row ``i`` is the
-        ``i``-th pseudo-frequency of the ladder, from 500 Hz down to 10 Hz.
+    ndarray or None
+        Without ``each_row``, the complex matrix of shape ``(64, len(s))``;
+        row ``i`` is the ``i``-th pseudo-frequency of the ladder, from
+        500 Hz down to 10 Hz. With ``each_row``, None.
     """
     n = len(s.samples)
     bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
     spectrum = _fft_of_real(s.samples, length)
     n_rows = len(offsets)
-    out = np.empty((n_rows, n), dtype=complex)
+    out = None
+    if each_row is None:
+        out = np.empty((n_rows, n), dtype=complex)
+        each_row = out.__setitem__
     buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
     for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
         offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
@@ -320,7 +334,7 @@ def cwt(s, kind):
         np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
         np.fft.ifft(block, axis=1, out=block)
         for j, off in enumerate(offs):
-            out[b0 + j] = block[j, off:off + n]
+            each_row(b0 + j, block[j, off:off + n])
     return out
 
 
@@ -328,11 +342,20 @@ def wes(s, kind):
     """Wavelet energy spectrum: per-sample energy summed across scales.
 
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
-    Nonnegative, same length and rate as the input. Rows are added in
-    ladder order, one at a time, which is the order of
-    ``np.sum(..., axis=0)``, so no second matrix is built.
+    Nonnegative, same length and rate as the input. ``cwt`` hands over
+    each row in ladder order, which is the order of
+    ``np.sum(..., axis=0)``, and its squared magnitude is added into the
+    track in place, so the call holds the block buffer of ``cwt`` and two
+    length-N tracks, never the 64-row matrix.
     """
-    track = np.zeros(len(s.samples))
-    for row in cwt(s, kind):
-        track += np.abs(row) ** 2
-    return s.with_samples(track / len(s.samples))
+    n = len(s.samples)
+    track = np.zeros(n)
+    mag = np.empty(n)
+
+    def add_energy(_, row):
+        np.abs(row, out=mag)
+        np.square(mag, out=mag)
+        np.add(track, mag, out=track)
+
+    cwt(s, kind, each_row=add_energy)
+    return s.with_samples(track / n)

@@ -1041,6 +1041,9 @@ class TestJsonInputs:
         ({"sbp_noise_sd": -1}, "sbp_noise_sd"),
         ({"dbp_noise_sd": -0.5}, "dbp_noise_sd"),
         ({"jitter_ms": -1}, "jitter_ms"),
+        # finite, but 10 ** (snr_db / 10) overflowed or reached zero
+        ({"snr_db": 1e300, "n_subjects": 1, "duration_s": 2}, "snr_db"),
+        ({"snr_db": -3300, "n_subjects": 1, "duration_s": 2}, "snr_db"),
     ])
     def test_bad_spec_rejected(self, tmp_path, capsys, spec, needle):
         path = tmp_path / "spec.json"

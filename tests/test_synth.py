@@ -18,7 +18,7 @@ from pcgkit import (
     predict_sbp,
     true_features,
 )
-from pcgkit.synth import MAX_SAMPLES
+from pcgkit.synth import MAX_SAMPLES, MAX_SNR_DB
 
 K15 = math.sqrt(2.0 * math.log(1.0 / 0.15))
 
@@ -83,6 +83,22 @@ class TestSpecValidation:
     def test_longest_accepted_spec(self):
         # 8000 s is 1.6e7 PCG samples at 2000 Hz, under 2**24
         SynthSpec(duration_s=8000.0)
+
+    @pytest.mark.parametrize("snr_db", [
+        1e300, 3100.0, 300.5, -300.5, -3300.0, -1e300, math.inf, -math.inf,
+        math.nan])
+    def test_snr_bounded(self, snr_db):
+        # 1e300 and 3100 overflowed 10 ** (snr_db / 10); -1e300 and -3300
+        # underflowed it to zero and divided by it
+        with pytest.raises(InvalidInputError, match="snr_db"):
+            SynthSpec(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-MAX_SNR_DB, MAX_SNR_DB])
+    def test_snr_range_ends_generate(self, snr_db):
+        spec = SynthSpec(snr_db=snr_db, duration_s=2.0)
+        for generate in (generate_pcg, generate_ecg):
+            signal, _ = generate(spec)
+            assert np.all(np.isfinite(signal.samples))
 
 
 class TestEventPlacement:

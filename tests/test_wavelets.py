@@ -238,6 +238,20 @@ class TestBlockedCwt:
         expected = np.sum(np.abs(oracle) ** 2, axis=0) / n
         assert np.array_equal(wes(s, kind).samples, expected)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_each_row_gets_the_matrix_rows_in_order(self, kind):
+        s = SampledSignal(np.random.default_rng(7).standard_normal(777), RATE)
+        matrix = cwt(s, kind)
+        seen = []
+
+        def keep(i, row):
+            seen.append((i, row.copy()))  # row is valid only during the call
+
+        assert cwt(s, kind, each_row=keep) is None
+        assert [i for i, _ in seen] == list(range(len(matrix)))
+        for i, row in seen:
+            assert np.array_equal(row, matrix[i])
+
     def test_peak_memory_of_a_bump_frame(self):
         # a 4 s frame at 2 kHz has the widest bank of the three families;
         # the full-bank product, ifft output and crop copy peaked at 40.8 MB
@@ -319,20 +333,33 @@ class TestWes:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_peak_memory_adds_no_matrix_to_cwt(self, kind):
-        # wes holds the cwt matrix plus length-n tracks, not a float copy
-        # of the matrix (64 x 8000 doubles is 4.1 MB); Bump has the widest
-        # bank, so its cwt peak hides the most
+        # wes takes each row from the cwt block buffer, so it never holds
+        # the (64, 8000) complex matrix, 7.8 MiB on its own: its peak is the
+        # 8-row block buffer (Bump has the widest bank, 2.5 MiB), the
+        # signal's spectrum and length-n tracks
         s = SampledSignal(np.random.default_rng(9).standard_normal(8000), RATE)
         wes(s, kind)  # fill the kernel-bank cache
-        peaks = {}
-        for func in (cwt, wes):
-            tracemalloc.start()
-            try:
-                func(s, kind)
-                peaks[func] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[wes] < peaks[cwt] + 2 * 2 ** 20
+        tracemalloc.start()
+        try:
+            wes(s, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_calls_cwt_once(self, monkeypatch):
+        calls = []
+        real_cwt = wavelets.cwt
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_cwt(*args, **kwargs)
+
+        monkeypatch.setattr(wavelets, "cwt", counting)
+        s = SampledSignal(np.random.default_rng(6).standard_normal(777), RATE)
+        for kind in ALL_KINDS:
+            wes(s, kind)
+        assert len(calls) == len(ALL_KINDS)
 
     def test_zero_signal(self):
         kind = WaveletKind.MORLET
