@@ -27,6 +27,10 @@ __all__ = [
     "segment_frames", "butterworth_lowpass_zero_phase",
 ]
 
+# Most samples a signal made here may hold (2.3 h at 2000 Hz): synthesis
+# and resampling refuse a longer result before allocating it.
+MAX_SAMPLES = 2 ** 24
+
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
 
@@ -157,7 +161,8 @@ def resample_rational(s, target_rate_hz):
     Raises
     ------
     UnsupportedRatioError
-        If the rate ratio has no small rational representation.
+        If the rate ratio has no small rational representation, or the
+        result would exceed ``max(len(s), MAX_SAMPLES)`` samples.
     """
     if not target_rate_hz > 0:
         raise InvalidInputError(f"target_rate_hz must be > 0, got {target_rate_hz}")
@@ -167,6 +172,13 @@ def resample_rational(s, target_rate_hz):
         raise UnsupportedRatioError(
             f"rate ratio {ratio} not representable with denominator <= 10000")
     up, down = frac.numerator, frac.denominator
+    n = len(s.samples)
+    n_out = -(-n * up // down)  # ceil(n * up / down), the output length
+    if n_out > max(n, MAX_SAMPLES):
+        raise UnsupportedRatioError(
+            f"resampling {n} samples from {s.rate_hz:g} Hz to "
+            f"{target_rate_hz:g} Hz gives {n_out} samples, more than "
+            f"{MAX_SAMPLES}")
     if up == down:
         return SampledSignal(s.samples, float(target_rate_hz))
     from scipy import signal as sps  # loaded only to resample

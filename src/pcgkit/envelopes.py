@@ -92,13 +92,14 @@ def wes_envelope(frame, kind=WaveletKind.MORLET):
     return wes(frame, kind)
 
 
-def smooth(envelope, cutoff_hz=SMOOTHING_CUTOFF_HZ):
+def smooth(envelope):
     """Zero-phase 4th-order lowpass an envelope, clipping undershoot to zero.
 
-    Well below the default cutoff (around 8 Hz) adjacent S1/S2 peaks
-    start to merge and timing-based estimates degrade.
+    The cutoff is ``SMOOTHING_CUTOFF_HZ``. Well below it (around 8 Hz)
+    adjacent S1/S2 peaks start to merge and timing-based estimates
+    degrade.
     """
-    filtered = butterworth_lowpass_zero_phase(envelope, cutoff_hz)
+    filtered = butterworth_lowpass_zero_phase(envelope, SMOOTHING_CUTOFF_HZ)
     return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 

@@ -20,7 +20,7 @@ class DegenerateSignalError(InvalidInputError):
 
 
 class UnsupportedRatioError(InvalidInputError):
-    """Resampling ratio is not representable as a small rational."""
+    """Resampling ratio is not a small rational, or its result too long."""
 
 
 class TooShortError(InvalidInputError):

@@ -95,13 +95,12 @@ def _local_maxima(y):
     return (ends[up] + 1 + ends[up + 1]) // 2
 
 
-def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
-                        min_distance_s=PEAK_DISTANCE_S):
+def find_envelope_peaks(envelope):
     """Apply the raw peak rules and return every surviving peak.
 
-    Rules: local maxima at or above ``min_height_frac`` of the envelope
+    Rules: local maxima at or above ``PEAK_HEIGHT_FRAC`` of the envelope
     maximum, then greedy suppression that keeps the taller of any two
-    peaks closer than ``min_distance_s`` (ties keep the earlier). A run of
+    peaks closer than ``PEAK_DISTANCE_S`` (ties keep the earlier). A run of
     equal samples with a lower sample on each side is a maximum too and
     reports its center sample; frame endpoints are never peaks
     since they lack one neighbor. The candidates before suppression are
@@ -119,12 +118,12 @@ def find_envelope_peaks(envelope, min_height_frac=PEAK_HEIGHT_FRAC,
     peak_max = float(np.max(y))
     if peak_max > 1 + 1e-9:
         raise InvalidInputError("envelope must be normalized to max 1")
-    floor = min_height_frac * peak_max
+    floor = PEAK_HEIGHT_FRAC * peak_max
     cand = _local_maxima(y)
     cand = cand[y[cand] >= floor].tolist()
     # tall-first greedy suppression; equal heights keep the earlier peak
     order = sorted(cand, key=lambda i: (-y[i], i))
-    min_gap = min_distance_s * rate
+    min_gap = PEAK_DISTANCE_S * rate
     kept = []
     for i in order:
         if all(abs(i - j) >= min_gap for j in kept):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
-from .core import SampledSignal
+from .core import MAX_SAMPLES, SampledSignal
 from .errors import InvalidInputError
 from .segmentation import BASELINE_FRAC
 
@@ -27,9 +27,6 @@ __all__ = [
 # Rise/decay of a Gaussian burst in units of sigma, at the segmentation
 # baseline, so analytic truth and measurement line up.
 _K15 = math.sqrt(2.0 * math.log(1.0 / BASELINE_FRAC))
-# Most samples one generated PCG or ECG may hold: 2**24 is 2.3 h at
-# 2000 Hz. A longer spec is refused before its cycles are laid out.
-MAX_SAMPLES = 2 ** 24
 # Largest signal-to-noise magnitude a spec may ask for, in dB. The noise
 # scale is 10 ** (snr_db / 10), which overflows past about +3080 dB and
 # underflows to zero below about -3230 dB.

@@ -17,14 +17,13 @@ rate, frame length): repeated equal-length frames sample and transform
 the kernels once, and a lock around the build makes threads that miss
 together wait for one build rather than each make its own. The bank is
 streamed through the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows,
-each transformed in place, so a call holds one small complex buffer
-rather than several full-bank temporaries. ``cwt`` hands each cropped
-row, in ladder order, either to its output matrix or to a caller's
-``each_row`` callback; ``wes`` passes one that adds the row's squared
-magnitude into its track, so a ``wes`` call holds the block buffer and
-two length-n tracks but never the 64-row matrix. The cached banks are
-read-only and every buffer is local to its call, so ``cwt`` and ``wes``
-may run on several threads at once.
+each transformed in place, and ``cwt`` streams each cropped row, in
+ladder order, to its caller's ``each_row`` callback as a view into that
+buffer: no call allocates the 64-row matrix. ``wes`` passes a callback
+that adds the row's squared magnitude into its track, so it holds the
+block buffer and two length-n tracks. The cached banks are read-only and
+every buffer is local to its call, so ``cwt`` and ``wes`` may run on
+several threads at once.
 """
 
 import enum
@@ -203,21 +202,22 @@ def sample_wavelet(kind, scale):
 
     Returns
     -------
-    (ndarray, int)
+    ndarray
         Complex samples ``psi(m / scale) / sqrt(scale)`` for
-        ``m in [-half, half]``, and ``half`` itself (the support radius
-        in samples). Morlet is evaluated in closed form; Morse and Bump
-        are sampled in frequency, inverted over a radius of 40 natural
-        time units, then trimmed to where the magnitude exceeds 1e-8 of
-        its peak. For Bump that trim never fires: its kernel still holds
-        0.1-0.5% of its peak at that radius (all 64 ladder scales at
-        2000 Hz), so it is cut off there, not trimmed.
+        ``m in [-half, half]``: an odd count centred on ``m = 0``, whose
+        support radius is ``half = len // 2`` samples. Morlet is
+        evaluated in closed form; Morse and Bump are sampled in
+        frequency, inverted over a radius of 40 natural time units, then
+        trimmed to where the magnitude exceeds 1e-8 of its peak. For Bump
+        that trim never fires: its kernel still holds 0.1-0.5% of its
+        peak at that radius (all 64 ladder scales at 2000 Hz), so it is
+        cut off there, not trimmed.
     """
     if kind is WaveletKind.MORLET:
         half = int(math.ceil(8.0 * scale))
         t = np.arange(-half, half + 1) / scale
         psi = np.pi ** -0.25 * np.exp(1j * MORLET_OMEGA0 * t) * np.exp(-0.5 * t * t)
-        return psi / np.sqrt(scale), half
+        return psi / np.sqrt(scale)
     radius = 40.0  # natural time units; generous for both spectra
     half = int(math.ceil(radius * scale))
     nfft = int(2 ** math.ceil(math.log2(2 * half + 2)))
@@ -232,7 +232,7 @@ def sample_wavelet(kind, scale):
     mag = np.abs(w)
     keep = np.nonzero(mag >= 1e-8 * mag.max())[0]
     r = max(half - keep[0], keep[-1] - half)
-    return w[half - r:half + r + 1], r
+    return w[half - r:half + r + 1]
 
 
 def _next_fast_len(n):
@@ -270,10 +270,10 @@ def _fft_of_real(x, n):
 def _build_kernel_bank(kind, rate_hz, n_sig):
     """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
     kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
-    offsets = np.array([half for _, half in kernels])
+    offsets = np.array([len(w) // 2 for w in kernels])
     length = _next_fast_len(n_sig + 2 * int(offsets.max()))
     bank_h = np.empty((len(kernels), length), dtype=complex)
-    for i, (w, _) in enumerate(kernels):
+    for i, w in enumerate(kernels):
         np.fft.fft(np.conj(w)[::-1], length, out=bank_h[i])
     bank_h.flags.writeable = offsets.flags.writeable = False
     return bank_h, offsets, length
@@ -290,43 +290,33 @@ def _kernel_bank(kind, rate_hz, n_sig):
         return _build_kernel_bank(kind, rate_hz, n_sig)
 
 
-def cwt(s, kind, *, each_row=None):
+def cwt(s, kind, *, each_row):
     """Continuous wavelet transform of a signal over the scale ladder.
 
     Each row is the convolution of the signal with the conjugated,
     time-reversed sampled wavelet at that scale (energy-preserving
     1/sqrt(scale) normalization), zero-padded at the frame boundaries.
     Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
-    the call, each equal to the row of one full-bank transform. The shared
-    kernel bank is only read, so concurrent calls are safe.
+    the call, each equal to the row of one full-bank transform, and
+    streamed to ``each_row``; none is kept. The shared kernel bank is
+    only read, so concurrent calls are safe.
 
     Parameters
     ----------
     s : SampledSignal
     kind : WaveletKind
-    each_row : callable, optional
+    each_row : callable
         Called as ``each_row(i, row)`` for ``i = 0 .. 63`` in ladder
-        order, with ``row`` the complex ``i``-th row as a view into the
-        block buffer, valid only during that call. When given, no matrix
-        is allocated and the call holds only the block buffer
-        (``CWT_BLOCK_ROWS`` rows of the bank length) and the signal's
-        spectrum.
-
-    Returns
-    -------
-    ndarray or None
-        Without ``each_row``, the complex matrix of shape ``(64, len(s))``;
-        row ``i`` is the ``i``-th pseudo-frequency of the ladder, from
-        500 Hz down to 10 Hz. With ``each_row``, None.
+        order, from 500 Hz down to 10 Hz, with ``row`` the complex
+        ``i``-th row of length ``len(s)`` as a view into the block
+        buffer, valid only during that call. The call holds only the
+        block buffer (``CWT_BLOCK_ROWS`` rows of the bank length) and the
+        signal's spectrum.
     """
     n = len(s.samples)
     bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
     spectrum = _fft_of_real(s.samples, length)
     n_rows = len(offsets)
-    out = None
-    if each_row is None:
-        out = np.empty((n_rows, n), dtype=complex)
-        each_row = out.__setitem__
     buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
     for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
         offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
@@ -335,7 +325,6 @@ def cwt(s, kind, *, each_row=None):
         np.fft.ifft(block, axis=1, out=block)
         for j, off in enumerate(offs):
             each_row(b0 + j, block[j, off:off + n])
-    return out
 
 
 def wes(s, kind):
@@ -343,8 +332,7 @@ def wes(s, kind):
 
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
     Nonnegative, same length and rate as the input. ``cwt`` hands over
-    each row in ladder order, which is the order of
-    ``np.sum(..., axis=0)``, and its squared magnitude is added into the
+    each row in ladder order and its squared magnitude is added into the
     track in place, so the call holds the block buffer of ``cwt`` and two
     length-N tracks, never the 64-row matrix.
     """

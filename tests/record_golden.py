@@ -1,0 +1,69 @@
+"""Record the report goldens that ``test_golden.py`` compares against.
+
+    PYTHONPATH=src python3 tests/record_golden.py
+
+Writes the ``COHORT`` synth dataset into a temporary directory, runs each
+command of ``CASES`` on it through ``pcgkit.cli.main`` and copies its
+reports to ``tests/golden/<case>/``. The numpy version that computed them
+goes to ``tests/golden/numpy_version.txt``: FFT rounding can differ
+between numpy versions, so the test compares bytes only under that one.
+Re-record only when a change to the reports is intended.
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+NUMPY_VERSION_FILE = GOLDEN / "numpy_version.txt"
+
+# One small cohort: 4 subjects x 12 s.
+COHORT = ["synth", "--out", "ds", "--subjects", "4", "--seed", "11",
+          "--duration", "12"]
+# Paths that the perfbench goldens never run: hr on the wavelet energy
+# spectrum of each family, and quality at a frame length other than 4 s.
+CASES = {
+    "hr_wes_morlet": ["hr", "ds", "--method", "wes", "--wavelet", "morlet"],
+    "hr_wes_morse": ["hr", "ds", "--method", "wes", "--wavelet", "morse"],
+    "hr_wes_bump": ["hr", "ds", "--method", "wes", "--wavelet", "bump"],
+    "quality_frames_2": ["quality", "ds", "--frames", "2"],
+}
+
+
+def run_case(name):
+    """Synthesize the cohort and run case ``name`` in the working directory.
+
+    Paths are relative because every report lists its ``--out``. Returns
+    the exit code and the output directory.
+    """
+    from pcgkit.cli import main
+
+    if not Path("ds").exists() and main(COHORT) != 0:
+        raise RuntimeError("synth failed")
+    out = Path("out") / name
+    return main([*CASES[name], "--out", str(out)]), out
+
+
+def main():
+    os.environ.pop("PCGKIT_CONFIG", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name in CASES:
+            code, out = run_case(name)
+            if code != 0:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return 1
+            dest = GOLDEN / name
+            shutil.rmtree(dest, ignore_errors=True)
+            shutil.copytree(out, dest)
+            print(f"{name}: {sorted(p.name for p in dest.iterdir())}")
+    NUMPY_VERSION_FILE.write_text(np.__version__ + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

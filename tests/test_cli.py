@@ -19,6 +19,7 @@ from pcgkit import (
     BpCoefficients,
     EnvelopeMethod,
     HrFormula,
+    SampledSignal,
     SynthSpec,
     UnitConvention,
     WaveletKind,
@@ -27,6 +28,7 @@ from pcgkit import (
     generate_pcg,
     read_wav_pcm16,
     write_subject_dir,
+    write_wav_pcm16,
 )
 from pcgkit import cli, load_dataset
 from pcgkit import io as pcgkit_io
@@ -362,6 +364,25 @@ class TestHrCommand:
         assert sorted(report["subjects"]) == ["s01"]
         assert "finite" in report["errors"]["s02"]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, flags, report", [
+        (["hr"], [], "hr_report.json"),
+        (["quality"], [], "quality_report.json"),
+        (["bp", "predict"], ["--features-from-audio"], "bp_predictions.json"),
+    ], ids=["hr", "quality", "bp"])
+    def test_wav_too_long_once_resampled_is_a_subject_error(
+            self, command, flags, report, tmp_path, capsys):
+        # 10,000 samples said to be at 1 Hz would be 2e7 samples at 2 kHz
+        ds = synth_ds(tmp_path / "ds", 2)
+        pcg = read_wav_pcm16(ds / "s02" / "pcg.wav")
+        write_wav_pcm16(ds / "s02" / "pcg.wav",
+                        SampledSignal(pcg.samples[:10_000], 1.0))
+        out = tmp_path / "out"
+        assert main([*command, str(ds), *flags, "--out", str(out)]) == 1
+        errors = json.loads((out / report).read_text())["errors"]
+        assert list(errors) == ["s02"]
+        assert "10000 samples from 1 Hz" in errors["s02"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_non_utf8_ecg_is_an_ingest_error(self, tmp_path):
         ds = synth_ds(tmp_path / "ds", 2)

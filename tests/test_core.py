@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,34 @@ class TestResample:
         s = tone(50.0, 0.5, 2000.0)
         with pytest.raises(UnsupportedRatioError):
             resample_rational(s, 2000.0 * math.pi)
+
+    def test_result_past_the_cap_refused_before_allocating(self):
+        # 10,000 samples at 1 Hz would become 2e7 samples, 160 MB, at 2 kHz
+        s = sig(np.ones(10_000), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRatioError,
+                               match="10000 samples from 1 Hz"):
+                resample_rational(s, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    # (samples, source rate, cap): the result may reach the cap, and a
+    # source already past it may still be resampled to fewer samples
+    @pytest.mark.parametrize("n, rate, cap, n_out", [
+        (1500, 1000.0, 3000, 3000), (1001, 3000.0, 300, 668),
+        (900, 1000.0, 1000, None), (1501, 1000.0, 3000, None)])
+    def test_cap_is_the_larger_of_source_and_max_samples(self, n, rate, cap,
+                                                         n_out, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SAMPLES", cap)
+        s = sig(np.zeros(n), rate)
+        if n_out is None:
+            with pytest.raises(UnsupportedRatioError, match="more than"):
+                resample_rational(s, 2000.0)
+        else:
+            assert len(resample_rational(s, 2000.0).samples) == n_out
 
 
 class TestFrames:

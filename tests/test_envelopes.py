@@ -13,6 +13,7 @@ from pcgkit import (
     SynthSpec,
     WaveletKind,
     compute_envelope,
+    envelopes,
     find_envelope_peaks,
     generate_pcg,
     hilbert_envelope,
@@ -178,16 +179,17 @@ class TestSmooth:
         rms_out = np.sqrt(np.mean(residual ** 2))
         assert rms_out < 0.01 * rms_in
 
-    def test_low_cutoff_widens_but_keeps_bursts_apart(self):
+    def test_low_cutoff_widens_but_keeps_bursts_apart(self, monkeypatch):
         # 8 Hz is reported to degrade timing estimates; the two bumps
         # must still resolve, just wider than at the default cutoff
         t = np.arange(int(1.5 * RATE)) / RATE
         sigma = 0.060 / 2.355
         bumps = (np.exp(-0.5 * ((t - 0.5) / sigma) ** 2)
                  + np.exp(-0.5 * ((t - 0.8) / sigma) ** 2))
-        at_8 = normalize_max_abs(smooth(self._envelope(bumps), cutoff_hz=8.0))
-        at_20 = normalize_max_abs(smooth(self._envelope(bumps),
-                                         cutoff_hz=20.0))
+        assert envelopes.SMOOTHING_CUTOFF_HZ == 20.0
+        at_20 = normalize_max_abs(smooth(self._envelope(bumps)))
+        monkeypatch.setattr(envelopes, "SMOOTHING_CUTOFF_HZ", 8.0)
+        at_8 = normalize_max_abs(smooth(self._envelope(bumps)))
         peaks_8 = find_envelope_peaks(at_8)
         peaks_20 = find_envelope_peaks(at_20)
         assert len(peaks_8) == 2
@@ -234,7 +236,7 @@ class TestMethodInvariants:
         frame = normalize_max_abs(interior_cycles_frame())
         env = compute_envelope(frame, "shannon")
         assert abs(np.max(env.samples) - 1.0) < 1e-12
-        smoothed = smooth(shannon_energy_envelope(frame), 20.0)
+        smoothed = smooth(shannon_energy_envelope(frame))
         assert np.array_equal(env.samples,
                               normalize_max_abs(smoothed).samples)
 

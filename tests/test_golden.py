@@ -1,0 +1,34 @@
+"""CLI reports on the WES paths, byte for byte against ``tests/golden/``.
+
+The goldens are written by ``record_golden.py``. Bytes are compared only
+under the numpy version that recorded them, since another version's FFT
+may round differently; under any other version each case skips.
+"""
+
+import numpy as np
+import pytest
+
+from record_golden import CASES, GOLDEN, NUMPY_VERSION_FILE, run_case
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_equal_golden(name, tmp_path, monkeypatch):
+    recorded = NUMPY_VERSION_FILE.read_text().strip()
+    if np.__version__ != recorded:
+        pytest.skip(f"goldens recorded with numpy {recorded}, "
+                    f"running numpy {np.__version__}")
+    monkeypatch.delenv("PCGKIT_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_case(name)
+    assert code == 0
+    golden = GOLDEN / name
+    assert (sorted(p.name for p in out.iterdir())
+            == sorted(p.name for p in golden.iterdir()))
+    for path in sorted(golden.iterdir()):
+        got, want = (out / path.name).read_bytes(), path.read_bytes()
+        if got != want:
+            lines = zip(want.splitlines(), got.splitlines())
+            first = next((i for i, (w, g) in enumerate(lines, 1) if w != g),
+                         None)
+            pytest.fail(f"{name}/{path.name} differs from its golden "
+                        f"(first differing line: {first})")

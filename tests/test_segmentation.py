@@ -23,11 +23,20 @@ from pcgkit import (
     normalize_max_abs,
     rise_decay_times,
     segment,
+    segmentation,
 )
 
 
 def envelope_of(values, rate_hz):
     return SampledSignal(np.asarray(values, dtype=float), rate_hz)
+
+
+def peaks_under(envelope, height_frac, distance_s):
+    """``find_envelope_peaks`` with the module's peak rules set to these."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "PEAK_HEIGHT_FRAC", height_frac)
+        mp.setattr(segmentation, "PEAK_DISTANCE_S", distance_s)
+        return find_envelope_peaks(envelope)
 
 
 def peaks_at(times, labels=None):
@@ -149,8 +158,8 @@ class TestFindEnvelopePeaksAgainstReference:
            rate=st.sampled_from([10.0, 100.0, 2000.0]))
     def test_same_indices_as_reference(self, y, min_height_frac,
                                        min_distance_s, rate):
-        peaks = find_envelope_peaks(envelope_of(y, rate), min_height_frac,
-                                    min_distance_s)
+        peaks = peaks_under(envelope_of(y, rate), min_height_frac,
+                            min_distance_s)
         assert [p.index for p in peaks] == reference_peak_indices(
             y, rate, min_height_frac, min_distance_s)
         for p in peaks:
@@ -177,8 +186,7 @@ class TestCandidatesAgainstFindPeaks:
            min_height_frac=st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
                                      st.floats(0.0, 1.0)))
     def test_same_indices_as_find_peaks(self, y, min_height_frac):
-        peaks = find_envelope_peaks(envelope_of(y, 100.0), min_height_frac,
-                                    0.0)
+        peaks = peaks_under(envelope_of(y, 100.0), min_height_frac, 0.0)
         floor = min_height_frac * float(np.max(y))
         assert [p.index for p in peaks] == \
             find_peaks(y, height=floor)[0].tolist()

@@ -18,7 +18,8 @@ from pcgkit import (
     predict_sbp,
     true_features,
 )
-from pcgkit.synth import MAX_SAMPLES, MAX_SNR_DB
+from pcgkit.core import MAX_SAMPLES
+from pcgkit.synth import MAX_SNR_DB
 
 K15 = math.sqrt(2.0 * math.log(1.0 / 0.15))
 

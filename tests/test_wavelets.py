@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import fft, ifft, next_fast_len
 
 from pcgkit import SampledSignal, WaveletKind, cwt, dwt_denoise_db4, wes
@@ -36,6 +37,17 @@ def full_matrix_cwt(s, kind):
     for i, off in enumerate(offsets):
         out[i] = rows[i, off:off + n]
     return out
+
+
+def streamed_rows(s, kind):
+    """The rows ``cwt`` streams, checked to arrive in ladder order, stacked.
+
+    Each row is copied, since ``cwt`` lends it only for its callback.
+    """
+    seen = []
+    cwt(s, kind, each_row=lambda i, row: seen.append((i, row.copy())))
+    assert [i for i, _ in seen] == list(range(64))
+    return np.array([row for _, row in seen])
 
 
 def burst_frame(centers_s=(1.0, 2.0), freq=60.0, sigma=0.012, duration=3.0,
@@ -117,14 +129,14 @@ class TestWaveletKinds:
         # the 1/sqrt(scale) convention keeps kernel energy scale-free
         energies = []
         for scale in (4.0, 16.0, 64.0):
-            w, half = sample_wavelet(kind, scale)
-            assert len(w) == 2 * half + 1
+            w = sample_wavelet(kind, scale)
+            assert len(w) % 2 == 1
             energies.append(float(np.sum(np.abs(w) ** 2)))
         assert np.allclose(energies, energies[0], rtol=0.01)
 
     def test_morlet_kernel_is_unit_energy(self):
         # closed-form Morlet is L2-normalized, a known absolute anchor
-        w, _ = sample_wavelet(WaveletKind.MORLET, 16.0)
+        w = sample_wavelet(WaveletKind.MORLET, 16.0)
         assert abs(np.sum(np.abs(w) ** 2) - 1.0) < 0.01
 
     def test_names_are_the_report_keys(self):
@@ -148,7 +160,7 @@ class TestCwt:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_tone_ridge_at_matching_frequency(self, kind, tone):
         s = tone(40.0, 2.0, RATE)
-        coeffs = cwt(s, kind)
+        coeffs = streamed_rows(s, kind)
         assert coeffs.shape == (64, len(s))
         interior = np.abs(coeffs[:, 1000:-1000])
         ridge = int(np.argmax(interior.mean(axis=1)))
@@ -159,13 +171,13 @@ class TestCwt:
     def test_zero_signal_zero_matrix(self):
         kind = WaveletKind.MORLET
         s = SampledSignal(np.zeros(1000), RATE)
-        assert np.all(cwt(s, kind) == 0)
+        assert np.all(streamed_rows(s, kind) == 0)
 
     def test_linearity_in_amplitude(self, tone):
         kind = WaveletKind.MORLET
         x = tone(60.0, 1.0, RATE)
-        a = cwt(x, kind)
-        b = cwt(x.with_samples(3.0 * x.samples), kind)
+        a = streamed_rows(x, kind)
+        b = streamed_rows(x.with_samples(3.0 * x.samples), kind)
         assert np.max(np.abs(b - 3.0 * a)) < 1e-12 * np.max(np.abs(a)) * 3 + 1e-12
 
     def test_additivity(self, tone):
@@ -173,8 +185,8 @@ class TestCwt:
         x = tone(50.0, 0.5, RATE)
         y = tone(120.0, 0.5, RATE)
         both = x.with_samples(x.samples + y.samples)
-        lhs = cwt(both, kind)
-        rhs = cwt(x, kind) + cwt(y, kind)
+        lhs = streamed_rows(both, kind)
+        rhs = streamed_rows(x, kind) + streamed_rows(y, kind)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_kernels_sampled_once_per_length(self, monkeypatch):
@@ -191,13 +203,13 @@ class TestCwt:
         rows = []
         for _ in range(2):
             s = SampledSignal(rng.standard_normal(777), RATE)
-            rows.append((s, cwt(s, kind)))
+            rows.append((s, streamed_rows(s, kind)))
         assert len(calls) == 64
         bank_h, offsets, _ = wavelets._kernel_bank(kind, RATE, 777)
         assert not bank_h.flags.writeable and not offsets.flags.writeable
         wavelets._build_kernel_bank.cache_clear()
         for s, coeffs in rows:
-            assert np.array_equal(cwt(s, kind), coeffs)
+            assert np.array_equal(streamed_rows(s, kind), coeffs)
 
 
 class TestFftHelpers:
@@ -234,14 +246,38 @@ class TestBlockedCwt:
         s = SampledSignal(np.random.default_rng(n + block_rows).standard_normal(n),
                           RATE)
         oracle = full_matrix_cwt(s, kind)
-        assert np.array_equal(cwt(s, kind), oracle)
+        assert np.array_equal(streamed_rows(s, kind), oracle)
         expected = np.sum(np.abs(oracle) ** 2, axis=0) / n
         assert np.array_equal(wes(s, kind).samples, expected)
+
+    # frames from one sample up, most shorter than the widest kernel of
+    # every family (3057, 2905 and 12735 samples at 2 kHz), and any block
+    # size from one row to the whole ladder
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4000), kind=st.sampled_from(ALL_KINDS),
+           block_rows=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, kind=WaveletKind.BUMP, block_rows=64, seed=0)
+    @example(n=3057, kind=WaveletKind.MORLET, block_rows=7, seed=1)
+    def test_streamed_rows_and_wes_equal_full_matrix(self, n, kind,
+                                                     block_rows, seed):
+        s = SampledSignal(np.random.default_rng(seed).standard_normal(n),
+                          RATE)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelets, "CWT_BLOCK_ROWS", block_rows)
+            rows = streamed_rows(s, kind)
+            track = wes(s, kind).samples
+        assert np.array_equal(rows, full_matrix_cwt(s, kind))
+        # summed in ladder order; np.sum(..., axis=0) pairs the terms
+        # differently when n == 1
+        energy = np.zeros(n)
+        for row in rows:
+            energy += np.abs(row) ** 2
+        assert np.array_equal(track, energy / n)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_each_row_gets_the_matrix_rows_in_order(self, kind):
         s = SampledSignal(np.random.default_rng(7).standard_normal(777), RATE)
-        matrix = cwt(s, kind)
+        matrix = full_matrix_cwt(s, kind)
         seen = []
 
         def keep(i, row):
@@ -257,10 +293,14 @@ class TestBlockedCwt:
         # the full-bank product, ifft output and crop copy peaked at 40.8 MB
         kind = WaveletKind.BUMP
         s = SampledSignal(np.random.default_rng(8).standard_normal(8000), RATE)
-        cwt(s, kind)  # fill the kernel-bank cache
+
+        def drop(i, row):
+            pass
+
+        cwt(s, kind, each_row=drop)  # fill the kernel-bank cache
         tracemalloc.start()
         try:
-            cwt(s, kind)
+            cwt(s, kind, each_row=drop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,7 +320,7 @@ class TestBlockedCwt:
 
         def work(i):
             for _ in range(5):
-                results[i] = cwt(signals[i], kind)
+                results[i] = streamed_rows(signals[i], kind)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
