@@ -379,7 +379,8 @@ def cmd_bp(args):
             if getattr(args, _FLAGS[flag]["dest"]) is not None:
                 raise ConfigError(
                     f"{flag} is only used with --features-from-audio")
-    records, errors = _stream_dataset(args.dataset)
+    # the pressure model reads PCG features alone: no ecg.txt is parsed
+    records, errors = _stream_dataset(args.dataset, ecg=False)
     # subject id -> (features, sbp_ref, dbp_ref)
     rows = _per_subject(records, errors, lambda record: (
         _subject_features(record, config, args.features_from_audio),
@@ -458,7 +459,7 @@ def cmd_quality(args):
     from concurrent.futures import ThreadPoolExecutor
 
     config = resolve_config(args)
-    records, errors = _stream_dataset(args.dataset)
+    records, errors = _stream_dataset(args.dataset, ecg=False)
     table = {}
 
     def quality_of(result):

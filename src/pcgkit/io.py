@@ -159,12 +159,15 @@ def read_ecg_text(path, rate_hz=None):
     # any first row but a two-field one is read as one plain value
     width = 2 if rows[0].count(",") == 1 else 1
     try:
-        table = np.array([row.split(",") for row in rows] if width == 2
-                         else rows, dtype=np.float64)
+        if width == 2 and not all(row.count(",") == 1 for row in rows):
+            raise ValueError("a row without exactly two fields")
+        # timed rows are joined and split once, so one cast reads every field
+        table = np.array(",".join(rows).split(",") if width == 2 else rows,
+                         dtype=np.float64)
     except ValueError:
         _raise_first_fault(path, lines, rows, width)
         raise  # the cast refuses only what ``float`` or the width refuses
-    times, values = table.T if width == 2 else (None, table)
+    times, values = table.reshape(-1, 2).T if width == 2 else (None, table)
     finite = np.isfinite(values)
     if times is not None:
         finite &= np.isfinite(times)
@@ -255,8 +258,13 @@ def read_json_object(path):
     return payload
 
 
-def load_subject_dir(subject_dir):
-    """Load one subject folder (``pcg.wav`` required, rest optional)."""
+def load_subject_dir(subject_dir, ecg=True):
+    """Load one subject folder (``pcg.wav`` required, rest optional).
+
+    With ``ecg=False`` the folder's ``ecg.txt`` is neither opened nor
+    checked and ``record.ecg`` is None; ``meta.json`` is read and checked
+    in full either way.
+    """
     subject_dir = Path(subject_dir)
     meta_path = subject_dir / "meta.json"
     meta = read_json_object(meta_path) if meta_path.exists() else {}
@@ -268,19 +276,20 @@ def load_subject_dir(subject_dir):
         raise ParseError(f"{meta_path}: subject_id must be a non-empty "
                          f"string, got {subject_id!r}")
     pcg = read_wav_pcm16(subject_dir / "pcg.wav")
-    ecg = None
+    ecg_signal = None
     ecg_path = subject_dir / "ecg.txt"
-    if ecg_path.exists():
-        ecg = read_ecg_text(ecg_path, rate_hz=meta.get("ecg_rate_hz"))
+    if ecg and ecg_path.exists():
+        ecg_signal = read_ecg_text(ecg_path, rate_hz=meta.get("ecg_rate_hz"))
     return SubjectRecord(
-        subject_id=subject_id, pcg=pcg, ecg=ecg,
+        subject_id=subject_id, pcg=pcg, ecg=ecg_signal,
         sbp_ref=meta.get("sbp_ref"), dbp_ref=meta.get("dbp_ref"),
         meta=meta)
 
 
-def _stream_dataset(root):
+def _stream_dataset(root, ecg=True):
     """Check a dataset root now; load its subject folders one at a time.
 
+    ``ecg`` is passed to :func:`load_subject_dir` for every folder.
     Returns ``(records, errors)`` at once. ``records`` is a generator that
     loads each folder only when the next record is asked for and fills
     ``errors`` as it goes, so a caller that drops each record before it
@@ -299,7 +308,7 @@ def _stream_dataset(root):
         folder_of = {}
         for d in dirs:
             try:
-                record = load_subject_dir(d)
+                record = load_subject_dir(d, ecg=ecg)
             except (PcgKitError, OSError) as exc:
                 errors[d.name] = f"ingest: {exc}"
                 continue
@@ -320,7 +329,7 @@ def _stream_dataset(root):
     return records(), errors
 
 
-def load_dataset(root):
+def load_dataset(root, ecg=True):
     """Load every subject folder under a dataset root, sorted by name.
 
     Returns ``(records, errors)``. A folder that fails to load, with a
@@ -329,15 +338,17 @@ def load_dataset(root):
     ``subject_id`` an earlier folder already has, does not stop the others;
     ``errors`` maps its name to ``"ingest: <reason>"``. So every folder
     lands exactly once, as a record or as an error, under a key no other
-    folder uses. The commands take the same folders one at a time instead
-    of all at once.
+    folder uses. With ``ecg=False`` no ``ecg.txt`` is read (see
+    :func:`load_subject_dir`), so a damaged one is no error. The commands
+    take the same folders one at a time instead of all at once; only
+    ``hr`` reads ``ecg.txt``.
 
     Raises
     ------
     MissingFileError, EmptyDataError
         If the root is not a directory or holds no subject folder.
     """
-    records, errors = _stream_dataset(root)
+    records, errors = _stream_dataset(root, ecg=ecg)
     return list(records), errors
 
 

@@ -195,18 +195,21 @@ def cycle_intervals(labeled):
 
 
 def _crossing_backward(y, peak_idx, level, stop_idx):
-    """Last sample at or below level before the peak, or None if truncated."""
-    for i in range(peak_idx - 1, stop_idx, -1):
-        if y[i] <= level:
-            return i
-    return None
+    """Last sample at or below level strictly between ``stop_idx`` and the
+    peak, or None if truncated (``stop_idx`` is -1 at the frame start)."""
+    start = stop_idx + 1
+    hits = np.flatnonzero(y[start:peak_idx] <= level)
+    return start + int(hits[-1]) if hits.size else None
 
 
 def _crossing_forward(y, peak_idx, level, stop_idx):
-    for i in range(peak_idx + 1, stop_idx):
-        if y[i] <= level:
-            return i
-    return None
+    """First sample at or below level strictly between the peak and
+    ``stop_idx``, or None if truncated (``stop_idx`` is ``len(y)`` at the
+    frame end, and -1, which ends the search at once, after a next peak
+    without a sample index)."""
+    start = peak_idx + 1
+    hits = np.flatnonzero(y[start:max(stop_idx, start)] <= level)
+    return start + int(hits[0]) if hits.size else None
 
 
 def rise_decay_times(envelope, labeled):

@@ -751,10 +751,10 @@ class TestStreaming:
         loaded, live_at_load = [], []
         load = pcgkit_io.load_subject_dir
 
-        def tracked(subject_dir):
+        def tracked(subject_dir, **kwargs):
             gc.collect()
             live_at_load.append(sum(r() is not None for r in loaded))
-            record = load(subject_dir)
+            record = load(subject_dir, **kwargs)
             loaded.append(weakref.ref(record))
             return record
 
@@ -1157,3 +1157,66 @@ class TestEveryFolderOnce:
                 assert not set(results) & set(errors), argv
                 assert len(results) + len(errors) == len(spec), argv
                 assert rc == (1 if errors else 0), argv
+
+
+ECG_DAMAGES = ("intact", "missing", "broken", "not UTF-8", "directory")
+
+
+def damage_ecg(path, damage):
+    """Leave ``path`` as it is, remove it, or spoil it as ``damage`` says."""
+    if damage == "intact":
+        return
+    data = path.read_bytes()
+    path.unlink()
+    if damage == "broken":
+        path.write_bytes(BROKEN_BYTES["ecg.txt"])
+    elif damage == "not UTF-8":
+        path.write_bytes(data + b"\xff\xfe\n")
+    elif damage == "directory":
+        path.mkdir()
+
+
+class TestEcgReadByHrAlone:
+    """Only ``hr`` reads ecg.txt, so only its report sees one damaged."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(damages=st.lists(st.sampled_from(ECG_DAMAGES), min_size=1,
+                            max_size=4))
+    @example(damages=["missing", "broken", "not UTF-8", "directory"])
+    def test_other_commands_ignore_ecg(self, damages, template_subject):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds, out = Path(tmp) / "ds", Path(tmp) / "out"
+            names = [f"f{i}" for i in range(len(damages))]
+            for name in names:
+                folder = shutil.copytree(template_subject, ds / name)
+                meta = json.loads((folder / "meta.json").read_text())
+                del meta["subject_id"]  # without one the folder name is used
+                (folder / "meta.json").write_text(json.dumps(meta))
+
+            def run(*argv):
+                rc = main([*argv, str(ds), "--out", str(out)])
+                files = {p.name: p.read_bytes() for p in out.iterdir()}
+                shutil.rmtree(out)
+                return rc, files
+
+            others = (["quality"],
+                      ["bp", "predict", "--features-from-audio"])
+            intact = [run(*argv) for argv in others]
+            for name, damage in zip(names, damages):
+                damage_ecg(ds / name / "ecg.txt", damage)
+            assert [run(*argv) for argv in others] == intact
+            assert [rc for rc, _ in intact] == [0, 0]
+
+            rc, files = run("hr")
+        report = strict_json(files["hr_report.json"])
+        damaged = {name for name, damage in zip(names, damages)
+                   if damage not in ("intact", "missing")}
+        assert set(report["errors"]) == damaged
+        assert all(e.startswith("ingest: ")
+                   for e in report["errors"].values())
+        assert rc == (1 if damaged else 0)
+        for name, damage in zip(names, damages):
+            if name not in damaged:
+                rows = report["subjects"][name]["frames"]
+                assert rows and all(("bpm_ecg" in row) == (damage == "intact")
+                                    for row in rows)

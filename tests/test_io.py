@@ -161,6 +161,21 @@ class TestReadEcgText:
             read_ecg_text(path)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("text, line_no, needle", [
+        ("0,1\n\n0.01,2,9\n0.02,3\n", 3, "column count"),
+        ("0,1\n0.01,2\n\n0.02\n0.03,4\n", 4, "column count"),
+        ("0,1\n0.01,2\n0.02,x3\n0.03,4,5\n", 3, "not numeric"),
+        ("0,1\n0.01,2\n0.02,3\n\n0.5,4\n", 5, "increase uniformly")])
+    def test_timed_row_faults_cite_line(self, tmp_path, text, line_no,
+                                        needle):
+        # the first faulty row is named, after blank lines and before any
+        # later fault
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=needle) as exc:
+            read_ecg_text(path)
+        assert exc.value.line_no == line_no
+
     def test_time_gap_rejected_with_line(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0,1\n0.01,2\n\n0.5,3\n0.51,4\n0.52,5\n")
@@ -559,6 +574,42 @@ class TestSubjectDirs:
         write_subject_dir(tmp_path / "s01", pcg, ecg=ecg, meta={key: True})
         with pytest.raises(ParseError, match=f"{key} must be a number"):
             load_subject_dir(tmp_path / "s01")
+
+    @pytest.mark.parametrize("damage", ["missing", "not numeric",
+                                        "not UTF-8", "directory"])
+    def test_without_ecg_the_file_is_not_read(self, damage, tmp_path,
+                                              monkeypatch):
+        pcg, ecg = self._signals()
+        sdir = tmp_path / "s01"
+        write_subject_dir(sdir, pcg, ecg=ecg, meta={"sbp_ref": 120.0,
+                                                   "dbp_ref": 80.0})
+        path = sdir / "ecg.txt"
+        path.unlink()
+        if damage == "not numeric":
+            path.write_text("0.5\nnot a number\n")
+        elif damage == "not UTF-8":
+            path.write_bytes(b"0.5\n\xff\xfe\n")
+        elif damage == "directory":
+            path.mkdir()
+        monkeypatch.setattr(pcgkit_io, "read_ecg_text", None)  # never called
+        record = load_subject_dir(sdir, ecg=False)
+        assert record.ecg is None and record.subject_id == "s01"
+        assert record.sbp_ref == 120.0 and record.dbp_ref == 80.0
+        assert np.array_equal(record.pcg.samples, pcg.samples)
+        records, errors = load_dataset(tmp_path, ecg=False)
+        assert [r.subject_id for r in records] == ["s01"] and errors == {}
+
+    @pytest.mark.parametrize("value", ["true", '"190"', "1e400"])
+    def test_without_ecg_meta_is_still_checked(self, value, tmp_path):
+        pcg, ecg = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, ecg=ecg,
+                          meta={"ecg_rate_hz": 190.0})
+        meta_path = tmp_path / "s01" / "meta.json"
+        meta_path.write_text(meta_path.read_text().replace("190.0", value))
+        with pytest.raises(ParseError, match="ecg_rate_hz must be a number"):
+            load_subject_dir(tmp_path / "s01", ecg=False)
+        records, errors = load_dataset(tmp_path, ecg=False)
+        assert records == [] and errors["s01"].startswith("ingest: ")
 
     def test_non_finite_meta_number_loads_as_none(self, tmp_path):
         pcg, _ = self._signals()

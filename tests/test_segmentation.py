@@ -358,6 +358,55 @@ class TestRiseDecayTimes:
                 rise_decay_times(envelope_of(y, rate), labeled)
 
 
+def crossing_backward_by_loop(y, peak_idx, level, stop_idx):
+    """The sample-by-sample form of ``_crossing_backward``: the oracle."""
+    for i in range(peak_idx - 1, stop_idx, -1):
+        if y[i] <= level:
+            return i
+    return None
+
+
+def crossing_forward_by_loop(y, peak_idx, level, stop_idx):
+    for i in range(peak_idx + 1, stop_idx):
+        if y[i] <= level:
+            return i
+    return None
+
+
+class TestCrossingsAgainstLoop:
+    """The vectorised crossing searches return the loop's indices."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_index_or_none(self, data):
+        # few distinct levels make long plateaus and exact level hits
+        steps = data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=60))
+        y = np.array(steps, dtype=float) / 3
+        peak = data.draw(st.integers(0, len(y) - 1), label="peak")
+        # neighbouring peaks, or -1 and len(y) at the frame edges; a next
+        # peak without a sample index stops the forward search at -1
+        lo = data.draw(st.integers(-1, peak), label="lo")
+        hi = data.draw(st.one_of(st.just(-1), st.integers(peak, len(y))),
+                       label="hi")
+        level = data.draw(st.sampled_from([*np.unique(y), 0.5, -1.0]),
+                          label="level")
+        back = segmentation._crossing_backward(y, peak, level, lo)
+        fwd = segmentation._crossing_forward(y, peak, level, hi)
+        assert back == crossing_backward_by_loop(y, peak, level, lo)
+        assert fwd == crossing_forward_by_loop(y, peak, level, hi)
+        assert back is None or type(back) is int
+        assert fwd is None or type(fwd) is int
+
+    def test_truncated_support_is_none(self):
+        y = np.array([0.0, 1.0, 1.0, 0.5, 1.0, 0.0])
+        # the frame edge and the next peak cut both searches off
+        assert segmentation._crossing_backward(y, 2, 0.2, 0) is None
+        assert segmentation._crossing_forward(y, 2, 0.2, 4) is None
+        assert segmentation._crossing_backward(y, 2, 0.5, -1) == 0
+        assert segmentation._crossing_forward(y, 2, 0.5, 6) == 3
+
+
 class TestSegmentChain:
 
     def _synthetic_envelope(self, rate=1000.0, shift=0):
