@@ -111,8 +111,11 @@ class RunConfig:
 
 
 def load_config_file(path):
-    """Parse a flat ``key = value`` config file into a dict of strings."""
-    values = {}
+    """Parse a flat ``key = value`` config file into a dict of strings.
+
+    A key set twice is a ConfigError naming both lines.
+    """
+    values, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -129,7 +132,11 @@ def load_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} is already "
+                              f"set on line {first_line[key]}")
+        values[key], first_line[key] = value.strip(), line_no
     return values
 
 

@@ -34,15 +34,6 @@ MAX_SAMPLES = 2 ** 24
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
 
-# Samples per block of the blocked second-order section solve.
-IIR_BLOCK = 32
-
-# numpy's OpenBLAS runs a matrix product with M*N*K at most this on the
-# calling thread and a larger one on its own thread pool. Frames run in
-# threads of their own, so every product here is split to stay under it.
-_BLAS_SERIAL_MNK = 2 ** 18
-
-
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled real-valued waveform.
@@ -247,138 +238,70 @@ def _butter_lowpass_sos(cutoff_hz, rate_hz):
     return sos
 
 
-def _sos_steady_state(sos):
-    """Per-section initial state of a unit step's steady state.
+def _next_fast_len(n, real=False):
+    """Smallest fast FFT length >= ``n``: 2*3*5*7*11-smooth for a complex
+    transform, 2*3*5-smooth for a real one.
 
-    ``scipy.signal.sosfilt_zi``: each section's ``lfilter_zi`` scaled by
-    the DC gain of the sections before it.
+    This is ``scipy.fft.next_fast_len(n, real)``.
     """
-    zi = np.empty((len(sos), 2))
-    scale = 1.0
-    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
-        zi[k] = scale * np.linalg.solve([[1.0 + a1, -1.0], [a2, 1.0]],
-                                        [b1 - a1 * b0, b2 - a2 * b0])
-        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
-    return zi
-
-
-def _matmul_serial(a, b):
-    """``a @ b``, in row chunks small enough for one OpenBLAS thread."""
-    out = np.empty((len(a), b.shape[1]))
-    step = max(1, _BLAS_SERIAL_MNK // b.size)
-    for i in range(0, len(a), step):
-        np.matmul(a[i:i + step], b, out=out[i:i + step])
-    return out
-
-
-def _read_only_float64(a):
-    a = a.astype(np.float64)
-    a.flags.writeable = False
-    return a
-
-
-def _section_levels(a1, a2):
-    """Block operators of ``y[n] + a1 y[n-1] + a2 y[n-2] = r[n]``.
-
-    One ``(toeplitz_t, homog, carry_t)`` per level of :func:`_blocked_solve`:
-    the transposed ``IIR_BLOCK``-square lower-triangular Toeplitz matrix of
-    the impulse response ``h``; the responses ``(h[1:], -a2 h[:-1])`` to a
-    unit ``y[-1]`` and a unit ``y[-2]``; and ``(M - tr(M) I)^T`` for the
-    2x2 map ``M`` from one block's end state to the next's, or None where
-    ``M`` vanishes. The next level's section has ``a1 = -tr(M)`` and
-    ``a2 = det(M) = a2**IIR_BLOCK``: its poles are this level's raised to
-    the block length. Built in ``np.longdouble``; entries below eps**2 of
-    the largest ``|h|`` are set to zero, since they add nothing to a
-    float64 sum and, in deeper levels, would make subnormal products.
-    """
-    b = IIR_BLOCK
-    tiny = np.finfo(np.float64).eps ** 2
-    lag = np.arange(b) - np.arange(b)[:, None]
-    a1, a2 = np.longdouble(a1), np.longdouble(a2)
-    levels = []
+    m = n
     while True:
-        h = np.empty(b + 1, dtype=np.longdouble)
-        h[:2] = 1, -a1
-        for k in range(2, b + 1):
-            h[k] = -a1 * h[k - 1] - a2 * h[k - 2]
-        homog = np.array([h[1:], -a2 * h[:-1]])
-        floor = tiny * np.max(np.abs(h))
-        h[np.abs(h) < floor] = 0
-        homog[np.abs(homog) < floor] = 0
-        m = homog[:, :-3:-1].T  # rows: the y[B-1] and y[B-2] responses
-        trace = m[0, 0] + m[1, 1]
-        # the carry vanishes, or only a sequence longer than 2**63 samples
-        # would need it (poles within 1e-16 of the unit circle get here)
-        deep = not m.any() or b ** (len(levels) + 1) >= 2 ** 63
-        levels.append((
-            _read_only_float64(np.where(lag >= 0, h[np.maximum(lag, 0)], 0)),
-            _read_only_float64(homog),
-            None if deep else _read_only_float64((m - trace * np.eye(2)).T)))
-        if deep:
-            return tuple(levels)
-        a1, a2 = -trace, a2 ** b
-        a1 = a1 if abs(a1) >= tiny else np.longdouble(0)
-        a2 = a2 if abs(a2) >= tiny else np.longdouble(0)
+        k = m
+        for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
-def _blocked_solve(r, levels):
-    """Solve ``y[n] + a1 y[n-1] + a2 y[n-2] = r[n]`` from rest, per row.
+def _impulse_response(sos, n):
+    """The section cascade's impulse response, at most ``n`` samples.
 
-    ``r`` holds one sequence per row. Each is cut into blocks of
-    ``IIR_BLOCK`` samples, and one matrix product gives every block's
-    zero-state response. The two end samples of each block then follow
-    ``s[k] = e[k] + M s[k-1]``, and each of them is itself a second-order
-    recursion, so the next level of ``levels`` solves it the same way.
-    Each block's homogeneous part, from the end state of the block
-    before it, is added with one ``(nb, 2) @ (2, B)`` product.
+    Run sample by sample in ``np.longdouble`` until it has died out:
+    with no input left the cascade is an order-``LOWPASS_ORDER``
+    recursion, fixed by its last ``LOWPASS_ORDER`` samples, so it stops
+    once that many in a row fall below eps**2 of its peak. Rounded once to
+    float64 and cut after its last sample at or above eps of its peak
+    (1533 samples at 20 Hz and 2000 Hz): the rest of it, summed, moves no
+    output by a float64 rounding.
     """
-    toeplitz_t, homog, carry_t = levels[0]
-    rows, n = r.shape
-    if n <= IIR_BLOCK:
-        return _matmul_serial(r, toeplitz_t[:n, :n])
-    nb = -(-n // IIR_BLOCK)
-    if n % IIR_BLOCK:
-        blocks = np.zeros((rows * nb, IIR_BLOCK))
-        blocks.reshape(rows, nb * IIR_BLOCK)[:, :n] = r
-    else:
-        blocks = r.reshape(rows * nb, IIR_BLOCK)
-    y = _matmul_serial(blocks, toeplitz_t)
-    ends = y[:, :-3:-1]
-    if carry_t is None:
-        states = ends.copy()
-    else:
-        force = ends.copy()
-        force[1:] += _matmul_serial(ends[:-1], carry_t)
-        force[::nb] = ends[::nb]  # each row starts from rest
-        states = _blocked_solve(force.T.reshape(2 * rows, nb), levels[1:])
-        states = states.reshape(2, rows * nb).T
-    states[nb - 1::nb] = 0  # a row's last state starts no block
-    y[1:] += _matmul_serial(states[:-1], homog)
-    return y.reshape(rows, nb * IIR_BLOCK)[:, :n]
-
-
-def _solve_section(rhs, a1, a2, levels):
-    """One section's recursion by the blocked solve plus one refinement."""
-    y = _blocked_solve(rhs[None], levels)[0]
-    fit = y.copy()
-    fit[1:] += a1 * y[:-1]
-    fit[2:] += a2 * y[:-2]
-    np.subtract(rhs, fit, out=fit)
-    y += _blocked_solve(fit[None], levels)[0]
-    return y
+    sections = [tuple(row) for row in sos.astype(np.longdouble)]
+    state = [[np.longdouble(0)] * 2 for _ in sections]
+    eps = np.finfo(np.float64).eps
+    h, peak, floor, quiet = [], 0.0, 0.0, 0
+    y, zero = np.longdouble(1), np.longdouble(0)
+    while len(h) < n and quiet < LOWPASS_ORDER:
+        for (b0, b1, b2, _, a1, a2), z in zip(sections, state):
+            x, y = y, b0 * y + z[0]
+            z[0] = b1 * x - a1 * y + z[1]
+            z[1] = b2 * x - a2 * y
+        h.append(y)
+        size, y = abs(y), zero
+        if size > peak:
+            peak, floor = size, eps ** 2 * size
+        quiet = quiet + 1 if size < floor else 0
+    h = np.array(h, dtype=np.longdouble).astype(np.float64)
+    return h[:np.flatnonzero(np.abs(h) >= eps * peak)[-1] + 1]
 
 
 @functools.lru_cache(maxsize=8)
-def _lowpass_plan(cutoff_hz, rate_hz):
-    """``(sos, zi, levels)`` of one cutoff and rate, shared and read-only.
+def _lowpass_plan(cutoff_hz, rate_hz, n):
+    """``(gain, spectrum, nfft)`` of one pass over ``n`` samples: the DC
+    gain, the product of each section's ``sum(b) / sum(a)``, and the
+    read-only ``nfft``-point real FFT of the impulse response.
 
-    A concurrent miss may build the plan twice; it is small and the
-    copies are equal, so no lock guards the cache.
+    A concurrent miss may build the plan twice; the copies are equal, so
+    no lock guards the cache.
     """
     sos = _butter_lowpass_sos(cutoff_hz, rate_hz)
-    zi = _sos_steady_state(sos)
-    sos.flags.writeable = zi.flags.writeable = False
-    return sos, zi, tuple(_section_levels(a1, a2) for a1, a2 in sos[:, 4:])
+    sums = sos.astype(np.longdouble).reshape(-1, 2, 3).sum(axis=2)
+    gain = float(np.prod(sums[:, 0] / sums[:, 1]))
+    h = _impulse_response(sos, n)
+    nfft = _next_fast_len(n + len(h) - 1, real=True)
+    spectrum = np.fft.rfft(h, nfft)
+    spectrum.flags.writeable = False
+    return gain, spectrum, nfft
 
 
 def butterworth_lowpass_zero_phase(s, cutoff_hz):
@@ -392,38 +315,16 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
 
     This is ``scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen)``
     with the sections of ``scipy.signal.butter``, computed in numpy alone.
-    Each pass of a section ``y[n] + a1 y[n-1] + a2 y[n-2] = (b * x)[n]``,
-    started in its steady state for the first sample, is solved in blocks
-    of ``IIR_BLOCK`` samples (:func:`_blocked_solve`): products with the
-    Toeplitz block of the section's impulse response give each block's
-    zero-state response, the block-end states are carried across blocks,
-    and one product adds each block's homogeneous part. The sections,
-    steady states and block operators are built once per cutoff and rate.
-    One step of iterative refinement follows each solve: the residual
-    ``rhs - (y + a1 y[n-1] + a2 y[n-2])``, taken elementwise, is solved
-    the same way and added. It keeps the carry's rounding from growing
-    through poles near the unit circle.
-
-    Every matrix product is cut into row chunks of at most 2**18
-    multiply-adds (M*N*K), the size up to which numpy's OpenBLAS runs a
-    product on the calling thread. Above it OpenBLAS uses its own thread
-    pool, which only contends with the frame threads of ``quality``, and
-    ``OPENBLAS_NUM_THREADS`` has no effect once numpy has loaded.
-
-    The tests check the result against ``sosfiltfilt`` to within 1e-12
-    of the output peak. On frames shorter than one period of a cutoff
-    below 0.015 of Nyquist the output peak can fall to 1e-5 of the
-    input's, and float64 sections lose that many digits. There the tests
-    hold the filter to 1e-11 of the peak from an extended-precision run
-    of the same sections. In 4e4 random such frames the 99.9th
-    percentile of the error was 2.4e-12 of the peak here, 2.3e-12 for
-    LAPACK's banded solve and 2.8e-12 for ``sosfiltfilt``; without the
-    refinement it was 3.6e-12, and 2.9e-11 on the frame where the refined
-    solve was 6.8e-12. Two of those frames were over 1e-11 here (at most
-    3.5e-11), one for the banded solve and two for ``sosfiltfilt``. Even
-    with each section solved exactly and rounded to float64, the worst
-    of them is 3.0e-11 off: the rounding between sections sets that
-    floor.
+    A pass started in the steady state of its first sample ``y[0]`` is
+    ``y[0] G + (h * (y - y[0]))[:n]``, with ``G`` the sections' DC gain
+    and ``h`` their impulse response (:func:`_impulse_response`), so each
+    pass is one real FFT convolution against a spectrum cached per cutoff,
+    rate and length. Where ``np.longdouble`` is the 80-bit x87 type, as on
+    x86-64, each sample of ``h`` is exact until its one rounding to
+    float64. The tests hold the result to 1e-12 of the output peak from an
+    extended-precision run of the sections, also on frames shorter than
+    one period of a cutoff below 0.015 of Nyquist, where the output peak
+    falls to 1e-5 of the input's and ``sosfiltfilt`` is 2e-11 of it off.
 
     Parameters
     ----------
@@ -440,22 +341,17 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     if not 0 < cutoff_hz < nyq:
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
-    sos, zi, solvers = _lowpass_plan(cutoff_hz, s.rate_hz)
     x = s.samples
     settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
     padlen = min(len(x) - 1, 3 * settle)
     # even extension: mirror about each end sample
     ext = np.concatenate((x[padlen:0:-1], x, x[-2:-padlen - 2:-1]))
     n = len(ext)
+    gain, spectrum, nfft = _lowpass_plan(cutoff_hz, s.rate_hz, n)
 
     def one_pass(y):
-        y0 = y[0]
-        for b, z, (a1, a2), levels in zip(sos[:, :3], zi, sos[:, 4:],
-                                          solvers):
-            rhs = np.convolve(y, b)[:n]
-            rhs[:2] += z[:n] * y0
-            y = _solve_section(rhs, a1, a2, levels)
-        return y
+        response = np.fft.irfft(np.fft.rfft(y - y[0], nfft) * spectrum, nfft)
+        return response[:n] + y[0] * gain
 
     out = one_pass(one_pass(ext)[::-1])[::-1]
     return s.with_samples(out[padlen:n - padlen])

@@ -240,17 +240,29 @@ def _reject_constant(name):
     raise ValueError(f"non-finite {name} is not strict JSON")
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json_object(path):
     """Parse a JSON object file; MissingFileError or ParseError if not one.
 
-    ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: a ParseError.
+    ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and a key that
+    repeats within any object would silently hide the first value: each
+    is a ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
+            payload = json.load(fh, parse_constant=_reject_constant,
+                                object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise MissingFileError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSON syntax, NaN/Infinity or text encoding
+    except ValueError as exc:  # syntax, NaN/Infinity, a repeated key, encoding
         raise ParseError(f"{path}: not valid JSON: {exc}",
                          getattr(exc, "lineno", None)) from None
     if not isinstance(payload, dict):

@@ -33,6 +33,7 @@ import threading
 
 import numpy as np
 
+from .core import _next_fast_len
 from .errors import DecompositionDepthError, InvalidInputError
 
 __all__ = ["WaveletKind", "cwt", "dwt_denoise_db4", "sample_wavelet", "wes"]
@@ -233,22 +234,6 @@ def sample_wavelet(kind, scale):
     keep = np.nonzero(mag >= 1e-8 * mag.max())[0]
     r = max(half - keep[0], keep[-1] - half)
     return w[half - r:half + r + 1]
-
-
-def _next_fast_len(n):
-    """Smallest 2*3*5*7*11-smooth length >= ``n``, a fast complex FFT size.
-
-    This is ``scipy.fft.next_fast_len(n)`` (its complex-transform rule).
-    """
-    m = n
-    while True:
-        k = m
-        for p in (2, 3, 5, 7, 11):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
 
 
 def _fft_of_real(x, n):

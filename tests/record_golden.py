@@ -24,13 +24,18 @@ NUMPY_VERSION_FILE = GOLDEN / "numpy_version.txt"
 # One small cohort: 4 subjects x 12 s.
 COHORT = ["synth", "--out", "ds", "--subjects", "4", "--seed", "11",
           "--duration", "12"]
-# Paths that the perfbench goldens never run: hr on the wavelet energy
-# spectrum of each family, and quality at a frame length other than 4 s.
+# Paths that tier-1 would otherwise not byte-check: hr on each envelope
+# and on the eq. 7 rate formula, bp predict from audio features, and
+# quality at a frame length other than 4 s.
 CASES = {
+    "hr_shannon": ["hr", "ds"],
+    "hr_hilbert": ["hr", "ds", "--method", "hilbert"],
+    "hr_eq7": ["hr", "ds", "--formula", "eq7"],
     "hr_wes_morlet": ["hr", "ds", "--method", "wes", "--wavelet", "morlet"],
     "hr_wes_morse": ["hr", "ds", "--method", "wes", "--wavelet", "morse"],
     "hr_wes_bump": ["hr", "ds", "--method", "wes", "--wavelet", "bump"],
     "quality_frames_2": ["quality", "ds", "--frames", "2"],
+    "bp_predict_audio": ["bp", "predict", "ds", "--features-from-audio"],
 }
 
 

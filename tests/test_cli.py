@@ -197,6 +197,17 @@ class TestConfigResolution:
         path = write_cfg(tmp_path, "# full comment\n\nunits = ms\n")
         assert load_config_file(path) == {"units": "ms"}
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the last value used to win silently
+        path = write_cfg(tmp_path, "frame_len_s = 2\n# four\n"
+                                   " frame_len_s=4\n")
+        with pytest.raises(ConfigError, match="run.cfg:3: key 'frame_len_s' "
+                                              "is already set on line 1$"):
+            load_config_file(path)
+        assert main(["hr", str(tmp_path), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_non_utf8_config_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"units = \xff\xfe\n")
@@ -984,6 +995,35 @@ class TestJsonInputs:
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
                             "--spec-file", str(path)], capsys, constant)
         assert not (tmp_path / "ds").exists()
+
+    def test_repeated_key_in_spec(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n_subjects": 1, "n_subjects": 2}')
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
+                            "--spec-file", str(path)], capsys,
+                           "duplicate key 'n_subjects'")
+        assert not (tmp_path / "ds").exists()
+
+    def test_repeated_key_in_coeffs(self, small_ds, tmp_path, capsys):
+        coeffs = BpCoefficients.reference().to_json_dict()
+        text = json.dumps({"coefficients": coeffs})
+        path = tmp_path / "coeffs.json"
+        path.write_text(text[:-2] + ', "c1": 0.5}}')
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path / "out")],
+                           capsys, "duplicate key 'c1'")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_in_meta(self, small_ds, tmp_path):
+        ds = shutil.copytree(small_ds, tmp_path / "ds")
+        meta = ds / "s02" / "meta.json"
+        meta.write_text('{"sbp_ref": 90.0, ' + meta.read_text()[1:])
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        report = strict_json((out / "bp_predictions.json").read_text())
+        assert sorted(report["predictions"]) == ["s01", "s03"]
+        error = report["errors"]["s02"]
+        assert error.startswith("ingest:") and "duplicate key 'sbp_ref'" in error
 
     @staticmethod
     def write_with(path, payload, literal):

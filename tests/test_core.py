@@ -17,14 +17,7 @@ from pcgkit import (
     segment_frames,
 )
 from pcgkit import core
-from pcgkit.core import (
-    IIR_BLOCK,
-    LOWPASS_ORDER,
-    _butter_lowpass_sos,
-    _lowpass_plan,
-    _section_levels,
-    _solve_section,
-)
+from pcgkit.core import LOWPASS_ORDER, _butter_lowpass_sos, _lowpass_plan
 from pcgkit.errors import (
     DegenerateSignalError,
     InvalidCutoffError,
@@ -70,37 +63,6 @@ def section_recursion_extended(rhs, a1, a2):
     for k, r in enumerate(rhs.astype(np.longdouble)):
         y[k + 2] = r - a1 * y[k + 1] - a2 * y[k]
     return y[2:]
-
-
-@st.composite
-def butterworth_sections(draw):
-    """``(a1, a2)`` of a lowpass section from 0.005 to 0.99 of Nyquist."""
-    rate = draw(st.floats(500.0, 8000.0))
-    frac = draw(st.floats(0.005, 0.99))
-    k = draw(st.integers(0, LOWPASS_ORDER // 2 - 1))
-    a1, a2 = _butter_lowpass_sos(frac * rate / 2.0, rate)[k, 4:]
-    return float(a1), float(a2)
-
-
-@st.composite
-def stable_sections(draw):
-    """``(a1, a2)`` with a conjugate pole pair or two real poles, each at
-    most 0.995 from the origin (Butterworth poles reach 0.994 at 0.005 of
-    Nyquist)."""
-    if draw(st.booleans()):
-        radius = draw(st.floats(0.0, 0.995))
-        angle = draw(st.floats(0.0, math.pi))
-        return -2.0 * radius * math.cos(angle), radius * radius
-    p, q = draw(st.floats(-0.995, 0.995)), draw(st.floats(-0.995, 0.995))
-    return -(p + q), p * q
-
-
-# one block, its edges, whole blocks plus or minus one, and any length
-SECTION_LENGTHS = st.one_of(
-    st.sampled_from([1, 2, IIR_BLOCK - 1, IIR_BLOCK, IIR_BLOCK + 1]),
-    st.builds(lambda k, d: k * IIR_BLOCK + d,
-              st.integers(1, 60000 // IIR_BLOCK), st.sampled_from([-1, 0, 1])),
-    st.integers(1, 60000))
 
 
 class TestSampledSignal:
@@ -324,7 +286,7 @@ class TestZeroPhaseLowpass:
 
 
 class TestLowpassAgainstScipy:
-    """The numpy Butterworth design and blocked-solve filter against scipy.
+    """The numpy Butterworth design and FFT-convolution filter against scipy.
 
     ``scipy.signal`` is imported here only; the package never loads it
     for filtering.
@@ -367,18 +329,17 @@ class TestLowpassAgainstScipy:
            frac=st.floats(0.005, 0.99), seed=st.integers(0, 2**32 - 1))
     # draws that failed the 1e-12 bound against sosfiltfilt, the LAPACK
     # banded solve's largest miss of the 80-bit run in about 1.4e5 draws,
-    # and the blocked solve's largest miss inside the bound in 8e4 corner
-    # draws, 6.8e-12. Two of those draws are over 1e-11 for float64
-    # cascades: n=24 (2336 Hz, 0.00596 of Nyquist, seed 4211711846) and
-    # n=50 (4289 Hz, 0.00524, seed 334818816). Even with each section
-    # solved exactly and rounded to float64 they are 3.0e-11 and 9.6e-12
-    # of the peak off, so they are not pinned here.
+    # the blocked section solve's largest miss inside 1e-11 in 8e4 corner
+    # draws, and two corner draws where every float64 section cascade is
+    # over 1e-11 of the peak from the 80-bit run
     @example(n=140, rate=500.0, frac=0.005, seed=0)
     @example(n=201, rate=500.0, frac=0.005, seed=133296)
     @example(n=177, rate=2345.1523062389197, frac=0.0052933904389372245,
              seed=1151804580)
     @example(n=178, rate=6791.680603569052, frac=0.005159083588241284,
              seed=4284853704)
+    @example(n=24, rate=2335.917, frac=0.005962, seed=4211711846)
+    @example(n=50, rate=4288.819, frac=0.005238, seed=334818816)
     def test_filter_equals_sosfiltfilt(self, n, rate, frac, seed):
         x = np.random.default_rng(seed).normal(size=n)
         cutoff = frac * rate / 2.0
@@ -390,16 +351,14 @@ class TestLowpassAgainstScipy:
         peak = np.max(np.abs(expected))
         if frac < 0.015 and n < rate / cutoff:
             # A frame shorter than one period of a cutoff below 0.015 of
-            # Nyquist comes out with a peak down to 1e-4 of its input's,
-            # and a float64 recursion rounds at the input's scale. There
-            # neither float64 filter keeps to 1e-12 of the output peak:
-            # at n=177, 2345 Hz, 0.0053 of Nyquist LAPACK's banded solve
-            # is 7.2e-12 of it from an 80-bit run and sosfiltfilt 8.1e-12.
-            # So the filter is held to a decade more, 1e-11 of the peak,
-            # from the 80-bit run rather than from sosfiltfilt.
+            # Nyquist comes out with a peak down to 1e-5 of its input's,
+            # and a float64 section cascade rounds at the input's scale:
+            # at n=24, 2336 Hz, 0.0060 of Nyquist sosfiltfilt is 1.8e-11
+            # of the peak from an 80-bit run. So there the filter is held
+            # to 1e-12 of the peak from the 80-bit run, not sosfiltfilt.
             exact = sosfiltfilt_extended(sos, x, padlen)
             np.testing.assert_allclose(got.samples, exact.astype(np.float64),
-                                       rtol=0, atol=1e-11 * peak)
+                                       rtol=0, atol=1e-12 * peak)
         else:
             np.testing.assert_allclose(got.samples, expected, rtol=0,
                                        atol=1e-12 * peak)
@@ -418,45 +377,33 @@ class TestLowpassAgainstScipy:
 
 
 class TestSectionSolve:
-    """The blocked solve of one section against its plain recursion."""
+    """The lowpass plan: one pass is a convolution with the sections'
+    impulse response."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(section=st.one_of(butterworth_sections(), stable_sections()),
-           n=SECTION_LENGTHS, seed=st.integers(0, 2**32 - 1))
-    def test_equals_extended_recursion(self, section, n, seed):
-        a1, a2 = section
-        rhs = np.random.default_rng(seed).normal(size=n)
-        got = _solve_section(rhs, a1, a2, _section_levels(a1, a2))
-        exact = section_recursion_extended(rhs, a1, a2)
-        np.testing.assert_allclose(got, exact.astype(np.float64), rtol=0,
-                                   atol=1e-12 * np.max(np.abs(exact)))
-
-    @pytest.mark.parametrize("n", [1, IIR_BLOCK - 1, IIR_BLOCK,
-                                   IIR_BLOCK + 1, 5 * IIR_BLOCK - 1,
-                                   10400, 60000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10400, 60000])
     def test_unit_impulse_gives_impulse_response(self, n):
-        rhs = np.zeros(n)
-        rhs[0] = 1.0
+        rhs = np.zeros(n, dtype=np.longdouble)
+        rhs[0] = 1
         for frac in (0.005, 0.02, 0.99):
-            for a1, a2 in _butter_lowpass_sos(frac * 1000.0, 2000.0)[:, 4:]:
-                got = _solve_section(rhs, a1, a2, _section_levels(a1, a2))
-                h = section_recursion_extended(rhs, a1, a2)
-                # the float64 recursion itself is up to 3e-14 of the
-                # peak off at 0.005 of Nyquist
-                np.testing.assert_allclose(got, h.astype(np.float64), rtol=0,
-                                           atol=1e-13 * np.max(np.abs(h)))
+            _, spectrum, nfft = _lowpass_plan(frac * 1000.0, 2000.0, n)
+            got = np.fft.irfft(spectrum, nfft)[:n]
+            h = rhs
+            for b0, b1, b2, _, a1, a2 in _butter_lowpass_sos(frac * 1000.0,
+                                                             2000.0):
+                b = np.array([b0, b1, b2], dtype=np.longdouble)
+                h = section_recursion_extended(np.convolve(h, b)[:n], a1, a2)
+            np.testing.assert_allclose(got, h.astype(np.float64), rtol=0,
+                                       atol=1e-14 * np.max(np.abs(h)))
 
     def test_plan_is_cached_and_read_only(self):
-        sos, zi, levels = _lowpass_plan(20.0, 2000.0)
-        assert _lowpass_plan(20.0, 2000.0)[0] is sos
-        arrays = [sos, zi, *(a for section in levels for level in section
-                             for a in level if a is not None)]
-        assert not any(a.flags.writeable for a in arrays)
+        _, spectrum, _ = _lowpass_plan(20.0, 2000.0, 10400)
+        assert _lowpass_plan(20.0, 2000.0, 10400)[1] is spectrum
+        assert not spectrum.flags.writeable
 
     def test_concurrent_calls_match_serial(self):
         # more threads than cores and a short switch interval, starting from
         # an empty plan cache, so threads race on its misses and interleave
-        # their solves
+        # their passes
         rng = np.random.default_rng(5)
         signals = [SampledSignal(rng.normal(size=n), 2000.0)
                    for n in (8000, 1201, 60, 8000, 1201, 60)]
@@ -483,18 +430,3 @@ class TestSectionSolve:
         assert not any(t.is_alive() for t in threads)
         for expected, got in zip(serial, results):
             assert np.array_equal(got.samples, expected)
-
-    def test_every_product_stays_on_one_blas_thread(self, monkeypatch):
-        """OpenBLAS threads a product above 2**18 multiply-adds."""
-        sizes = []
-        matmul = np.matmul
-
-        def spy(a, b, **kwargs):
-            sizes.append(a.shape[0] * b.shape[0] * b.shape[1])
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(core.np, "matmul", spy)
-        x = np.random.default_rng(0).normal(size=200000)
-        for rate, cutoff in ((2000.0, 20.0), (500.0, 1.25)):
-            butterworth_lowpass_zero_phase(SampledSignal(x, rate), cutoff)
-        assert sizes and max(sizes) <= 2 ** 18

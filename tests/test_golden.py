@@ -1,4 +1,4 @@
-"""CLI reports on the WES paths, byte for byte against ``tests/golden/``.
+"""CLI reports on each ``CASES`` path, byte for byte against ``tests/golden/``.
 
 The goldens are written by ``record_golden.py``. Bytes are compared only
 under the numpy version that recorded them, since another version's FFT

@@ -738,6 +738,23 @@ class TestReports:
             "t": [1, [2.0, None]], "nan": None, "inf": None, "ninf": None,
             "4": "key"}
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_subjects": 1, "n_subjects": 2}', "n_subjects"),
+        ('{"a": {"b": 1, "b": 1}}', "b"),
+        ('{"a": [{"c": 1}, {"c": 2, "d": 0, "c": 3}]}', "c"),
+    ], ids=["top", "nested", "in-list"])
+    def test_repeated_key_refused_at_any_depth(self, text, key, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+            pcgkit_io.read_json_object(path)
+
+    def test_equal_keys_in_different_objects_read(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('{"a": {"k": 1}, "b": [{"k": 2}, {"k": 3}]}')
+        assert pcgkit_io.read_json_object(path) == {
+            "a": {"k": 1}, "b": [{"k": 2}, {"k": 3}]}
+
     def test_csv_floats_survive_reparse(self, tmp_path):
         rows = [("a", 0.1 + 0.2, 1), ("b", 1e-17, 2)]
         path = tmp_path / "series.csv"

@@ -106,8 +106,8 @@ def test_hr_bp_and_quality_load_no_scipy(tmp_path):
 
 
 def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
-    """Three threads that load numpy.fft at first use write the reports
-    a single worker writes."""
+    """The main thread's lowpass loads numpy.fft before quality's frame
+    pool runs, and three workers write the reports one worker writes."""
     _synth(tmp_path)
     out = run_python("""
         import json, sys, threading
@@ -128,7 +128,7 @@ def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
         print(json.dumps(Watch.threads))
     """, tmp_path)
     threads = json.loads(out.splitlines()[-1])
-    assert threads and "MainThread" not in threads
+    assert threads == ["MainThread"]
     (tmp_path / "r").rename(tmp_path / "three")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from pcgkit import SampledSignal, WaveletKind, cwt, dwt_denoise_db4, wes
 from pcgkit.errors import DecompositionDepthError, InvalidInputError
-from pcgkit import wavelets
+from pcgkit import core, wavelets
 from pcgkit.wavelets import _DEC_HI, _DEC_LO, _REC_HI, _REC_LO, sample_wavelet
 
 RATE = 2000.0
@@ -218,7 +218,9 @@ class TestFftHelpers:
         # bank lengths of a 4 s frame at 2000 Hz (Morlet, Morse, Bump)
         for n in [*range(1, 3000), *range(8000, 21000, 13),
                   11088, 10935, 20736]:
-            assert wavelets._next_fast_len(n) == next_fast_len(n), n
+            assert core._next_fast_len(n) == next_fast_len(n), n
+            assert (core._next_fast_len(n, real=True)
+                    == next_fast_len(n, real=True)), n
 
     def test_bank_lengths_of_a_4_s_frame(self):
         lengths = [wavelets._kernel_bank(kind, RATE, 8000)[2]
