@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSignalError,
@@ -33,6 +34,8 @@ MAX_SAMPLES = 2 ** 24
 
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
+# Impulse-response samples the lowpass plan makes per state-space step.
+IR_BLOCK = 128
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -41,7 +44,8 @@ class SampledSignal:
     Parameters
     ----------
     samples : ndarray
-        Amplitude values, converted to float64 and validated finite.
+        Amplitude values, converted to float64 and validated finite in
+        one ``np.isfinite`` scan.
     rate_hz : float
         Sampling rate, finite and strictly positive.
     """
@@ -55,7 +59,9 @@ class SampledSignal:
             raise InvalidInputError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise InvalidInputError("samples must be non-empty")
-        if not np.all(np.isfinite(arr)):
+        # not a sum-first test: a finite array whose sum overflows would
+        # pass it only after a RuntimeWarning
+        if not np.isfinite(arr).all():
             raise InvalidInputError("samples contain non-finite values")
         if not (self.rate_hz > 0 and math.isfinite(self.rate_hz)):
             raise InvalidInputError(
@@ -107,10 +113,11 @@ def normalize_max_abs(s):
     DegenerateSignalError
         If the signal is identically zero.
     """
-    peak = float(np.max(np.abs(s.samples)))
+    x = s.samples
+    peak = float(max(x.max(), -x.min()))
     if peak == 0.0:
         raise DegenerateSignalError("cannot normalize an all-zero signal")
-    return s.with_samples(s.samples / peak)
+    return s.with_samples(x / peak)
 
 
 def _antialias_fir(up, down, rate_in):
@@ -255,34 +262,74 @@ def _next_fast_len(n, real=False):
         m += 1
 
 
+def _state_space(sos):
+    """``(A, B, C, D)`` of the section cascade, in ``np.longdouble``.
+
+    The state is each section's two delays in transposed direct form II,
+    the form ``scipy.signal.sosfilt`` runs: one step maps state ``z`` and
+    input ``u`` to ``A z + B u`` and outputs ``C z + D u``. Each section
+    reads the cascade so far as its input.
+    """
+    k = 2 * len(sos)
+    a = np.zeros((k, k), dtype=np.longdouble)
+    b = np.zeros(k, dtype=np.longdouble)
+    c = np.zeros(k, dtype=np.longdouble)
+    d = np.longdouble(1)
+    for i, (b0, b1, b2, _, a1, a2) in zip(range(0, k, 2),
+                                          sos.astype(np.longdouble)):
+        g = np.array((b1 - a1 * b0, b2 - a2 * b0))
+        a[i:i + 2] += np.outer(g, c)
+        a[i, i], a[i, i + 1], a[i + 1, i] = -a1, 1, -a2
+        b[i:i + 2] = g * d
+        c *= b0
+        c[i] = 1
+        d *= b0
+    return a, b, c, d
+
+
 def _impulse_response(sos, n):
     """The section cascade's impulse response, at most ``n`` samples.
 
-    Run sample by sample in ``np.longdouble`` until it has died out:
-    with no input left the cascade is an order-``LOWPASS_ORDER``
-    recursion, fixed by its last ``LOWPASS_ORDER`` samples, so it stops
-    once that many in a row fall below eps**2 of its peak. Rounded once to
-    float64 and cut after its last sample at or above eps of its peak
-    (1533 samples at 20 Hz and 2000 Hz): the rest of it, summed, moves no
-    output by a float64 rounding.
+    ``h[0] = D`` and ``h[t] = C A**(t - 1) B``, in ``np.longdouble``, made
+    ``IR_BLOCK`` samples at a time: the rows ``C A**j`` for
+    ``j < IR_BLOCK`` times the state, which then steps by
+    ``A**IR_BLOCK``. With no input left the cascade is an
+    order-``LOWPASS_ORDER`` recursion, fixed by its last
+    ``LOWPASS_ORDER`` samples, so ``h`` ends where that many in a row
+    first fall below eps**2 of its peak so far. Rounded once to float64
+    and cut after its last sample at or above eps of its peak (1533
+    samples at 20 Hz and 2000 Hz): the rest of it, summed, moves no output
+    by a float64 rounding.
     """
-    sections = [tuple(row) for row in sos.astype(np.longdouble)]
-    state = [[np.longdouble(0)] * 2 for _ in sections]
+    a, b, c, d = _state_space(sos)
+    # one product at a time: powers by squaring lose digits on the corner
+    # cases the tests hold to 1e-12
+    rows, step = [c], a
+    for _ in range(IR_BLOCK - 1):
+        rows.append(rows[-1] @ a)
+        step = a @ step
+    rows = np.array(rows)
     eps = np.finfo(np.float64).eps
-    h, peak, floor, quiet = [], 0.0, 0.0, 0
-    y, zero = np.longdouble(1), np.longdouble(0)
-    while len(h) < n and quiet < LOWPASS_ORDER:
-        for (b0, b1, b2, _, a1, a2), z in zip(sections, state):
-            x, y = y, b0 * y + z[0]
-            z[0] = b1 * x - a1 * y + z[1]
-            z[1] = b2 * x - a2 * y
-        h.append(y)
-        size, y = abs(y), zero
-        if size > peak:
-            peak, floor = size, eps ** 2 * size
-        quiet = quiet + 1 if size < floor else 0
-    h = np.array(h, dtype=np.longdouble).astype(np.float64)
-    return h[:np.flatnonzero(np.abs(h) >= eps * peak)[-1] + 1]
+    blocks, state, peak, made = [np.array([d])], b, abs(d), 1
+    while made < n:
+        block = rows @ state
+        state = step @ state
+        blocks.append(block)
+        made += IR_BLOCK
+        size = np.abs(block)
+        peak = max(peak, size.max())
+        if (size < eps ** 2 * peak).all():
+            break  # h has died out within this block
+    h = np.concatenate(blocks)[:n]
+    if len(h) >= LOWPASS_ORDER:
+        size = np.abs(h)
+        quiet = size < eps ** 2 * np.maximum.accumulate(size)
+        run = sliding_window_view(quiet, LOWPASS_ORDER).all(axis=1)
+        if run.any():
+            h = h[:run.argmax() + LOWPASS_ORDER]
+    peak = np.abs(h).max()
+    h = h.astype(np.float64)
+    return h[:(np.abs(h) >= eps * peak).nonzero()[0][-1] + 1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -319,12 +366,13 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     ``y[0] G + (h * (y - y[0]))[:n]``, with ``G`` the sections' DC gain
     and ``h`` their impulse response (:func:`_impulse_response`), so each
     pass is one real FFT convolution against a spectrum cached per cutoff,
-    rate and length. Where ``np.longdouble`` is the 80-bit x87 type, as on
-    x86-64, each sample of ``h`` is exact until its one rounding to
-    float64. The tests hold the result to 1e-12 of the output peak from an
-    extended-precision run of the sections, also on frames shorter than
-    one period of a cutoff below 0.015 of Nyquist, where the output peak
-    falls to 1e-5 of the input's and ``sosfiltfilt`` is 2e-11 of it off.
+    rate and length. ``h`` is made in ``np.longdouble`` and rounded once
+    to float64; where that is the 80-bit x87 type, as on x86-64, it keeps
+    11 bits more than float64. The tests hold the result to 1e-12 of the
+    output peak from an extended-precision run of the sections, also on
+    frames shorter than one period of a cutoff below 0.015 of Nyquist,
+    where the output peak falls to 1e-5 of the input's and
+    ``sosfiltfilt`` is 2e-11 of it off.
 
     Parameters
     ----------
@@ -344,14 +392,22 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     x = s.samples
     settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
     padlen = min(len(x) - 1, 3 * settle)
-    # even extension: mirror about each end sample
-    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-padlen - 2:-1]))
-    n = len(ext)
+    n = len(x) + 2 * padlen
     gain, spectrum, nfft = _lowpass_plan(cutoff_hz, s.rate_hz, n)
-
-    def one_pass(y):
-        response = np.fft.irfft(np.fft.rfft(y - y[0], nfft) * spectrum, nfft)
-        return response[:n] + y[0] * gain
-
-    out = one_pass(one_pass(ext)[::-1])[::-1]
-    return s.with_samples(out[padlen:n - padlen])
+    # one buffer holds the even extension (mirrored about each end sample)
+    # and then each pass's output: a pass reads its input into ``freq``
+    # before its inverse transform overwrites it
+    out = np.empty(nfft)
+    y = np.concatenate((x[padlen:0:-1], x, x[-2:-padlen - 2:-1]),
+                       out=out[:n])
+    freq = np.empty(nfft // 2 + 1, dtype=np.complex128)
+    # the forward pass, then the same pass over its reversed output
+    for _ in range(2):
+        level = y[0]
+        y -= level
+        np.fft.rfft(y, nfft, out=freq)
+        freq *= spectrum
+        np.fft.irfft(freq, nfft, out=out)
+        y = out[n - 1::-1]
+        y += level * gain
+    return s.with_samples(y[padlen:n - padlen])

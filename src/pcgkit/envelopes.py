@@ -72,11 +72,14 @@ def shannon_energy_envelope(frame):
         If the frame was not max-abs normalized first.
     """
     x = frame.samples
-    if np.max(np.abs(x)) > 1 + 1e-9:
+    if max(x.max(), -x.min()) > 1 + 1e-9:
         raise ContractViolationError(
             "Shannon energy requires a max-abs normalized frame")
     sq = x * x
-    e = -sq * np.log(sq + SHANNON_EPS)
+    e = sq + SHANNON_EPS
+    np.log(e, out=e)
+    e *= sq
+    np.negative(e, out=e)
     np.maximum(e, 0.0, out=e)
     return frame.with_samples(e)
 
@@ -100,7 +103,9 @@ def smooth(envelope):
     degrade.
     """
     filtered = butterworth_lowpass_zero_phase(envelope, SMOOTHING_CUTOFF_HZ)
-    return filtered.with_samples(np.maximum(filtered.samples, 0.0))
+    # the filter's output is new, so it is clipped where it lies
+    return filtered.with_samples(
+        np.maximum(filtered.samples, 0.0, out=filtered.samples))
 
 
 def compute_envelope(frame, method, kind=WaveletKind.MORLET):
@@ -118,5 +123,5 @@ def compute_envelope(frame, method, kind=WaveletKind.MORLET):
     else:
         env = wes_envelope(frame, kind=kind)
     env = smooth(env)
-    peak = float(np.max(env.samples))
+    peak = float(env.samples.max())
     return env.with_samples(env.samples / peak) if peak > 0 else env

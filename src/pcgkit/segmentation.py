@@ -8,9 +8,10 @@ Everything downstream (heart rate, blood-pressure features) consumes the
 :class:`CycleSegmentation` produced here.
 """
 
+import bisect
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +88,11 @@ def _local_maxima(y):
     candidates of ``scipy.signal.find_peaks``.
     """
     step = np.diff(y)
-    ends = np.flatnonzero(step)  # last sample of every run but the last
+    ends = (step != 0).nonzero()[0]  # last sample of every run but the last
     # run k + 1 spans ends[k] + 1..ends[k + 1]; a rise into it and a fall
     # out of it make it a maximum
-    rise = step[ends] > 0
-    up = np.flatnonzero(rise[:-1] & ~rise[1:])
+    rise = (step > 0)[ends]
+    up = (rise[:-1] & ~rise[1:]).nonzero()[0]
     return (ends[up] + 1 + ends[up + 1]) // 2
 
 
@@ -115,21 +116,25 @@ def find_envelope_peaks(envelope):
     """
     y = envelope.samples
     rate = envelope.rate_hz
-    peak_max = float(np.max(y))
+    peak_max = float(y.max())
     if peak_max > 1 + 1e-9:
         raise InvalidInputError("envelope must be normalized to max 1")
     floor = PEAK_HEIGHT_FRAC * peak_max
     cand = _local_maxima(y)
-    cand = cand[y[cand] >= floor].tolist()
-    # tall-first greedy suppression; equal heights keep the earlier peak
-    order = sorted(cand, key=lambda i: (-y[i], i))
+    height = y[cand]
+    tall = height >= floor
+    cand, height = cand[tall].tolist(), height[tall].tolist()
+    # tall-first greedy suppression; equal heights keep the earlier peak.
+    # ``kept`` stays sorted, so only the two kept peaks beside ``i`` can
+    # be closer to it than the least spacing.
     min_gap = PEAK_DISTANCE_S * rate
     kept = []
-    for i in order:
-        if all(abs(i - j) >= min_gap for j in kept):
-            kept.append(i)
-    kept.sort()
-    return [PeakEvent(time_s=i / rate, height=float(y[i]), index=i) for i in kept]
+    for _, i in sorted(zip([-h for h in height], cand)):
+        k = bisect.bisect(kept, i)
+        if ((k == 0 or i - kept[k - 1] >= min_gap)
+                and (k == len(kept) or kept[k] - i >= min_gap)):
+            kept.insert(k, i)
+    return [PeakEvent(i / rate, float(y[i]), index=i) for i in kept]
 
 
 def detect_peaks(envelope):
@@ -161,7 +166,8 @@ def label_s1_s2(peaks):
     times = [p.time_s for p in peaks]
     first_is_s1 = (times[1] - times[0]) <= (times[2] - times[1])
     labels = (PeakLabel.S1, PeakLabel.S2) if first_is_s1 else (PeakLabel.S2, PeakLabel.S1)
-    return [replace(p, label=labels[k % 2]) for k, p in enumerate(peaks)]
+    return [PeakEvent(p.time_s, p.height, labels[k % 2], p.index)
+            for k, p in enumerate(peaks)]
 
 
 def cycle_intervals(labeled):
@@ -198,7 +204,7 @@ def _crossing_backward(y, peak_idx, level, stop_idx):
     """Last sample at or below level strictly between ``stop_idx`` and the
     peak, or None if truncated (``stop_idx`` is -1 at the frame start)."""
     start = stop_idx + 1
-    hits = np.flatnonzero(y[start:peak_idx] <= level)
+    hits = (y[start:peak_idx] <= level).nonzero()[0]
     return start + int(hits[-1]) if hits.size else None
 
 
@@ -208,7 +214,7 @@ def _crossing_forward(y, peak_idx, level, stop_idx):
     frame end, and -1, which ends the search at once, after a next peak
     without a sample index)."""
     start = peak_idx + 1
-    hits = np.flatnonzero(y[start:max(stop_idx, start)] <= level)
+    hits = (y[start:max(stop_idx, start)] <= level).nonzero()[0]
     return start + int(hits[0]) if hits.size else None
 
 

@@ -73,22 +73,34 @@ _REC_HI = _DEC_HI[::-1].copy()
 CWT_BLOCK_ROWS = 8
 
 
+def _convolve(x, taps, mode):
+    """``np.convolve(x, taps[::-1], mode)`` as one ``np.correlate``.
+
+    ``np.convolve`` correlates with the reversed filter, and with its
+    operands swapped when ``x`` is the shorter; this does the same, so the
+    result is the same bit for bit.
+    """
+    if len(x) < len(taps):
+        return np.correlate(taps[::-1], x[::-1], mode)
+    return np.correlate(x, taps, mode)
+
+
 def _dwt_step(x):
     """One analysis level with symmetric (half-point) boundary extension."""
     pad = _FILT_LEN - 1
     ext = np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
-    approx = np.convolve(ext, _DEC_LO, mode="valid")[1::2]
-    detail = np.convolve(ext, _DEC_HI, mode="valid")[1::2]
+    approx = _convolve(ext, _REC_LO, "valid")[1::2]
+    detail = _convolve(ext, _REC_HI, "valid")[1::2]
     return approx, detail
 
 
 def _idwt_step(approx, detail, out_len):
     """One synthesis level; crop offset matches the analysis extension."""
-    up_a = np.zeros(2 * len(approx))
-    up_d = np.zeros(2 * len(detail))
-    up_a[::2] = approx
-    up_d[::2] = detail
-    y = np.convolve(up_a, _REC_LO) + np.convolve(up_d, _REC_HI)
+    up = np.zeros((2, 2 * len(approx)))
+    up[0, ::2] = approx
+    up[1, ::2] = detail
+    y = _convolve(up[0], _DEC_LO, "full")
+    y += _convolve(up[1], _DEC_HI, "full")
     off = _FILT_LEN - 2
     return y[off:off + out_len]
 
@@ -102,6 +114,12 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
     coefficient magnitude, which makes the rule scale-aware. The final
     approximation band is left untouched. With ``threshold_frac = 0`` the
     round trip is an identity to within accumulated rounding.
+
+    All detail bands are thresholded in one pass over their concatenated
+    coefficients: ``np.maximum.reduceat`` gives each band's peak and
+    ``np.repeat`` spreads its threshold over the band. Each filter step is
+    one ``np.correlate`` with the reversed filter, so the output equals,
+    bit for bit, ``np.convolve`` steps with one threshold per band.
 
     Parameters
     ----------
@@ -138,12 +156,22 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
         lengths.append(len(approx))
         approx, detail = _dwt_step(approx)
         details.append(detail)
-    for detail in details:
-        peak = np.max(np.abs(detail)) if len(detail) else 0.0
-        tau = threshold_frac * peak
-        np.copyto(detail, np.sign(detail) * np.maximum(np.abs(detail) - tau, 0.0))
-    for detail, out_len in zip(reversed(details), reversed(lengths)):
-        approx = _idwt_step(approx, detail, out_len)
+    # every band thresholded in one pass over one coefficient array; the
+    # bands and their signs are dropped as soon as they are read, since
+    # each band is a view that holds twice its size of filter output
+    sizes = [len(d) for d in details]
+    ends = np.cumsum(sizes)
+    coeffs = np.concatenate(details)
+    del details
+    shrunk = np.abs(coeffs)
+    tau = threshold_frac * np.maximum.reduceat(shrunk, ends - sizes)
+    shrunk -= np.repeat(tau, sizes)
+    np.maximum(shrunk, 0.0, out=shrunk)
+    shrunk *= np.sign(coeffs, out=coeffs)
+    del coeffs
+    for end, size, out_len in zip(ends[::-1].tolist(), sizes[::-1],
+                                  reversed(lengths)):
+        approx = _idwt_step(approx, shrunk[end - size:end], out_len)
     return s.with_samples(approx)
 
 

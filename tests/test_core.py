@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestSampledSignal:
             sig([1.0, np.nan])
         with pytest.raises(InvalidInputError):
             sig([np.inf, 0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5000), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           scale=st.sampled_from([1.0, 1e300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rejects_any_nonfinite_sample(self, n, data, bad, scale, seed):
+        x = np.random.default_rng(seed).normal(size=n) * scale
+        x[data.draw(st.integers(0, n - 1), label="index")] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            sig(x)
+
+    @pytest.mark.parametrize("values", [
+        [1e308] * 4, [-1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308],
+        [np.finfo(float).max, np.finfo(float).max]])
+    def test_accepts_finite_samples_whose_sum_overflows(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and says nothing about it
+            s = sig(values)
+        assert np.array_equal(s.samples, values)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(InvalidInputError):
