@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSignalError,
@@ -34,8 +33,6 @@ MAX_SAMPLES = 2 ** 24
 
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
-# Impulse-response samples the lowpass plan makes per state-space step.
-IR_BLOCK = 128
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -262,93 +259,40 @@ def _next_fast_len(n, real=False):
         m += 1
 
 
-def _state_space(sos):
-    """``(A, B, C, D)`` of the section cascade, in ``np.longdouble``.
-
-    The state is each section's two delays in transposed direct form II,
-    the form ``scipy.signal.sosfilt`` runs: one step maps state ``z`` and
-    input ``u`` to ``A z + B u`` and outputs ``C z + D u``. Each section
-    reads the cascade so far as its input.
-    """
-    k = 2 * len(sos)
-    a = np.zeros((k, k), dtype=np.longdouble)
-    b = np.zeros(k, dtype=np.longdouble)
-    c = np.zeros(k, dtype=np.longdouble)
-    d = np.longdouble(1)
-    for i, (b0, b1, b2, _, a1, a2) in zip(range(0, k, 2),
-                                          sos.astype(np.longdouble)):
-        g = np.array((b1 - a1 * b0, b2 - a2 * b0))
-        a[i:i + 2] += np.outer(g, c)
-        a[i, i], a[i, i + 1], a[i + 1, i] = -a1, 1, -a2
-        b[i:i + 2] = g * d
-        c *= b0
-        c[i] = 1
-        d *= b0
-    return a, b, c, d
-
-
-def _impulse_response(sos, n):
-    """The section cascade's impulse response, at most ``n`` samples.
-
-    ``h[0] = D`` and ``h[t] = C A**(t - 1) B``, in ``np.longdouble``, made
-    ``IR_BLOCK`` samples at a time: the rows ``C A**j`` for
-    ``j < IR_BLOCK`` times the state, which then steps by
-    ``A**IR_BLOCK``. With no input left the cascade is an
-    order-``LOWPASS_ORDER`` recursion, fixed by its last
-    ``LOWPASS_ORDER`` samples, so ``h`` ends where that many in a row
-    first fall below eps**2 of its peak so far. Rounded once to float64
-    and cut after its last sample at or above eps of its peak (1533
-    samples at 20 Hz and 2000 Hz): the rest of it, summed, moves no output
-    by a float64 rounding.
-    """
-    a, b, c, d = _state_space(sos)
-    # one product at a time: powers by squaring lose digits on the corner
-    # cases the tests hold to 1e-12
-    rows, step = [c], a
-    for _ in range(IR_BLOCK - 1):
-        rows.append(rows[-1] @ a)
-        step = a @ step
-    rows = np.array(rows)
-    eps = np.finfo(np.float64).eps
-    blocks, state, peak, made = [np.array([d])], b, abs(d), 1
-    while made < n:
-        block = rows @ state
-        state = step @ state
-        blocks.append(block)
-        made += IR_BLOCK
-        size = np.abs(block)
-        peak = max(peak, size.max())
-        if (size < eps ** 2 * peak).all():
-            break  # h has died out within this block
-    h = np.concatenate(blocks)[:n]
-    if len(h) >= LOWPASS_ORDER:
-        size = np.abs(h)
-        quiet = size < eps ** 2 * np.maximum.accumulate(size)
-        run = sliding_window_view(quiet, LOWPASS_ORDER).all(axis=1)
-        if run.any():
-            h = h[:run.argmax() + LOWPASS_ORDER]
-    peak = np.abs(h).max()
-    h = h.astype(np.float64)
-    return h[:(np.abs(h) >= eps * peak).nonzero()[0][-1] + 1]
-
-
 @functools.lru_cache(maxsize=8)
 def _lowpass_plan(cutoff_hz, rate_hz, n):
     """``(gain, spectrum, nfft)`` of one pass over ``n`` samples: the DC
-    gain, the product of each section's ``sum(b) / sum(a)``, and the
-    read-only ``nfft``-point real FFT of the impulse response.
+    gain and the sections' read-only frequency response
+    ``prod (b0 + z (b1 + z b2)) / (1 + z (a1 + z a2))`` at
+    ``z = exp(-2 pi i k / nfft)``, ``k <= nfft / 2``, evaluated in
+    ``np.longdouble`` and rounded once to complex128. That is the FFT of
+    the impulse response folded every ``nfft`` samples, so ``nfft`` spans
+    ``n`` plus the ``decay`` samples the slowest pole pair takes to fall
+    to eps, and what folds onto the output is below a float64 rounding.
+    A ``decay`` over ``MAX_SAMPLES`` (a cutoff below about 1.8e-6 of
+    Nyquist) raises :class:`InvalidCutoffError` before the grid exists.
 
     A concurrent miss may build the plan twice; the copies are equal, so
     no lock guards the cache.
     """
     sos = _butter_lowpass_sos(cutoff_hz, rate_hz)
-    sums = sos.astype(np.longdouble).reshape(-1, 2, 3).sum(axis=2)
-    gain = float(np.prod(sums[:, 0] / sums[:, 1]))
-    h = _impulse_response(sos, n)
-    nfft = _next_fast_len(n + len(h) - 1, real=True)
-    spectrum = np.fft.rfft(h, nfft)
+    radius = math.sqrt(sos[:, 5].max())  # a2 is a pole pair's squared radius
+    eps = np.finfo(np.float64).eps
+    decay = (math.ceil(math.log(eps) / math.log(radius)) if radius < 1
+             else math.inf)
+    if decay > MAX_SAMPLES:
+        raise InvalidCutoffError(
+            f"cutoff {cutoff_hz} Hz at {rate_hz} Hz: the lowpass takes more "
+            f"than {MAX_SAMPLES} samples to decay")
+    nfft = _next_fast_len(n + decay - 1, real=True)
+    pi = np.arccos(np.longdouble(-1))
+    z = np.exp(np.arange(nfft // 2 + 1) * (-2j * pi / nfft))
+    response = np.ones_like(z)
+    for b0, b1, b2, _, a1, a2 in sos.astype(np.longdouble):
+        response *= (b0 + z * (b1 + z * b2)) / (1 + z * (a1 + z * a2))
+    spectrum = response.astype(np.complex128)
     spectrum.flags.writeable = False
-    return gain, spectrum, nfft
+    return float(spectrum[0].real), spectrum, nfft
 
 
 def butterworth_lowpass_zero_phase(s, cutoff_hz):
@@ -363,16 +307,16 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     This is ``scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen)``
     with the sections of ``scipy.signal.butter``, computed in numpy alone.
     A pass started in the steady state of its first sample ``y[0]`` is
-    ``y[0] G + (h * (y - y[0]))[:n]``, with ``G`` the sections' DC gain
-    and ``h`` their impulse response (:func:`_impulse_response`), so each
-    pass is one real FFT convolution against a spectrum cached per cutoff,
-    rate and length. ``h`` is made in ``np.longdouble`` and rounded once
-    to float64; where that is the 80-bit x87 type, as on x86-64, it keeps
-    11 bits more than float64. The tests hold the result to 1e-12 of the
-    output peak from an extended-precision run of the sections, also on
-    frames shorter than one period of a cutoff below 0.015 of Nyquist,
-    where the output peak falls to 1e-5 of the input's and
-    ``sosfiltfilt`` is 2e-11 of it off.
+    ``y[0] G`` plus the sections run from rest over ``y - y[0]``, with
+    ``G`` their DC gain, so each pass is one real FFT of ``y - y[0]``
+    times the sections' frequency response, cached per cutoff, rate and
+    length (:func:`_lowpass_plan`). The response is evaluated in
+    ``np.longdouble`` and rounded once to complex128; where that is the
+    80-bit x87 type, as on x86-64, it keeps 11 bits more than float64.
+    The tests hold the result to 1e-12 of the output peak from an
+    extended-precision run of the sections, also on frames shorter than
+    one period of a cutoff below 0.015 of Nyquist, where the output peak
+    falls to 1e-5 of the input's and ``sosfiltfilt`` is 2e-11 of it off.
 
     Parameters
     ----------
@@ -383,7 +327,8 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
     Raises
     ------
     InvalidCutoffError
-        If the cutoff is not inside (0, Nyquist).
+        If the cutoff is not inside (0, Nyquist), or is below about
+        1.8e-6 of Nyquist (see :func:`_lowpass_plan`).
     """
     nyq = s.rate_hz / 2.0
     if not 0 < cutoff_hz < nyq:

@@ -74,7 +74,9 @@ def read_wav_pcm16(path):
         raise UnsupportedEncodingError(
             f"{path}: truncated data chunk ends inside a sample frame")
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels)[:, 0]
-    return SampledSignal(data.astype(np.float64) / PCM16_SCALE, float(rate))
+    samples = data.astype(np.float64)
+    samples /= PCM16_SCALE
+    return SampledSignal(samples, float(rate))
 
 
 def write_wav_pcm16(path, signal):

@@ -125,8 +125,10 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
     ----------
     s : SampledSignal
     levels : int
-        Decomposition depth; the signal must hold at least ``2**levels``
-        samples.
+        Decomposition depth; the signal must hold at least
+        ``max(2**levels, 7)`` samples. Seven is the extension each level
+        mirrors on either side, and each level keeps ``(L + 7) // 2 >= 7``
+        of its input's ``L >= 7`` samples.
     threshold_frac : float
         Relative threshold in [0, 1).
 
@@ -145,10 +147,11 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
         raise InvalidInputError(
             f"threshold_frac must be in [0, 1), got {threshold_frac}")
     x = s.samples
-    if len(x) < 2 ** levels:
+    need = max(2 ** levels, _FILT_LEN - 1)
+    if len(x) < need:
         raise DecompositionDepthError(
             f"{len(x)} samples cannot support {levels} levels "
-            f"(need >= {2 ** levels})")
+            f"(need >= {need})")
     details = []
     lengths = []
     approx = x

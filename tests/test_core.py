@@ -398,23 +398,55 @@ class TestLowpassAgainstScipy:
 
 
 class TestSectionSolve:
-    """The lowpass plan: one pass is a convolution with the sections'
-    impulse response."""
+    """The lowpass plan: one pass multiplies by the sections' frequency
+    response on the FFT grid."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10400, 60000])
     def test_unit_impulse_gives_impulse_response(self, n):
-        rhs = np.zeros(n, dtype=np.longdouble)
-        rhs[0] = 1
+        """The grid's inverse transform is the sections' impulse response
+        over all ``nfft`` samples, to 1e-14 of its peak."""
         for frac in (0.005, 0.02, 0.99):
             _, spectrum, nfft = _lowpass_plan(frac * 1000.0, 2000.0, n)
-            got = np.fft.irfft(spectrum, nfft)[:n]
-            h = rhs
+            got = np.fft.irfft(spectrum, nfft)
+            h = np.zeros(nfft, dtype=np.longdouble)
+            h[0] = 1
             for b0, b1, b2, _, a1, a2 in _butter_lowpass_sos(frac * 1000.0,
                                                              2000.0):
                 b = np.array([b0, b1, b2], dtype=np.longdouble)
-                h = section_recursion_extended(np.convolve(h, b)[:n], a1, a2)
+                h = section_recursion_extended(np.convolve(h, b)[:nfft],
+                                               a1, a2)
             np.testing.assert_allclose(got, h.astype(np.float64), rtol=0,
                                        atol=1e-14 * np.max(np.abs(h)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("frac", [0.005, 0.02, 0.99])
+    def test_short_inputs_equal_extended_run(self, n, frac):
+        """Inputs far shorter than the response's decay, whose grid the
+        decay alone sizes."""
+        x = np.random.default_rng(n).normal(size=n)
+        cutoff = frac * 1000.0
+        settle = math.ceil(2000.0 / cutoff) * LOWPASS_ORDER
+        padlen = min(n - 1, 3 * settle)
+        sos = sps.butter(LOWPASS_ORDER, cutoff, fs=2000.0, output="sos")
+        exact = sosfiltfilt_extended(sos, x, padlen).astype(np.float64)
+        got = butterworth_lowpass_zero_phase(SampledSignal(x, 2000.0), cutoff)
+        np.testing.assert_allclose(got.samples, exact, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("cutoff", [1e-3, 1e-12, 1e-14])
+    def test_cutoff_too_slow_to_decay_raises_at_once(self, cutoff):
+        """At 1e-3 and 1e-12 Hz the response takes 3.0e7 and 3.0e16
+        samples to decay, more than ``MAX_SAMPLES``; at 1e-14 Hz its pole
+        radius rounds to 1."""
+        s = SampledSignal(np.ones(100), 2000.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidCutoffError, match="decay"):
+                butterworth_lowpass_zero_phase(s, cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_plan_is_cached_and_read_only(self):
         _, spectrum, _ = _lowpass_plan(20.0, 2000.0, 10400)

@@ -108,6 +108,32 @@ class TestDenoise:
         with pytest.raises(DecompositionDepthError):
             dwt_denoise_db4(s, levels=8)
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_shorter_than_the_extension_raises(self, n, levels):
+        """Each level mirrors 7 samples on either side, so fewer than 7
+        would return garbage (``[1.3, 1.3]`` came back ``[0.275, -0.089]``
+        at zero threshold)."""
+        s = SampledSignal(np.full(n, 1.3), RATE)
+        with pytest.raises(DecompositionDepthError):
+            dwt_denoise_db4(s, levels=levels, threshold_frac=0.0)
+
+    @pytest.mark.parametrize("n, levels", [
+        (n, levels) for levels in (1, 2, 3) for n in range(7, 14)
+        if n >= 2 ** levels])
+    def test_zero_threshold_identity_on_short_inputs(self, n, levels):
+        """From 7 samples on, the round trip is the identity: to a few
+        float64 roundings on a constant, and on noise to the 1e-11 that
+        the db4 taps' own rounding allows on a 4 s frame."""
+        c = np.full(n, 1.3)
+        out = dwt_denoise_db4(SampledSignal(c, RATE), levels=levels,
+                              threshold_frac=0.0)
+        np.testing.assert_allclose(out.samples, c, rtol=0, atol=1e-12)
+        x = np.random.default_rng(n).normal(size=n)
+        out = dwt_denoise_db4(SampledSignal(x, RATE), levels=levels,
+                              threshold_frac=0.0)
+        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-10)
+
     def test_threshold_frac_range(self):
         s = SampledSignal(np.ones(512), RATE)
         with pytest.raises(InvalidInputError):
@@ -164,7 +190,8 @@ class TestDenoiseAgainstBandLoop:
     def test_equal_bit_for_bit(self, data, levels, threshold_frac, shape,
                                seed):
         n = (8000 if data is None
-             else data.draw(st.integers(2 ** levels, 20000), label="n"))
+             else data.draw(st.integers(max(2 ** levels, 7), 20000),
+                            label="n"))
         rng = np.random.default_rng(seed)
         if shape == "noise":
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
