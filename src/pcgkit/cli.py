@@ -39,8 +39,8 @@ from .errors import (
 from .evaluation import bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
-    _stream_dataset,
     is_json_number,
+    map_subjects,
     read_json_object,
     write_csv_series,
     write_json_report,
@@ -188,22 +188,6 @@ def _frame_results(record, config):
     return analyse()
 
 
-def _per_subject(records, errors, analyze):
-    """``{subject_id: analyze(record)}``; failures go to ``errors``.
-
-    Records are taken one at a time and none is kept, so with a streamed
-    dataset one subject's signals are in memory at a time.
-    """
-    done = {}
-    for record in records:
-        try:
-            done[record.subject_id] = analyze(record)
-        except PcgKitError as exc:
-            errors[record.subject_id] = str(exc)
-        del record  # before the next folder loads
-    return done
-
-
 def _subject_features(record, config, from_audio):
     """The meta.json features block, unless ``from_audio``; else audio.
 
@@ -299,7 +283,6 @@ def cmd_synth(args):
 def cmd_hr(args):
     """Per-frame and per-subject heart-rate report, with ECG agreement."""
     config = resolve_config(args)
-    records, errors = _stream_dataset(args.dataset)
     pairs = []
 
     def analyze(record):
@@ -344,7 +327,7 @@ def cmd_hr(args):
             entry["rmse"] = float(np.sqrt(np.mean(d * d)))
         return entry
 
-    subjects = _per_subject(records, errors, analyze)
+    subjects, errors = map_subjects(args.dataset, analyze)
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors
@@ -387,11 +370,10 @@ def cmd_bp(args):
                 raise ConfigError(
                     f"{flag} is only used with --features-from-audio")
     # the pressure model reads PCG features alone: no ecg.txt is parsed
-    records, errors = _stream_dataset(args.dataset, ecg=False)
     # subject id -> (features, sbp_ref, dbp_ref)
-    rows = _per_subject(records, errors, lambda record: (
+    rows, errors = map_subjects(args.dataset, lambda record: (
         _subject_features(record, config, args.features_from_audio),
-        record.sbp_ref, record.dbp_ref))
+        record.sbp_ref, record.dbp_ref), ecg=False)
     report = _report_header(config)
     report["errors"] = errors
     out = Path(config.out_dir)
@@ -466,7 +448,6 @@ def cmd_quality(args):
     from concurrent.futures import ThreadPoolExecutor
 
     config = resolve_config(args)
-    records, errors = _stream_dataset(args.dataset, ecg=False)
     table = {}
 
     def quality_of(result):
@@ -494,7 +475,7 @@ def cmd_quality(args):
                     n_failed=len(results) - len(qualities))
 
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        subjects = _per_subject(records, errors, analyze)
+        subjects, errors = map_subjects(args.dataset, analyze, ecg=False)
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors

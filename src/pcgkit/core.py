@@ -33,6 +33,8 @@ MAX_SAMPLES = 2 ** 24
 
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4
+# Grid points a lowpass plan evaluates at a time; bounds its scratch memory.
+_PLAN_CHUNK = 2 ** 15
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -232,7 +234,7 @@ def _butter_lowpass_sos(cutoff_hz, rate_hz):
     p = -np.exp(1j * np.pi * m / (2 * order)) * warped
     gain = warped ** order * np.real(1.0 / np.prod(4.0 - p))
     p = (4.0 + p) / (4.0 - p)
-    p = p[p.imag > 0]
+    p = p[m < 0]  # one of each pair, even if its imaginary part rounds to 0
     p = p[np.argsort(-np.abs(1.0 - np.abs(p)))]
     sos = np.zeros((len(p), 6))
     sos[:, :4] = (1.0, 2.0, 1.0, 1.0)
@@ -265,12 +267,13 @@ def _lowpass_plan(cutoff_hz, rate_hz, n):
     gain and the sections' read-only frequency response
     ``prod (b0 + z (b1 + z b2)) / (1 + z (a1 + z a2))`` at
     ``z = exp(-2 pi i k / nfft)``, ``k <= nfft / 2``, evaluated in
-    ``np.longdouble`` and rounded once to complex128. That is the FFT of
-    the impulse response folded every ``nfft`` samples, so ``nfft`` spans
-    ``n`` plus the ``decay`` samples the slowest pole pair takes to fall
-    to eps, and what folds onto the output is below a float64 rounding.
-    A ``decay`` over ``MAX_SAMPLES`` (a cutoff below about 1.8e-6 of
-    Nyquist) raises :class:`InvalidCutoffError` before the grid exists.
+    ``np.longdouble`` ``_PLAN_CHUNK`` points at a time and rounded once to
+    complex128. That is the FFT of the impulse response folded every
+    ``nfft`` samples, so ``nfft`` spans ``n`` plus the ``decay`` samples the
+    slowest pole pair takes to fall to eps, and what folds onto the output
+    is below a float64 rounding. A ``decay`` over ``MAX_SAMPLES`` (a cutoff
+    below about 1.8e-6 of Nyquist) raises :class:`InvalidCutoffError`
+    before the grid exists.
 
     A concurrent miss may build the plan twice; the copies are equal, so
     no lock guards the cache.
@@ -285,12 +288,15 @@ def _lowpass_plan(cutoff_hz, rate_hz, n):
             f"cutoff {cutoff_hz} Hz at {rate_hz} Hz: the lowpass takes more "
             f"than {MAX_SAMPLES} samples to decay")
     nfft = _next_fast_len(n + decay - 1, real=True)
-    pi = np.arccos(np.longdouble(-1))
-    z = np.exp(np.arange(nfft // 2 + 1) * (-2j * pi / nfft))
-    response = np.ones_like(z)
-    for b0, b1, b2, _, a1, a2 in sos.astype(np.longdouble):
-        response *= (b0 + z * (b1 + z * b2)) / (1 + z * (a1 + z * a2))
-    spectrum = response.astype(np.complex128)
+    step = -2j * np.arccos(np.longdouble(-1)) / nfft
+    spectrum = np.empty(nfft // 2 + 1, dtype=np.complex128)
+    for start in range(0, len(spectrum), _PLAN_CHUNK):
+        z = np.exp(np.arange(start, min(start + _PLAN_CHUNK, len(spectrum)))
+                   * step)
+        response = np.ones_like(z)
+        for b0, b1, b2, _, a1, a2 in sos.astype(np.longdouble):
+            response *= (b0 + z * (b1 + z * b2)) / (1 + z * (a1 + z * a2))
+        spectrum[start:start + len(z)] = response
     spectrum.flags.writeable = False
     return float(spectrum[0].real), spectrum, nfft
 
@@ -335,7 +341,9 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
         raise InvalidCutoffError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
     x = s.samples
-    settle = int(math.ceil(s.rate_hz / cutoff_hz)) * LOWPASS_ORDER
+    # past len(x) the pad is the whole signal anyway; the cap keeps a tiny
+    # cutoff's ratio from overflowing before the plan refuses it
+    settle = math.ceil(min(s.rate_hz / cutoff_hz, len(x))) * LOWPASS_ORDER
     padlen = min(len(x) - 1, 3 * settle)
     n = len(x) + 2 * padlen
     gain, spectrum, nfft = _lowpass_plan(cutoff_hz, s.rate_hz, n)

@@ -300,14 +300,24 @@ def load_subject_dir(subject_dir, ecg=True):
         meta=meta)
 
 
-def _stream_dataset(root, ecg=True):
-    """Check a dataset root now; load its subject folders one at a time.
+def map_subjects(root, analyze, ecg=True):
+    """``analyze`` each subject folder under a dataset root, in name order.
 
-    ``ecg`` is passed to :func:`load_subject_dir` for every folder.
-    Returns ``(records, errors)`` at once. ``records`` is a generator that
-    loads each folder only when the next record is asked for and fills
-    ``errors`` as it goes, so a caller that drops each record before it
-    asks for the next holds one subject at a time.
+    Returns ``(results, errors)``. Each folder with a ``pcg.wav`` is loaded
+    by :func:`load_subject_dir` with ``ecg`` and dropped before the next
+    loads, so one subject is in memory at a time unless ``analyze`` keeps
+    it. A folder that fails to load (a toolkit error or an ``OSError``),
+    whose ``subject_id`` an earlier folder has, or whose ``subject_id`` is
+    another folder's name is not analysed: ``errors`` maps its name to
+    ``"ingest: <reason>"``. ``results`` maps every other ``subject_id`` to
+    ``analyze(record)``, or ``errors`` maps it to the message of the
+    :class:`PcgKitError` that raised; any other exception propagates. So
+    every folder lands once, under a key no other folder uses.
+
+    Raises
+    ------
+    MissingFileError, EmptyDataError
+        If the root is not a directory or holds no subject folder.
     """
     root = Path(root)
     if not root.is_dir():
@@ -316,54 +326,41 @@ def _stream_dataset(root, ecg=True):
     if not dirs:
         raise EmptyDataError(f"{root}: no subject folders with pcg.wav")
     names = {d.name for d in dirs}
-    errors = {}
-
-    def records():
-        folder_of = {}
-        for d in dirs:
+    results, errors, folder_of = {}, {}, {}
+    for d in dirs:
+        try:
+            record = load_subject_dir(d, ecg=ecg)
+        except (PcgKitError, OSError) as exc:
+            errors[d.name] = f"ingest: {exc}"
+            continue
+        sid = record.subject_id
+        # results are keyed by subject_id and ingest errors by folder
+        # name, so an id may not be another folder's name
+        if sid in folder_of:
+            errors[d.name] = (f"ingest: duplicate subject_id {sid} "
+                              f"(also {folder_of[sid]})")
+        elif sid != d.name and sid in names:
+            errors[d.name] = (f"ingest: subject_id {sid} is the name "
+                              f"of another folder")
+        else:
+            folder_of[sid] = d.name
             try:
-                record = load_subject_dir(d, ecg=ecg)
-            except (PcgKitError, OSError) as exc:
-                errors[d.name] = f"ingest: {exc}"
-                continue
-            sid = record.subject_id
-            # results are keyed by subject_id and ingest errors by folder
-            # name, so an id may not be another folder's name
-            if sid in folder_of:
-                errors[d.name] = (f"ingest: duplicate subject_id {sid} "
-                                  f"(also {folder_of[sid]})")
-            elif sid != d.name and sid in names:
-                errors[d.name] = (f"ingest: subject_id {sid} is the name "
-                                  f"of another folder")
-            else:
-                folder_of[sid] = d.name
-                yield record
-            del record  # before the next folder loads
-
-    return records(), errors
+                results[sid] = analyze(record)
+            except PcgKitError as exc:
+                errors[sid] = str(exc)
+        del record  # before the next folder loads
+    return results, errors
 
 
 def load_dataset(root, ecg=True):
-    """Load every subject folder under a dataset root, sorted by name.
+    """Every subject record under a dataset root, and the ingest errors.
 
-    Returns ``(records, errors)``. A folder that fails to load, with a
-    toolkit error or an ``OSError`` such as a directory named ``ecg.txt``,
-    whose ``subject_id`` is the name of another subject folder, or whose
-    ``subject_id`` an earlier folder already has, does not stop the others;
-    ``errors`` maps its name to ``"ingest: <reason>"``. So every folder
-    lands exactly once, as a record or as an error, under a key no other
-    folder uses. With ``ecg=False`` no ``ecg.txt`` is read (see
-    :func:`load_subject_dir`), so a damaged one is no error. The commands
-    take the same folders one at a time instead of all at once; only
-    ``hr`` reads ``ecg.txt``.
-
-    Raises
-    ------
-    MissingFileError, EmptyDataError
-        If the root is not a directory or holds no subject folder.
+    This is :func:`map_subjects` keeping every record, returned as a list
+    in folder order. The commands call :func:`map_subjects` instead, so one
+    subject is in memory at a time.
     """
-    records, errors = _stream_dataset(root, ecg=ecg)
-    return list(records), errors
+    records, errors = map_subjects(root, lambda record: record, ecg)
+    return list(records.values()), errors
 
 
 def write_subject_dir(subject_dir, pcg, ecg=None, meta=None):

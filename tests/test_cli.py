@@ -30,7 +30,7 @@ from pcgkit import (
     write_subject_dir,
     write_wav_pcm16,
 )
-from pcgkit import cli, load_dataset
+from pcgkit import cli
 from pcgkit import io as pcgkit_io
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
@@ -755,12 +755,20 @@ class TestStreaming:
             shutil.rmtree(tmp_path / "out")
             return rc, payload
 
+        load = pcgkit_io.load_subject_dir
+        kept = []
+
+        def keep(subject_dir, **kwargs):
+            kept.append(load(subject_dir, **kwargs))
+            return kept[-1]
+
+        # the baseline run keeps every record alive to its end
         with monkeypatch.context() as m:
-            m.setattr(cli, "_stream_dataset", load_dataset)
+            m.setattr(pcgkit_io, "load_subject_dir", keep)
             eager = run()
+        assert len(kept) == 12
 
         loaded, live_at_load = [], []
-        load = pcgkit_io.load_subject_dir
 
         def tracked(subject_dir, **kwargs):
             gc.collect()

@@ -433,11 +433,14 @@ class TestSectionSolve:
         np.testing.assert_allclose(got.samples, exact, rtol=0,
                                    atol=1e-12 * np.max(np.abs(exact)))
 
-    @pytest.mark.parametrize("cutoff", [1e-3, 1e-12, 1e-14])
+    @pytest.mark.parametrize("cutoff", [1e-3, 1e-12, 1e-14, 1e-310, 1e-320,
+                                        5e-324])
     def test_cutoff_too_slow_to_decay_raises_at_once(self, cutoff):
         """At 1e-3 and 1e-12 Hz the response takes 3.0e7 and 3.0e16
         samples to decay, more than ``MAX_SAMPLES``; at 1e-14 Hz its pole
-        radius rounds to 1."""
+        radius rounds to 1. From 1e-310 Hz down the rate over the cutoff
+        overflows a float, and at 5e-324 Hz the prewarped poles round onto
+        the real axis."""
         s = SampledSignal(np.ones(100), 2000.0)
         tracemalloc.start()
         try:
@@ -447,6 +450,25 @@ class TestSectionSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("cutoff", [1e-310, 1e-320, 5e-324])
+    def test_plan_refuses_a_subnormal_cutoff(self, cutoff):
+        with pytest.raises(InvalidCutoffError, match="decay"):
+            _lowpass_plan(cutoff, 2000.0, 100)
+
+    def test_plan_grid_is_built_in_chunks(self):
+        """At 0.03 Hz the 100-sample plan spans 1,000,000 points: its
+        7.6 MiB complex128 spectrum and one chunk of extended-precision
+        scratch, not a grid of them."""
+        _lowpass_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            _, spectrum, nfft = _lowpass_plan(0.03, 2000.0, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nfft == 1_000_000 and spectrum.dtype == np.complex128
+        assert peak < 16 * 2 ** 20
 
     def test_plan_is_cached_and_read_only(self):
         _, spectrum, _ = _lowpass_plan(20.0, 2000.0, 10400)

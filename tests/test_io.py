@@ -711,6 +711,62 @@ class TestSubjectDirs:
             load_dataset(tmp_path)
 
 
+
+class TestMapSubjects:
+    """The one loop behind ``load_dataset`` and every report command."""
+
+    @staticmethod
+    def _write(root, *names, meta=None):
+        pcg = SampledSignal(np.arange(-100, 100) / 32768.0, 2000.0)
+        for name in names:
+            write_subject_dir(root / name, pcg, meta=(meta or {}).get(name))
+
+    def test_analysis_error_is_filed_under_the_subject(self, tmp_path):
+        self._write(tmp_path, "s01", "s02", "s03",
+                    meta={"s02": {"subject_id": "beta"}})
+
+        def analyze(record):
+            if record.subject_id == "beta":
+                raise PcgKitError("no frame produced a usable estimate")
+            return len(record.pcg.samples)
+
+        results, errors = pcgkit_io.map_subjects(tmp_path, analyze)
+        assert results == {"s01": 200, "s03": 200}
+        assert errors == {"beta": "no frame produced a usable estimate"}
+
+    def test_rejected_folders_are_never_analysed(self, tmp_path):
+        # "a" names the folder "s03", "s02" repeats the id of "s01", and
+        # "s03" holds no audio
+        self._write(tmp_path, "a", "s01", "s02", "s03",
+                    meta={"a": {"subject_id": "s03"},
+                          "s02": {"subject_id": "s01"}})
+        (tmp_path / "s03" / "pcg.wav").write_bytes(b"not a wav")
+        analysed = []
+        results, errors = pcgkit_io.map_subjects(
+            tmp_path, lambda record: analysed.append(record.subject_id))
+        assert analysed == ["s01"] and list(results) == ["s01"]
+        assert list(errors) == ["a", "s02", "s03"]
+        assert all(e.startswith("ingest: ") for e in errors.values())
+
+    @pytest.mark.parametrize("root, error", [
+        ("nope", MissingFileError), ("empty", EmptyDataError)])
+    def test_bad_root_raises_before_any_folder_loads(self, root, error,
+                                                     tmp_path, monkeypatch):
+        (tmp_path / "empty" / "no_audio").mkdir(parents=True)
+        monkeypatch.setattr(pcgkit_io, "load_subject_dir", None)
+        with pytest.raises(error):
+            pcgkit_io.map_subjects(tmp_path / root, lambda record: record)
+
+    def test_other_exceptions_propagate(self, tmp_path):
+        self._write(tmp_path, "s01", "s02")
+
+        def analyze(record):
+            raise ZeroDivisionError(record.subject_id)
+
+        with pytest.raises(ZeroDivisionError, match="s01"):
+            pcgkit_io.map_subjects(tmp_path, analyze)
+
+
 class TestReports:
 
     def test_json_bytes_reproducible_and_sorted(self, tmp_path):
