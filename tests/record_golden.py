@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-Writes the ``COHORT`` synth dataset into a temporary directory, runs each
-command of ``CASES`` on it through ``pcgkit.cli.main`` and copies its
-reports to ``tests/golden/<case>/``. The numpy version that computed them
+Writes the ``COHORTS`` synth datasets into a temporary directory, runs
+each command of ``CASES`` on the one it names through ``pcgkit.cli.main``
+and copies its reports to ``tests/golden/<case>/``. The numpy version that computed them
 goes to ``tests/golden/numpy_version.txt``: FFT rounding can differ
 between numpy versions, so the test compares bytes only under that one.
 Re-record only when a change to the reports is intended.
@@ -21,12 +21,15 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NUMPY_VERSION_FILE = GOLDEN / "numpy_version.txt"
 
-# One small cohort: 4 subjects x 12 s.
-COHORT = ["synth", "--out", "ds", "--subjects", "4", "--seed", "11",
-          "--duration", "12"]
+# Dataset name -> synth flags: 4 subjects x 12 s, and 12 x 8 s, enough
+# subjects for a full-rank bp fit.
+COHORTS = {
+    "ds": ["--subjects", "4", "--seed", "11", "--duration", "12"],
+    "ds12": ["--subjects", "12", "--seed", "11", "--duration", "8"],
+}
 # Paths that tier-1 would otherwise not byte-check: hr on each envelope
-# and on the eq. 7 rate formula, bp predict from audio features, and
-# quality at a frame length other than 4 s.
+# and on the eq. 7 rate formula, bp predict from audio features, a ridge
+# fit and millisecond LOOCV, and quality at a frame length other than 4 s.
 CASES = {
     "hr_shannon": ["hr", "ds"],
     "hr_hilbert": ["hr", "ds", "--method", "hilbert"],
@@ -36,19 +39,26 @@ CASES = {
     "hr_wes_bump": ["hr", "ds", "--method", "wes", "--wavelet", "bump"],
     "quality_frames_2": ["quality", "ds", "--frames", "2"],
     "bp_predict_audio": ["bp", "predict", "ds", "--features-from-audio"],
+    "bp_fit_ridge": ["bp", "fit", "ds12", "--features-from-audio",
+                     "--ridge", "0.5"],
+    "bp_loocv_ms": ["bp", "loocv", "ds12", "--features-from-audio",
+                    "--units", "ms"],
 }
 
 
 def run_case(name):
-    """Synthesize the cohort and run case ``name`` in the working directory.
+    """Synthesize the case's cohort and run case ``name`` in the working
+    directory.
 
     Paths are relative because every report lists its ``--out``. Returns
     the exit code and the output directory.
     """
     from pcgkit.cli import main
 
-    if not Path("ds").exists() and main(COHORT) != 0:
-        raise RuntimeError("synth failed")
+    dataset = next(arg for arg in CASES[name] if arg in COHORTS)
+    if (not Path(dataset).exists()
+            and main(["synth", "--out", dataset, *COHORTS[dataset]]) != 0):
+        raise RuntimeError(f"synth {dataset} failed")
     out = Path("out") / name
     return main([*CASES[name], "--out", str(out)]), out
 
