@@ -27,7 +27,7 @@ from .bp import (
     loocv_subjectwise,
     predict_pair,
 )
-from .core import detrend, normalize_max_abs, resample_rational, segment_frames
+from .core import resample_rational, segment_frames
 from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
 from .errors import (
     ConfigError,
@@ -307,8 +307,7 @@ def cmd_hr(args):
                 row["flags"] = result.hr.flags
             if i < len(ecg_frames):
                 try:
-                    ecg_frame = normalize_max_abs(detrend(ecg_frames[i]))
-                    row["bpm_ecg"] = hr_from_ecg_frame(ecg_frame).bpm
+                    row["bpm_ecg"] = hr_from_ecg_frame(ecg_frames[i]).bpm
                 except PcgKitError as exc:
                     row["ecg_error"] = str(exc)
             elif ecg_error:

@@ -4,8 +4,9 @@ Three detectors turn a frame into a nonnegative envelope, itself a plain
 :class:`SampledSignal` at the frame rate: analytic-signal magnitude,
 Shannon energy, and the wavelet energy spectrum. :func:`compute_envelope`
 follows the detector with :func:`smooth` (20 Hz zero-phase lowpass) and a
-max renormalization so the downstream 15% peak threshold means the same
-thing regardless of method.
+max renormalization, so that ``result.envelope`` has the same documented
+scale whatever the method. The peak floor of segmentation does not need
+it: that floor is a fraction of the envelope's own maximum.
 """
 
 import enum
@@ -13,7 +14,6 @@ import enum
 import numpy as np
 
 from .core import butterworth_lowpass_zero_phase
-from .errors import ContractViolationError
 from .wavelets import WaveletKind, _fft_of_real, wes
 
 __all__ = [
@@ -59,22 +59,19 @@ def hilbert_envelope(frame):
 
 
 def shannon_energy_envelope(frame):
-    """Shannon energy ``-x**2 * log(x**2 + eps)`` of a normalized frame.
+    """Shannon energy ``-x**2 * log(x**2 + eps)`` of a frame.
 
     Emphasizes mid-amplitude content and suppresses both the noise floor
-    and the (rare) full-scale samples. Requires ``max|x| <= 1`` so the
-    transform stays nonnegative; tiny negative values produced at exactly
-    ``|x| = 1`` by the stabilizing epsilon are clipped to zero.
-
-    Raises
-    ------
-    ContractViolationError
-        If the frame was not max-abs normalized first.
+    and the (rare) full-scale samples. The transform is nonnegative only
+    for ``|x| <= 1``, so a frame whose peak exceeds 1 is divided by that
+    peak first; any other frame is used as it is. Tiny negative values
+    produced at exactly ``|x| = 1`` by the stabilizing epsilon are clipped
+    to zero.
     """
     x = frame.samples
-    if max(x.max(), -x.min()) > 1 + 1e-9:
-        raise ContractViolationError(
-            "Shannon energy requires a max-abs normalized frame")
+    peak = max(x.max(), -x.min())
+    if peak > 1:
+        x = x / peak
     sq = x * x
     e = sq + SHANNON_EPS
     np.log(e, out=e)

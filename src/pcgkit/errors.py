@@ -35,10 +35,6 @@ class DecompositionDepthError(TooShortError):
     """Signal too short for the requested wavelet decomposition depth."""
 
 
-class ContractViolationError(InvalidInputError):
-    """Caller skipped a required preparation step (e.g. normalization)."""
-
-
 class InsufficientPeaksError(PcgKitError):
     """Fewer envelope peaks than the minimum needed for segmentation."""
 

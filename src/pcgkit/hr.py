@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledSignal, normalize_max_abs
+from .core import SampledSignal, detrend, normalize_max_abs
 from .envelopes import EnvelopeMethod, compute_envelope
 from .errors import (
-    ContractViolationError,
     DegenerateSignalError,
     InsufficientPeaksError,
     InvalidSegmentationError,
@@ -33,7 +32,8 @@ __all__ = [
 
 HR_MIN_BPM = 20.0
 HR_MAX_BPM = 240.0
-# Least topographic prominence of an R-peak on a max-abs normalized frame.
+# Least topographic prominence of an R-peak, on the frame that
+# hr_from_ecg_frame detrends and scales to unit peak.
 ECG_PROMINENCE = 0.8
 
 
@@ -83,24 +83,22 @@ def _r_peaks(x):
 
 
 def hr_from_ecg_frame(frame):
-    """Reference heart rate from R-peak spacing.
+    """Reference heart rate from R-peak spacing in a raw ECG frame.
 
-    R-peaks are local maxima with topographic prominence at least
-    ``ECG_PROMINENCE`` on the detrended, max-abs normalized frame, the
-    peaks ``scipy.signal.find_peaks(x, prominence=ECG_PROMINENCE)`` gives;
-    the rate is ``60 * rate_hz / mean(sample gaps)``.
+    The frame may come at any scale: it is detrended and max-abs
+    normalized first. R-peaks are local maxima with topographic
+    prominence at least ``ECG_PROMINENCE`` on that frame, the peaks
+    ``scipy.signal.find_peaks(x, prominence=ECG_PROMINENCE)`` gives; the
+    rate is ``60 * rate_hz / mean(sample gaps)``.
 
     Raises
     ------
-    ContractViolationError
-        If the frame exceeds unit amplitude (not normalized).
+    DegenerateSignalError
+        If the detrended frame is all zeros.
     InsufficientPeaksError
         If fewer than 2 R-peaks are found.
     """
-    x = frame.samples
-    if np.max(np.abs(x)) > 1 + 1e-9:
-        raise ContractViolationError(
-            "ECG frame must be detrended and max-abs normalized")
+    x = normalize_max_abs(detrend(frame)).samples
     locs = _r_peaks(x)
     if len(locs) < 2:
         raise InsufficientPeaksError(

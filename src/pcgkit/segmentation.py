@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientCyclesError,
-    InsufficientPeaksError,
-    InvalidInputError,
-)
+from .errors import InsufficientCyclesError, InsufficientPeaksError
 
 __all__ = [
     "PeakLabel", "PeakEvent", "RiseDecayTimes", "CycleSegmentation",
@@ -100,8 +96,9 @@ def find_envelope_peaks(envelope):
     """Apply the raw peak rules and return every surviving peak.
 
     Rules: local maxima at or above ``PEAK_HEIGHT_FRAC`` of the envelope
-    maximum, then greedy suppression that keeps the taller of any two
-    peaks closer than ``PEAK_DISTANCE_S`` (ties keep the earlier). A run of
+    maximum (so the envelope may come at any scale), then greedy
+    suppression that keeps the taller of any two peaks closer than
+    ``PEAK_DISTANCE_S`` (ties keep the earlier). A run of
     equal samples with a lower sample on each side is a maximum too and
     reports its center sample; frame endpoints are never peaks
     since they lack one neighbor. The candidates before suppression are
@@ -116,10 +113,7 @@ def find_envelope_peaks(envelope):
     """
     y = envelope.samples
     rate = envelope.rate_hz
-    peak_max = float(y.max())
-    if peak_max > 1 + 1e-9:
-        raise InvalidInputError("envelope must be normalized to max 1")
-    floor = PEAK_HEIGHT_FRAC * peak_max
+    floor = PEAK_HEIGHT_FRAC * float(y.max())
     cand = _local_maxima(y)
     height = y[cand]
     tall = height >= floor
@@ -272,7 +266,7 @@ def rise_decay_times(envelope, labeled):
 
 
 def segment(envelope):
-    """Full segmentation of one normalized, smoothed envelope.
+    """Full segmentation of one smoothed envelope.
 
     Chains peak detection, labeling, interval averaging, and rise/decay
     timing into a :class:`CycleSegmentation`, at the module's fixed

@@ -435,6 +435,20 @@ class TestHrCommand:
         assert second["ecg_error"].startswith("ecg.txt: ")
         assert "ends before this frame" in second["ecg_error"]
 
+    def test_all_zero_ecg_frame_names_it(self, tmp_path):
+        # lines 761-1520 are the second 4 s frame at 190 Hz
+        ds = synth_ds(tmp_path / "ds", 1)
+        ecg = ds / "s01" / "ecg.txt"
+        ecg.write_text("".join(ecg.read_text().splitlines(True)[:760])
+                       + "0\n" * 760)
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 0
+        first, second = json.loads((out / "hr_report.json").read_text())[
+            "subjects"]["s01"]["frames"]
+        assert "bpm_ecg" in first and "ecg_error" not in first
+        assert "bpm_pcg" in second and "bpm_ecg" not in second
+        assert second["ecg_error"] == "cannot normalize an all-zero signal"
+
     def test_wes_wavelet_flag_reaches_the_envelope(self, small_ds, tmp_path):
         out = tmp_path / "out"
         assert main(["hr", str(small_ds), "--method", "wes",

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import signal as sps
 
 from pcgkit import (
-    ContractViolationError,
     EnvelopeMethod,
     SampledSignal,
     SynthSpec,
@@ -117,10 +117,25 @@ class TestShannonEnergyEnvelope:
         assert np.all(env.samples >= 0.0)
         assert np.all(np.isfinite(env.samples))
 
-    def test_rejects_unnormalized_frame(self):
-        frame = SampledSignal(np.array([1.5, 0.0, -0.3]), RATE)
-        with pytest.raises(ContractViolationError):
-            shannon_energy_envelope(frame)
+    # zero or far from the subnormal range, so that scaling by 2**k and
+    # dividing 2**k * x by its peak 2**k * p are exact
+    samples = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                        st.floats(-1e3, -1e-3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(samples, min_size=1, max_size=64),
+           k=st.integers(-20, 20))
+    def test_frame_above_unit_peak_is_divided_by_it(self, x, k):
+        x = np.ldexp(x, k)
+        peak = np.max(np.abs(x))
+        assume(peak > 1)
+        env = shannon_energy_envelope(SampledSignal(x, RATE)).samples
+        unit = shannon_energy_envelope(SampledSignal(x / peak, RATE)).samples
+        assert np.array_equal(env, unit)
+        # x / peak is the same frame at every scale 2**k
+        at_k0 = np.ldexp(x, -k)
+        assert np.array_equal(unit, shannon_energy_envelope(SampledSignal(
+            at_k0 / np.max(np.abs(at_k0)), RATE)).samples)
 
     def test_tolerates_roundoff_above_one(self):
         frame = SampledSignal(np.array([1.0 + 1e-10, 0.0]), RATE)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from pcgkit import (
-    ContractViolationError,
     CycleSegmentation,
+    DegenerateSignalError,
     EnvelopeMethod,
     HrEstimate,
     HrFormula,
@@ -26,6 +26,7 @@ from pcgkit import (
     hr_from_pcg,
     hr_pipeline,
     normalize_max_abs,
+    segment_frames,
 )
 from pcgkit.hr import ECG_PROMINENCE, _r_peaks
 
@@ -38,6 +39,15 @@ def impulse_train(gap, n_peaks, rate_hz=ECG_RATE, amp=1.0, start=None):
     for k in range(n_peaks):
         x[start + k * gap] = amp
     return SampledSignal(x, rate_hz)
+
+
+# Raw 4 s frames of synthetic ECG, with baseline wander and noise, from
+# seeds 0-11.
+RAW_ECG_FRAMES = [
+    frame for seed in range(12)
+    for frame in segment_frames(generate_ecg(SynthSpec(
+        hr_bpm=55.0 + 5 * seed, duration_s=12.0, jitter_ms=2.0,
+        snr_db=15.0, seed=seed))[0], 4.0)]
 
 
 def seg_with(t_sys, t_dias):
@@ -78,9 +88,24 @@ class TestHrFromEcg:
         with pytest.raises(InsufficientPeaksError):
             hr_from_ecg_frame(SampledSignal(x, ECG_RATE))
 
-    def test_unnormalized_frame_raises(self):
-        with pytest.raises(ContractViolationError):
-            hr_from_ecg_frame(impulse_train(95, 5, amp=2.0))
+    def test_raw_frame_gives_the_rate_of_its_conditioned_frame(self):
+        # the frame the hr command used to condition before the R-peak
+        # search
+        for raw in RAW_ECG_FRAMES:
+            locs = _r_peaks(normalize_max_abs(detrend(raw)).samples)
+            want = 60.0 * raw.rate_hz / float(np.mean(np.diff(locs)))
+            assert hr_from_ecg_frame(raw).bpm == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.sampled_from(RAW_ECG_FRAMES), k=st.integers(-20, 20))
+    def test_any_scale_gives_the_same_rate(self, raw, k):
+        scaled = raw.with_samples(np.ldexp(raw.samples, k))
+        assert hr_from_ecg_frame(scaled) == hr_from_ecg_frame(raw)
+
+    def test_all_zero_frame_raises(self):
+        with pytest.raises(DegenerateSignalError,
+                           match="cannot normalize an all-zero signal"):
+            hr_from_ecg_frame(SampledSignal(np.zeros(760), ECG_RATE))
 
     def test_tachycardic_estimate_flagged_not_dropped(self):
         est = hr_from_ecg_frame(impulse_train(38, 10))

@@ -1,5 +1,7 @@
 """Peak detection, S1/S2 labeling, and cycle-timing fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from pcgkit import (
     CycleSegmentation,
     InsufficientCyclesError,
     InsufficientPeaksError,
-    InvalidInputError,
     PeakEvent,
     PeakLabel,
     SampledSignal,
@@ -97,9 +98,21 @@ class TestFindEnvelopePeaks:
         peaks = find_envelope_peaks(env)
         assert [p.index for p in peaks] == [2]
 
-    def test_rejects_unnormalized_envelope(self):
-        with pytest.raises(InvalidInputError):
-            find_envelope_peaks(envelope_of([0, 2.0, 0], 10.0))
+    # zero, a few repeated heights (ties, plateaus, samples on the 15%
+    # floor) and values far from the subnormal range, so that scaling by
+    # 2**k is exact
+    heights = st.one_of(st.sampled_from([0.0, 0.15, 0.5, 1.0, 3.0]),
+                        st.floats(1e-3, 1e3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(heights, min_size=1, max_size=120),
+           k=st.integers(-20, 20))
+    def test_any_scale_gives_the_same_peaks(self, y, k):
+        base = find_envelope_peaks(envelope_of(y, 40.0))
+        scaled = find_envelope_peaks(envelope_of(np.ldexp(y, k), 40.0))
+        assert [p.index for p in scaled] == [p.index for p in base]
+        assert [p.height for p in scaled] == [
+            math.ldexp(p.height, k) for p in base]
 
     def test_synthetic_ten_cycles_give_twenty_peaks(self):
         frame = normalize_max_abs(ten_cycle_frame())
