@@ -166,6 +166,13 @@ class BpCoefficients:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Inverse of :meth:`to_json_dict`; a key it does not write is refused.
+
+        Raises
+        ------
+        InvalidInputError
+            If an entry is missing, not a number, or unknown.
+        """
         def number(f):
             # float() would pass True as 1.0 and "1.5" as 1.5
             if not is_json_number(d[f]):
@@ -178,6 +185,10 @@ class BpCoefficients:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"coefficient entry missing or invalid: {exc}") from None
+        unknown = sorted(set(d) - set(_FIELD_NAMES))
+        if unknown:
+            raise InvalidInputError(
+                f"unknown coefficient entries: {', '.join(unknown)}")
         return cls(unit_convention=convention, **kwargs)
 
 

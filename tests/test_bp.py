@@ -111,6 +111,14 @@ class TestReferenceCoefficients:
         with pytest.raises(InvalidInputError):
             intercept_only(float("inf"), 80.0)
 
+    def test_json_unknown_keys_rejected(self):
+        d = dict(BpCoefficients.reference().to_json_dict(),
+                 sigma_sys_typo=5.0, c3=1.0)
+        with pytest.raises(InvalidInputError,
+                           match="unknown coefficient entries: c3, "
+                                 "sigma_sys_typo"):
+            BpCoefficients.from_json_dict(d)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_json_boolean_rejected(self, value):
         # float(True) is 1.0; a JSON boolean is not a coefficient

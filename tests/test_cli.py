@@ -987,6 +987,17 @@ class TestJsonInputs:
                             str(path), "--out", str(tmp_path)], capsys,
                            "c1 must be a number")
 
+    def test_coeffs_unknown_entry(self, small_ds, tmp_path, capsys):
+        # a misspelt coefficient would otherwise leave the real one in use
+        coeffs = dict(BpCoefficients.reference().to_json_dict(),
+                      sigma_sys_typo=5.0)
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"coefficients": coeffs}))
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--out", str(tmp_path / "out")],
+                           capsys, "sigma_sys_typo")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_in_meta(self, constant, small_ds, tmp_path):
         ds = shutil.copytree(small_ds, tmp_path / "ds")
