@@ -89,8 +89,7 @@ class TestHrFromEcg:
             hr_from_ecg_frame(SampledSignal(x, ECG_RATE))
 
     def test_raw_frame_gives_the_rate_of_its_conditioned_frame(self):
-        # the frame the hr command used to condition before the R-peak
-        # search
+        # oracle: R-peaks of the detrended, max-abs normalized frame
         for raw in RAW_ECG_FRAMES:
             locs = _r_peaks(normalize_max_abs(detrend(raw)).samples)
             want = 60.0 * raw.rate_hz / float(np.mean(np.diff(locs)))
