@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-Writes the ``COHORTS`` synth datasets into a temporary directory, runs
-each command of ``CASES`` on the one it names through ``pcgkit.cli.main``
-and copies its reports to ``tests/golden/<case>/``. The numpy version that computed them
+Writes the ``COHORTS`` synth datasets and copies the ``INPUTS`` files
+into a temporary directory, runs each command of ``CASES`` there through
+``pcgkit.cli.main`` and copies its output tree to ``tests/golden/<case>/``. The numpy version that computed them
 goes to ``tests/golden/numpy_version.txt``: FFT rounding can differ
 between numpy versions, so the test compares bytes only under that one.
 Re-record only when a change to the reports is intended.
@@ -27,9 +27,17 @@ COHORTS = {
     "ds": ["--subjects", "4", "--seed", "11", "--duration", "12"],
     "ds12": ["--subjects", "12", "--seed", "11", "--duration", "8"],
 }
+# Input file name -> checked-in source. They live outside GOLDEN/<case>,
+# which recording replaces. The coefficients are synth's cohort set with
+# other intercepts: unlike the reference set's, their predictions are
+# plausible, and they differ from those of a run without --coeffs.
+INPUTS = {
+    "coeffs.json": GOLDEN.parent / "golden_inputs" / "bp_coeffs.json",
+}
 # Paths that tier-1 would otherwise not byte-check: hr on each envelope
-# and on the eq. 7 rate formula, bp predict from audio features, a ridge
-# fit and millisecond LOOCV, and quality at a frame length other than 4 s.
+# and on the eq. 7 rate formula, bp predict from audio features and from
+# a coefficients file, a ridge fit and millisecond LOOCV, quality at a
+# frame length other than 4 s, and the synth dataset itself.
 CASES = {
     "hr_shannon": ["hr", "ds"],
     "hr_hilbert": ["hr", "ds", "--method", "hilbert"],
@@ -39,26 +47,33 @@ CASES = {
     "hr_wes_bump": ["hr", "ds", "--method", "wes", "--wavelet", "bump"],
     "quality_frames_2": ["quality", "ds", "--frames", "2"],
     "bp_predict_audio": ["bp", "predict", "ds", "--features-from-audio"],
+    "bp_predict_coeffs": ["bp", "predict", "ds", "--coeffs", "coeffs.json"],
     "bp_fit_ridge": ["bp", "fit", "ds12", "--features-from-audio",
                      "--ridge", "0.5"],
     "bp_loocv_ms": ["bp", "loocv", "ds12", "--features-from-audio",
                     "--units", "ms"],
+    "synth_2x4": ["synth", "--subjects", "2", "--seed", "11",
+                  "--duration", "4"],
 }
 
 
 def run_case(name):
-    """Synthesize the case's cohort and run case ``name`` in the working
-    directory.
+    """Synthesize the case's cohort, copy its inputs and run case ``name``
+    in the working directory.
 
-    Paths are relative because every report lists its ``--out``. Returns
-    the exit code and the output directory.
+    Paths are relative because every report lists its ``--out`` and its
+    ``--coeffs``. Returns the exit code and the output directory.
     """
     from pcgkit.cli import main
 
-    dataset = next(arg for arg in CASES[name] if arg in COHORTS)
-    if (not Path(dataset).exists()
-            and main(["synth", "--out", dataset, *COHORTS[dataset]]) != 0):
-        raise RuntimeError(f"synth {dataset} failed")
+    for arg in CASES[name]:
+        if Path(arg).exists():
+            continue
+        if arg in COHORTS:
+            if main(["synth", "--out", arg, *COHORTS[arg]]) != 0:
+                raise RuntimeError(f"synth {arg} failed")
+        elif arg in INPUTS:
+            shutil.copyfile(INPUTS[arg], arg)
     out = Path("out") / name
     return main([*CASES[name], "--out", str(out)]), out
 

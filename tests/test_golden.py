@@ -1,4 +1,5 @@
-"""CLI reports on each ``CASES`` path, byte for byte against ``tests/golden/``.
+"""CLI output trees on each ``CASES`` path, byte for byte against
+``tests/golden/``.
 
 The goldens are written by ``record_golden.py``. Bytes are compared only
 under the numpy version that recorded them, since another version's FFT
@@ -22,13 +23,18 @@ def test_reports_equal_golden(name, tmp_path, monkeypatch):
     code, out = run_case(name)
     assert code == 0
     golden = GOLDEN / name
-    assert (sorted(p.name for p in out.iterdir())
-            == sorted(p.name for p in golden.iterdir()))
-    for path in sorted(golden.iterdir()):
-        got, want = (out / path.name).read_bytes(), path.read_bytes()
+
+    def tree(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+    assert tree(out) == tree(golden)
+    for rel in tree(golden):
+        if (golden / rel).is_dir():
+            continue
+        got, want = (out / rel).read_bytes(), (golden / rel).read_bytes()
         if got != want:
             lines = zip(want.splitlines(), got.splitlines())
             first = next((i for i, (w, g) in enumerate(lines, 1) if w != g),
                          None)
-            pytest.fail(f"{name}/{path.name} differs from its golden "
+            pytest.fail(f"{name}/{rel} differs from its golden "
                         f"(first differing line: {first})")
