@@ -17,12 +17,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    NoValidFramesError,
-    NumericOverflowError,
-)
+from .errors import PcgKitError
 from .evaluation import error_metrics
 from .io import is_json_number
 
@@ -66,7 +61,7 @@ class PcgFeatureVector:
         for f in dataclass_fields(self):
             v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise InvalidInputError(
+                raise PcgKitError(
                     f"feature {f.name} must be nonnegative and finite, got {v}")
 
     @property
@@ -119,7 +114,7 @@ class BpCoefficients:
     def __post_init__(self):
         for name in _SBP_FIELDS + _DBP_FIELDS:
             if not np.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"coefficient {name} is not finite")
+                raise PcgKitError(f"coefficient {name} is not finite")
 
     @classmethod
     def reference(cls, unit_convention=UnitConvention.SECONDS):
@@ -170,7 +165,7 @@ class BpCoefficients:
 
         Raises
         ------
-        InvalidInputError
+        PcgKitError
             If an entry is missing, not a number, or unknown.
         """
         def number(f):
@@ -183,11 +178,11 @@ class BpCoefficients:
             kwargs = {f: number(f) for f in _SBP_FIELDS + _DBP_FIELDS}
             convention = UnitConvention(d["unit_convention"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"coefficient entry missing or invalid: {exc}") from None
         unknown = sorted(set(d) - set(_FIELD_NAMES))
         if unknown:
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"unknown coefficient entries: {', '.join(unknown)}")
         return cls(unit_convention=convention, **kwargs)
 
@@ -221,7 +216,7 @@ def design_row_dbp(f, unit_convention=UnitConvention.SECONDS):
 
 def _checked(value, what):
     if not np.isfinite(value):
-        raise NumericOverflowError(f"{what} evaluated to a non-finite value")
+        raise PcgKitError(f"{what} evaluated to a non-finite value")
     return float(value)
 
 
@@ -287,12 +282,12 @@ def fit_multiple_regression(X, y, ridge_lambda=0.0):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != len(y):
-        raise InvalidInputError("X must be (n, p) and y (n,) with matching n")
+        raise PcgKitError("X must be (n, p) and y (n,) with matching n")
     n, p = X.shape
     if n < p:
-        raise InvalidInputError(f"need rows >= columns, got {n} x {p}")
+        raise PcgKitError(f"need rows >= columns, got {n} x {p}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("design matrix and targets must be finite")
+        raise PcgKitError("design matrix and targets must be finite")
     sv = np.linalg.svd(X, compute_uv=False)
     tol = sv[0] * max(n, p) * np.finfo(np.float64).eps if sv[0] > 0 else 0.0
     rank = int(np.sum(sv > tol))
@@ -321,12 +316,12 @@ def fit_coefficients(dataset, unit_convention=UnitConvention.SECONDS,
 
     Returns the :class:`BpCoefficients` under ``unit_convention``, then
     the SBP and the DBP :class:`FitResult`. A rank-deficient design gets
-    the minimum-norm solution. Raises InsufficientDataError with fewer
-    than 12 rows (10 coefficients per side plus 2).
+    the minimum-norm solution. Raises a PcgKitError with fewer than 12
+    rows (10 coefficients per side plus 2).
     """
     minimum = N_COEFFS_PER_SIDE + 2
     if len(dataset) < minimum:
-        raise InsufficientDataError(
+        raise PcgKitError(
             f"fitting needs >= {minimum} subjects with references, "
             f"got {len(dataset)}")
     X_sbp, X_dbp, y_sbp, y_dbp = _design(dataset, unit_convention)
@@ -368,7 +363,7 @@ def loocv_subjectwise(dataset, unit_convention=UnitConvention.SECONDS,
 
     Raises
     ------
-    InsufficientDataError
+    PcgKitError
         As :func:`fit_coefficients`, whose full fit gives the in-sample
         errors.
     """
@@ -417,7 +412,7 @@ def extract_subject_features(per_frame):
 
     Raises
     ------
-    NoValidFramesError
+    PcgKitError
         If no frame survives the validity screen.
     """
     rows = []
@@ -429,7 +424,7 @@ def extract_subject_features(per_frame):
             continue
         rows.append(durations + (hr.bpm,))
     if not rows:
-        raise NoValidFramesError(
+        raise PcgKitError(
             f"all {excluded} frames failed the validity screen")
     features = PcgFeatureVector(*np.mean(np.array(rows, dtype=np.float64),
                                          axis=0))

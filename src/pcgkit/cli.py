@@ -29,13 +29,7 @@ from .bp import (
 )
 from .core import resample_rational, segment_frames
 from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
-from .errors import (
-    ConfigError,
-    NoValidFramesError,
-    ParseError,
-    PcgKitError,
-    TooShortError,
-)
+from .errors import PcgKitError, TooShortError
 from .evaluation import bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
@@ -93,15 +87,15 @@ class RunConfig:
             try:
                 object.__setattr__(self, f.name, kind(raw))
             except (TypeError, ValueError):
-                raise ConfigError(
+                raise PcgKitError(
                     f"unknown {f.name} {raw!r}" if issubclass(kind, enum.Enum)
                     else f"bad value for {f.name!r}: {raw!r}") from None
         # 0.5 s at PCG_RATE_HZ is 1000 samples, deep enough for the denoise
         if not 0.5 <= self.frame_len_s <= 30.0:
-            raise ConfigError(
+            raise PcgKitError(
                 f"frame_len_s={self.frame_len_s} outside [0.5, 30.0]")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
-            raise ConfigError(
+            raise PcgKitError(
                 f"ridge_lambda={self.ridge_lambda} must be finite and >= 0")
 
     def to_dict(self):
@@ -113,28 +107,28 @@ class RunConfig:
 def load_config_file(path):
     """Parse a flat ``key = value`` config file into a dict of strings.
 
-    A key set twice is a ConfigError naming both lines.
+    A key set twice is an error naming both lines.
     """
     values, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: "
+        raise PcgKitError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: "
+        raise PcgKitError(f"config file {path} is not UTF-8 text: "
                           f"{exc}") from None
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key = value")
+            raise PcgKitError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in values:
-            raise ConfigError(f"{path}:{line_no}: key {key!r} is already "
+            raise PcgKitError(f"{path}:{line_no}: key {key!r} is already "
                               f"set on line {first_line[key]}")
         values[key], first_line[key] = value.strip(), line_no
     return values
@@ -153,12 +147,12 @@ def resolve_config(args):
     values = load_config_file(config_path) if config_path else {}
     for key in values:
         if key not in names:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise PcgKitError(f"unknown config key {key!r}")
     flags = {name: getattr(args, name, None) for name in names}
     config = replace(RunConfig(**values),
                      **{k: v for k, v in flags.items() if v is not None})
     if flags["wavelet"] and config.method is not EnvelopeMethod.WES:
-        raise ConfigError("--wavelet is only used with --method wes")
+        raise PcgKitError("--wavelet is only used with --method wes")
     return config
 
 
@@ -203,20 +197,20 @@ def _subject_features(record, config, from_audio):
             else:
                 per_frame.append((r.segmentation, r.hr))
         if not per_frame:
-            raise NoValidFramesError(f"all {n_failed} frames failed analysis")
+            raise PcgKitError(f"all {n_failed} frames failed analysis")
         return extract_subject_features(per_frame).features
     if not isinstance(feat, dict):
-        raise ParseError(f"meta.json: features must be an object, "
-                         f"got {feat!r}")
+        raise PcgKitError(f"meta.json: features must be an object, "
+                          f"got {feat!r}")
     names = [f.name for f in dataclass_fields(PcgFeatureVector)]
     for n in names:
         if n in feat and not is_json_number(feat[n]):
-            raise ParseError(f"meta.json: features.{n} must be a number, "
-                             f"got {feat[n]!r}")
+            raise PcgKitError(f"meta.json: features.{n} must be a number, "
+                              f"got {feat[n]!r}")
     missing = [n for n in names if n not in feat]
     if missing:
-        raise ParseError(f"meta.json: features lacks {', '.join(missing)} "
-                         f"(use --features-from-audio to ignore the block)")
+        raise PcgKitError(f"meta.json: features lacks {', '.join(missing)} "
+                          f"(use --features-from-audio to ignore the block)")
     return PcgFeatureVector(**{n: float(feat[n]) for n in names})
 
 
@@ -227,13 +221,13 @@ def cmd_synth(args):
     spec_params = inspect.signature(generate_cohort).parameters
     unknown = sorted(k for k in params if k not in spec_params or k == "coeffs")
     if unknown:
-        raise ConfigError(f"unknown spec keys: {', '.join(unknown)}")
+        raise PcgKitError(f"unknown spec keys: {', '.join(unknown)}")
     for key, value in params.items():
         if key == "ranges" or (key == "snr_db" and value is None):
             continue  # ranges are checked below; a null snr_db is noiseless
         kind = type(spec_params[key].default)  # int or float
         if not is_json_number(value) or not isinstance(value, (int, kind)):
-            raise ConfigError(f"spec {key} must be "
+            raise PcgKitError(f"spec {key} must be "
                               f"{'an integer' if kind is int else 'a number'}"
                               f", got {value!r}")
     bounds = {}
@@ -245,7 +239,7 @@ def cmd_synth(args):
             bounds[key] = (float(lo), float(hi))
         params["ranges"] = CohortRanges(**bounds)
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad spec ranges: {exc}") from None
+        raise PcgKitError(f"bad spec ranges: {exc}") from None
     flags = {"n_subjects": args.subjects, "seed": args.seed,
              "duration_s": args.duration}
     params.update({k: v for k, v in flags.items() if v is not None})
@@ -366,7 +360,7 @@ def cmd_bp(args):
     if not args.features_from_audio:
         for flag in ("--method", "--wavelet", "--frames"):
             if getattr(args, _FLAGS[flag]["dest"]) is not None:
-                raise ConfigError(
+                raise PcgKitError(
                     f"{flag} is only used with --features-from-audio")
     # the pressure model reads PCG features alone: no ecg.txt is parsed
     # subject id -> (features, sbp_ref, dbp_ref)

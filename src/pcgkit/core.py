@@ -14,13 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateSignalError,
-    InvalidCutoffError,
-    InvalidInputError,
-    TooShortError,
-    UnsupportedRatioError,
-)
+from .errors import DegenerateSignalError, PcgKitError, TooShortError
 
 __all__ = [
     "SampledSignal", "detrend", "normalize_max_abs", "resample_rational",
@@ -55,15 +49,15 @@ class SampledSignal:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
-            raise InvalidInputError(f"samples must be 1-D, got shape {arr.shape}")
+            raise PcgKitError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
-            raise InvalidInputError("samples must be non-empty")
+            raise PcgKitError("samples must be non-empty")
         # not a sum-first test: a finite array whose sum overflows would
         # pass it only after a RuntimeWarning
         if not np.isfinite(arr).all():
-            raise InvalidInputError("samples contain non-finite values")
+            raise PcgKitError("samples contain non-finite values")
         if not (self.rate_hz > 0 and math.isfinite(self.rate_hz)):
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"rate_hz must be finite and > 0, got {self.rate_hz}")
         object.__setattr__(self, "samples", arr)
 
@@ -157,22 +151,22 @@ def resample_rational(s, target_rate_hz):
 
     Raises
     ------
-    UnsupportedRatioError
+    PcgKitError
         If the rate ratio has no small rational representation, or the
         result would exceed ``max(len(s), MAX_SAMPLES)`` samples.
     """
     if not target_rate_hz > 0:
-        raise InvalidInputError(f"target_rate_hz must be > 0, got {target_rate_hz}")
+        raise PcgKitError(f"target_rate_hz must be > 0, got {target_rate_hz}")
     ratio = target_rate_hz / s.rate_hz
     frac = Fraction(ratio).limit_denominator(10_000)
     if frac.numerator <= 0 or abs(float(frac) - ratio) > 1e-9 * ratio:
-        raise UnsupportedRatioError(
+        raise PcgKitError(
             f"rate ratio {ratio} not representable with denominator <= 10000")
     up, down = frac.numerator, frac.denominator
     n = len(s.samples)
     n_out = -(-n * up // down)  # ceil(n * up / down), the output length
     if n_out > max(n, MAX_SAMPLES):
-        raise UnsupportedRatioError(
+        raise PcgKitError(
             f"resampling {n} samples from {s.rate_hz:g} Hz to "
             f"{target_rate_hz:g} Hz gives {n_out} samples, more than "
             f"{MAX_SAMPLES}")
@@ -197,7 +191,7 @@ def segment_frames(s, frame_len_s):
 
     Raises
     ------
-    InvalidInputError
+    PcgKitError
         If a frame would be shorter than 2 samples or its length in
         samples is not finite.
     TooShortError
@@ -205,12 +199,12 @@ def segment_frames(s, frame_len_s):
     """
     frame_samples = frame_len_s * s.rate_hz
     if not math.isfinite(frame_samples):
-        raise InvalidInputError(
+        raise PcgKitError(
             f"frame of {frame_len_s} s at {s.rate_hz} Hz has no finite "
             f"sample count")
     frame_len = int(round(frame_samples))
     if frame_len < 2:
-        raise InvalidInputError("frame shorter than 2 samples")
+        raise PcgKitError("frame shorter than 2 samples")
     if len(s.samples) < frame_len:
         raise TooShortError(
             f"signal of {s.duration_s:.3f} s shorter than one "
@@ -272,7 +266,7 @@ def _lowpass_plan(cutoff_hz, rate_hz, n):
     ``nfft`` samples, so ``nfft`` spans ``n`` plus the ``decay`` samples the
     slowest pole pair takes to fall to eps, and what folds onto the output
     is below a float64 rounding. A ``decay`` over ``MAX_SAMPLES`` (a cutoff
-    below about 1.8e-6 of Nyquist) raises :class:`InvalidCutoffError`
+    below about 1.8e-6 of Nyquist) raises :class:`PcgKitError`
     before the grid exists.
 
     A concurrent miss may build the plan twice; the copies are equal, so
@@ -284,7 +278,7 @@ def _lowpass_plan(cutoff_hz, rate_hz, n):
     decay = (math.ceil(math.log(eps) / math.log(radius)) if radius < 1
              else math.inf)
     if decay > MAX_SAMPLES:
-        raise InvalidCutoffError(
+        raise PcgKitError(
             f"cutoff {cutoff_hz} Hz at {rate_hz} Hz: the lowpass takes more "
             f"than {MAX_SAMPLES} samples to decay")
     nfft = _next_fast_len(n + decay - 1, real=True)
@@ -332,13 +326,13 @@ def butterworth_lowpass_zero_phase(s, cutoff_hz):
 
     Raises
     ------
-    InvalidCutoffError
+    PcgKitError
         If the cutoff is not inside (0, Nyquist), or is below about
         1.8e-6 of Nyquist (see :func:`_lowpass_plan`).
     """
     nyq = s.rate_hz / 2.0
     if not 0 < cutoff_hz < nyq:
-        raise InvalidCutoffError(
+        raise PcgKitError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyq}) for rate {s.rate_hz}")
     x = s.samples
     # past len(x) the pad is the whole signal anyway; the cap keeps a tiny

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedCorrelationError
+from .errors import PcgKitError, UndefinedCorrelationError
 
 __all__ = [
     "pearson_r", "ErrorMetrics", "error_metrics", "subject_aggregate",
@@ -22,9 +22,9 @@ def _pair(x, y, min_n):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
-        raise InvalidInputError("inputs must be equal-length 1-D sequences")
+        raise PcgKitError("inputs must be equal-length 1-D sequences")
     if len(x) < min_n:
-        raise InvalidInputError(f"need at least {min_n} pairs, got {len(x)}")
+        raise PcgKitError(f"need at least {min_n} pairs, got {len(x)}")
     return x, y
 
 
@@ -82,12 +82,12 @@ def subject_aggregate(values_by_subject):
         Cohort mean and the per-subject means.
     """
     if not values_by_subject:
-        raise InvalidInputError("no subjects to aggregate")
+        raise PcgKitError("no subjects to aggregate")
     subject_means = {}
     for subject, values in values_by_subject.items():
         values = np.asarray(values, dtype=np.float64)
         if len(values) == 0:
-            raise InvalidInputError(f"subject {subject} has no values")
+            raise PcgKitError(f"subject {subject} has no values")
         subject_means[subject] = float(values.mean())
     cohort = float(np.mean(list(subject_means.values())))
     return cohort, subject_means

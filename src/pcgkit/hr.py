@@ -15,13 +15,7 @@ import numpy as np
 
 from .core import SampledSignal, detrend, normalize_max_abs
 from .envelopes import EnvelopeMethod, compute_envelope
-from .errors import (
-    DegenerateSignalError,
-    InsufficientPeaksError,
-    InvalidSegmentationError,
-    PcgKitError,
-    StageError,
-)
+from .errors import DegenerateSignalError, PcgKitError, StageError
 from .segmentation import CycleSegmentation, _local_maxima, segment
 from .wavelets import WaveletKind, dwt_denoise_db4
 
@@ -95,13 +89,13 @@ def hr_from_ecg_frame(frame):
     ------
     DegenerateSignalError
         If the detrended frame is all zeros.
-    InsufficientPeaksError
+    PcgKitError
         If fewer than 2 R-peaks are found.
     """
     x = normalize_max_abs(detrend(frame)).samples
     locs = _r_peaks(x)
     if len(locs) < 2:
-        raise InsufficientPeaksError(
+        raise PcgKitError(
             f"found {len(locs)} R-peaks, need >= 2")
     mean_gap = float(np.mean(np.diff(locs)))
     bpm = 60.0 * frame.rate_hz / mean_gap
@@ -116,12 +110,12 @@ def hr_from_pcg(seg, formula=HrFormula.CYCLE_PERIOD):
 
     Raises
     ------
-    InvalidSegmentationError
+    PcgKitError
         If either interval is non-positive.
     """
     formula = HrFormula(formula)
     if not (seg.t_sys > 0 and seg.t_dias > 0):
-        raise InvalidSegmentationError(
+        raise PcgKitError(
             f"intervals must be positive, got t_sys={seg.t_sys}, "
             f"t_dias={seg.t_dias}")
     if formula is HrFormula.EQ7_VERBATIM:

@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SampledSignal
-from .errors import (
-    EmptyDataError,
-    InvalidInputError,
-    MissingFileError,
-    ParseError,
-    PcgKitError,
-    UnsupportedEncodingError,
-)
+from .errors import PcgKitError
 
 __all__ = [
     "read_wav_pcm16", "write_wav_pcm16", "read_ecg_text", "write_ecg_text",
@@ -43,35 +36,36 @@ def read_wav_pcm16(path):
     """Read a mono (or first-channel) 16-bit PCM WAV file.
 
     Samples are scaled to [-1, 1) by dividing by 32768; the rate comes
-    from the header. A file cut short inside its header or inside a
-    sample frame is an UnsupportedEncodingError.
+    from the header.
 
     Raises
     ------
-    MissingFileError, UnsupportedEncodingError, EmptyDataError
+    PcgKitError
+        A missing file, one that is not 16-bit PCM WAV (compressed, another
+        sample width, or cut short inside its header or inside a sample
+        frame), or one with no samples.
     """
     path = Path(path)
     if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
+        raise PcgKitError(f"no such file: {path}")
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getcomptype() != "NONE":
-                raise UnsupportedEncodingError(
-                    f"{path}: compressed WAV not supported")
+                raise PcgKitError(f"{path}: compressed WAV not supported")
             if wf.getsampwidth() != 2:
-                raise UnsupportedEncodingError(
+                raise PcgKitError(
                     f"{path}: only 16-bit PCM supported, "
                     f"got {8 * wf.getsampwidth()}-bit")
             n_channels = wf.getnchannels()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:
-        raise UnsupportedEncodingError(
+        raise PcgKitError(
             f"{path}: {str(exc) or 'truncated header'}") from exc
     if not raw:
-        raise EmptyDataError(f"{path}: zero-length data chunk")
+        raise PcgKitError(f"{path}: zero-length data chunk")
     if len(raw) % (2 * n_channels):
-        raise UnsupportedEncodingError(
+        raise PcgKitError(
             f"{path}: truncated data chunk ends inside a sample frame")
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels)[:, 0]
     samples = data.astype(np.float64)
@@ -96,21 +90,20 @@ def _row_lines(lines):
 
 
 def _raise_first_fault(path, lines, rows, width):
-    """Raise a ParseError naming the first row that is not ``width`` floats.
+    """Raise an error naming the first row that is not ``width`` floats.
 
     ``rows`` are the non-blank ``lines``, stripped.
     """
     for line_no, row in zip(_row_lines(lines), rows):
         parts = row.split(",")
         if len(parts) != width:
-            raise ParseError(f"{path}:{line_no}: inconsistent column count",
-                             line_no)
+            raise PcgKitError(f"{path}:{line_no}: inconsistent column count")
         try:
             for part in parts:
                 float(part)
         except ValueError:
-            raise ParseError(f"{path}:{line_no}: not numeric: {row!r}",
-                             line_no) from None
+            raise PcgKitError(
+                f"{path}:{line_no}: not numeric: {row!r}") from None
 
 
 def read_ecg_text(path, rate_hz=None):
@@ -136,28 +129,26 @@ def read_ecg_text(path, rate_hz=None):
 
     Raises
     ------
-    ParseError
-        Text that is not UTF-8, refused whole before any line is read; a
-        line with the wrong number of fields, a field ``float`` does not
-        read, a non-finite time or value, or a time step that is not
-        positive and uniform, each with its line number; a single timed
-        row; or a time column whose rate disagrees with ``rate_hz``.
-    EmptyDataError
-        A file with no non-blank line.
-    InvalidInputError
-        Plain values without ``rate_hz``.
+    PcgKitError
+        A missing file; text that is not UTF-8, refused whole before any
+        line is read; a line with the wrong number of fields, a field
+        ``float`` does not read, a non-finite time or value, or a time step
+        that is not positive and uniform, each with its line number; a
+        single timed row; a time column whose rate disagrees with
+        ``rate_hz``; a file with no non-blank line; or plain values
+        without ``rate_hz``.
     """
     path = Path(path)
     if not path.exists():
-        raise MissingFileError(f"no such file: {path}")
+        raise PcgKitError(f"no such file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        raise PcgKitError(f"{path}: not UTF-8 text: {exc}") from None
     rows = list(filter(None, map(str.strip, lines)))
     if not rows:
-        raise EmptyDataError(f"{path}: no samples")
+        raise PcgKitError(f"{path}: no samples")
     # any first row but a two-field one is read as one plain value
     width = 2 if rows[0].count(",") == 1 else 1
     try:
@@ -175,27 +166,27 @@ def read_ecg_text(path, rate_hz=None):
         finite &= np.isfinite(times)
     if not finite.all():
         bad = _row_lines(lines)[int(np.argmin(finite))]
-        raise ParseError(f"{path}:{bad}: non-finite time or value", bad)
+        raise PcgKitError(f"{path}:{bad}: non-finite time or value")
     if times is None:
         if rate_hz is None:
-            raise InvalidInputError("rate_hz required for plain value files")
+            raise PcgKitError("rate_hz required for plain value files")
         return SampledSignal(values, float(rate_hz))
     dt = np.diff(times)
     if len(dt) == 0:
-        raise ParseError(f"{path}: single row, rate cannot be inferred")
+        raise PcgKitError(f"{path}: single row, rate cannot be inferred")
     step = float(np.median(dt))
     off = (dt <= 0) | (dt < 0.5 * step) | (dt > 1.5 * step)
     if np.any(off):
         bad = _row_lines(lines)[int(np.argmax(off)) + 1]
-        raise ParseError(
+        raise PcgKitError(
             f"{path}: time column does not increase uniformly at line "
-            f"{bad} (step not within 0.5-1.5x the median {step:g} s)", bad)
+            f"{bad} (step not within 0.5-1.5x the median {step:g} s)")
     inferred = 1.0 / step
     if rate_hz is not None and not (
             abs(inferred - rate_hz) <= ECG_RATE_TOLERANCE * rate_hz):
-        raise ParseError(f"{path}: time column gives {inferred:g} Hz, more "
-                         f"than {ECG_RATE_TOLERANCE:.1%} off the given rate "
-                         f"{rate_hz:g} Hz")
+        raise PcgKitError(f"{path}: time column gives {inferred:g} Hz, more "
+                          f"than {ECG_RATE_TOLERANCE:.1%} off the given rate "
+                          f"{rate_hz:g} Hz")
     return SampledSignal(np.ascontiguousarray(values), inferred)
 
 
@@ -219,10 +210,10 @@ class SubjectRecord:
 
     def __post_init__(self):
         if self.pcg is None:
-            raise InvalidInputError("subject record requires a PCG signal")
+            raise PcgKitError("subject record requires a PCG signal")
         if self.sbp_ref is not None and self.dbp_ref is not None:
             if not self.sbp_ref > self.dbp_ref > 0:
-                raise InvalidInputError(
+                raise PcgKitError(
                     f"need sbp_ref > dbp_ref > 0, got "
                     f"{self.sbp_ref}/{self.dbp_ref}")
 
@@ -252,23 +243,22 @@ def _unique_keys(pairs):
 
 
 def read_json_object(path):
-    """Parse a JSON object file; MissingFileError or ParseError if not one.
+    """Parse a JSON object file; a PcgKitError if it is not one.
 
     ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and a key that
     repeats within any object would silently hide the first value: each
-    is a ParseError.
+    is refused.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_reject_constant,
                                 object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise MissingFileError(f"cannot read {path}: {exc.strerror}") from None
+        raise PcgKitError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # syntax, NaN/Infinity, a repeated key, encoding
-        raise ParseError(f"{path}: not valid JSON: {exc}",
-                         getattr(exc, "lineno", None)) from None
+        raise PcgKitError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
+        raise PcgKitError(f"{path}: top level must be a JSON object")
     return payload
 
 
@@ -284,11 +274,11 @@ def load_subject_dir(subject_dir, ecg=True):
     meta = read_json_object(meta_path) if meta_path.exists() else {}
     for key in ("ecg_rate_hz", "sbp_ref", "dbp_ref"):
         if meta.get(key) is not None and not is_json_number(meta[key]):
-            raise ParseError(f"{meta_path}: {key} must be a number")
+            raise PcgKitError(f"{meta_path}: {key} must be a number")
     subject_id = meta.get("subject_id", subject_dir.name)
     if not (isinstance(subject_id, str) and subject_id):
-        raise ParseError(f"{meta_path}: subject_id must be a non-empty "
-                         f"string, got {subject_id!r}")
+        raise PcgKitError(f"{meta_path}: subject_id must be a non-empty "
+                          f"string, got {subject_id!r}")
     pcg = read_wav_pcm16(subject_dir / "pcg.wav")
     ecg_signal = None
     ecg_path = subject_dir / "ecg.txt"
@@ -316,15 +306,15 @@ def map_subjects(root, analyze, ecg=True):
 
     Raises
     ------
-    MissingFileError, EmptyDataError
+    PcgKitError
         If the root is not a directory or holds no subject folder.
     """
     root = Path(root)
     if not root.is_dir():
-        raise MissingFileError(f"dataset directory not found: {root}")
+        raise PcgKitError(f"dataset directory not found: {root}")
     dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
     if not dirs:
-        raise EmptyDataError(f"{root}: no subject folders with pcg.wav")
+        raise PcgKitError(f"{root}: no subject folders with pcg.wav")
     names = {d.name for d in dirs}
     results, errors, folder_of = {}, {}, {}
     for d in dirs:

@@ -6,6 +6,8 @@ have no styling dependencies, and stay trivially diffable in tests.
 
 from pathlib import Path
 
+from .errors import PcgKitError
+
 _W, _H = 640, 480
 _MARGIN = 60
 
@@ -30,7 +32,7 @@ def write_scatter_svg(path, x, y, xlabel="", ylabel="", title="",
     dashed stroke, used for bias and limits-of-agreement markers.
     """
     if len(x) != len(y) or len(x) == 0:
-        raise ValueError("x and y must be equal-length and non-empty")
+        raise PcgKitError("x and y must be equal-length and non-empty")
     x_lo, x_hi = _bounds(x)
     y_vals = list(y) + [h for h, _ in hlines]
     y_lo, y_hi = _bounds(y_vals)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCoverageError,
-    DegenerateSignalError,
-    InvalidInputError,
-    TooShortError,
-    UndefinedNormalizerError,
-)
+from .errors import DegenerateSignalError, PcgKitError, TooShortError
 from .wavelets import WaveletKind, wes
 
 __all__ = [
@@ -74,16 +68,16 @@ def nrmse_wes_vs_es(wes_track, es_track):
 
     Raises
     ------
-    UndefinedNormalizerError
+    PcgKitError
         If the reference has zero energy.
     """
     a = np.asarray(wes_track, dtype=np.float64)
     b = np.asarray(es_track, dtype=np.float64)
     if len(a) != len(b):
-        raise InvalidInputError(f"length mismatch: {len(a)} vs {len(b)}")
+        raise PcgKitError(f"length mismatch: {len(a)} vs {len(b)}")
     ref_energy = float(np.sum(b * b))
     if ref_energy == 0.0:
-        raise UndefinedNormalizerError("reference track has zero energy")
+        raise PcgKitError("reference track has zero energy")
     return float(np.sqrt(np.sum((a - b) ** 2) / ref_energy))
 
 
@@ -102,7 +96,7 @@ def snr_frame(frame, seg):
 
     Raises
     ------
-    DegenerateCoverageError
+    PcgKitError
         If the peak windows cover the entire frame.
     """
     x = frame.samples
@@ -111,9 +105,9 @@ def snr_frame(frame, seg):
     for p in seg.peaks:
         mask |= np.abs(t - p.time_s) <= SNR_WINDOW_S
     if not mask.any():
-        raise DegenerateCoverageError("no samples fall inside peak windows")
+        raise PcgKitError("no samples fall inside peak windows")
     if mask.all():
-        raise DegenerateCoverageError("peak windows cover the whole frame")
+        raise PcgKitError("peak windows cover the whole frame")
     p_signal = float(np.mean(x[mask] ** 2))
     p_noise = float(np.mean(x[~mask] ** 2))
     if p_signal == 0.0 and p_noise == 0.0:
@@ -172,7 +166,7 @@ def aggregate_quality(frame_qualities):
     across frames; SNR reports the frame maximum, minimum, and mean.
     """
     if not frame_qualities:
-        raise InvalidInputError("no frame qualities to aggregate")
+        raise PcgKitError("no frame qualities to aggregate")
     lows = [fq.band_hz[0] for fq in frame_qualities]
     highs = [fq.band_hz[1] for fq in frame_qualities]
     families = list(frame_qualities[0].nrmse)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCyclesError, InsufficientPeaksError
+from .errors import PcgKitError
 
 __all__ = [
     "PeakLabel", "PeakEvent", "RiseDecayTimes", "CycleSegmentation",
@@ -136,13 +136,13 @@ def detect_peaks(envelope):
 
     Raises
     ------
-    InsufficientPeaksError
+    PcgKitError
         If fewer than 3 peaks survive the rules, since labeling and
         interval work are impossible below that.
     """
     peaks = find_envelope_peaks(envelope)
     if len(peaks) < 3:
-        raise InsufficientPeaksError(
+        raise PcgKitError(
             f"only {len(peaks)} peaks survive detection; need >= 3")
     return peaks
 
@@ -155,7 +155,7 @@ def label_s1_s2(peaks):
     S2. Exact equality labels S1 first.
     """
     if len(peaks) < 3:
-        raise InsufficientPeaksError(
+        raise PcgKitError(
             f"labeling needs >= 3 peaks, got {len(peaks)}")
     times = [p.time_s for p in peaks]
     first_is_s1 = (times[1] - times[0]) <= (times[2] - times[1])
@@ -177,7 +177,7 @@ def cycle_intervals(labeled):
 
     Raises
     ------
-    InsufficientCyclesError
+    PcgKitError
         If either interval kind has no complete pair.
     """
     sys_gaps = []
@@ -188,7 +188,7 @@ def cycle_intervals(labeled):
         elif a.label is PeakLabel.S2 and b.label is PeakLabel.S1:
             dias_gaps.append(b.time_s - a.time_s)
     if not sys_gaps or not dias_gaps:
-        raise InsufficientCyclesError(
+        raise PcgKitError(
             f"need at least one S1->S2 and one S2->S1 pair, "
             f"got {len(sys_gaps)} and {len(dias_gaps)}")
     return float(np.mean(sys_gaps)), float(np.mean(dias_gaps)), len(sys_gaps)
@@ -228,7 +228,7 @@ def rise_decay_times(envelope, labeled):
 
     Raises
     ------
-    InsufficientCyclesError
+    PcgKitError
         If no S1 or no S2 peak yields a complete rise/decay pair.
     """
     y = envelope.samples
@@ -255,7 +255,7 @@ def rise_decay_times(envelope, labeled):
         decays.append((fwd - idx) / rate)
     for label, (rises, _) in per_label.items():
         if not rises:
-            raise InsufficientCyclesError(
+            raise PcgKitError(
                 f"no usable {label.value} peak for rise/decay timing")
     s1_r, s1_d = per_label[PeakLabel.S1]
     s2_r, s2_d = per_label[PeakLabel.S2]

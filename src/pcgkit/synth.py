@@ -15,7 +15,7 @@ import numpy as np
 
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
 from .core import MAX_SAMPLES, SampledSignal
-from .errors import InvalidInputError
+from .errors import PcgKitError
 from .segmentation import BASELINE_FRAC
 
 __all__ = [
@@ -62,24 +62,24 @@ class SynthSpec:
 
     def __post_init__(self):
         if not 20.0 <= self.hr_bpm <= 240.0:
-            raise InvalidInputError(f"hr_bpm {self.hr_bpm} outside 20..240")
+            raise PcgKitError(f"hr_bpm {self.hr_bpm} outside 20..240")
         if not 0 < self.t_sys_s < 60.0 / self.hr_bpm:
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"t_sys_s {self.t_sys_s} must be inside (0, one cycle)")
         if not 0 < self.s2_rel_amp <= 1:
-            raise InvalidInputError("s2_rel_amp must be in (0, 1]")
+            raise PcgKitError("s2_rel_amp must be in (0, 1]")
         for name in ("s1_freq_hz", "s2_freq_hz", "s1_sigma_ms", "s2_sigma_ms",
                      "s1_decay_ratio", "s2_decay_ratio", "duration_s",
                      "rate_hz", "ecg_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
-                raise InvalidInputError(f"{name} must be positive and finite")
+                raise PcgKitError(f"{name} must be positive and finite")
         if self.snr_db is not None and not abs(self.snr_db) <= MAX_SNR_DB:
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"snr_db must be None or within +-{MAX_SNR_DB:g} dB, "
                 f"got {self.snr_db}")
         for name in ("rate_hz", "ecg_rate_hz"):
             if self.duration_s * getattr(self, name) > MAX_SAMPLES:
-                raise InvalidInputError(
+                raise PcgKitError(
                     f"duration_s {self.duration_s:g} at {name} "
                     f"{getattr(self, name):g} needs more than {MAX_SAMPLES} "
                     f"samples")
@@ -276,7 +276,7 @@ def generate_cohort(n_subjects=15, ranges=None, coeffs=None,
 
     Raises
     ------
-    InvalidInputError
+    PcgKitError
         ``n_subjects`` below 1, a negative ``seed``, ``sbp_noise_sd``,
         ``dbp_noise_sd`` or ``jitter_ms``, or a range whose low end is
         above its high end or whose width is not finite; checked before
@@ -285,16 +285,16 @@ def generate_cohort(n_subjects=15, ranges=None, coeffs=None,
     ranges = ranges or CohortRanges()
     coeffs = coeffs or default_cohort_coefficients()
     if not n_subjects >= 1:
-        raise InvalidInputError(f"n_subjects must be >= 1, got {n_subjects}")
+        raise PcgKitError(f"n_subjects must be >= 1, got {n_subjects}")
     for name, value in (("seed", seed), ("sbp_noise_sd", sbp_noise_sd),
                         ("dbp_noise_sd", dbp_noise_sd),
                         ("jitter_ms", jitter_ms)):
         if not value >= 0:
-            raise InvalidInputError(f"{name} must be >= 0, got {value}")
+            raise PcgKitError(f"{name} must be >= 0, got {value}")
     for f in fields(ranges):
         low, high = getattr(ranges, f.name)
         if not 0 <= high - low < math.inf:
-            raise InvalidInputError(
+            raise PcgKitError(
                 f"ranges.{f.name} must be finite with low <= high, "
                 f"got {[low, high]}")
     rng = np.random.default_rng(seed)

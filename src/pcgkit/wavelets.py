@@ -34,7 +34,7 @@ import threading
 import numpy as np
 
 from .core import _next_fast_len
-from .errors import DecompositionDepthError, InvalidInputError
+from .errors import PcgKitError, TooShortError
 
 __all__ = ["WaveletKind", "cwt", "dwt_denoise_db4", "sample_wavelet", "wes"]
 
@@ -138,18 +138,18 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
 
     Raises
     ------
-    DecompositionDepthError
+    TooShortError
         If the signal is too short for the requested depth.
     """
     if levels < 1:
-        raise InvalidInputError(f"levels must be >= 1, got {levels}")
+        raise PcgKitError(f"levels must be >= 1, got {levels}")
     if not 0 <= threshold_frac < 1:
-        raise InvalidInputError(
+        raise PcgKitError(
             f"threshold_frac must be in [0, 1), got {threshold_frac}")
     x = s.samples
     need = max(2 ** levels, _FILT_LEN - 1)
     if len(x) < need:
-        raise DecompositionDepthError(
+        raise TooShortError(
             f"{len(x)} samples cannot support {levels} levels "
             f"(need >= {need})")
     details = []

@@ -15,11 +15,8 @@ from pcgkit import (
     BpCoefficients,
     CycleSegmentation,
     HrEstimate,
-    InsufficientDataError,
-    InvalidInputError,
-    NoValidFramesError,
-    NumericOverflowError,
     PcgFeatureVector,
+    PcgKitError,
     UnitConvention,
     design_row_dbp,
     design_row_sbp,
@@ -72,12 +69,14 @@ class TestPcgFeatureVector:
         assert FEATURES.t_s2 == pytest.approx(0.1, abs=1e-15)
 
     def test_rejects_negative_feature(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError,
+                           match="t_sys must be nonnegative and finite"):
             PcgFeatureVector(t_sys=-0.1, t_dias=0.5, t_rs1=0.04, t_ds1=0.05,
                              t_rd2=0.045, t_dd2=0.055, hr_pcg=72.0)
 
     def test_rejects_nonfinite_feature(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError,
+                           match="t_sys must be nonnegative and finite"):
             PcgFeatureVector(t_sys=float("nan"), t_dias=0.5, t_rs1=0.04,
                              t_ds1=0.05, t_rd2=0.045, t_dd2=0.055,
                              hr_pcg=72.0)
@@ -108,13 +107,13 @@ class TestReferenceCoefficients:
         assert again == ref
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="coefficient c1 is not finite"):
             intercept_only(float("inf"), 80.0)
 
     def test_json_unknown_keys_rejected(self):
         d = dict(BpCoefficients.reference().to_json_dict(),
                  sigma_sys_typo=5.0, c3=1.0)
-        with pytest.raises(InvalidInputError,
+        with pytest.raises(PcgKitError,
                            match="unknown coefficient entries: c3, "
                                  "sigma_sys_typo"):
             BpCoefficients.from_json_dict(d)
@@ -123,14 +122,14 @@ class TestReferenceCoefficients:
     def test_json_boolean_rejected(self, value):
         # float(True) is 1.0; a JSON boolean is not a coefficient
         d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
-        with pytest.raises(InvalidInputError, match="c1 must be a number"):
+        with pytest.raises(PcgKitError, match="c1 must be a number"):
             BpCoefficients.from_json_dict(d)
 
     @pytest.mark.parametrize("value", ["1.5", "nan", None, [1.5]])
     def test_json_non_number_rejected(self, value):
         # float("1.5") is 1.5; a JSON string is not a coefficient either
         d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
-        with pytest.raises(InvalidInputError, match="c1 must be a number"):
+        with pytest.raises(PcgKitError, match="c1 must be a number"):
             BpCoefficients.from_json_dict(d)
 
 
@@ -170,7 +169,8 @@ class TestPredict:
         huge = PcgFeatureVector(t_sys=0.3, t_dias=0.5, t_rs1=0.04,
                                 t_ds1=0.05, t_rd2=0.045, t_dd2=0.055,
                                 hr_pcg=1e200)
-        with pytest.raises(NumericOverflowError):
+        with pytest.raises(PcgKitError,
+                           match="SBP evaluated to a non-finite value"):
             predict_sbp(huge, BpCoefficients.reference())
 
     def test_pair_flags_implausible_values(self):
@@ -267,15 +267,17 @@ class TestFitMultipleRegression:
 
     def test_input_validation(self):
         rng = np.random.default_rng(26)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="need rows >= columns"):
             fit_multiple_regression(rng.standard_normal((5, 10)),
                                     rng.standard_normal(5))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError,
+                           match=r"X must be \(n, p\) and y \(n,\)"):
             fit_multiple_regression(rng.standard_normal((12, 10)),
                                     rng.standard_normal(11))
         X = rng.standard_normal((12, 10))
         X[0, 0] = np.nan
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError,
+                           match="design matrix and targets must be finite"):
             fit_multiple_regression(X, rng.standard_normal(12))
 
 
@@ -314,7 +316,7 @@ class TestLoocv:
         assert report.dbp_rmse > report.insample_dbp_rmse
 
     def test_too_few_subjects_raises(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PcgKitError, match="fitting needs >= 12 subjects"):
             loocv_subjectwise(cohort_dataset()[:11])
 
 
@@ -358,5 +360,6 @@ class TestExtractSubjectFeatures:
     def test_no_valid_frames_raises(self):
         seg, _ = frame()
         bad = (seg, HrEstimate(300.0, flags=("out_of_range",)))
-        with pytest.raises(NoValidFramesError):
+        with pytest.raises(PcgKitError,
+                           match="frames failed the validity screen"):
             extract_subject_features([bad, bad])

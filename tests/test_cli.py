@@ -19,6 +19,7 @@ from pcgkit import (
     BpCoefficients,
     EnvelopeMethod,
     HrFormula,
+    PcgKitError,
     SampledSignal,
     SynthSpec,
     UnitConvention,
@@ -34,7 +35,6 @@ from pcgkit import cli
 from pcgkit import io as pcgkit_io
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
-    ConfigError,
     RunConfig,
     build_parser,
     load_config_file,
@@ -121,19 +121,19 @@ class TestConfigResolution:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "no_such_knob = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError, match="unknown config key"):
             resolve_config(argparse.Namespace(config=path))
 
     @pytest.mark.parametrize("key", sorted(FIXED_SETTINGS))
     def test_fixed_setting_key_rejected(self, key, tmp_path):
         # even at its fixed value: the chain's settings are not options
         path = write_cfg(tmp_path, f"{key} = {FIXED_SETTINGS[key]}\n")
-        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        with pytest.raises(PcgKitError, match=f"unknown config key '{key}'"):
             resolve_config(argparse.Namespace(config=path))
 
     def test_unparseable_value_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = abc\n")
-        with pytest.raises(ConfigError,
+        with pytest.raises(PcgKitError,
                            match="^bad value for 'frame_len_s': 'abc'$"):
             resolve_config(argparse.Namespace(config=path))
 
@@ -148,16 +148,17 @@ class TestConfigResolution:
 
     def test_out_of_range_value_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "frame_len_s = 100\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError,
+                           match=r"frame_len_s=100.0 outside \[0.5, 30.0\]"):
             resolve_config(argparse.Namespace(config=path))
 
     def test_missing_config_file_rejected(self, tmp_path, monkeypatch,
                                           capsys):
         missing = str(tmp_path / "nonexistent.cfg")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError, match="cannot read config file"):
             resolve_config(argparse.Namespace(config=missing))
         monkeypatch.setenv(CONFIG_ENV_VAR, missing)
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError, match="cannot read config file"):
             resolve_config(argparse.Namespace())
         assert main(["hr", str(tmp_path), "--config", missing]) == 1
         err = capsys.readouterr().err
@@ -165,11 +166,11 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("ridge", [-5.0, float("nan"), float("inf")])
     def test_bad_ridge_rejected(self, ridge):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError, match="must be finite and >= 0"):
             RunConfig(ridge_lambda=ridge)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError, match="^unknown method 'fourier'$"):
+        with pytest.raises(PcgKitError, match="^unknown method 'fourier'$"):
             RunConfig(method="fourier")
 
     def test_every_field_from_file_takes_its_type(self, tmp_path):
@@ -190,7 +191,8 @@ class TestConfigResolution:
 
     def test_missing_equals_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "just a bare line\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PcgKitError,
+                           match="run.cfg:1: expected key = value"):
             load_config_file(path)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -201,7 +203,7 @@ class TestConfigResolution:
         # the last value used to win silently
         path = write_cfg(tmp_path, "frame_len_s = 2\n# four\n"
                                    " frame_len_s=4\n")
-        with pytest.raises(ConfigError, match="run.cfg:3: key 'frame_len_s' "
+        with pytest.raises(PcgKitError, match="run.cfg:3: key 'frame_len_s' "
                                               "is already set on line 1$"):
             load_config_file(path)
         assert main(["hr", str(tmp_path), "--config", path]) == 1
@@ -211,7 +213,7 @@ class TestConfigResolution:
     def test_non_utf8_config_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"units = \xff\xfe\n")
-        with pytest.raises(ConfigError, match="not UTF-8"):
+        with pytest.raises(PcgKitError, match="not UTF-8"):
             load_config_file(str(path))
         assert main(["hr", str(tmp_path), "--config", str(path)]) == 1
         err = capsys.readouterr().err

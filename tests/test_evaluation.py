@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcgkit import (
-    InvalidInputError,
+    PcgKitError,
     UndefinedCorrelationError,
     bland_altman,
     error_metrics,
@@ -66,11 +66,11 @@ class TestPearson:
             pearson_r((1.0, 2.0, 3.0), (7.0, 7.0, 7.0))
 
     def test_single_pair_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="need at least 2 pairs"):
             pearson_r((1.0,), (2.0,))
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="equal-length"):
             pearson_r((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
@@ -105,7 +105,7 @@ class TestErrorMetrics:
         assert em.rmse >= em.mae
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="equal-length"):
             error_metrics((1.0, 2.0, 3.0), (1.0, 2.0))
 
 
@@ -123,7 +123,7 @@ class TestSubjectAggregate:
         assert per_subject["s"] == pytest.approx(6.0, abs=1e-12)
 
     def test_empty_mapping_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="no subjects to aggregate"):
             subject_aggregate({})
 
     # bounded so that no sum of up to 50 values overflows to inf or nan;
@@ -140,7 +140,7 @@ class TestSubjectAggregate:
         assert cohort == float(np.mean(list(values.values())))
 
     def test_subject_with_no_frames_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="subject b has no values"):
             subject_aggregate({"a": [1.0], "b": []})
 
 
@@ -180,6 +180,6 @@ class TestBlandAltman:
         assert report.bias_sd == pytest.approx(1.0, abs=1e-12)
 
     def test_fewer_than_three_pairs_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="need at least 3 pairs"):
             bland_altman((1.0, 2.0), (1.0, 2.0))
 

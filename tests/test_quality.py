@@ -5,16 +5,14 @@ import pytest
 
 from pcgkit import (
     CycleSegmentation,
-    DegenerateCoverageError,
     DegenerateSignalError,
     FrameQuality,
-    InvalidInputError,
+    PcgKitError,
     PeakEvent,
     PeakLabel,
     SampledSignal,
     SynthSpec,
     TooShortError,
-    UndefinedNormalizerError,
     aggregate_quality,
     energy_spectrum,
     fft_band,
@@ -122,11 +120,12 @@ class TestNrmse:
                 base, rel=1e-12)
 
     def test_zero_reference_raises(self):
-        with pytest.raises(UndefinedNormalizerError):
+        with pytest.raises(PcgKitError,
+                           match="reference track has zero energy"):
             nrmse_wes_vs_es(np.ones(4), np.zeros(4))
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="length mismatch"):
             nrmse_wes_vs_es(np.ones(4), np.ones(5))
 
 
@@ -180,13 +179,15 @@ class TestSnrFrame:
     def test_full_coverage_raises(self):
         frame = SampledSignal(np.ones(400), RATE)
         seg = forced_segmentation([0.05, 0.15])
-        with pytest.raises(DegenerateCoverageError):
+        with pytest.raises(PcgKitError,
+                           match="peak windows cover the whole frame"):
             snr_frame(frame, seg)
 
     def test_no_coverage_raises(self):
         frame = SampledSignal(np.ones(400), RATE)
         seg = forced_segmentation([50.0, 51.0])
-        with pytest.raises(DegenerateCoverageError):
+        with pytest.raises(PcgKitError,
+                           match="no samples fall inside peak windows"):
             snr_frame(frame, seg)
 
     def test_silent_frame_raises(self):
@@ -225,5 +226,6 @@ class TestFrameAndSubjectQuality:
         assert report.per_frame_snr == (18.0, 22.0)
 
     def test_aggregate_empty_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError,
+                           match="no frame qualities to aggregate"):
             aggregate_quality([])

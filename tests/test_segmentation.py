@@ -9,8 +9,7 @@ from scipy.signal import find_peaks
 
 from pcgkit import (
     CycleSegmentation,
-    InsufficientCyclesError,
-    InsufficientPeaksError,
+    PcgKitError,
     PeakEvent,
     PeakLabel,
     SampledSignal,
@@ -209,7 +208,8 @@ class TestDetectPeaks:
 
     def test_fewer_than_three_peaks_raises(self):
         env = envelope_of([0, 1, 0, 0.9, 0], 10.0)
-        with pytest.raises(InsufficientPeaksError):
+        with pytest.raises(PcgKitError,
+                           match="only 2 peaks survive detection"):
             detect_peaks(env)
 
     def test_three_peaks_pass(self):
@@ -246,7 +246,7 @@ class TestLabelS1S2:
             assert abs(n_s1 - n_s2) <= 1
 
     def test_too_few_peaks_raises(self):
-        with pytest.raises(InsufficientPeaksError):
+        with pytest.raises(PcgKitError, match="labeling needs >= 3 peaks"):
             label_s1_s2(peaks_at([0.0, 0.3]))
 
 
@@ -272,11 +272,11 @@ class TestCycleIntervals:
         assert abs(t_dias - (60.0 / spec.hr_bpm - spec.t_sys_s)) < 0.010
 
     def test_single_peak_raises(self):
-        with pytest.raises(InsufficientCyclesError):
+        with pytest.raises(PcgKitError, match="S2->S1 pair, got 0 and 0"):
             cycle_intervals(peaks_at([0.5], [PeakLabel.S1]))
 
     def test_missing_diastolic_pair_raises(self):
-        with pytest.raises(InsufficientCyclesError):
+        with pytest.raises(PcgKitError, match="S2->S1 pair, got 1 and 0"):
             cycle_intervals(peaks_at([0.0, 0.3], [PeakLabel.S1, PeakLabel.S2]))
 
 
@@ -367,7 +367,7 @@ class TestRiseDecayTimes:
             PeakEvent(time_s=0.200, height=1.0, label=PeakLabel.S2, index=200),
         ]
         with pytest.warns(RuntimeWarning):
-            with pytest.raises(InsufficientCyclesError):
+            with pytest.raises(PcgKitError, match="no usable S1 peak"):
                 rise_decay_times(envelope_of(y, rate), labeled)
 
 

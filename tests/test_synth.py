@@ -7,7 +7,7 @@ import pytest
 
 from pcgkit import (
     CohortRanges,
-    InvalidInputError,
+    PcgKitError,
     SynthSpec,
     default_cohort_coefficients,
     generate_cohort,
@@ -37,26 +37,26 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("hr", [19.0, 241.0])
     def test_rate_bounds(self, hr):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="outside 20..240"):
             SynthSpec(hr_bpm=hr)
 
     def test_systole_must_fit_in_cycle(self):
         # 75 bpm cycle is 0.8 s
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="t_sys_s 0.85 must be inside"):
             SynthSpec(hr_bpm=75.0, t_sys_s=0.85)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="t_sys_s 0.0 must be inside"):
             SynthSpec(t_sys_s=0.0)
 
     def test_relative_amplitude_range(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="s2_rel_amp must be in"):
             SynthSpec(s2_rel_amp=0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="s2_rel_amp must be in"):
             SynthSpec(s2_rel_amp=1.2)
 
     def test_positive_parameters(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="duration_s must be positive"):
             SynthSpec(duration_s=0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="s1_sigma_ms must be positive"):
             SynthSpec(s1_sigma_ms=-1.0)
 
     @pytest.mark.parametrize("name", [
@@ -65,7 +65,7 @@ class TestSpecValidation:
         "ecg_rate_hz"])
     def test_positive_parameters_finite(self, name):
         # an infinite duration or rate would never finish the event loop
-        with pytest.raises(InvalidInputError, match=name):
+        with pytest.raises(PcgKitError, match=name):
             SynthSpec(**{name: math.inf})
 
     @pytest.mark.parametrize("fields, name", [
@@ -76,7 +76,7 @@ class TestSpecValidation:
     ])
     def test_sample_count_bounded(self, fields, name):
         # a huge finite duration would lay out its cycles one at a time
-        with pytest.raises(InvalidInputError,
+        with pytest.raises(PcgKitError,
                            match=f"duration_s .* at {name} .* more than "
                                  f"{MAX_SAMPLES} samples"):
             SynthSpec(**fields)
@@ -91,7 +91,7 @@ class TestSpecValidation:
     def test_snr_bounded(self, snr_db):
         # 1e300 and 3100 overflowed 10 ** (snr_db / 10); -1e300 and -3300
         # underflowed it to zero and divided by it
-        with pytest.raises(InvalidInputError, match="snr_db"):
+        with pytest.raises(PcgKitError, match="snr_db"):
             SynthSpec(snr_db=snr_db)
 
     @pytest.mark.parametrize("snr_db", [-MAX_SNR_DB, MAX_SNR_DB])
@@ -272,7 +272,7 @@ class TestCohort:
          "ranges.s2_rel_amp"),
     ])
     def test_out_of_domain_arguments_refused(self, kwargs, name):
-        with pytest.raises(InvalidInputError, match=name):
+        with pytest.raises(PcgKitError, match=name):
             generate_cohort(**kwargs)
 
     def test_domain_edges_accepted(self):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.fft import fft, ifft, next_fast_len
 
 from pcgkit import SampledSignal, WaveletKind, cwt, dwt_denoise_db4, wes
-from pcgkit.errors import DecompositionDepthError, InvalidInputError
+from pcgkit.errors import PcgKitError, TooShortError
 from pcgkit import core, wavelets
 from pcgkit.wavelets import _DEC_HI, _DEC_LO, _REC_HI, _REC_LO, sample_wavelet
 
@@ -105,7 +105,7 @@ class TestDenoise:
 
     def test_too_short_for_levels(self):
         s = SampledSignal(np.ones(100), RATE)
-        with pytest.raises(DecompositionDepthError):
+        with pytest.raises(TooShortError, match="cannot support 8 levels"):
             dwt_denoise_db4(s, levels=8)
 
     @pytest.mark.parametrize("levels", [1, 2])
@@ -115,7 +115,8 @@ class TestDenoise:
         would return garbage (``[1.3, 1.3]`` came back ``[0.275, -0.089]``
         at zero threshold)."""
         s = SampledSignal(np.full(n, 1.3), RATE)
-        with pytest.raises(DecompositionDepthError):
+        with pytest.raises(TooShortError,
+                           match=r"cannot support \d levels \(need >= 7\)"):
             dwt_denoise_db4(s, levels=levels, threshold_frac=0.0)
 
     @pytest.mark.parametrize("n, levels", [
@@ -136,7 +137,7 @@ class TestDenoise:
 
     def test_threshold_frac_range(self):
         s = SampledSignal(np.ones(512), RATE)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(PcgKitError, match="threshold_frac must be in"):
             dwt_denoise_db4(s, levels=2, threshold_frac=1.0)
 
 
