@@ -184,6 +184,17 @@ class TestPredict:
         assert pred.dbp == pytest.approx(80.0)
         assert pred.flags == ()
 
+    @pytest.mark.parametrize("sbp, dbp, flags", [
+        (60.0, 30.0, ()), (220.0, 140.0, ()),
+        (59.0, 80.0, ("sbp_implausible",)),
+        (225.0, 80.0, ("sbp_implausible",)),
+        (120.0, 27.5, ("dbp_implausible",)),
+        (120.0, 141.0, ("dbp_implausible",))])
+    def test_pair_plausible_bounds_are_inclusive(self, sbp, dbp, flags):
+        pred = predict_pair(FEATURES, intercept_only(sbp, dbp))
+        assert (pred.sbp, pred.dbp) == (sbp, dbp)
+        assert pred.flags == flags
+
 
 class TestUnitConvention:
 

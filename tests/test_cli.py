@@ -32,6 +32,7 @@ from pcgkit import (
     write_wav_pcm16,
 )
 from pcgkit import cli
+from pcgkit import hr as pcgkit_hr
 from pcgkit import io as pcgkit_io
 from pcgkit.cli import (
     CONFIG_ENV_VAR,
@@ -335,6 +336,37 @@ class TestHrCommand:
         paired = [r for r in report["subjects"]["s01"]["frames"]
                   if "bpm_pcg" in r and "bpm_ecg" in r and not r["flags"]]
         assert report["agreement"]["n"] == len(paired) >= 3
+
+    def test_three_pairs_make_an_agreement(self, tmp_path):
+        # one 12 s subject: three 4 s frames, the fewest pairs that get
+        # the agreement block, the pair tables and the plots
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--subjects", "1",
+                     "--seed", "1", "--duration", "12"]) == 0
+        out = tmp_path / "out"
+        assert main(["hr", str(ds), "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        assert report["agreement"]["n"] == 3
+        assert len((out / "hr_pairs.csv").read_text().splitlines()) == 4
+        for name in ("hr_bland_altman.csv", "hr_scatter.svg",
+                     "hr_bland_altman.svg"):
+            assert (out / name).exists()
+
+    def test_flagged_rows_stay_out_of_the_agreement(self, small_ds, tmp_path,
+                                                    monkeypatch):
+        # a ceiling between the two fastest subjects flags the fastest
+        rates = sorted(json.loads((small_ds / sid / "meta.json").read_text())[
+            "hr_bpm"] for sid in ("s01", "s02", "s03"))
+        monkeypatch.setattr(pcgkit_hr, "HR_MAX_BPM", (rates[1] + rates[2]) / 2)
+        out = tmp_path / "out"
+        assert main(["hr", str(small_ds), "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        rows = [row for entry in report["subjects"].values()
+                for row in entry["frames"]]
+        assert all("bpm_pcg" in row and "bpm_ecg" in row for row in rows)
+        unflagged = [row for row in rows if not row["flags"]]
+        assert 3 <= len(unflagged) < len(rows)
+        assert report["agreement"]["n"] == len(unflagged)
 
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         assert main(["hr", str(tmp_path / "nope")]) == 1

@@ -178,6 +178,14 @@ class TestHrFromPcg:
         assert est.bpm == pytest.approx(15.0)
         assert not est.accepted
 
+    @pytest.mark.parametrize("bpm, accepted", [
+        (19.5, False), (20.0, True), (240.0, True), (241.0, False)])
+    def test_range_bounds_are_inclusive(self, bpm, accepted):
+        half = 30.0 / bpm  # equal intervals: the cycle is 60 / bpm seconds
+        est = hr_from_pcg(seg_with(half, half))
+        assert est.bpm == pytest.approx(bpm)
+        assert est.accepted is accepted
+
 
 class TestHrPipeline:
 
