@@ -1,5 +1,6 @@
 """The package namespace is the union of the library modules' ``__all__``."""
 
+import ast
 import importlib
 import json
 import os
@@ -10,8 +11,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import pcgkit
-from pcgkit import cli
+from pcgkit import PcgKitError, cli, errors
+from pcgkit.plots import write_scatter_svg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,6 +51,32 @@ def test_package_reexports_each_module_all():
             exported.append(name)
     assert len(set(pcgkit.__all__)) == len(pcgkit.__all__)
     assert sorted(pcgkit.__all__) == sorted(["__version__", *exported])
+
+
+def test_errors_keep_only_the_caught_classes():
+    """A class stays only where code catches it or reads its attributes."""
+    assert errors.__all__ == ["PcgKitError", "TooShortError",
+                              "DegenerateSignalError",
+                              "UndefinedCorrelationError", "StageError"]
+
+
+def test_each_error_subclass_is_caught_by_type():
+    """``StageError`` is kept for its attributes; the rest are caught."""
+    src = Path(pcgkit.__file__).resolve().parent
+    caught = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                caught.update(t.id for t in types if isinstance(t, ast.Name))
+    assert {"TooShortError", "DegenerateSignalError",
+            "UndefinedCorrelationError"} <= caught
+
+
+def test_scatter_plot_refuses_empty_series(tmp_path):
+    with pytest.raises(PcgKitError, match="equal-length and non-empty"):
+        write_scatter_svg(tmp_path / "s.svg", [], [])
 
 
 def test_readme_library_example(capsys):
