@@ -852,6 +852,17 @@ class TestDeterminism:
         for name in payloads["a"]:
             assert payloads["a"][name] == payloads["b"][name], name
 
+    def test_wes_rerun_rewrites_the_same_bytes(self, small_ds, tmp_path):
+        # the WES rows stream from the CWT, block by block
+        out = tmp_path / "out"
+        argv = ["hr", str(small_ds), "--method", "wes", "--wavelet", "bump",
+                "--out", str(out)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert len(first) == 5
+
 
 class TestMainEntry:
 
