@@ -1,12 +1,13 @@
-"""Record the report goldens that ``test_golden.py`` compares against.
+"""Record the goldens that ``test_golden.py`` compares against.
 
     PYTHONPATH=src python3 tests/record_golden.py
 
 Writes the ``COHORTS`` synth datasets and copies the ``INPUTS`` files
 into a temporary directory, runs each command of ``CASES`` there through
-``pcgkit.cli.main`` and copies its output tree to ``tests/golden/<case>/``. The numpy version that computed them
-goes to ``tests/golden/numpy_version.txt``: FFT rounding can differ
-between numpy versions, so the test compares bytes only under that one.
+``pcgkit.cli.main`` and copies its output tree to
+``tests/golden/<case>/``. The numpy version that computed them goes to
+``tests/golden/numpy_version.txt``: FFT rounding can differ between
+numpy versions, so the test compares bytes only under that one.
 Re-record only when a change to the reports is intended.
 """
 
