@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcgkit import (
     PcgKitError,
@@ -879,6 +879,8 @@ class TestIngestProperties:
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(line, max_size=30),
            rate_hz=st.sampled_from([None, 190.0]))
+    @example(lines=["nan", "1.0"], rate_hz=190.0)
+    @example(lines=["0.0,1.0", "0.01,inf"], rate_hz=None)
     def test_ecg_text_from_random_lines(self, lines, rate_hz):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ecg.txt"
@@ -886,8 +888,8 @@ class TestIngestProperties:
             try:
                 sig = read_ecg_text(path, rate_hz=rate_hz)
             except PcgKitError as exc:
-                if str(exc) not in (f"{path}: no samples",
-                                    "rate_hz required for plain value files"):
+                msg = str(exc)
+                if msg.startswith(f"{path}:") and msg != f"{path}: no samples":
                     return  # a parse error, the only error a non-finite
                     # number may raise
                 sig = None
