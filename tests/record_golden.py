@@ -34,11 +34,13 @@ COHORTS = {
 # plausible, and they differ from those of a run without --coeffs.
 INPUTS = {
     "coeffs.json": GOLDEN.parent / "golden_inputs" / "bp_coeffs.json",
+    "run.cfg": GOLDEN.parent / "golden_inputs" / "run.cfg",
 }
 # Paths that tier-1 would otherwise not byte-check: hr on each envelope
 # and on the eq. 7 rate formula, bp predict from audio features and from
-# a coefficients file, a ridge fit and millisecond LOOCV, quality at a
-# frame length other than 4 s, and the synth dataset itself.
+# a coefficients file, a ridge fit and millisecond LOOCV, LOOCV with
+# every setting from a config file, quality at a frame length other than
+# 4 s, and the synth dataset itself.
 CASES = {
     "hr_shannon": ["hr", "ds"],
     "hr_hilbert": ["hr", "ds", "--method", "hilbert"],
@@ -53,6 +55,8 @@ CASES = {
                      "--ridge", "0.5"],
     "bp_loocv_ms": ["bp", "loocv", "ds12", "--features-from-audio",
                     "--units", "ms"],
+    "bp_loocv_config": ["bp", "loocv", "ds12", "--features-from-audio",
+                        "--config", "run.cfg"],
     "synth_2x4": ["synth", "--subjects", "2", "--seed", "11",
                   "--duration", "4"],
 }
