@@ -27,10 +27,10 @@ from .bp import (
     loocv_subjectwise,
     predict_pair,
 )
-from .core import resample_rational, segment_frames
+from .core import PCG_RATE_HZ, resample_rational, segment_frames
 from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
 from .errors import PcgKitError, TooShortError
-from .evaluation import bland_altman, subject_aggregate
+from .evaluation import MIN_AGREEMENT_PAIRS, bland_altman, subject_aggregate
 from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
 from .io import (
     is_json_number,
@@ -53,8 +53,6 @@ from .synth import (
 from .wavelets import DENOISE_LEVELS, DENOISE_THRESHOLD, WaveletKind
 
 CONFIG_ENV_VAR = "PCGKIT_CONFIG"
-# Every PCG is resampled to this rate before it is framed.
-PCG_RATE_HZ = 2000.0
 
 # quality_table.csv columns after "subject"; the report nests nrmse_*
 _QUALITY_COLUMNS = ("freq_low_hz", "freq_high_hz",
@@ -138,9 +136,10 @@ def resolve_config(args):
     """Merge defaults, an optional config file, and CLI overrides.
 
     A setting flag's ``dest`` is its field; the file is checked whole.
-    ``--wavelet`` is rejected unless the resolved method is ``wes``, the
-    only method that reads it; a config-file ``wavelet`` is always
-    accepted, because one file serves every command.
+    A flag that another setting leaves unread is rejected (bp's audio
+    flags without ``--features-from-audio``, whose features a meta.json
+    block replaces); the same key in a config file is always accepted,
+    because one file serves every command.
     """
     names = [f.name for f in dataclass_fields(RunConfig)]
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
@@ -151,8 +150,16 @@ def resolve_config(args):
     flags = {name: getattr(args, name, None) for name in names}
     config = replace(RunConfig(**values),
                      **{k: v for k, v in flags.items() if v is not None})
-    if flags["wavelet"] and config.method is not EnvelopeMethod.WES:
-        raise PcgKitError("--wavelet is only used with --method wes")
+    audio = getattr(args, "features_from_audio", True)
+    for flag, used, where in (
+            ("--wavelet", config.method is EnvelopeMethod.WES,
+             "with --method wes"),
+            *((f, audio, "with --features-from-audio")
+              for f in ("--method", "--wavelet", "--frames", "--formula")),
+            ("--units", not getattr(args, "coeffs", None),
+             "without --coeffs")):
+        if not used and flags[_FLAGS[flag]["dest"]] is not None:
+            raise PcgKitError(f"{flag} is only used {where}")
     return config
 
 
@@ -297,8 +304,7 @@ def cmd_hr(args):
             if isinstance(result, PcgKitError):
                 row["error"] = str(result)
             else:
-                row["bpm_pcg"] = result.hr.bpm
-                row["flags"] = result.hr.flags
+                row["bpm_pcg"], row["flags"] = result.hr.bpm, result.hr.flags
             if i < len(ecg_frames):
                 try:
                     row["bpm_ecg"] = hr_from_ecg_frame(ecg_frames[i]).bpm
@@ -306,7 +312,7 @@ def cmd_hr(args):
                     row["ecg_error"] = str(exc)
             elif ecg_error:
                 row["ecg_error"] = ecg_error
-            if "bpm_pcg" in row and "bpm_ecg" in row and not row["flags"]:
+            if "bpm_pcg" in row and "bpm_ecg" in row and result.hr.accepted:
                 pairs.append((row["bpm_ecg"], row["bpm_pcg"]))
                 diffs.append(row["bpm_pcg"] - row["bpm_ecg"])
             frame_rows.append(row)
@@ -330,7 +336,7 @@ def cmd_hr(args):
         for metric in ("mae", "rmse"):
             cohort[metric], cohort[f"per_subject_{metric}"] = subject_aggregate(
                 {s: [entry[metric]] for s, entry in scored.items()})
-    if len(pairs) >= 3:
+    if len(pairs) >= MIN_AGREEMENT_PAIRS:
         ref = [p[0] for p in pairs]
         pred = [p[1] for p in pairs]
         agreement, means, diffs = bland_altman(np.array(pred), np.array(ref))
@@ -355,13 +361,6 @@ def cmd_hr(args):
 def cmd_bp(args):
     """Fit, predict, or cross-validate the pressure model on a dataset."""
     config = resolve_config(args)
-    # these flags shape audio features, which only --features-from-audio
-    # is sure to use: a meta.json features block replaces them
-    if not args.features_from_audio:
-        for flag in ("--method", "--wavelet", "--frames"):
-            if getattr(args, _FLAGS[flag]["dest"]) is not None:
-                raise PcgKitError(
-                    f"{flag} is only used with --features-from-audio")
     # the pressure model reads PCG features alone: no ecg.txt is parsed
     # subject id -> (features, sbp_ref, dbp_ref)
     rows, errors = map_subjects(args.dataset, lambda record: (

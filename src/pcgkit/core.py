@@ -24,6 +24,8 @@ __all__ = [
 # Most samples a signal made here may hold (2.3 h at 2000 Hz): synthesis
 # and resampling refuse a longer result before allocating it.
 MAX_SAMPLES = 2 ** 24
+# The rate every PCG is analysed at; synth writes at it by default.
+PCG_RATE_HZ = 2000.0
 
 # Single-pass order of the zero-phase Butterworth lowpass.
 LOWPASS_ORDER = 4

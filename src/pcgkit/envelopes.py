@@ -14,7 +14,7 @@ import enum
 import numpy as np
 
 from .core import butterworth_lowpass_zero_phase
-from .wavelets import WaveletKind, _fft_of_real, wes
+from .wavelets import WaveletKind, wes
 
 __all__ = [
     "EnvelopeMethod", "compute_envelope", "hilbert_envelope",
@@ -39,9 +39,9 @@ def hilbert_envelope(frame):
     The quadrature component comes from the frequency-domain construction
     (negative frequencies zeroed, positive doubled), so the result
     dominates the rectified input pointwise. The steps are those of
-    ``scipy.signal.hilbert``, on ``numpy.fft`` with the real-input
-    spectrum built as ``scipy.fft`` builds it, and the tests check that
-    the two are equal bit for bit.
+    ``scipy.signal.hilbert``, on ``numpy.fft``: the positive half comes
+    from ``rfft``, as ``scipy.fft`` computes a real input's spectrum, and
+    the tests check that the two are equal bit for bit.
 
     Parameters
     ----------
@@ -52,10 +52,10 @@ def hilbert_envelope(frame):
     SampledSignal
     """
     n = len(frame.samples)
-    spectrum = _fft_of_real(frame.samples, n)
+    spectrum = np.fft.rfft(frame.samples)
     spectrum[1:(n + 1) // 2] *= 2.0  # positive frequencies; Nyquist kept
-    spectrum[n // 2 + 1:] = 0.0
-    return frame.with_samples(np.abs(np.fft.ifft(spectrum)))
+    # the negative frequencies are the zeros that ifft pads up to n
+    return frame.with_samples(np.abs(np.fft.ifft(spectrum, n)))
 
 
 def shannon_energy_envelope(frame):

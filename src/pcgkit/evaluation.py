@@ -17,6 +17,9 @@ __all__ = [
     "AgreementReport", "bland_altman",
 ]
 
+# Fewest pairs an agreement analysis (and the hr report's block) needs.
+MIN_AGREEMENT_PAIRS = 3
+
 
 def _pair(x, y, min_n):
     x = np.asarray(x, dtype=np.float64)
@@ -120,7 +123,7 @@ def bland_altman(pred, ref):
         The report plus the scatter series: per-pair means and
         differences, for plotting difference against magnitude.
     """
-    pred, ref = _pair(pred, ref, 3)
+    pred, ref = _pair(pred, ref, MIN_AGREEMENT_PAIRS)
     diffs = pred - ref
     means = (pred + ref) / 2.0
     em = error_metrics(pred, ref)

@@ -45,8 +45,8 @@ class HrEstimate:
 
     @property
     def accepted(self):
-        """True when the estimate lies in the physiologic 20..240 band."""
-        return "out_of_range" not in self.flags
+        """True when the estimate carries no flag."""
+        return not self.flags
 
 
 def _range_flags(bpm):

@@ -81,6 +81,15 @@ def nrmse_wes_vs_es(wes_track, es_track):
     return float(np.sqrt(np.sum((a - b) ** 2) / ref_energy))
 
 
+def peak_windows(n, rate_hz, times_s):
+    """Mask of the ``n`` samples within ``SNR_WINDOW_S`` of any event time."""
+    t = np.arange(n) / rate_hz
+    mask = np.zeros(n, dtype=bool)
+    for tc in times_s:
+        mask |= np.abs(t - tc) <= SNR_WINDOW_S
+    return mask
+
+
 def snr_frame(frame, seg):
     """Burst-versus-background SNR of a segmented frame.
 
@@ -100,10 +109,7 @@ def snr_frame(frame, seg):
         If the peak windows cover the entire frame.
     """
     x = frame.samples
-    t = np.arange(len(x)) / frame.rate_hz
-    mask = np.zeros(len(x), dtype=bool)
-    for p in seg.peaks:
-        mask |= np.abs(t - p.time_s) <= SNR_WINDOW_S
+    mask = peak_windows(len(x), frame.rate_hz, [p.time_s for p in seg.peaks])
     if not mask.any():
         raise PcgKitError("no samples fall inside peak windows")
     if mask.all():

@@ -14,8 +14,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bp import BpCoefficients, PcgFeatureVector, predict_dbp, predict_sbp
-from .core import MAX_SAMPLES, SampledSignal
+from .core import MAX_SAMPLES, PCG_RATE_HZ, SampledSignal
 from .errors import PcgKitError
+from .hr import HR_MAX_BPM, HR_MIN_BPM
+from .quality import peak_windows
 from .segmentation import BASELINE_FRAC
 
 __all__ = [
@@ -55,14 +57,15 @@ class SynthSpec:
     jitter_ms: float = 0.0
     snr_db: float = None
     duration_s: float = 10.0
-    rate_hz: float = 2000.0
+    rate_hz: float = PCG_RATE_HZ
     ecg_rate_hz: float = 190.0
     pr_offset_s: float = 0.040
     seed: int = 0
 
     def __post_init__(self):
-        if not 20.0 <= self.hr_bpm <= 240.0:
-            raise PcgKitError(f"hr_bpm {self.hr_bpm} outside 20..240")
+        if not HR_MIN_BPM <= self.hr_bpm <= HR_MAX_BPM:
+            raise PcgKitError(f"hr_bpm {self.hr_bpm} outside "
+                              f"{HR_MIN_BPM:g}..{HR_MAX_BPM:g}")
         if not 0 < self.t_sys_s < 60.0 / self.hr_bpm:
             raise PcgKitError(
                 f"t_sys_s {self.t_sys_s} must be inside (0, one cycle)")
@@ -153,8 +156,8 @@ def generate_pcg(spec):
     -------
     (SampledSignal, PcgGroundTruth)
         Noise, when requested, is white Gaussian scaled so the power
-        ratio between 50 ms event windows and the rest matches
-        ``spec.snr_db``.
+        ratio between the ``quality.peak_windows`` of the events and the
+        rest matches ``spec.snr_db``.
     """
     rng = np.random.default_rng(spec.seed)
     s1_times, s2_times = _event_times(spec, rng)
@@ -167,10 +170,7 @@ def generate_pcg(spec):
         _add_burst(x, spec.rate_hz, tc, spec.s2_freq_hz, spec.s2_rel_amp,
                    spec.s2_sigma_ms / 1000.0, spec.s2_decay_ratio)
     if spec.snr_db is not None:
-        t = np.arange(n) / spec.rate_hz
-        mask = np.zeros(n, dtype=bool)
-        for tc in list(s1_times) + list(s2_times):
-            mask |= np.abs(t - tc) <= 0.050
+        mask = peak_windows(n, spec.rate_hz, s1_times + s2_times)
         p_signal = float(np.mean(x[mask] ** 2)) if mask.any() else float(np.mean(x ** 2))
         noise_sd = math.sqrt(p_signal / 10 ** (spec.snr_db / 10.0))
         x = x + rng.normal(0.0, noise_sd, n)

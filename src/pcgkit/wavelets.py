@@ -73,24 +73,12 @@ _REC_HI = _DEC_HI[::-1].copy()
 CWT_BLOCK_ROWS = 8
 
 
-def _convolve(x, taps, mode):
-    """``np.convolve(x, taps[::-1], mode)`` as one ``np.correlate``.
-
-    ``np.convolve`` correlates with the reversed filter, and with its
-    operands swapped when ``x`` is the shorter; this does the same, so the
-    result is the same bit for bit.
-    """
-    if len(x) < len(taps):
-        return np.correlate(taps[::-1], x[::-1], mode)
-    return np.correlate(x, taps, mode)
-
-
 def _dwt_step(x):
     """One analysis level with symmetric (half-point) boundary extension."""
     pad = _FILT_LEN - 1
     ext = np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
-    approx = _convolve(ext, _REC_LO, "valid")[1::2]
-    detail = _convolve(ext, _REC_HI, "valid")[1::2]
+    approx = np.correlate(ext, _REC_LO, "valid")[1::2]
+    detail = np.correlate(ext, _REC_HI, "valid")[1::2]
     return approx, detail
 
 
@@ -99,8 +87,8 @@ def _idwt_step(approx, detail, out_len):
     up = np.zeros((2, 2 * len(approx)))
     up[0, ::2] = approx
     up[1, ::2] = detail
-    y = _convolve(up[0], _DEC_LO, "full")
-    y += _convolve(up[1], _DEC_HI, "full")
+    y = np.correlate(up[0], _DEC_LO, "full")
+    y += np.correlate(up[1], _DEC_HI, "full")
     off = _FILT_LEN - 2
     return y[off:off + out_len]
 
@@ -118,8 +106,9 @@ def dwt_denoise_db4(s, levels=DENOISE_LEVELS,
     All detail bands are thresholded in one pass over their concatenated
     coefficients: ``np.maximum.reduceat`` gives each band's peak and
     ``np.repeat`` spreads its threshold over the band. Each filter step is
-    one ``np.correlate`` with the reversed filter, so the output equals,
-    bit for bit, ``np.convolve`` steps with one threshold per band.
+    one ``np.correlate`` with the reversed filter; as each step's input
+    (>= 21 samples, 14 in synthesis) outlasts the 8 taps, it equals, bit
+    for bit, ``np.convolve`` steps with one threshold per band.
 
     Parameters
     ----------

@@ -368,6 +368,13 @@ class TestExtractSubjectFeatures:
         assert result.n_used == 1
         assert result.n_excluded == 2
 
+    def test_any_flagged_frame_stays_out_of_the_average(self):
+        seg, _ = frame(t_sys=0.40)
+        flagged = (seg, HrEstimate(72.0, flags=("period_mismatch",)))
+        result = extract_subject_features([frame(t_sys=0.30), flagged])
+        assert (result.n_used, result.n_excluded) == (1, 1)
+        assert result.features.t_sys == 0.30
+
     def test_no_valid_frames_raises(self):
         seg, _ = frame()
         bad = (seg, HrEstimate(300.0, flags=("out_of_range",)))

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from pcgkit import (
     BpCoefficients,
     EnvelopeMethod,
+    HrEstimate,
     HrFormula,
     PcgKitError,
     SampledSignal,
@@ -367,6 +368,29 @@ class TestHrCommand:
         unflagged = [row for row in rows if not row["flags"]]
         assert 3 <= len(unflagged) < len(rows)
         assert report["agreement"]["n"] == len(unflagged)
+
+    def test_any_flagged_row_stays_out_of_the_agreement(self, small_ds,
+                                                        tmp_path, monkeypatch):
+        # an in-range rate with a flag other than out_of_range
+        def flag_odd_frames(frame, *args):
+            result = real_pipeline(frame, *args)
+            calls.append(frame)
+            if len(calls) % 2:
+                return result
+            flagged = HrEstimate(result.hr.bpm, flags=("period_mismatch",))
+            return dataclasses.replace(result, hr=flagged)
+
+        real_pipeline, calls = cli.hr_pipeline, []
+        monkeypatch.setattr(cli, "hr_pipeline", flag_odd_frames)
+        out = tmp_path / "out"
+        assert main(["hr", str(small_ds), "--out", str(out)]) == 0
+        report = json.loads((out / "hr_report.json").read_text())
+        rows = [row for entry in report["subjects"].values()
+                for row in entry["frames"]]
+        assert [row["flags"] for row in rows] == [
+            [], ["period_mismatch"]] * 3
+        assert all("bpm_ecg" in row for row in rows)
+        assert report["agreement"]["n"] == 3
 
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         assert main(["hr", str(tmp_path / "nope")]) == 1
@@ -948,20 +972,46 @@ class TestUnreadFlags:
         report = json.loads((out / "hr_report.json").read_text())
         assert report["config"]["wavelet"] == "morse"
 
-    @pytest.mark.parametrize("flag", ["method", "wavelet", "frames"])
+    @pytest.mark.parametrize("flag", ["method", "wavelet", "frames",
+                                      "formula"])
     def test_bp_analysis_flag_needs_features_from_audio(self, flag, tmp_path,
                                                          capsys):
         # the dataset does not exist: the flag is rejected before loading
         argv = {"method": ["--method", "hilbert"],
                 "wavelet": ["--config", write_cfg(tmp_path, "method = wes\n"),
                             "--wavelet", "bump"],
-                "frames": ["--frames", "2"]}[flag]
+                "frames": ["--frames", "2"],
+                "formula": ["--formula", "eq7"]}[flag]
         out = tmp_path / "out"
         assert main(["bp", "predict", str(tmp_path / "nope"), *argv,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: --{flag} is only used with --features-from-audio\n")
         assert not out.exists()
+
+    def test_units_flag_refused_with_coeffs(self, tmp_path, capsys):
+        # the coefficients file names its own units; the dataset does not
+        # exist, so the flag is rejected before anything loads
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(tmp_path / "nope"), "--coeffs",
+                     str(tmp_path / "c.json"), "--units", "ms",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --units is only used without --coeffs\n")
+        assert not out.exists()
+
+    def test_config_file_units_and_formula_accepted_with_coeffs(
+            self, small_ds, tmp_path):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(BpCoefficients.reference().to_json_dict()))
+        config = write_cfg(tmp_path, "units = ms\nformula = eq7\n")
+        out = tmp_path / "out"
+        assert main(["bp", "predict", str(small_ds), "--coeffs", str(coeffs),
+                     "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "bp_predictions.json").read_text())
+        assert (report["config"]["units"], report["config"]["formula"]) == (
+            "ms", "eq7")
+        assert sorted(report["predictions"]) == ["s01", "s02", "s03"]
 
     def test_bp_analysis_flags_used_from_audio(self, small_ds, tmp_path):
         out = tmp_path / "out"

@@ -186,6 +186,11 @@ class TestHrFromPcg:
         assert est.bpm == pytest.approx(bpm)
         assert est.accepted is accepted
 
+    def test_any_flag_rejects_the_estimate(self):
+        # in range, but flagged: acceptance means no flag of any kind
+        assert HrEstimate(72.0).accepted
+        assert not HrEstimate(72.0, flags=("period_mismatch",)).accepted
+
 
 class TestHrPipeline:
 
