@@ -18,7 +18,13 @@ from pcgkit import (
     segment_frames,
 )
 from pcgkit import core
-from pcgkit.core import LOWPASS_ORDER, _butter_lowpass_sos, _lowpass_plan
+from pcgkit.core import (
+    LOWPASS_ORDER,
+    _antialias_fir,
+    _butter_lowpass_sos,
+    _lowpass_plan,
+    _next_fast_len,
+)
 from pcgkit.errors import DegenerateSignalError, PcgKitError, TooShortError
 
 
@@ -124,6 +130,11 @@ class TestDetrend:
         out = detrend(sig([7.25] * 64))
         assert np.max(np.abs(out.samples)) < 1e-12
 
+    @pytest.mark.parametrize("values", [[5.0], [1.0, 3.0]])
+    def test_shortest_signals(self, values):
+        # one sample has no slope to fit; two fit their line exactly
+        assert detrend(sig(values)).samples.tolist() == [0.0] * len(values)
+
     def test_sine_plus_ramp_leaves_detrended_sine(self):
         n = 500
         t = np.arange(n) / 100.0
@@ -198,6 +209,39 @@ class TestResample:
         err = np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(a**2))
         assert err < 0.02
 
+    @pytest.mark.parametrize("freq, target, passes", [
+        (600.0, 2000.0, True), (900.0, 2000.0, False),
+        (600.0, 2205.0, True)])
+    def test_documented_pass_and_stop_bands(self, tone, freq, target, passes):
+        # below 0.6 of the limiting Nyquist within 1%; above 0.9 of the
+        # new Nyquist at least 40 dB down
+        out = resample_rational(tone(freq, 1.0, 44100.0), target)
+        x = out.samples[300:-300]
+        rms = np.sqrt(np.mean(x ** 2)) * np.sqrt(2.0)
+        if passes:
+            assert abs(rms - 1.0) < 0.01
+        else:
+            assert rms < 0.01
+
+    def test_filter_is_odd_and_symmetric(self):
+        # 4000 -> 2000 Hz is a design whose Kaiser estimate is even
+        h = _antialias_fir(1, 2, 4000.0)
+        assert len(h) % 2 == 1
+        assert np.array_equal(h, h[::-1])
+
+    def test_target_rate_checked_first(self):
+        with pytest.raises(PcgKitError, match="target_rate_hz must be > 0"):
+            resample_rational(sig(np.ones(100), 1.0), 0.0)
+
+    def test_sub_hertz_target(self):
+        out = resample_rational(sig(np.ones(100), 1.0), 0.5)
+        assert (len(out), out.rate_hz) == (50, 0.5)
+
+    def test_denominator_limit_is_10000(self):
+        with pytest.raises(PcgKitError,
+                           match="not representable with denominator"):
+            resample_rational(sig(np.ones(20002), 10001.0), 1.0)
+
     def test_irrational_ratio_raises(self, tone):
         s = tone(50.0, 0.5, 2000.0)
         with pytest.raises(PcgKitError,
@@ -255,6 +299,13 @@ class TestFrames:
         assert [f.samples[0] for f in frames] == [1.0, 4001.0, 8001.0]
         assert frames[1].samples[0] == s.samples[4000]
 
+    @pytest.mark.parametrize("n, frame_len_s, rate, lengths", [
+        (4000, 4.0, 1000.0, [4000]), (7999, 4.0, 1000.0, [4000]),
+        (5, 0.02, 100.0, [2, 2])])
+    def test_exact_and_shortest_frames(self, n, frame_len_s, rate, lengths):
+        frames = segment_frames(SampledSignal(np.ones(n), rate), frame_len_s)
+        assert [len(f) for f in frames] == lengths
+
     def test_too_short_raises(self):
         s = SampledSignal(np.ones(5000), 1000.0)
         with pytest.raises(TooShortError):
@@ -303,6 +354,18 @@ class TestZeroPhaseLowpass:
         with pytest.raises(PcgKitError,
                            match=r"cutoff 50.0 Hz outside \(0, 50.0\)"):
             butterworth_lowpass_zero_phase(s, 50.0)
+
+    def test_zero_cutoff_raises(self):
+        s = SampledSignal(np.ones(100), 100.0)
+        with pytest.raises(PcgKitError,
+                           match=r"cutoff 0.0 Hz outside \(0, 50.0\)"):
+            butterworth_lowpass_zero_phase(s, 0.0)
+
+    def test_next_fast_len_is_scipys(self):
+        from scipy.fft import next_fast_len
+        for real in (False, True):
+            assert [_next_fast_len(n, real) for n in range(1, 3000)] == \
+                [next_fast_len(n, real) for n in range(1, 3000)]
 
 
 class TestLowpassAgainstScipy:
@@ -449,6 +512,17 @@ class TestSectionSolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_decay_of_exactly_max_samples_is_planned(self, monkeypatch):
+        # the slowest pole pair's radius sets the samples to decay to eps
+        radius = math.sqrt(_butter_lowpass_sos(21.5, 1000.0)[:, 5].max())
+        eps = np.finfo(np.float64).eps
+        decay = math.ceil(math.log(eps) / math.log(radius))
+        monkeypatch.setattr(core, "MAX_SAMPLES", decay)
+        _lowpass_plan(21.5, 1000.0, 37)
+        monkeypatch.setattr(core, "MAX_SAMPLES", decay - 1)
+        with pytest.raises(PcgKitError, match="decay"):
+            _lowpass_plan(21.5, 1000.0, 38)
 
     @pytest.mark.parametrize("cutoff", [1e-310, 1e-320, 5e-324])
     def test_plan_refuses_a_subnormal_cutoff(self, cutoff):

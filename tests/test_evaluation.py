@@ -73,6 +73,12 @@ class TestPearson:
         with pytest.raises(PcgKitError, match="equal-length"):
             pearson_r((1.0, 2.0), (1.0, 2.0, 3.0))
 
+    def test_either_side_must_be_one_dimensional(self):
+        column, row = [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]
+        for x, y in ((column, row), (row, column)):
+            with pytest.raises(PcgKitError, match="equal-length 1-D"):
+                pearson_r(x, y)
+
 
 class TestErrorMetrics:
 
@@ -107,6 +113,12 @@ class TestErrorMetrics:
     def test_length_mismatch_raises(self):
         with pytest.raises(PcgKitError, match="equal-length"):
             error_metrics((1.0, 2.0, 3.0), (1.0, 2.0))
+
+    def test_two_pairs_suffice(self):
+        em = error_metrics((1.0, 3.0), (0.0, 0.0))
+        assert (em.mae, em.bias_mean) == (2.0, 2.0)
+        assert em.rmse == pytest.approx(np.sqrt(5.0))
+        assert em.bias_sd == pytest.approx(np.sqrt(2.0))
 
 
 class TestSubjectAggregate:

@@ -86,6 +86,12 @@ class TestHrFromEcg:
         with pytest.raises(PcgKitError, match="found 1 R-peaks, need >= 2"):
             hr_from_ecg_frame(SampledSignal(x, ECG_RATE))
 
+    def test_two_peaks_give_a_rate(self):
+        x = np.zeros(500)
+        x[[100, 300]] = 1.0
+        est = hr_from_ecg_frame(SampledSignal(x, ECG_RATE))
+        assert est.bpm == pytest.approx(60.0 * ECG_RATE / 200)
+
     def test_raw_frame_gives_the_rate_of_its_conditioned_frame(self):
         # oracle: R-peaks of the detrended, max-abs normalized frame
         for raw in RAW_ECG_FRAMES:
@@ -160,6 +166,8 @@ class TestHrFromPcg:
             hr_from_pcg(seg_with(0.0, 0.5))
         with pytest.raises(PcgKitError, match="intervals must be positive"):
             hr_from_pcg(seg_with(0.3, -0.1))
+        with pytest.raises(PcgKitError, match="intervals must be positive"):
+            hr_from_pcg(seg_with(0.3, 0.0))
 
     def test_formula_ratio_identity(self):
         # EQ7 / CYCLE = (a + b)^2 / (2ab), which is >= 1 by AM-GM

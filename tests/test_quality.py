@@ -23,6 +23,7 @@ from pcgkit import (
     nrmse_wes_vs_es,
     snr_frame,
 )
+from pcgkit.quality import peak_windows
 
 RATE = 2000.0
 
@@ -68,6 +69,19 @@ class TestFftBand:
     def test_short_frame_raises(self):
         with pytest.raises(TooShortError):
             fft_band(tone_frame([100.0], duration_s=0.1))
+
+    def test_256_samples_suffice(self):
+        frame = tone_frame([125.0], duration_s=256 / RATE)
+        with pytest.raises(TooShortError):
+            fft_band(frame.with_samples(frame.samples[:255]))
+        low, high = fft_band(frame)
+        assert low <= 125.0 <= high
+
+    def test_band_is_scale_free(self):
+        # the threshold is relative, so a faint frame gives the same band
+        frame = tone_frame([100.0])
+        assert fft_band(frame.with_samples(frame.samples * 1e-6)) == \
+            fft_band(frame)
 
     def test_zero_spectrum_raises(self):
         frame = SampledSignal(np.zeros(512), RATE)
@@ -170,6 +184,22 @@ class TestSnrFrame:
         frame = SampledSignal(x, RATE)
         assert snr_frame(frame, forced_segmentation(centers)) == 60.0
 
+    @pytest.mark.parametrize("inside, outside, expected", [
+        (1.0, 0.0, 60.0),  # no noise at all
+        (0.0, 1.0, -60.0),  # no signal at all
+        (1.0, 1.0 / np.sqrt(1.5e6), 60.0),  # 61.8 dB, above the cap
+        (1e-4, 1.0, -60.0),  # -80 dB, below the floor
+        (1.0, 1.0 / np.sqrt(8e5), 10 * np.log10(8e5)),  # 59.0 dB
+        (np.sqrt(1.5e-6), 1.0, 10 * np.log10(1.5e-6)),  # -58.2 dB
+        (1.0, 0.1, 20.0),
+    ])
+    def test_levels_clamped_at_sixty_db(self, inside, outside, expected):
+        centers = [0.5, 1.5]
+        windows = peak_windows(4000, RATE, centers)
+        frame = SampledSignal(np.where(windows, inside, outside), RATE)
+        snr_db = snr_frame(frame, forced_segmentation(centers))
+        assert snr_db == pytest.approx(expected, abs=1e-9)
+
     def test_pure_noise_near_zero_db(self):
         rng = np.random.default_rng(34)
         frame = SampledSignal(rng.standard_normal(8000), RATE)
@@ -224,6 +254,13 @@ class TestFrameAndSubjectQuality:
         assert report.nrmse["morse"] == pytest.approx(0.8)
         assert report.snr_db == (22.0, 18.0, 20.0)
         assert report.per_frame_snr == (18.0, 22.0)
+
+    def test_aggregate_of_one_frame_is_that_frame(self):
+        fq = FrameQuality(band_hz=(10.0, 200.0), nrmse={"morlet": 0.6},
+                          snr_db=18.0)
+        report = aggregate_quality([fq])
+        assert (report.freq_range_hz, report.nrmse, report.snr_db) == (
+            (10.0, 200.0), {"morlet": 0.6}, (18.0, 18.0, 18.0))
 
     def test_aggregate_empty_raises(self):
         with pytest.raises(PcgKitError,

@@ -1,5 +1,6 @@
 """Synthetic PCG/ECG generation and its closed-form ground truth."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from pcgkit import (
     true_features,
 )
 from pcgkit.core import MAX_SAMPLES
-from pcgkit.synth import MAX_SNR_DB
+from pcgkit.synth import MAX_SNR_DB, _add_burst
 
 K15 = math.sqrt(2.0 * math.log(1.0 / 0.15))
 
@@ -33,7 +34,17 @@ def clean_spec(**kw):
 class TestSpecValidation:
 
     def test_defaults_accepted(self):
-        SynthSpec()
+        spec = SynthSpec()
+        assert (spec.hr_bpm, spec.t_sys_s, spec.jitter_ms, spec.snr_db,
+                spec.duration_s, spec.rate_hz, spec.seed) == (
+            75.0, 0.3, 0.0, None, 10.0, 2000.0, 0)
+
+    def test_bounds_themselves_accepted(self):
+        SynthSpec(hr_bpm=20.0)
+        SynthSpec(hr_bpm=240.0, t_sys_s=0.1)
+        SynthSpec(s2_rel_amp=1.0)
+        # exactly MAX_SAMPLES samples: 16384 s at 1024 Hz
+        SynthSpec(duration_s=MAX_SAMPLES / 1024.0, rate_hz=1024.0)
 
     @pytest.mark.parametrize("hr", [19.0, 241.0])
     def test_rate_bounds(self, hr):
@@ -46,6 +57,8 @@ class TestSpecValidation:
             SynthSpec(hr_bpm=75.0, t_sys_s=0.85)
         with pytest.raises(PcgKitError, match="t_sys_s 0.0 must be inside"):
             SynthSpec(t_sys_s=0.0)
+        with pytest.raises(PcgKitError, match="t_sys_s 1.0 must be inside"):
+            SynthSpec(hr_bpm=60.0, t_sys_s=1.0)
 
     def test_relative_amplitude_range(self):
         with pytest.raises(PcgKitError, match="s2_rel_amp must be in"):
@@ -123,6 +136,25 @@ class TestEventPlacement:
         for t in truth.s1_times + truth.s2_times:
             assert 0.0 <= t < 10.0
 
+    def test_event_at_the_end_is_outside(self):
+        # 4.0 + 0.3 rounds to 4.3 exactly: that S2 lies at duration_s
+        _, truth = generate_pcg(clean_spec(duration_s=4.3))
+        assert truth.s1_times == (0.0, 1.0, 2.0, 3.0, 4.0)
+        assert truth.s2_times == tuple(k + 0.3 for k in range(4))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_cycle_starts_at_duration(self, seed):
+        # a cycle starting at 4.0 s would add an S1 for a negative jitter
+        _, truth = generate_pcg(clean_spec(duration_s=4.0, jitter_ms=5.0,
+                                           seed=seed))
+        assert max(truth.s1_times) < 3.5
+
+    def test_zero_jitter_draws_nothing_before_the_noise(self):
+        clean, _ = generate_pcg(clean_spec())
+        noisy, _ = generate_pcg(clean_spec(snr_db=10.0))
+        first = np.random.default_rng(0).standard_normal(len(clean.samples))
+        assert np.corrcoef(noisy.samples - clean.samples, first)[0, 1] > 0.999
+
 
 class TestPcgWaveform:
 
@@ -131,6 +163,13 @@ class TestPcgWaveform:
         sig, _ = generate_pcg(clean_spec())
         assert sig.samples[2000] == 1.0
         assert sig.samples[600] == 0.6
+
+    def test_burst_support_is_six_sigma_of_the_wider_side(self):
+        # binary-exact times: sigma 1/128 s and a 1.5 decay ratio give a
+        # 0.0703125 s support, 72 samples at 1024 Hz, either side
+        x = np.zeros(256)
+        _add_burst(x, 1024.0, 0.125, 50.0, 1.0, 1 / 128, 1.5)
+        assert np.flatnonzero(x).tolist() == list(range(56, 201))
 
     def test_signal_metadata(self):
         sig, _ = generate_pcg(clean_spec())
@@ -206,6 +245,21 @@ class TestEcg:
         assert float(np.max(np.abs(quiet))) <= 0.16
         assert float(np.max(np.abs(quiet))) > 0.1
 
+    def test_r_at_time_zero_is_kept(self):
+        _, r_times = generate_ecg(clean_spec(pr_offset_s=1.0, duration_s=3.0))
+        assert r_times == (0.0, 1.0)
+
+    def test_spike_support_stops_short_of_six_widths(self):
+        # at 120 bpm one sample lies exactly 6 spike widths from an R
+        sig, r_times = generate_ecg(clean_spec(hr_bpm=120.0, t_sys_s=0.2,
+                                               duration_s=3.0))
+        t = np.arange(len(sig.samples)) / sig.rate_hz
+        ties = [k for r in r_times
+                for k in np.flatnonzero(np.abs((t - r) / 0.010) == 6)]
+        assert ties
+        wander = 0.15 * np.sin(2 * np.pi * 0.3 * t[ties] + 0.5)
+        assert np.allclose(sig.samples[ties], wander, rtol=0, atol=1e-12)
+
     def test_spikes_rise_above_wander(self):
         sig, _ = generate_ecg(clean_spec())
         assert float(np.max(sig.samples)) > 0.8
@@ -255,6 +309,29 @@ class TestCohort:
         assert any(r != 0.0 for r in sbp_resid)
         assert 2.0 < float(np.std(sbp_resid)) < 12.0
         assert 1.5 < float(np.std(dbp_resid)) < 10.0
+
+    def test_small_target_noise_is_centered(self):
+        coeffs = default_cohort_coefficients()
+        noisy = generate_cohort(n_subjects=40, seed=5, sbp_noise_sd=0.01,
+                                dbp_noise_sd=0.01)
+        for side, predict in (("sbp_ref", predict_sbp),
+                              ("dbp_ref", predict_dbp)):
+            resid = [getattr(s, side) - predict(s.features, coeffs)
+                     for s in noisy]
+            assert all(r != 0.0 for r in resid)
+            assert abs(float(np.mean(resid))) < 0.01
+
+    def test_given_coefficients_set_the_targets(self):
+        coeffs = default_cohort_coefficients()
+        shifted = dataclasses.replace(coeffs, c1=coeffs.c1 + 50.0)
+        for subject in generate_cohort(n_subjects=3, coeffs=shifted):
+            assert subject.sbp_ref == predict_sbp(subject.features, shifted)
+
+    def test_default_arguments(self):
+        # the synth command falls back on these for a flag it is not given
+        assert generate_cohort() == generate_cohort(
+            n_subjects=15, seed=0, duration_s=60.0, jitter_ms=2.0,
+            snr_db=25.0)
 
     def test_seed_determinism(self):
         assert generate_cohort(seed=6) == generate_cohort(seed=6)
