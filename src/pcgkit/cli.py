@@ -41,7 +41,7 @@ from .io import (
     write_subject_dir,
 )
 from .plots import write_scatter_svg
-from .quality import aggregate_quality, frame_quality
+from .quality import aggregate_quality, frame_qualities
 from .segmentation import BASELINE_FRAC, PEAK_DISTANCE_S, PEAK_HEIGHT_FRAC
 from .synth import (
     CohortRanges,
@@ -432,27 +432,24 @@ def _usable_cpus():
 def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR.
 
-    Frame quality runs on a thread pool of one worker per usable CPU while
-    the main thread segments the next frames; its ``numpy.fft`` transforms
-    and array arithmetic release the interpreter lock. Results are taken in
-    frame order, so the reports are identical at any worker count.
+    Each subject's frames go through :func:`frame_qualities` on a thread
+    pool of one worker per usable CPU, which runs one wavelet family at a
+    time over them: the first while the main thread segments the frames,
+    the others after it. Its ``numpy.fft`` transforms and array arithmetic
+    release the interpreter lock. Results are taken in frame order, so the
+    reports are identical at any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     config = resolve_config(args)
     table = {}
 
-    def quality_of(result):
-        if isinstance(result, PcgKitError):
-            return None
-        try:
-            return frame_quality(result.normalized, result.segmentation)
-        except PcgKitError:
-            return None
-
     def analyze(record):
-        results = list(pool.map(quality_of, _frame_results(record, config)))
-        qualities = [q for q in results if q is not None]
+        frames = ((r.normalized, r.segmentation)
+                  if not isinstance(r, PcgKitError) else r
+                  for r in _frame_results(record, config))
+        results = frame_qualities(frames, pool)
+        qualities = [q for q in results if not isinstance(q, PcgKitError)]
         if not qualities:
             raise PcgKitError("no frame survived segmentation")
         agg = aggregate_quality(qualities)

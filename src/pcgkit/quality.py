@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSignalError, PcgKitError, TooShortError
-from .wavelets import WaveletKind, wes
+from .wavelets import WaveletKind, held_kind, hold_bank, wes
 
 __all__ = [
     "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "snr_frame",
-    "FrameQuality", "frame_quality", "QualityReport", "aggregate_quality",
+    "FrameQuality", "frame_quality", "frame_qualities", "QualityReport",
+    "aggregate_quality",
 ]
 
 SNR_CAP_DB = 60.0
@@ -138,21 +139,119 @@ class FrameQuality:
 def frame_quality(frame, seg):
     """Band, per-wavelet energy-track error, and SNR for one frame.
 
-    Runs :func:`fft_band`, :func:`wes` for every :class:`WaveletKind` in
-    declaration order and :func:`snr_frame`. The wavelet and sample
-    energy tracks are each normalized to unit total energy before
-    comparison, making the error a pure shape mismatch independent of the
-    methods' arbitrary gains.
+    The one-frame case of :func:`frame_qualities`.
+
+    Raises
+    ------
+    PcgKitError
+        The first error a measure raised.
     """
-    band = fft_band(frame)
+    result, = frame_qualities([(frame, seg)])
+    if isinstance(result, PcgKitError):
+        raise result
+    return result
+
+
+class _Ready:
+    """A call made at once, in the shape of the future an executor returns."""
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
+
+
+@dataclass
+class _Measures:
+    """A frame's measures so far.
+
+    ``nrmse`` maps each family to its future, then to that future's result.
+    """
+
+    frame: object
+    seg: object
+    band_hz: tuple
+    es_n: np.ndarray
+    nrmse: dict
+
+
+def _begin(frame, seg):
+    """The frame's band and unit-energy sample energy track, or the error."""
+    try:
+        band = fft_band(frame)
+    except PcgKitError as exc:
+        return exc
     es = energy_spectrum(frame).samples
-    es_n = es / np.sqrt(np.sum(es ** 2))
-    nrmse = {}
-    for kind in WaveletKind:
+    return _Measures(frame, seg, band, es / np.sqrt(np.sum(es ** 2)), {})
+
+
+def _track_error(frame, kind, es_n):
+    """Error of the unit-energy ``kind`` energy track against ``es_n``."""
+    try:
         track = wes(frame, kind).samples
-        track_n = track / np.sqrt(np.sum(track ** 2))
-        nrmse[kind.value] = nrmse_wes_vs_es(track_n, es_n)
-    return FrameQuality(band, nrmse, snr_frame(frame, seg))
+        return nrmse_wes_vs_es(track / np.sqrt(np.sum(track ** 2)), es_n)
+    except PcgKitError as exc:
+        return exc
+
+
+def frame_qualities(frames, executor=None):
+    """Band, per-wavelet energy-track error, and SNR for each frame.
+
+    ``frames`` yields ``(frame, seg)`` pairs, or the :class:`PcgKitError`
+    of a frame that failed before; the result lists, in frame order, each
+    frame's :class:`FrameQuality` or the first error a measure raised.
+    The measures run in one order: :func:`fft_band`, then :func:`wes` for
+    every :class:`WaveletKind`, then :func:`snr_frame`, and a frame that
+    fails one skips the rest. The wavelet and sample energy tracks are each
+    normalized to unit total energy before comparison, making the error a
+    pure shape mismatch independent of the methods' arbitrary gains.
+
+    The families run one after another over all the frames, so one kernel
+    bank serves each: first the family whose bank is held, as ``frames``
+    yields each frame, then the others. ``wes`` runs on ``executor`` (in
+    this thread without one). Once every ``wes`` of the previous family
+    has ended, the bank of the first frame that reached this family is
+    made the held one, its row blocks spread over the executor; a frame of
+    another length refills the bank inside its own ``wes``. An executor
+    serves one call at a time: a refill spread over it while another
+    call's ``wes`` tasks wait in its queue could wait behind them forever.
+    """
+    submit = _Ready if executor is None else executor.submit
+    mapper = map if executor is None else executor.map
+    held = held_kind()
+    kinds = sorted(WaveletKind, key=lambda k: k is not held)
+    states = (item if isinstance(item, PcgKitError) else _begin(*item)
+              for item in frames)
+    for kind in kinds:
+        started, holding = [], False
+        for st in states:
+            if isinstance(st, _Measures):
+                if not holding:
+                    hold_bank(kind, st.frame.rate_hz, len(st.frame.samples),
+                              mapper)
+                    holding = True
+                st.nrmse[kind] = submit(_track_error, st.frame, kind, st.es_n)
+            started.append(st)
+        states = []
+        for st in started:
+            if isinstance(st, _Measures):
+                st.nrmse[kind] = st.nrmse[kind].result()
+                if isinstance(st.nrmse[kind], PcgKitError):
+                    st = st.nrmse[kind]
+            states.append(st)
+    return [st if isinstance(st, PcgKitError) else _finish(st)
+            for st in states]
+
+
+def _finish(st):
+    """The frame's :class:`FrameQuality`, or the error its SNR raised."""
+    try:
+        snr = snr_frame(st.frame, st.seg)
+    except PcgKitError as exc:
+        return exc
+    nrmse = {kind.value: st.nrmse[kind] for kind in WaveletKind}
+    return FrameQuality(st.band_hz, nrmse, snr)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,9 @@ class SynthSpec:
         if not 0 < self.t_sys_s < 60.0 / self.hr_bpm:
             raise PcgKitError(
                 f"t_sys_s {self.t_sys_s} must be inside (0, one cycle)")
+        if not 0 <= self.pr_offset_s < 60.0 / self.hr_bpm:
+            raise PcgKitError(
+                f"pr_offset_s {self.pr_offset_s} must be inside [0, one cycle)")
         if not 0 < self.s2_rel_amp <= 1:
             raise PcgKitError("s2_rel_amp must be in (0, 1]")
         for name in ("s1_freq_hz", "s2_freq_hz", "s1_sigma_ms", "s2_sigma_ms",
@@ -171,7 +174,8 @@ def generate_pcg(spec):
                    spec.s2_sigma_ms / 1000.0, spec.s2_decay_ratio)
     if spec.snr_db is not None:
         mask = peak_windows(n, spec.rate_hz, s1_times + s2_times)
-        p_signal = float(np.mean(x[mask] ** 2)) if mask.any() else float(np.mean(x ** 2))
+        # an empty mask means no event fell inside, so x is all zeros
+        p_signal = float(np.mean(x[mask] ** 2)) if mask.any() else 0.0
         noise_sd = math.sqrt(p_signal / 10 ** (spec.snr_db / 10.0))
         x = x + rng.normal(0.0, noise_sd, n)
     period = 60.0 / spec.hr_bpm

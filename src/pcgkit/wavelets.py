@@ -12,20 +12,26 @@ Two independent halves:
 
 CWT rows are computed by FFT convolution (Torrence & Compo 1998) on
 ``numpy.fft``, at the smallest 2*3*5*7*11-smooth length that holds the
-frame and the widest kernel, against a kernel bank cached per (wavelet,
-rate, frame length): repeated equal-length frames sample and transform
-the kernels once, and a lock around the build makes threads that miss
-together wait for one build rather than each make its own. The bank is
-streamed through the inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows,
-each transformed in place, and ``cwt`` streams each cropped row, in
-ladder order, to its caller's ``each_row`` callback as a view into that
-buffer: no call allocates the 64-row matrix. ``wes`` passes a callback
-that adds the row's squared magnitude into its track, so it holds the
-block buffer and two length-n tracks. The cached banks are read-only and
-every buffer is local to its call, so ``cwt`` and ``wes`` may run on
-several threads at once.
+frame and the widest kernel, against the FFT-domain kernel bank of that
+(wavelet, rate, frame length). One bank is held at a time, in one buffer:
+a call that needs another bank waits until no call is streaming the held
+one, then refills the buffer in place, ``CWT_BLOCK_ROWS`` zero-padded
+kernel rows per in-place FFT, from time-domain kernels sampled once per
+(wavelet, rate). Calls that need the held bank share it, and calls that
+miss together wait for one refill. ``hold_bank`` refills ahead of use,
+through an executor's ``map`` if given, and ``held_kind`` names the held
+family, so a caller that runs several families can run them one after
+another, the held one first. The bank is streamed through the inverse
+FFT in blocks of ``CWT_BLOCK_ROWS`` rows, each transformed in place, and
+``cwt`` streams each cropped row, in ladder order, to its caller's
+``each_row`` callback as a view into that buffer: no call allocates the
+64-row matrix. ``wes`` passes a callback that adds the row's squared
+magnitude into its track, so it holds the block buffer and two length-n
+tracks. A lent bank is read-only and every other buffer is local to its
+call, so ``cwt`` and ``wes`` may run on several threads at once.
 """
 
+import contextlib
 import enum
 import functools
 import math
@@ -271,28 +277,115 @@ def _fft_of_real(x, n):
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _build_kernel_bank(kind, rate_hz, n_sig):
-    """FFT-domain ``(bank_h, offsets, length)``, shared and read-only."""
-    kernels = [sample_wavelet(kind, sc) for sc in _scale_ladder(kind, rate_hz)]
+@functools.lru_cache(maxsize=len(WaveletKind))
+def _kernels(kind, rate_hz):
+    """Conjugated, time-reversed kernels of the ladder and their centres.
+
+    ``(kernels, offsets)``: the read-only rows a bank transforms, and each
+    row's centre ``len // 2``. Sampled once per ``(kind, rate_hz)``, so a
+    rebuilt bank samples nothing; all three families at 2000 Hz hold
+    4.9 MB.
+    """
+    kernels = []
+    for sc in _scale_ladder(kind, rate_hz):
+        w = np.conj(sample_wavelet(kind, sc))[::-1]
+        w.flags.writeable = False
+        kernels.append(w)
     offsets = np.array([len(w) // 2 for w in kernels])
-    length = _next_fast_len(n_sig + 2 * int(offsets.max()))
-    bank_h = np.empty((len(kernels), length), dtype=complex)
-    for i, w in enumerate(kernels):
-        np.fft.fft(np.conj(w)[::-1], length, out=bank_h[i])
-    bank_h.flags.writeable = offsets.flags.writeable = False
-    return bank_h, offsets, length
+    offsets.flags.writeable = False
+    return tuple(kernels), offsets
 
 
-# lru_cache does not lock while it fills a miss, so without this lock
-# threads that miss together would each build (and hold) the same bank.
-_BANK_LOCK = threading.Lock()
+class _HeldBank:
+    """The one FFT-domain kernel bank kept, in one buffer refilled in place.
+
+    A lease on ``(kind, rate_hz, n_sig)`` lends the bank for those
+    arguments. Leases on the held key run together. A lease on another key
+    waits until no lease is open, then refills the buffer in place, which
+    grows only for a larger bank, and holds the new key; no key is held
+    during the refill, so every other lease waits for it. Leases must not
+    nest on one thread, or a switch inside one waits forever for the
+    outer one to close.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._buf = np.empty(0, dtype=complex)
+        self._bank = self._offsets = None
+        self.key = None
+        self._readers = 0
+
+    @contextlib.contextmanager
+    def lease(self, kind, rate_hz, n_sig, mapper=map):
+        """Lend the bank as ``(bank_h, offsets, length)``, read-only.
+
+        A refill's row blocks are transformed through ``mapper``, so passing
+        an executor's ``map`` spreads them over its threads; no task that
+        leases a bank may be queued on that executor meanwhile.
+        """
+        key = (kind, rate_hz, n_sig)
+        with self._cond:
+            while self.key != key and self._readers:
+                self._cond.wait()
+            self._readers += 1
+            refill = self.key != key
+            if refill:
+                self.key = None
+        try:
+            if refill:
+                self._refill(key, mapper)
+                with self._cond:
+                    self.key = key
+                    self._cond.notify_all()
+            yield self._bank, self._offsets, self._bank.shape[1]
+        finally:
+            with self._cond:
+                self._readers -= 1
+                self._cond.notify_all()
+
+    def _refill(self, key, mapper):
+        kind, rate_hz, n_sig = key
+        kernels, offsets = _kernels(kind, rate_hz)
+        length = _next_fast_len(n_sig + 2 * int(offsets.max()))
+        size = len(kernels) * length
+        if self._buf.size < size:
+            self._bank = None
+            self._buf = np.empty(0, dtype=complex)  # free the old one first
+            self._buf = np.empty(size, dtype=complex)
+        bank = self._buf[:size].reshape(len(kernels), length)
+
+        def fill(b0):
+            block = bank[b0:b0 + CWT_BLOCK_ROWS]
+            block.fill(0)
+            for row, w in zip(block, kernels[b0:b0 + CWT_BLOCK_ROWS]):
+                row[:len(w)] = w
+            np.fft.fft(block, axis=1, out=block)
+
+        for _ in mapper(fill, range(0, len(kernels), CWT_BLOCK_ROWS)):
+            pass
+        self._bank = bank.view()
+        self._bank.flags.writeable = False
+        self._offsets = offsets
 
 
-def _kernel_bank(kind, rate_hz, n_sig):
-    """The cached bank for these arguments, built at most once."""
-    with _BANK_LOCK:
-        return _build_kernel_bank(kind, rate_hz, n_sig)
+_BANK = _HeldBank()
+
+
+def hold_bank(kind, rate_hz, n_sig, mapper=map):
+    """Make the bank ``cwt`` uses for these arguments the held one.
+
+    Waits for open leases on another bank, then refills the buffer with
+    its row blocks transformed through ``mapper``; see
+    :meth:`_HeldBank.lease`. A no-op when that bank is already held.
+    """
+    with _BANK.lease(kind, rate_hz, n_sig, mapper):
+        pass
+
+
+def held_kind():
+    """The :class:`WaveletKind` of the held bank, or None if none is held."""
+    key = _BANK.key
+    return None if key is None else key[0]
 
 
 def cwt(s, kind, *, each_row):
@@ -303,8 +396,9 @@ def cwt(s, kind, *, each_row):
     1/sqrt(scale) normalization), zero-padded at the frame boundaries.
     Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
     the call, each equal to the row of one full-bank transform, and
-    streamed to ``each_row``; none is kept. The shared kernel bank is
-    only read, so concurrent calls are safe.
+    streamed to ``each_row``; none is kept. The call holds a lease on the
+    kernel bank for its arguments until it returns, so concurrent calls
+    are safe, and a call for another bank waits for it.
 
     Parameters
     ----------
@@ -316,20 +410,21 @@ def cwt(s, kind, *, each_row):
         ``i``-th row of length ``len(s)`` as a view into the block
         buffer, valid only during that call. The call holds only the
         block buffer (``CWT_BLOCK_ROWS`` rows of the bank length) and the
-        signal's spectrum.
+        signal's spectrum. It must not call ``cwt`` or ``wes`` for another
+        bank, which would wait for this call to end.
     """
     n = len(s.samples)
-    bank_h, offsets, length = _kernel_bank(kind, s.rate_hz, n)
-    spectrum = _fft_of_real(s.samples, length)
-    n_rows = len(offsets)
-    buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
-    for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
-        offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
-        block = buf[:len(offs)]
-        np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
-        np.fft.ifft(block, axis=1, out=block)
-        for j, off in enumerate(offs):
-            each_row(b0 + j, block[j, off:off + n])
+    with _BANK.lease(kind, s.rate_hz, n) as (bank_h, offsets, length):
+        spectrum = _fft_of_real(s.samples, length)
+        n_rows = len(offsets)
+        buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
+        for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
+            offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
+            block = buf[:len(offs)]
+            np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
+            np.fft.ifft(block, axis=1, out=block)
+            for j, off in enumerate(offs):
+                each_row(b0 + j, block[j, off:off + n])
 
 
 def wes(s, kind):

@@ -8,6 +8,7 @@ import shutil
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -26,13 +27,14 @@ from pcgkit import (
     UnitConvention,
     WaveletKind,
     __version__,
-    frame_quality,
     generate_pcg,
     read_wav_pcm16,
     write_subject_dir,
     write_wav_pcm16,
 )
 from pcgkit import cli
+from pcgkit import quality as pcgkit_quality
+from pcgkit import wavelets as pcgkit_wavelets
 from pcgkit import hr as pcgkit_hr
 from pcgkit import io as pcgkit_io
 from pcgkit.cli import (
@@ -780,9 +782,9 @@ class TestQualityPool:
 
         def recording(*args, **kwargs):
             threads.add(threading.current_thread())
-            return frame_quality(*args, **kwargs)
+            return pcgkit_wavelets.wes(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "frame_quality", recording)
+        monkeypatch.setattr(pcgkit_quality, "wes", recording)
         payloads = {}
         for workers in (1, 3):
             threads.clear()
@@ -801,6 +803,51 @@ class TestQualityPool:
         assert report["errors"] == {}
         assert report["subjects"]["silent"]["n_failed"] == 1
         assert len(report["subjects"]) == 4
+
+    def test_cwt_thrice_and_hr_pipeline_once_per_frame(self, small_ds,
+                                                       tmp_path, monkeypatch):
+        # the call counts perfbench/smoke.py asserts on this cohort: each
+        # wavelet family's cwt and one analysis per 4 s frame
+        cwt_kinds, hr_calls = [], []
+        real_cwt, real_hr = pcgkit_wavelets.cwt, cli.hr_pipeline
+
+        def counting_cwt(s, kind, **kwargs):
+            cwt_kinds.append(kind)
+            return real_cwt(s, kind, **kwargs)
+
+        def counting_hr(*args):
+            hr_calls.append(args)
+            return real_hr(*args)
+
+        monkeypatch.setattr(pcgkit_wavelets, "cwt", counting_cwt)
+        monkeypatch.setattr(cli, "hr_pipeline", counting_hr)
+        assert main(["quality", str(small_ds), "--out", str(tmp_path)]) == 0
+        frames = 3 * 2
+        assert len(hr_calls) == frames
+        assert len(cwt_kinds) == 3 * frames
+        assert {k: cwt_kinds.count(k) for k in WaveletKind} == dict.fromkeys(
+            WaveletKind, frames)
+
+    def test_peak_memory_holds_one_bank(self, small_ds, tmp_path,
+                                        monkeypatch):
+        # Bound set before measuring: the largest bank, Bump's for a 4 s
+        # frame (64 rows of 20736 complex, 21.2 MB), plus a 16 MiB margin
+        # for the kernels of all three families (4.9 MB), one 8-row block
+        # buffer per worker (2.7 MB each), a frame's spectra and tracks,
+        # and the cohort's records, frames and reports. All three banks
+        # together (43.8 MB) exceed it.
+        monkeypatch.setattr(pcgkit_wavelets, "_BANK",
+                            pcgkit_wavelets._HeldBank())
+        pcgkit_wavelets._kernels.cache_clear()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            assert main(["quality", str(small_ds), "--out",
+                         str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 20736 * 16 + 16 * 2 ** 20
 
 
 class TestStreaming:

@@ -1,5 +1,7 @@
 """Band estimation, energy tracks, NRMSE, and SNR."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pcgkit import (
     SampledSignal,
     SynthSpec,
     TooShortError,
+    WaveletKind,
     aggregate_quality,
     energy_spectrum,
     fft_band,
@@ -22,8 +25,10 @@ from pcgkit import (
     normalize_max_abs,
     nrmse_wes_vs_es,
     snr_frame,
+    wes,
 )
-from pcgkit.quality import peak_windows
+from pcgkit import wavelets
+from pcgkit.quality import frame_qualities, peak_windows
 
 RATE = 2000.0
 
@@ -266,3 +271,100 @@ class TestFrameAndSubjectQuality:
         with pytest.raises(PcgKitError,
                            match="no frame qualities to aggregate"):
             aggregate_quality([])
+
+
+def direct_quality(frame, seg):
+    """One frame's measures in declaration order, each called directly.
+
+    The body ``frame_quality`` had before the families ran one at a time
+    over many frames; ``frame_qualities`` must reproduce it exactly.
+    """
+    band = fft_band(frame)
+    es = energy_spectrum(frame).samples
+    es_n = es / np.sqrt(np.sum(es ** 2))
+    nrmse = {}
+    for kind in WaveletKind:
+        track = wes(frame, kind).samples
+        nrmse[kind.value] = nrmse_wes_vs_es(
+            track / np.sqrt(np.sum(track ** 2)), es_n)
+    return FrameQuality(band, nrmse, snr_frame(frame, seg))
+
+
+class TestFrameQualities:
+    """Many frames, one wavelet family at a time over all of them."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        rng = np.random.default_rng(21)
+
+        def noise(n):
+            return SampledSignal(rng.standard_normal(n), RATE)
+
+        seg = forced_segmentation([0.1, 0.3])
+        return [
+            (noise(1000), seg),
+            PcgKitError("failed before"),
+            (noise(200), seg),  # too short for the band
+            (noise(777), seg),  # another length, so another bank
+            (noise(400), forced_segmentation([50.0, 51.0])),  # no SNR window
+            (noise(1000), seg),
+        ]
+
+    @pytest.fixture
+    def cwt_kinds(self, monkeypatch):
+        kinds = []
+        real_cwt = wavelets.cwt
+
+        def counting(s, kind, **kwargs):
+            kinds.append(kind)
+            return real_cwt(s, kind, **kwargs)
+
+        monkeypatch.setattr(wavelets, "cwt", counting)
+        return kinds
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("held", [None, *WaveletKind],
+                             ids=lambda k: getattr(k, "value", k))
+    def test_equals_each_frame_measured_directly(self, items, held, workers,
+                                                 monkeypatch):
+        monkeypatch.setattr(wavelets, "_BANK", wavelets._HeldBank())
+        if held is not None:
+            wavelets.hold_bank(held, RATE, 1000)
+        if workers is None:
+            got = frame_qualities(iter(items))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                got = frame_qualities(iter(items), pool)
+        assert len(got) == len(items)
+        for item, result in zip(items, got):
+            if isinstance(item, PcgKitError):
+                assert result is item
+                continue
+            try:
+                expected = direct_quality(*item)
+            except PcgKitError as exc:
+                assert type(result) is type(exc)
+                assert str(result) == str(exc)
+            else:
+                assert result == expected
+                assert list(result.nrmse) == [k.value for k in WaveletKind]
+
+    def test_held_family_runs_first_over_every_frame(self, items,
+                                                     cwt_kinds):
+        # four frames reach the wavelets; the SNR of one fails after them
+        wavelets.hold_bank(WaveletKind.MORSE, RATE, 1000)
+        frame_qualities(items)
+        assert cwt_kinds == [WaveletKind.MORSE] * 4 + [
+            WaveletKind.MORLET] * 4 + [WaveletKind.BUMP] * 4
+        assert wavelets.held_kind() is WaveletKind.BUMP
+
+    def test_frame_quality_raises_the_first_error(self, cwt_kinds):
+        frame = SampledSignal(np.ones(400), RATE)
+        with pytest.raises(PcgKitError,
+                           match="no samples fall inside peak windows"):
+            frame_quality(frame, forced_segmentation([50.0, 51.0]))
+        assert len(cwt_kinds) == 3
+        with pytest.raises(TooShortError):
+            frame_quality(SampledSignal(np.ones(200), RATE),
+                          forced_segmentation([0.05]))
+        assert len(cwt_kinds) == 3

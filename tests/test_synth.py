@@ -60,6 +60,15 @@ class TestSpecValidation:
         with pytest.raises(PcgKitError, match="t_sys_s 1.0 must be inside"):
             SynthSpec(hr_bpm=60.0, t_sys_s=1.0)
 
+    @pytest.mark.parametrize("offset", [math.nan, 1e9, -5.0, 0.8])
+    def test_pr_offset_must_fit_in_cycle(self, offset):
+        # 75 bpm cycle is 0.8 s
+        with pytest.raises(PcgKitError, match=f"pr_offset_s {offset} must be"):
+            SynthSpec(pr_offset_s=offset)
+
+    def test_zero_pr_offset_accepted(self):
+        assert SynthSpec(pr_offset_s=0.0).pr_offset_s == 0.0
+
     def test_relative_amplitude_range(self):
         with pytest.raises(PcgKitError, match="s2_rel_amp must be in"):
             SynthSpec(s2_rel_amp=0.0)
@@ -246,8 +255,11 @@ class TestEcg:
         assert float(np.max(np.abs(quiet))) > 0.1
 
     def test_r_at_time_zero_is_kept(self):
-        _, r_times = generate_ecg(clean_spec(pr_offset_s=1.0, duration_s=3.0))
-        assert r_times == (0.0, 1.0)
+        # S1 at 0, 1 and 2 s; an R before time zero is dropped
+        _, r_times = generate_ecg(clean_spec(pr_offset_s=0.0, duration_s=3.0))
+        assert r_times == (0.0, 1.0, 2.0)
+        _, r_times = generate_ecg(clean_spec(pr_offset_s=0.5, duration_s=3.0))
+        assert r_times == (0.5, 1.5)
 
     def test_spike_support_stops_short_of_six_widths(self):
         # at 120 bpm one sample lies exactly 6 spike widths from an R

@@ -1,6 +1,9 @@
+import functools
 import sys
 import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,14 +25,32 @@ def pseudo_freqs(kind, rate=RATE):
     return kind.center_freq_cycles * rate / wavelets._scale_ladder(kind, rate)
 
 
+@functools.lru_cache(maxsize=None)
+def ladder_kernels(kind, rate=RATE):
+    return tuple(sample_wavelet(kind, sc)
+                 for sc in wavelets._scale_ladder(kind, rate))
+
+
+def per_row_bank(kind, n, rate=RATE):
+    """``(bank_h, offsets, length)``, one ``fft`` per kernel row.
+
+    The bank ``cwt`` built row by row before it held one bank in a
+    buffer refilled in blocks; the refill must reproduce it exactly.
+    """
+    kernels = ladder_kernels(kind, rate)
+    offsets = [len(w) // 2 for w in kernels]
+    length = next_fast_len(n + 2 * max(offsets))
+    bank_h = np.array([np.fft.fft(np.conj(w)[::-1], length) for w in kernels])
+    return bank_h, offsets, length
+
+
 def full_matrix_cwt(s, kind):
     """Reference CWT: the whole kernel bank in one product and one ifft.
 
     This is the transform ``cwt`` computed before it streamed the bank in
     row blocks; the blocked form must reproduce it exactly.
     """
-    bank_h, offsets, length = wavelets._kernel_bank(kind, s.rate_hz,
-                                                    len(s.samples))
+    bank_h, offsets, length = per_row_bank(kind, len(s.samples), s.rate_hz)
     spectrum = fft(s.samples, length)
     rows = ifft(spectrum[None, :] * bank_h, axis=1)
     n = len(s.samples)
@@ -37,6 +58,30 @@ def full_matrix_cwt(s, kind):
     for i, off in enumerate(offsets):
         out[i] = rows[i, off:off + n]
     return out
+
+
+def fresh_bank(monkeypatch, sampled=False):
+    """Give ``cwt`` a new, empty held bank for the test's duration.
+
+    With ``sampled=False`` the time-domain kernels are sampled again too.
+    """
+    bank = wavelets._HeldBank()
+    monkeypatch.setattr(wavelets, "_BANK", bank)
+    if not sampled:
+        wavelets._kernels.cache_clear()
+    return bank
+
+
+def counting_sampler(monkeypatch):
+    """Scales ``sample_wavelet`` is called with from now on, in a list."""
+    calls = []
+
+    def counting(kind, scale):
+        calls.append(scale)
+        return sample_wavelet(kind, scale)
+
+    monkeypatch.setattr(wavelets, "sample_wavelet", counting)
+    return calls
 
 
 def streamed_rows(s, kind):
@@ -233,6 +278,26 @@ class TestWaveletKinds:
     def test_names_are_the_report_keys(self):
         assert [k.value for k in WaveletKind] == ["morlet", "morse", "bump"]
 
+    def test_spectra_peak_at_two(self):
+        morse_peak = (wavelets.MORSE_BETA / wavelets.MORSE_GAMMA) ** (
+            1.0 / wavelets.MORSE_GAMMA)
+        omega = np.linspace(0.01, 12.0, 4001)
+        for response, peak in [(wavelets._morse_freq_response, morse_peak),
+                               (wavelets._bump_freq_response,
+                                wavelets.BUMP_MU)]:
+            assert response(np.array([peak]))[0] == 2.0
+            assert response(omega).max() <= 2.0
+
+    @pytest.mark.parametrize("kind", [WaveletKind.MORSE, WaveletKind.BUMP],
+                             ids=lambda k: k.value)
+    def test_sampled_in_frequency_without_warnings(self, kind):
+        # the frequency grid starts at omega = 0, where Morse's log is not
+        # taken, and Bump's is zero outside its open support
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = sample_wavelet(kind, 16.0)
+        assert np.all(np.isfinite(w))
+
 
 class TestScaleGrid:
     def test_log_spacing_and_bounds(self):
@@ -281,14 +346,8 @@ class TestCwt:
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_kernels_sampled_once_per_length(self, monkeypatch):
-        calls = []
-
-        def counting(kind, scale):
-            calls.append(scale)
-            return sample_wavelet(kind, scale)
-
-        monkeypatch.setattr(wavelets, "sample_wavelet", counting)
-        wavelets._build_kernel_bank.cache_clear()
+        calls = counting_sampler(monkeypatch)
+        fresh_bank(monkeypatch)
         kind = WaveletKind.MORSE
         rng = np.random.default_rng(3)
         rows = []
@@ -296,11 +355,28 @@ class TestCwt:
             s = SampledSignal(rng.standard_normal(777), RATE)
             rows.append((s, streamed_rows(s, kind)))
         assert len(calls) == 64
-        bank_h, offsets, _ = wavelets._kernel_bank(kind, RATE, 777)
-        assert not bank_h.flags.writeable and not offsets.flags.writeable
-        wavelets._build_kernel_bank.cache_clear()
+        with wavelets._BANK.lease(kind, RATE, 777) as (bank_h, offsets, _):
+            assert not bank_h.flags.writeable and not offsets.flags.writeable
+        fresh_bank(monkeypatch)
         for s, coeffs in rows:
             assert np.array_equal(streamed_rows(s, kind), coeffs)
+
+    def test_kernels_sampled_once_per_kind_and_rate(self, monkeypatch):
+        # each switch of kind or length refills the bank, from kernels
+        # sampled the first time their kind and rate are seen
+        calls = counting_sampler(monkeypatch)
+        fresh_bank(monkeypatch)
+        rng = np.random.default_rng(13)
+        for kind, n in [(WaveletKind.MORSE, 777), (WaveletKind.MORSE, 1500),
+                        (WaveletKind.BUMP, 777), (WaveletKind.MORSE, 777),
+                        (WaveletKind.BUMP, 1500)]:
+            s = SampledSignal(rng.standard_normal(n), RATE)
+            assert np.array_equal(streamed_rows(s, kind),
+                                  full_matrix_cwt(s, kind))
+        assert len(calls) == 128
+        s = SampledSignal(rng.standard_normal(777), 1000.0)
+        streamed_rows(s, WaveletKind.MORSE)
+        assert len(calls) == 192
 
 
 class TestFftHelpers:
@@ -313,9 +389,12 @@ class TestFftHelpers:
             assert (core._next_fast_len(n, real=True)
                     == next_fast_len(n, real=True)), n
 
-    def test_bank_lengths_of_a_4_s_frame(self):
-        lengths = [wavelets._kernel_bank(kind, RATE, 8000)[2]
-                   for kind in ALL_KINDS]
+    def test_bank_lengths_of_a_4_s_frame(self, monkeypatch):
+        bank = fresh_bank(monkeypatch, sampled=True)
+        lengths = []
+        for kind in ALL_KINDS:
+            with bank.lease(kind, RATE, 8000) as (_, _, length):
+                lengths.append(length)
         assert lengths == [11088, 10935, 20736]
 
     # even and odd n, each equal to and longer than the input
@@ -390,7 +469,7 @@ class TestBlockedCwt:
         def drop(i, row):
             pass
 
-        cwt(s, kind, each_row=drop)  # fill the kernel-bank cache
+        cwt(s, kind, each_row=drop)  # make its kernel bank the held one
         tracemalloc.start()
         try:
             cwt(s, kind, each_row=drop)
@@ -401,14 +480,15 @@ class TestBlockedCwt:
 
     def test_concurrent_calls_match_serial(self, monkeypatch):
         # more threads than cores and a short switch interval, starting from
-        # an empty bank cache, so threads race on cache misses and interleave
-        # their block loops; 64 = 12 * 5 + 4 rows leaves a partial block
+        # no held bank, so threads race to refill it on two lengths and
+        # interleave their block loops; 64 = 12 * 5 + 4 rows leaves a
+        # partial block
         monkeypatch.setattr(wavelets, "CWT_BLOCK_ROWS", 5)
         kind = WaveletKind.MORSE
         rng = np.random.default_rng(4)
         signals = [SampledSignal(rng.standard_normal(n), RATE)
                    for n in (777, 777, 1500, 1500, 777, 1500)]
-        wavelets._build_kernel_bank.cache_clear()
+        fresh_bank(monkeypatch)
         results = [None] * len(signals)
 
         def work(i):
@@ -433,16 +513,18 @@ class TestBlockedCwt:
 
 class TestWes:
     def test_threads_missing_together_build_one_bank(self, monkeypatch):
-        # lru_cache alone lets every thread that misses build its own bank;
-        # the threads start together from an empty cache on one frame length
-        calls = []
+        # the threads start together from an empty bank and kernel cache on
+        # one frame length; one refill serves them all
+        calls = counting_sampler(monkeypatch)
+        bank = fresh_bank(monkeypatch)
+        refills = []
+        real_refill = bank._refill
 
-        def counting(kind, scale):
-            calls.append(scale)
-            return sample_wavelet(kind, scale)
+        def counting_refill(key, mapper):
+            refills.append(key)
+            real_refill(key, mapper)
 
-        monkeypatch.setattr(wavelets, "sample_wavelet", counting)
-        wavelets._build_kernel_bank.cache_clear()
+        bank._refill = counting_refill
         kind = WaveletKind.BUMP
         s = SampledSignal(np.random.default_rng(5).standard_normal(8000), RATE)
         n_threads = 4
@@ -461,6 +543,7 @@ class TestWes:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert len(calls) == 64
+        assert refills == [(kind, RATE, 8000)]
         for got in results:
             assert np.array_equal(got, results[0])
 
@@ -471,7 +554,7 @@ class TestWes:
         # 8-row block buffer (Bump has the widest bank, 2.5 MiB), the
         # signal's spectrum and length-n tracks
         s = SampledSignal(np.random.default_rng(9).standard_normal(8000), RATE)
-        wes(s, kind)  # fill the kernel-bank cache
+        wes(s, kind)  # make its kernel bank the held one
         tracemalloc.start()
         try:
             wes(s, kind)
@@ -529,3 +612,127 @@ class TestWes:
         track = wes(s, kind).samples
         # first second is silence, far outside any wavelet support
         assert track[: int(1.0 * RATE)].max() < 1e-6 * track.max()
+
+
+class TestHeldBank:
+    """One kernel bank at a time, refilled in place in one buffer."""
+
+    @pytest.mark.parametrize("n", [777, 8000])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_refill_equals_per_row_fft(self, kind, n, monkeypatch):
+        # blocks of CWT_BLOCK_ROWS zero-padded rows, each one in-place fft,
+        # in this thread and spread over a pool, against one fft per row
+        expected, offsets, length = per_row_bank(kind, n)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for mapper in (map, pool.map):
+                bank = fresh_bank(monkeypatch, sampled=True)
+                wavelets.hold_bank(kind, RATE, n, mapper)
+                with bank.lease(kind, RATE, n) as (bank_h, offs, got_length):
+                    assert got_length == length
+                    assert list(offs) == offsets
+                    assert np.array_equal(bank_h, expected)
+
+    def test_one_bank_held_in_a_buffer_reused_in_place(self, monkeypatch):
+        # 4 s frames at 2 kHz: Morlet's bank is 11.4 MB, Morse's 11.2 MB
+        # and Bump's 21.2 MB, so only Bump grows the buffer
+        bank = fresh_bank(monkeypatch, sampled=True)
+        assert wavelets.held_kind() is None
+
+        def hold(kind, n=8000):
+            wavelets.hold_bank(kind, RATE, n)
+            assert bank.key == (kind, RATE, n)
+            assert wavelets.held_kind() is kind
+            return bank._buf
+
+        bump = hold(WaveletKind.BUMP)
+        assert bump.size == 64 * 20736
+        pointer = bump.__array_interface__["data"][0]
+        morlet = hold(WaveletKind.MORLET)
+        assert morlet is bump
+        assert morlet.__array_interface__["data"][0] == pointer
+        assert np.array_equal(bank._bank, per_row_bank(WaveletKind.MORLET,
+                                                       8000)[0])
+        # 8001 samples need the same 20736-point bank: no new buffer
+        assert hold(WaveletKind.BUMP, 8001) is bump
+        bank = fresh_bank(monkeypatch, sampled=True)
+        morlet = hold(WaveletKind.MORLET)
+        assert morlet.size == 64 * 11088
+        assert hold(WaveletKind.MORSE) is morlet
+        assert hold(WaveletKind.BUMP).size == 64 * 20736
+
+    def test_leases_share_the_held_key_and_wait_for_another(self,
+                                                            monkeypatch):
+        bank = fresh_bank(monkeypatch, sampled=True)
+        first_in, release = threading.Event(), threading.Event()
+        same_in, other_in = threading.Event(), threading.Event()
+
+        def lease(kind, entered, wait=None):
+            with bank.lease(kind, RATE, 777):
+                entered.set()
+                if wait is not None:
+                    wait.wait(timeout=60)
+
+        threads = [threading.Thread(target=lease, args=(
+            WaveletKind.MORSE, first_in, release))]
+        threads[0].start()
+        try:
+            assert first_in.wait(timeout=60)
+            threads += [
+                threading.Thread(target=lease,
+                                 args=(WaveletKind.MORSE, same_in)),
+                threading.Thread(target=lease,
+                                 args=(WaveletKind.BUMP, other_in))]
+            for t in threads[1:]:
+                t.start()
+            assert same_in.wait(timeout=10)
+            assert not other_in.wait(timeout=0.2)
+        finally:
+            release.set()
+            for t in threads:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert other_in.is_set()
+        assert wavelets.held_kind() is WaveletKind.BUMP
+
+    def test_alternating_kinds_match_full_matrix(self, monkeypatch):
+        # more threads than cores, each switching kind on every call, with
+        # a short switch interval: a refill that overwrote a bank while
+        # another thread streamed it would change that thread's track
+        fresh_bank(monkeypatch, sampled=True)
+        rng = np.random.default_rng(12)
+        signals = [SampledSignal(rng.standard_normal(n), RATE)
+                   for n in (777, 1500, 777)]
+        expected = {}
+        for i, s in enumerate(signals):
+            for kind in ALL_KINDS:
+                energy = np.zeros(len(s.samples))
+                for row in full_matrix_cwt(s, kind):
+                    energy += np.abs(row) ** 2
+                expected[i, kind] = energy / len(s.samples)
+        n_threads = 6
+        mismatches = []
+        done = [0] * n_threads
+
+        def work(t):
+            for step in range(6):
+                i = (t + step) % len(signals)
+                kind = ALL_KINDS[(t + step) % len(ALL_KINDS)]
+                if not np.array_equal(wes(signals[i], kind).samples,
+                                      expected[i, kind]):
+                    mismatches.append((t, step))
+                done[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [6] * n_threads
+        assert mismatches == []
