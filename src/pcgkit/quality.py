@@ -11,6 +11,7 @@ into a per-subject :class:`QualityReport`. Every transform runs on
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .wavelets import WaveletKind, held_kind, hold_bank, wes
 
 __all__ = [
     "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "snr_frame",
-    "FrameQuality", "frame_quality", "frame_qualities", "QualityReport",
+    "FrameQuality", "frame_qualities", "QualityReport",
     "aggregate_quality",
 ]
 
@@ -136,38 +137,9 @@ class FrameQuality:
     snr_db: float
 
 
-def frame_quality(frame, seg):
-    """Band, per-wavelet energy-track error, and SNR for one frame.
-
-    The one-frame case of :func:`frame_qualities`.
-
-    Raises
-    ------
-    PcgKitError
-        The first error a measure raised.
-    """
-    result, = frame_qualities([(frame, seg)])
-    if isinstance(result, PcgKitError):
-        raise result
-    return result
-
-
-class _Ready:
-    """A call made at once, in the shape of the future an executor returns."""
-
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
-
-
 @dataclass
 class _Measures:
-    """A frame's measures so far.
-
-    ``nrmse`` maps each family to its future, then to that future's result.
-    """
+    """A frame's measures so far; ``nrmse`` maps each family to its error."""
 
     frame: object
     seg: object
@@ -176,8 +148,11 @@ class _Measures:
     nrmse: dict
 
 
-def _begin(frame, seg):
+def _begin(item):
     """The frame's band and unit-energy sample energy track, or the error."""
+    if isinstance(item, PcgKitError):
+        return item
+    frame, seg = item
     try:
         band = fft_band(frame)
     except PcgKitError as exc:
@@ -186,13 +161,18 @@ def _begin(frame, seg):
     return _Measures(frame, seg, band, es / np.sqrt(np.sum(es ** 2)), {})
 
 
-def _track_error(frame, kind, es_n):
-    """Error of the unit-energy ``kind`` energy track against ``es_n``."""
+def _step(kind, st):
+    """``st`` with the error of its unit-energy ``kind`` energy track
+    against ``st.es_n`` added, or the frame's first error."""
+    if isinstance(st, PcgKitError):
+        return st
     try:
-        track = wes(frame, kind).samples
-        return nrmse_wes_vs_es(track / np.sqrt(np.sum(track ** 2)), es_n)
+        track = wes(st.frame, kind).samples
+        st.nrmse[kind] = nrmse_wes_vs_es(track / np.sqrt(np.sum(track ** 2)),
+                                         st.es_n)
     except PcgKitError as exc:
         return exc
+    return st
 
 
 def frame_qualities(frames, executor=None):
@@ -207,39 +187,27 @@ def frame_qualities(frames, executor=None):
     normalized to unit total energy before comparison, making the error a
     pure shape mismatch independent of the methods' arbitrary gains.
 
-    The families run one after another over all the frames, so one kernel
-    bank serves each: first the family whose bank is held, as ``frames``
-    yields each frame, then the others. ``wes`` runs on ``executor`` (in
-    this thread without one). Once every ``wes`` of the previous family
-    has ended, the bank of the first frame that reached this family is
-    made the held one, its row blocks spread over the executor; a frame of
-    another length refills the bank inside its own ``wes``. An executor
-    serves one call at a time: a refill spread over it while another
-    call's ``wes`` tasks wait in its queue could wait behind them forever.
+    Each family is one ``map`` over all the frames, on ``executor`` (in
+    this thread without one), so one kernel bank serves it: first the
+    family whose bank is held, then the others. An executor's ``map``
+    takes its input at once, so the first family's ``wes`` calls start as
+    ``frames`` yields each frame. Before each later family, once every
+    ``wes`` of the previous one has ended, the bank of the first frame
+    still measured is made the held one, its row blocks spread over the
+    executor; a frame of another length refills the bank inside its own
+    ``wes``. An executor serves one call at a time: a refill spread over
+    it while another call's ``wes`` tasks wait in its queue could wait
+    behind them forever.
     """
-    submit = _Ready if executor is None else executor.submit
     mapper = map if executor is None else executor.map
     held = held_kind()
     kinds = sorted(WaveletKind, key=lambda k: k is not held)
-    states = (item if isinstance(item, PcgKitError) else _begin(*item)
-              for item in frames)
-    for kind in kinds:
-        started, holding = [], False
-        for st in states:
-            if isinstance(st, _Measures):
-                if not holding:
-                    hold_bank(kind, st.frame.rate_hz, len(st.frame.samples),
-                              mapper)
-                    holding = True
-                st.nrmse[kind] = submit(_track_error, st.frame, kind, st.es_n)
-            started.append(st)
-        states = []
-        for st in started:
-            if isinstance(st, _Measures):
-                st.nrmse[kind] = st.nrmse[kind].result()
-                if isinstance(st.nrmse[kind], PcgKitError):
-                    st = st.nrmse[kind]
-            states.append(st)
+    states = list(mapper(partial(_step, kinds[0]), map(_begin, frames)))
+    for kind in kinds[1:]:
+        live = [st.frame for st in states if isinstance(st, _Measures)]
+        if live:
+            hold_bank(kind, live[0].rate_hz, len(live[0].samples), mapper)
+        states = list(mapper(partial(_step, kind), states))
     return [st if isinstance(st, PcgKitError) else _finish(st)
             for st in states]
 

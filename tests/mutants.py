@@ -21,7 +21,9 @@ result, are reported as equivalent. The last lines give the survivors
 and the run time.
 
 This is a stdlib script: pytest does not collect it and CI does not run
-it. It makes no check: a survivor is killed by adding a test.
+it. It makes no check: a survivor is killed by adding a test. The test
+suite checks only that each ``mutants_equivalent.json`` entry still names
+a mutant that ``find_mutants`` finds.
 """
 
 import argparse

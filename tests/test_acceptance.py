@@ -27,7 +27,7 @@ from pcgkit import (
     dwt_denoise_db4,
     find_envelope_peaks,
     fit_multiple_regression,
-    frame_quality,
+    frame_qualities,
     generate_cohort,
     generate_ecg,
     generate_pcg,
@@ -188,16 +188,18 @@ def test_criterion_07_nrmse_algebra_and_ordering():
     for k in (1e-6, 3.7, 1e6):
         assert abs(nrmse_wes_vs_es(k * a, k * b) - base) < 1e-12
 
-    ordered = 0
+    frames = []
     for subject in generate_cohort(n_subjects=50, duration_s=6.0,
                                    jitter_ms=2.0, snr_db=25.0, seed=7):
         sig, _ = generate_pcg(subject.spec)
         frame = SampledSignal(sig.samples[:int(4.0 * sig.rate_hz)],
                               sig.rate_hz)
         result = hr_pipeline(frame)
-        fq = frame_quality(result.normalized, result.segmentation)
-        if fq.nrmse["morlet"] <= fq.nrmse["morse"] <= fq.nrmse["bump"]:
-            ordered += 1
+        frames.append((result.normalized, result.segmentation))
+    qualities = frame_qualities(frames)
+    assert len(qualities) == 50
+    ordered = sum(fq.nrmse["morlet"] <= fq.nrmse["morse"] <= fq.nrmse["bump"]
+                  for fq in qualities)
     assert ordered >= 40
     report(7, f"algebra exact, ordering on {ordered}/50 subjects")
 

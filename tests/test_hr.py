@@ -9,6 +9,7 @@ from pcgkit import (
     CycleSegmentation,
     DegenerateSignalError,
     EnvelopeMethod,
+    FrameQuality,
     HrEstimate,
     HrFormula,
     PcgKitError,
@@ -17,7 +18,7 @@ from pcgkit import (
     SynthSpec,
     compute_envelope,
     detrend,
-    frame_quality,
+    frame_qualities,
     generate_ecg,
     generate_pcg,
     hr_from_ecg_frame,
@@ -295,7 +296,6 @@ class TestDegenerateFrames:
                 result = hr_pipeline(frame, method=method)
             except PcgKitError:
                 continue
-            try:
-                frame_quality(result.normalized, result.segmentation)
-            except PcgKitError:
-                pass
+            quality, = frame_qualities(
+                [(result.normalized, result.segmentation)])
+            assert isinstance(quality, (FrameQuality, PcgKitError))

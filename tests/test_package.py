@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -72,6 +73,25 @@ def test_each_error_subclass_is_caught_by_type():
                 caught.update(t.id for t in types if isinstance(t, ast.Name))
     assert {"TooShortError", "DegenerateSignalError",
             "UndefinedCorrelationError"} <= caught
+
+
+def test_each_equivalent_mutant_is_still_found():
+    """Every entry of ``mutants_equivalent.json`` names a mutant that the
+    mutation probe finds in today's source, with a reason."""
+    spec = importlib.util.spec_from_file_location(
+        "mutants", Path(__file__).with_name("mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    src = Path(pcgkit.__file__).resolve().parent
+    entries = json.loads(mutants.EQUIVALENT.read_text())
+    found = {}
+    for module in {entry["module"] for entry in entries}:
+        _, keyed = mutants.find_mutants(
+            module, (src / f"{module}.py").read_text())
+        found[module] = [key for key, _ in keyed]
+    for entry in entries:
+        key = {k: v for k, v in entry.items() if k != "reason"}
+        assert entry["reason"] and key in found[entry["module"]], entry
 
 
 def test_scatter_plot_refuses_empty_series(tmp_path):

@@ -1,9 +1,11 @@
 """Band estimation, energy tracks, NRMSE, and SNR."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgkit import (
     CycleSegmentation,
@@ -19,7 +21,7 @@ from pcgkit import (
     aggregate_quality,
     energy_spectrum,
     fft_band,
-    frame_quality,
+    frame_qualities,
     generate_pcg,
     hr_pipeline,
     normalize_max_abs,
@@ -28,7 +30,7 @@ from pcgkit import (
     wes,
 )
 from pcgkit import wavelets
-from pcgkit.quality import frame_qualities, peak_windows
+from pcgkit.quality import peak_windows
 
 RATE = 2000.0
 
@@ -239,7 +241,7 @@ class TestFrameAndSubjectQuality:
                          snr_db=25.0, seed=3)
         sig, _ = generate_pcg(spec)
         result = hr_pipeline(sig)
-        fq = frame_quality(result.normalized, result.segmentation)
+        fq, = frame_qualities([(result.normalized, result.segmentation)])
         assert set(fq.nrmse) == {"morlet", "morse", "bump"}
         for value in fq.nrmse.values():
             assert 0.0 < value < 1.2
@@ -274,11 +276,8 @@ class TestFrameAndSubjectQuality:
 
 
 def direct_quality(frame, seg):
-    """One frame's measures in declaration order, each called directly.
-
-    The body ``frame_quality`` had before the families ran one at a time
-    over many frames; ``frame_qualities`` must reproduce it exactly.
-    """
+    """One frame's measures in declaration order, each called directly:
+    the reference ``frame_qualities`` must reproduce exactly."""
     band = fft_band(frame)
     es = energy_spectrum(frame).samples
     es_n = es / np.sqrt(np.sum(es ** 2))
@@ -288,6 +287,51 @@ def direct_quality(frame, seg):
         nrmse[kind.value] = nrmse_wes_vs_es(
             track / np.sqrt(np.sum(track ** 2)), es_n)
     return FrameQuality(band, nrmse, snr_frame(frame, seg))
+
+
+def measured(items, held, held_n, workers):
+    """``frame_qualities`` of ``items`` from a fresh bank, holding the
+    ``held`` bank of ``held_n`` samples if any, on ``workers`` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelets, "_BANK", wavelets._HeldBank())
+        if held is not None:
+            wavelets.hold_bank(held, RATE, held_n)
+        if workers is None:
+            return frame_qualities(iter(items))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return frame_qualities(iter(items), pool)
+
+
+def assert_each_measured_directly(items, got):
+    """``got`` is, item by item, the prior error or ``direct_quality``'s
+    result or error."""
+    assert len(got) == len(items)
+    for item, result in zip(items, got):
+        if isinstance(item, PcgKitError):
+            assert result is item
+            continue
+        try:
+            expected = direct_quality(*item)
+        except PcgKitError as exc:
+            assert type(result) is type(exc)
+            assert str(result) == str(exc)
+        else:
+            assert result == expected
+            assert list(result.nrmse) == [k.value for k in WaveletKind]
+
+
+def noise_item(n, seed, times):
+    """``n`` samples of seeded noise, segmented at ``times``."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    return SampledSignal(x, RATE), forced_segmentation(times)
+
+
+# a frame that failed before, or noise of a drawn length whose peak windows
+# fall inside it or, for the SNR, nowhere
+drawn_items = st.lists(st.one_of(
+    st.builds(PcgKitError, st.just("failed before")),
+    st.builds(noise_item, st.integers(200, 1200), st.integers(0, 2 ** 32 - 1),
+              st.sampled_from([[0.05, 0.08], [50.0, 51.0]]))), max_size=5)
 
 
 class TestFrameQualities:
@@ -325,29 +369,43 @@ class TestFrameQualities:
     @pytest.mark.parametrize("workers", [None, 3])
     @pytest.mark.parametrize("held", [None, *WaveletKind],
                              ids=lambda k: getattr(k, "value", k))
-    def test_equals_each_frame_measured_directly(self, items, held, workers,
-                                                 monkeypatch):
-        monkeypatch.setattr(wavelets, "_BANK", wavelets._HeldBank())
-        if held is not None:
-            wavelets.hold_bank(held, RATE, 1000)
-        if workers is None:
-            got = frame_qualities(iter(items))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                got = frame_qualities(iter(items), pool)
-        assert len(got) == len(items)
-        for item, result in zip(items, got):
-            if isinstance(item, PcgKitError):
-                assert result is item
-                continue
-            try:
-                expected = direct_quality(*item)
-            except PcgKitError as exc:
-                assert type(result) is type(exc)
-                assert str(result) == str(exc)
-            else:
-                assert result == expected
-                assert list(result.nrmse) == [k.value for k in WaveletKind]
+    def test_equals_each_frame_measured_directly(self, items, held,
+                                                 workers):
+        assert_each_measured_directly(
+            items, measured(items, held, 1000, workers))
+
+    @settings(max_examples=25, deadline=None)
+    @given(items=drawn_items, workers=st.sampled_from([None, 2]),
+           held=st.sampled_from([None, *WaveletKind]),
+           held_n=st.integers(200, 1200))
+    def test_drawn_frames_equal_each_measured_directly(self, items, workers,
+                                                       held, held_n):
+        assert_each_measured_directly(
+            items, measured(items, held, held_n, workers))
+
+    def test_first_family_starts_before_frames_run_out(self, items,
+                                                       monkeypatch):
+        # the generator waits for the first cwt before its second frame,
+        # so a loop that took every frame first fails here after 10 s
+        started = threading.Event()
+        real_cwt = wavelets.cwt
+
+        def signalling(s, kind, **kwargs):
+            started.set()
+            return real_cwt(s, kind, **kwargs)
+
+        monkeypatch.setattr(wavelets, "cwt", signalling)
+        waited = []
+
+        def frames():
+            yield items[0]
+            waited.append(started.wait(10.0))
+            yield items[-1]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = frame_qualities(frames(), pool)
+        assert waited == [True]
+        assert_each_measured_directly([items[0], items[-1]], got)
 
     def test_held_family_runs_first_over_every_frame(self, items,
                                                      cwt_kinds):
@@ -358,13 +416,13 @@ class TestFrameQualities:
             WaveletKind.MORLET] * 4 + [WaveletKind.BUMP] * 4
         assert wavelets.held_kind() is WaveletKind.BUMP
 
-    def test_frame_quality_raises_the_first_error(self, cwt_kinds):
+    def test_one_frame_gives_its_first_error(self, cwt_kinds):
         frame = SampledSignal(np.ones(400), RATE)
-        with pytest.raises(PcgKitError,
-                           match="no samples fall inside peak windows"):
-            frame_quality(frame, forced_segmentation([50.0, 51.0]))
+        got, = frame_qualities([(frame, forced_segmentation([50.0, 51.0]))])
+        assert type(got) is PcgKitError
+        assert str(got) == "no samples fall inside peak windows"
         assert len(cwt_kinds) == 3
-        with pytest.raises(TooShortError):
-            frame_quality(SampledSignal(np.ones(200), RATE),
-                          forced_segmentation([0.05]))
+        got, = frame_qualities([(SampledSignal(np.ones(200), RATE),
+                                 forced_segmentation([0.05]))])
+        assert type(got) is TooShortError
         assert len(cwt_kinds) == 3
