@@ -12,6 +12,7 @@ into a per-subject :class:`QualityReport`. Every transform runs on
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -162,8 +163,7 @@ def _begin(item):
 
 
 def _step(kind, st):
-    """``st`` with the error of its unit-energy ``kind`` energy track
-    against ``st.es_n`` added, or the frame's first error."""
+    """``st`` with its ``kind`` energy-track error, or the first error."""
     if isinstance(st, PcgKitError):
         return st
     try:
@@ -188,26 +188,28 @@ def frame_qualities(frames, executor=None):
     pure shape mismatch independent of the methods' arbitrary gains.
 
     Each family is one ``map`` over all the frames, on ``executor`` (in
-    this thread without one), so one kernel bank serves it: first the
-    family whose bank is held, then the others. An executor's ``map``
-    takes its input at once, so the first family's ``wes`` calls start as
-    ``frames`` yields each frame. Before each later family, once every
-    ``wes`` of the previous one has ended, the bank of the first frame
-    still measured is made the held one, its row blocks spread over the
-    executor; a frame of another length refills the bank inside its own
-    ``wes``. An executor serves one call at a time: a refill spread over
-    it while another call's ``wes`` tasks wait in its queue could wait
-    behind them forever.
+    this thread without one), the family whose bank is held first, so one
+    kernel bank serves each. Before its first ``wes``, the bank of the
+    first frame still measured is made the held one, its row blocks spread
+    over the executor; a frame of another length refills the bank inside
+    its own ``wes``. ``Executor.map`` takes its input at once, so the first
+    family's ``wes`` calls start as ``frames`` yields each frame. A refill
+    waits for the previous family's ``map`` to end: an executor serves one
+    call at a time, and a refill spread over it while another call's
+    ``wes`` tasks wait in its queue could wait behind them forever.
     """
     mapper = map if executor is None else executor.map
     held = held_kind()
-    kinds = sorted(WaveletKind, key=lambda k: k is not held)
-    states = list(mapper(partial(_step, kinds[0]), map(_begin, frames)))
-    for kind in kinds[1:]:
-        live = [st.frame for st in states if isinstance(st, _Measures)]
-        if live:
-            hold_bank(kind, live[0].rate_hz, len(live[0].samples), mapper)
-        states = list(mapper(partial(_step, kind), states))
+    states = map(_begin, frames)
+    for kind in sorted(WaveletKind, key=lambda k: k is not held):
+        states, head = iter(states), []
+        for st in states:
+            head.append(st)
+            if isinstance(st, _Measures):
+                hold_bank(kind, st.frame.rate_hz, len(st.frame.samples),
+                          mapper)
+                break
+        states = list(mapper(partial(_step, kind), chain(head, states)))
     return [st if isinstance(st, PcgKitError) else _finish(st)
             for st in states]
 

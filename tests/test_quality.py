@@ -29,7 +29,7 @@ from pcgkit import (
     snr_frame,
     wes,
 )
-from pcgkit import wavelets
+from pcgkit import quality, wavelets
 from pcgkit.quality import peak_windows
 
 RATE = 2000.0
@@ -415,6 +415,25 @@ class TestFrameQualities:
         assert cwt_kinds == [WaveletKind.MORSE] * 4 + [
             WaveletKind.MORLET] * 4 + [WaveletKind.BUMP] * 4
         assert wavelets.held_kind() is WaveletKind.BUMP
+
+    def test_each_family_holds_its_bank_before_its_first_wes(
+            self, items, cwt_kinds, monkeypatch):
+        # the held bank is of another length, so every family refills it
+        # over the executor for the first frame still measured (1000)
+        real_hold = quality.hold_bank
+
+        def holding(kind, rate_hz, n_sig, mapper):
+            cwt_kinds.append(("hold", kind, rate_hz, n_sig))
+            real_hold(kind, rate_hz, n_sig, mapper)
+
+        monkeypatch.setattr(quality, "hold_bank", holding)
+        wavelets.hold_bank(WaveletKind.MORSE, RATE, 777)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            frame_qualities(items, pool)
+        assert cwt_kinds == [
+            event for kind in (WaveletKind.MORSE, WaveletKind.MORLET,
+                               WaveletKind.BUMP)
+            for event in [("hold", kind, RATE, 1000)] + [kind] * 4]
 
     def test_one_frame_gives_its_first_error(self, cwt_kinds):
         frame = SampledSignal(np.ones(400), RATE)
