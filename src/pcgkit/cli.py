@@ -257,6 +257,9 @@ def cmd_synth(args):
         pcg, truth = generate_pcg(subject.spec)
         ecg, r_times = generate_ecg(subject.spec)
         peak = float(np.max(np.abs(pcg.samples)))
+        if not peak > 0:
+            raise PcgKitError(f"subject {subject.subject_id}: its PCG holds "
+                              f"no heart sound")
         pcg = pcg.with_samples(pcg.samples * (0.99 / peak))
         f = subject.features
         meta = {

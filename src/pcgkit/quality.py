@@ -190,12 +190,12 @@ def frame_qualities(frames, executor=None):
     Each family is one ``map`` over all the frames, on ``executor`` (in
     this thread without one), the family whose bank is held first, so one
     kernel bank serves each. Before its first ``wes``, the bank of the
-    first frame still measured is made the held one, its row blocks spread
-    over the executor; a frame of another length refills the bank inside
+    first frame still measured is built and held, its row blocks spread
+    over the executor; a frame of another length builds its bank inside
     its own ``wes``. ``Executor.map`` takes its input at once, so the first
-    family's ``wes`` calls start as ``frames`` yields each frame. A refill
+    family's ``wes`` calls start as ``frames`` yields each frame. A build
     waits for the previous family's ``map`` to end: an executor serves one
-    call at a time, and a refill spread over it while another call's
+    call at a time, and a build spread over it while another call's
     ``wes`` tasks wait in its queue could wait behind them forever.
     """
     mapper = map if executor is None else executor.map

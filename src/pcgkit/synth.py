@@ -42,7 +42,8 @@ class SynthSpec:
     ``s*_decay_ratio`` widens (or narrows) the decay side of each burst
     relative to its rise side, which decorrelates rise and decay features
     across a cohort. ``snr_db = None`` means noiseless; otherwise it is
-    finite and within ``MAX_SNR_DB`` of 0.
+    finite and within ``MAX_SNR_DB`` of 0. ``jitter_ms`` is finite and
+    non-negative, and ``seed`` a non-negative integer.
     """
 
     hr_bpm: float = 75.0
@@ -79,6 +80,12 @@ class SynthSpec:
                      "rate_hz", "ecg_rate_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise PcgKitError(f"{name} must be positive and finite")
+        if not 0 <= self.jitter_ms < math.inf:
+            raise PcgKitError(
+                f"jitter_ms must be finite and >= 0, got {self.jitter_ms}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise PcgKitError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.snr_db is not None and not abs(self.snr_db) <= MAX_SNR_DB:
             raise PcgKitError(
                 f"snr_db must be None or within +-{MAX_SNR_DB:g} dB, "

@@ -13,28 +13,26 @@ Two independent halves:
 CWT rows are computed by FFT convolution (Torrence & Compo 1998) on
 ``numpy.fft``, at the smallest 2*3*5*7*11-smooth length that holds the
 frame and the widest kernel, against the FFT-domain kernel bank of that
-(wavelet, rate, frame length). One bank is held at a time, in one buffer:
-a call that needs another bank waits until no call is streaming the held
-one, then refills the buffer in place, ``CWT_BLOCK_ROWS`` zero-padded
-kernel rows per in-place FFT, from time-domain kernels sampled once per
-(wavelet, rate). Calls that need the held bank share it, and calls that
-miss together wait for one refill. ``hold_bank`` refills ahead of use,
-through an executor's ``map`` if given, and ``held_kind`` names the held
-family, so a caller that runs several families can run them one after
-another, the held one first. The bank is streamed through the inverse
-FFT in blocks of ``CWT_BLOCK_ROWS`` rows, each transformed in place, and
-``cwt`` streams each cropped row, in ladder order, to its caller's
-``each_row`` callback as a view into that buffer: no call allocates the
-64-row matrix. ``wes`` passes a callback that adds the row's squared
-magnitude into its track, so it holds the block buffer and two length-n
-tracks. A lent bank is read-only and every other buffer is local to its
-call, so ``cwt`` and ``wes`` may run on several threads at once.
+(wavelet, rate, frame length). One bank is held at a time, as a tuple
+never written once published. A call that needs another bank drops the
+held one and builds the new one under a lock, in its own anonymous
+mapping, from time-domain kernels sampled once per (wavelet, rate);
+calls that miss together wait for one build, and a call still reading a
+replaced bank keeps it until it returns. ``hold_bank`` builds ahead of
+use, through an executor's ``map`` if given, and ``held_kind`` names the
+held family, so a caller can run several families one after another,
+the held one first. ``cwt`` streams the bank through the inverse FFT in
+blocks of ``CWT_BLOCK_ROWS`` rows and hands each cropped row, in ladder
+order, to its ``each_row`` callback: no call allocates the 64-row
+matrix. ``wes`` adds each row's squared magnitude into its track. Every
+other buffer is local to its call, so ``cwt`` and ``wes`` may run on
+several threads at once, and a callback may call them for another bank.
 """
 
-import contextlib
 import enum
 import functools
 import math
+import mmap
 import threading
 
 import numpy as np
@@ -296,96 +294,60 @@ def _kernels(kind, rate_hz):
     return tuple(kernels), offsets
 
 
-class _HeldBank:
-    """The one FFT-domain kernel bank kept, in one buffer refilled in place.
+# The held bank as ``hold_bank`` returns it; swapped only under the lock.
+_held = None
+_held_lock = threading.Lock()
 
-    A lease on ``(kind, rate_hz, n_sig)`` lends the bank for those
-    arguments. Leases on the held key run together. A lease on another key
-    waits until no lease is open, then refills the buffer in place, which
-    grows only for a larger bank, and holds the new key; no key is held
-    during the refill, so every other lease waits for it. Leases must not
-    nest on one thread, or a switch inside one waits forever for the
-    outer one to close.
+
+def _pages(rows, length):
+    """A zeroed complex ``(rows, length)`` array in its own anonymous
+    mapping, whose pages go back to the system as soon as it is dropped."""
+    return np.frombuffer(mmap.mmap(-1, rows * length * 16),
+                         complex).reshape(rows, length)
+
+
+def hold_bank(kind, rate_hz, n_sig, mapper=map):
+    """The held bank for these arguments, built first if another is held.
+
+    Returns ``(key, bank_h, offsets)``: ``(kind, rate_hz, n_sig)``, the
+    read-only FFT-domain bank and each row's centre. On a miss the held
+    bank is dropped and the new one built under one lock, so calls that
+    miss together wait for one build. Its row blocks are transformed
+    through ``mapper``; with an executor's ``map``, no task that needs
+    another bank may be queued on that executor meanwhile, or the build
+    could wait behind it forever.
     """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._buf = np.empty(0, dtype=complex)
-        self._bank = self._offsets = None
-        self.key = None
-        self._readers = 0
-
-    @contextlib.contextmanager
-    def lease(self, kind, rate_hz, n_sig, mapper=map):
-        """Lend the bank as ``(bank_h, offsets, length)``, read-only.
-
-        A refill's row blocks are transformed through ``mapper``, so passing
-        an executor's ``map`` spreads them over its threads; no task that
-        leases a bank may be queued on that executor meanwhile.
-        """
-        key = (kind, rate_hz, n_sig)
-        with self._cond:
-            while self.key != key and self._readers:
-                self._cond.wait()
-            self._readers += 1
-            refill = self.key != key
-            if refill:
-                self.key = None
-        try:
-            if refill:
-                self._refill(key, mapper)
-                with self._cond:
-                    self.key = key
-                    self._cond.notify_all()
-            yield self._bank, self._offsets, self._bank.shape[1]
-        finally:
-            with self._cond:
-                self._readers -= 1
-                self._cond.notify_all()
-
-    def _refill(self, key, mapper):
-        kind, rate_hz, n_sig = key
+    global _held
+    key = (kind, rate_hz, n_sig)
+    held = _held  # read once: another thread may swap it at any time
+    if held is not None and held[0] == key:
+        return held
+    del held  # a reference here would keep the old bank alive
+    with _held_lock:
+        if _held is not None and _held[0] == key:
+            return _held
+        _held = None
         kernels, offsets = _kernels(kind, rate_hz)
         length = _next_fast_len(n_sig + 2 * int(offsets.max()))
-        size = len(kernels) * length
-        if self._buf.size < size:
-            self._bank = None
-            self._buf = np.empty(0, dtype=complex)  # free the old one first
-            self._buf = np.empty(size, dtype=complex)
-        bank = self._buf[:size].reshape(len(kernels), length)
+        bank = _pages(len(kernels), length)
 
         def fill(b0):
             block = bank[b0:b0 + CWT_BLOCK_ROWS]
-            block.fill(0)
             for row, w in zip(block, kernels[b0:b0 + CWT_BLOCK_ROWS]):
                 row[:len(w)] = w
             np.fft.fft(block, axis=1, out=block)
 
         for _ in mapper(fill, range(0, len(kernels), CWT_BLOCK_ROWS)):
             pass
-        self._bank = bank.view()
-        self._bank.flags.writeable = False
-        self._offsets = offsets
-
-
-_BANK = _HeldBank()
-
-
-def hold_bank(kind, rate_hz, n_sig, mapper=map):
-    """Make the bank ``cwt`` uses for these arguments the held one.
-
-    Waits for open leases on another bank, then refills the buffer with
-    its row blocks transformed through ``mapper``; see
-    :meth:`_HeldBank.lease`. A no-op when that bank is already held.
-    """
-    with _BANK.lease(kind, rate_hz, n_sig, mapper):
-        pass
+        bank.flags.writeable = False
+        _held = (key, bank, offsets)
+        return _held
 
 
 def held_kind():
     """The :class:`WaveletKind` of the held bank, or None if none is held."""
-    key = _BANK.key
-    return None if key is None else key[0]
+    held = _held
+    return None if held is None else held[0][0]
 
 
 def cwt(s, kind, *, each_row):
@@ -396,9 +358,8 @@ def cwt(s, kind, *, each_row):
     1/sqrt(scale) normalization), zero-padded at the frame boundaries.
     Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
     the call, each equal to the row of one full-bank transform, and
-    streamed to ``each_row``; none is kept. The call holds a lease on the
-    kernel bank for its arguments until it returns, so concurrent calls
-    are safe, and a call for another bank waits for it.
+    streamed to ``each_row``; none is kept. The call keeps the bank
+    :func:`hold_bank` gives it until it returns, even if it is replaced.
 
     Parameters
     ----------
@@ -409,22 +370,22 @@ def cwt(s, kind, *, each_row):
         order, from 500 Hz down to 10 Hz, with ``row`` the complex
         ``i``-th row of length ``len(s)`` as a view into the block
         buffer, valid only during that call. The call holds only the
-        block buffer (``CWT_BLOCK_ROWS`` rows of the bank length) and the
-        signal's spectrum. It must not call ``cwt`` or ``wes`` for another
-        bank, which would wait for this call to end.
+        block buffer (``CWT_BLOCK_ROWS`` rows of the bank length), the
+        signal's spectrum and its bank.
     """
     n = len(s.samples)
-    with _BANK.lease(kind, s.rate_hz, n) as (bank_h, offsets, length):
-        spectrum = _fft_of_real(s.samples, length)
-        n_rows = len(offsets)
-        buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
-        for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
-            offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
-            block = buf[:len(offs)]
-            np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
-            np.fft.ifft(block, axis=1, out=block)
-            for j, off in enumerate(offs):
-                each_row(b0 + j, block[j, off:off + n])
+    _, bank_h, offsets = hold_bank(kind, s.rate_hz, n)
+    length = bank_h.shape[1]
+    spectrum = _fft_of_real(s.samples, length)
+    n_rows = len(offsets)
+    buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
+    for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
+        offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
+        block = buf[:len(offs)]
+        np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
+        np.fft.ifft(block, axis=1, out=block)
+        for j, off in enumerate(offs):
+            each_row(b0 + j, block[j, off:off + n])
 
 
 def wes(s, kind):

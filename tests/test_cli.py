@@ -835,9 +835,11 @@ class TestQualityPool:
         # for the kernels of all three families (4.9 MB), one 8-row block
         # buffer per worker (2.7 MB each), a frame's spectra and tracks,
         # and the cohort's records, frames and reports. All three banks
-        # together (43.8 MB) exceed it.
-        monkeypatch.setattr(pcgkit_wavelets, "_BANK",
-                            pcgkit_wavelets._HeldBank())
+        # together (43.8 MB) exceed it. tracemalloc sees no memory mapping,
+        # so each bank is allocated by numpy here instead.
+        monkeypatch.setattr(pcgkit_wavelets, "_held", None)
+        monkeypatch.setattr(pcgkit_wavelets, "_pages", lambda rows, length:
+                            np.zeros((rows, length), dtype=complex))
         pcgkit_wavelets._kernels.cache_clear()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         tracemalloc.start()
@@ -848,6 +850,20 @@ class TestQualityPool:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 20736 * 16 + 16 * 2 ** 20
+
+    def test_each_bank_released_before_the_next_is_built(
+            self, small_ds, tmp_path, monkeypatch, bank_maps):
+        # every frame has one length, so no wes reads a bank while it is
+        # replaced: each build finds every earlier mapping gone, and only
+        # the held one outlives the run
+        maps, alive = bank_maps
+        monkeypatch.setattr(pcgkit_wavelets, "_held", None)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert main(["quality", str(small_ds), "--out", str(tmp_path)]) == 0
+        assert len(maps) >= 3
+        assert alive == [0] * len(maps)
+        assert [ref() is not None for ref in maps] == [False] * (
+            len(maps) - 1) + [True]
 
 
 class TestStreaming:
@@ -1287,6 +1303,22 @@ class TestJsonInputs:
         self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"),
                             "--spec-file", str(path)], capsys, needle)
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("argv, spec, subject", [
+        # S1 jittered before 0 s, S2 past the end of 0.1 s
+        (["--subjects", "6", "--duration", "0.1"], None, "s03"),
+        # finite, but every event jittered out of the recording
+        ([], {"jitter_ms": 1e308}, "s01"),
+    ], ids=["short", "huge_jitter"])
+    def test_subject_without_heart_sound_fails_cleanly(
+            self, argv, spec, subject, tmp_path, capsys):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = [*argv, "--spec-file", str(path)]
+        self.fails_cleanly(["synth", "--out", str(tmp_path / "ds"), *argv],
+                           capsys, f"subject {subject}: its PCG holds no "
+                           f"heart sound")
 
     def test_null_snr_spec_is_noiseless(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -293,7 +293,7 @@ def measured(items, held, held_n, workers):
     """``frame_qualities`` of ``items`` from a fresh bank, holding the
     ``held`` bank of ``held_n`` samples if any, on ``workers`` threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wavelets, "_BANK", wavelets._HeldBank())
+        mp.setattr(wavelets, "_held", None)
         if held is not None:
             wavelets.hold_bank(held, RATE, held_n)
         if workers is None:
@@ -418,13 +418,13 @@ class TestFrameQualities:
 
     def test_each_family_holds_its_bank_before_its_first_wes(
             self, items, cwt_kinds, monkeypatch):
-        # the held bank is of another length, so every family refills it
-        # over the executor for the first frame still measured (1000)
+        # the held bank is of another length, so every family builds its
+        # bank over the executor for the first frame still measured (1000)
         real_hold = quality.hold_bank
 
         def holding(kind, rate_hz, n_sig, mapper):
             cwt_kinds.append(("hold", kind, rate_hz, n_sig))
-            real_hold(kind, rate_hz, n_sig, mapper)
+            return real_hold(kind, rate_hz, n_sig, mapper)
 
         monkeypatch.setattr(quality, "hold_bank", holding)
         wavelets.hold_bank(WaveletKind.MORSE, RATE, 777)

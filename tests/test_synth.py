@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestSpecValidation:
             SynthSpec(duration_s=0.0)
         with pytest.raises(PcgKitError, match="s1_sigma_ms must be positive"):
             SynthSpec(s1_sigma_ms=-1.0)
+
+    @pytest.mark.parametrize("jitter", [-1.0, math.nan, math.inf])
+    def test_jitter_must_be_finite_and_non_negative(self, jitter):
+        # a negative or NaN jitter read as none, an infinite one dropped
+        # every event
+        with pytest.raises(PcgKitError, match=re.escape(
+                f"jitter_ms must be finite and >= 0, got {jitter}")):
+            SynthSpec(jitter_ms=jitter)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(PcgKitError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            SynthSpec(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SynthSpec(seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("name", [
         "s1_freq_hz", "s2_freq_hz", "s1_sigma_ms", "s2_sigma_ms",

@@ -34,8 +34,8 @@ def ladder_kernels(kind, rate=RATE):
 def per_row_bank(kind, n, rate=RATE):
     """``(bank_h, offsets, length)``, one ``fft`` per kernel row.
 
-    The bank ``cwt`` built row by row before it held one bank in a
-    buffer refilled in blocks; the refill must reproduce it exactly.
+    The bank ``cwt`` built row by row before it held one bank built in
+    blocks; the blocked build must reproduce it exactly.
     """
     kernels = ladder_kernels(kind, rate)
     offsets = [len(w) // 2 for w in kernels]
@@ -61,15 +61,13 @@ def full_matrix_cwt(s, kind):
 
 
 def fresh_bank(monkeypatch, sampled=False):
-    """Give ``cwt`` a new, empty held bank for the test's duration.
+    """Hold no bank for the test's duration, so ``cwt`` builds one.
 
     With ``sampled=False`` the time-domain kernels are sampled again too.
     """
-    bank = wavelets._HeldBank()
-    monkeypatch.setattr(wavelets, "_BANK", bank)
+    monkeypatch.setattr(wavelets, "_held", None)
     if not sampled:
         wavelets._kernels.cache_clear()
-    return bank
 
 
 def counting_sampler(monkeypatch):
@@ -355,14 +353,14 @@ class TestCwt:
             s = SampledSignal(rng.standard_normal(777), RATE)
             rows.append((s, streamed_rows(s, kind)))
         assert len(calls) == 64
-        with wavelets._BANK.lease(kind, RATE, 777) as (bank_h, offsets, _):
-            assert not bank_h.flags.writeable and not offsets.flags.writeable
+        _, bank_h, offsets = wavelets.hold_bank(kind, RATE, 777)
+        assert not bank_h.flags.writeable and not offsets.flags.writeable
         fresh_bank(monkeypatch)
         for s, coeffs in rows:
             assert np.array_equal(streamed_rows(s, kind), coeffs)
 
     def test_kernels_sampled_once_per_kind_and_rate(self, monkeypatch):
-        # each switch of kind or length refills the bank, from kernels
+        # each switch of kind or length builds a bank, from kernels
         # sampled the first time their kind and rate are seen
         calls = counting_sampler(monkeypatch)
         fresh_bank(monkeypatch)
@@ -390,11 +388,9 @@ class TestFftHelpers:
                     == next_fast_len(n, real=True)), n
 
     def test_bank_lengths_of_a_4_s_frame(self, monkeypatch):
-        bank = fresh_bank(monkeypatch, sampled=True)
-        lengths = []
-        for kind in ALL_KINDS:
-            with bank.lease(kind, RATE, 8000) as (_, _, length):
-                lengths.append(length)
+        fresh_bank(monkeypatch, sampled=True)
+        lengths = [wavelets.hold_bank(kind, RATE, 8000)[1].shape[1]
+                   for kind in ALL_KINDS]
         assert lengths == [11088, 10935, 20736]
 
     # even and odd n, each equal to and longer than the input
@@ -480,26 +476,30 @@ class TestBlockedCwt:
 
     def test_concurrent_calls_match_serial(self, monkeypatch):
         # more threads than cores and a short switch interval, starting from
-        # no held bank, so threads race to refill it on two lengths and
-        # interleave their block loops; 64 = 12 * 5 + 4 rows leaves a
-        # partial block
+        # no held bank, so threads race to build it on two lengths and three
+        # kinds and interleave their block loops; 64 = 12 * 5 + 4 rows
+        # leaves a partial block
         monkeypatch.setattr(wavelets, "CWT_BLOCK_ROWS", 5)
-        kind = WaveletKind.MORSE
         rng = np.random.default_rng(4)
-        signals = [SampledSignal(rng.standard_normal(n), RATE)
-                   for n in (777, 777, 1500, 1500, 777, 1500)]
+        kinds_and_lengths = [
+            *((WaveletKind.MORSE, n) for n in (777, 777, 1500, 1500, 777,
+                                               1500)),
+            (WaveletKind.BUMP, 777), (WaveletKind.MORLET, 1500)]
+        inputs = [(kind, SampledSignal(rng.standard_normal(n), RATE))
+                  for kind, n in kinds_and_lengths]
         fresh_bank(monkeypatch)
-        results = [None] * len(signals)
+        results = [None] * len(inputs)
 
         def work(i):
+            kind, s = inputs[i]
             for _ in range(5):
-                results[i] = streamed_rows(signals[i], kind)
+                results[i] = streamed_rows(s, kind)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=work, args=(i,))
-                       for i in range(len(signals))]
+                       for i in range(len(inputs))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -507,24 +507,44 @@ class TestBlockedCwt:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for s, got in zip(signals, results):
+        for (kind, s), got in zip(inputs, results):
             assert np.array_equal(got, full_matrix_cwt(s, kind))
+
+    def test_each_row_may_call_wes_for_another_family(self):
+        # the callback's wes needs another bank than the one this call
+        # reads; it is built beside the read one instead of waiting for it
+        s = SampledSignal(np.random.default_rng(10).standard_normal(777),
+                          RATE)
+        rows, inner = [], []
+
+        def nested(i, row):
+            rows.append(row.copy())
+            if i in (0, 63):
+                inner.append(wes(s, WaveletKind.BUMP).samples)
+
+        thread = threading.Thread(
+            target=cwt, args=(s, WaveletKind.MORSE), kwargs={
+                "each_row": nested}, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert np.array_equal(np.array(rows),
+                              full_matrix_cwt(s, WaveletKind.MORSE))
+        expected = np.sum(np.abs(full_matrix_cwt(s, WaveletKind.BUMP)) ** 2,
+                          axis=0) / 777
+        assert len(inner) == 2
+        for track in inner:
+            assert np.array_equal(track, expected)
 
 
 class TestWes:
-    def test_threads_missing_together_build_one_bank(self, monkeypatch):
+    def test_threads_missing_together_build_one_bank(self, monkeypatch,
+                                                     bank_maps):
         # the threads start together from an empty bank and kernel cache on
-        # one frame length; one refill serves them all
+        # one frame length; one build serves them all
         calls = counting_sampler(monkeypatch)
-        bank = fresh_bank(monkeypatch)
-        refills = []
-        real_refill = bank._refill
-
-        def counting_refill(key, mapper):
-            refills.append(key)
-            real_refill(key, mapper)
-
-        bank._refill = counting_refill
+        fresh_bank(monkeypatch)
+        builds, _ = bank_maps
         kind = WaveletKind.BUMP
         s = SampledSignal(np.random.default_rng(5).standard_normal(8000), RATE)
         n_threads = 4
@@ -543,7 +563,8 @@ class TestWes:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert len(calls) == 64
-        assert refills == [(kind, RATE, 8000)]
+        assert len(builds) == 1
+        assert wavelets.hold_bank(kind, RATE, 8000)[0] == (kind, RATE, 8000)
         for got in results:
             assert np.array_equal(got, results[0])
 
@@ -615,7 +636,7 @@ class TestWes:
 
 
 class TestHeldBank:
-    """One kernel bank at a time, refilled in place in one buffer."""
+    """One kernel bank at a time, swapped whole and never written."""
 
     @pytest.mark.parametrize("n", [777, 8000])
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -625,78 +646,76 @@ class TestHeldBank:
         expected, offsets, length = per_row_bank(kind, n)
         with ThreadPoolExecutor(max_workers=3) as pool:
             for mapper in (map, pool.map):
-                bank = fresh_bank(monkeypatch, sampled=True)
-                wavelets.hold_bank(kind, RATE, n, mapper)
-                with bank.lease(kind, RATE, n) as (bank_h, offs, got_length):
-                    assert got_length == length
-                    assert list(offs) == offsets
-                    assert np.array_equal(bank_h, expected)
+                fresh_bank(monkeypatch, sampled=True)
+                key, bank_h, offs = wavelets.hold_bank(kind, RATE, n, mapper)
+                assert key == (kind, RATE, n)
+                assert bank_h.shape == (64, length)
+                assert list(offs) == offsets
+                assert np.array_equal(bank_h, expected)
 
-    def test_one_bank_held_in_a_buffer_reused_in_place(self, monkeypatch):
+    def test_one_bank_held_and_a_replaced_one_released(self, monkeypatch,
+                                                        bank_maps):
         # 4 s frames at 2 kHz: Morlet's bank is 11.4 MB, Morse's 11.2 MB
-        # and Bump's 21.2 MB, so only Bump grows the buffer
-        bank = fresh_bank(monkeypatch, sampled=True)
+        # and Bump's 21.2 MB, each in its own mapping; the one a build
+        # replaces is read by no call, so it is unmapped before the build
+        fresh_bank(monkeypatch, sampled=True)
+        maps, alive = bank_maps
         assert wavelets.held_kind() is None
-
-        def hold(kind, n=8000):
-            wavelets.hold_bank(kind, RATE, n)
-            assert bank.key == (kind, RATE, n)
+        keys = [(WaveletKind.BUMP, 8000), (WaveletKind.MORLET, 8000),
+                (WaveletKind.BUMP, 8001), (WaveletKind.MORSE, 8000)]
+        for i, (kind, n) in enumerate(keys):
+            held = wavelets.hold_bank(kind, RATE, n)
+            assert held[0] == (kind, RATE, n)
             assert wavelets.held_kind() is kind
-            return bank._buf
+            assert wavelets.hold_bank(kind, RATE, n) is held
+            assert [ref() is not None for ref in maps] == [False] * i + [True]
+            del held
+        assert alive == [0] * len(keys)
+        assert np.array_equal(wavelets.hold_bank(WaveletKind.MORSE, RATE,
+                                                 8000)[1],
+                              per_row_bank(WaveletKind.MORSE, 8000)[0])
 
-        bump = hold(WaveletKind.BUMP)
-        assert bump.size == 64 * 20736
-        pointer = bump.__array_interface__["data"][0]
-        morlet = hold(WaveletKind.MORLET)
-        assert morlet is bump
-        assert morlet.__array_interface__["data"][0] == pointer
-        assert np.array_equal(bank._bank, per_row_bank(WaveletKind.MORLET,
-                                                       8000)[0])
-        # 8001 samples need the same 20736-point bank: no new buffer
-        assert hold(WaveletKind.BUMP, 8001) is bump
-        bank = fresh_bank(monkeypatch, sampled=True)
-        morlet = hold(WaveletKind.MORLET)
-        assert morlet.size == 64 * 11088
-        assert hold(WaveletKind.MORSE) is morlet
-        assert hold(WaveletKind.BUMP).size == 64 * 20736
+    def test_a_reader_keeps_its_bank_while_another_kind_is_held(
+            self, monkeypatch, bank_maps):
+        # a cwt call paused in its callback while another thread holds
+        # another kind reads on from its own bank, which lives until the
+        # call returns
+        fresh_bank(monkeypatch, sampled=True)
+        maps, _ = bank_maps
+        s = SampledSignal(np.random.default_rng(14).standard_normal(777),
+                          RATE)
+        paused, resume = threading.Event(), threading.Event()
+        rows = []
 
-    def test_leases_share_the_held_key_and_wait_for_another(self,
-                                                            monkeypatch):
-        bank = fresh_bank(monkeypatch, sampled=True)
-        first_in, release = threading.Event(), threading.Event()
-        same_in, other_in = threading.Event(), threading.Event()
+        def pause(i, row):
+            rows.append(row.copy())
+            if i == 0:
+                paused.set()
+                resume.wait(timeout=60)
 
-        def lease(kind, entered, wait=None):
-            with bank.lease(kind, RATE, 777):
-                entered.set()
-                if wait is not None:
-                    wait.wait(timeout=60)
-
-        threads = [threading.Thread(target=lease, args=(
-            WaveletKind.MORSE, first_in, release))]
-        threads[0].start()
+        reader = threading.Thread(target=cwt, args=(s, WaveletKind.MORSE),
+                                  kwargs={"each_row": pause}, daemon=True)
+        reader.start()
         try:
-            assert first_in.wait(timeout=60)
-            threads += [
-                threading.Thread(target=lease,
-                                 args=(WaveletKind.MORSE, same_in)),
-                threading.Thread(target=lease,
-                                 args=(WaveletKind.BUMP, other_in))]
-            for t in threads[1:]:
-                t.start()
-            assert same_in.wait(timeout=10)
-            assert not other_in.wait(timeout=0.2)
+            assert paused.wait(timeout=60)
+            holder = threading.Thread(target=wavelets.hold_bank,
+                                      args=(WaveletKind.BUMP, RATE, 777))
+            holder.start()
+            holder.join(timeout=60)
+            assert not holder.is_alive()
+            assert wavelets.held_kind() is WaveletKind.BUMP
+            assert [ref() is not None for ref in maps] == [True, True]
         finally:
-            release.set()
-            for t in threads:
-                t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert other_in.is_set()
-        assert wavelets.held_kind() is WaveletKind.BUMP
+            resume.set()
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert maps[0]() is None
+        assert np.array_equal(np.array(rows),
+                              full_matrix_cwt(s, WaveletKind.MORSE))
 
     def test_alternating_kinds_match_full_matrix(self, monkeypatch):
         # more threads than cores, each switching kind on every call, with
-        # a short switch interval: a refill that overwrote a bank while
+        # a short switch interval: a build that overwrote a bank while
         # another thread streamed it would change that thread's track
         fresh_bank(monkeypatch, sampled=True)
         rng = np.random.default_rng(12)
