@@ -2,18 +2,17 @@
 
 Both pressures are affine in ten coefficients over an expanded feature
 row (linear terms, heart rate and its square, two squared durations, one
-duration interaction). A built-in reference coefficient set is included;
-fitting and subject-wise leave-one-out cross-validation let callers
-derive their own.
+duration interaction). There is no built-in coefficient set: one is
+fitted to labeled subjects, and subject-wise leave-one-out
+cross-validation measures how such a fit does out of sample.
 
 Time features are handled under an explicit unit convention (seconds by
-default, milliseconds optional) because the coefficient values only make
-sense together with the convention they were fitted under; converting a
-coefficient set between conventions preserves predictions exactly.
+default, milliseconds optional). Coefficient values only make sense under
+the convention they were fitted under, so a coefficient set carries it.
 """
 
 import enum
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -76,10 +75,6 @@ class PcgFeatureVector:
 # The six measured durations, in field order (hr_pcg comes last).
 _DURATIONS = tuple(f.name for f in dataclass_fields(PcgFeatureVector))[:-1]
 
-# Per-term time dimension: scaling exponent applied when converting the
-# convention (0 = unitless/HR term, 1 = linear time, 2 = quadratic time).
-_TIME_POWERS = (0, 1, 1, 1, 1, 0, 0, 2, 2, 2)
-
 
 @dataclass(frozen=True)
 class BpCoefficients:
@@ -116,43 +111,11 @@ class BpCoefficients:
             if not np.isfinite(getattr(self, name)):
                 raise PcgKitError(f"coefficient {name} is not finite")
 
-    @classmethod
-    def reference(cls, unit_convention=UnitConvention.SECONDS):
-        """Built-in reference set fitted on resting adult recordings.
-
-        The values are fitted in seconds; any other convention gets the
-        equivalent set from :meth:`converted`.
-        """
-        return cls(
-            c1=0.655, sigma_sys=-1.112, sigma_rs1=48.90, sigma_ds1=48.45,
-            sigma_s1=-50.44, sigma_s_hr=-6.940e-3, sigma_s_hr2=0.41e-5,
-            sigma_sys2=1.689, sigma_s12=22.98, sigma_rds1=-59.02,
-            c2=1.799, alpha_dias=2.463, alpha_rd2=11.96, alpha_dd2=7.878,
-            alpha_s2=-9.643, alpha_d_hr=-5.291e-2, alpha_d_hr2=3.05e-4,
-            alpha_dias2=-2.816, alpha_s22=30.49, alpha_rdd2=-10.94,
-        ).converted(unit_convention)
-
     def sbp_vector(self):
         return np.array([getattr(self, f) for f in _SBP_FIELDS])
 
     def dbp_vector(self):
         return np.array([getattr(self, f) for f in _DBP_FIELDS])
-
-    def converted(self, target):
-        """Equivalent coefficient set under the other unit convention.
-
-        Linear time coefficients pick up one factor of 1000 per power of
-        time, so predictions are identical for the same physical features.
-        """
-        target = UnitConvention(target)
-        if target is self.unit_convention:
-            return self
-        factor = 1000.0 if target is UnitConvention.MILLISECONDS else 1e-3
-        new = {}
-        for names in (_SBP_FIELDS, _DBP_FIELDS):
-            for name, power in zip(names, _TIME_POWERS):
-                new[name] = getattr(self, name) / factor ** power
-        return replace(self, unit_convention=target, **new)
 
     def to_json_dict(self):
         d = {f: getattr(self, f) for f in _SBP_FIELDS + _DBP_FIELDS}
@@ -289,7 +252,7 @@ def fit_multiple_regression(X, y, ridge_lambda=0.0):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise PcgKitError("design matrix and targets must be finite")
     sv = np.linalg.svd(X, compute_uv=False)
-    tol = sv[0] * max(n, p) * np.finfo(np.float64).eps if sv[0] > 0 else 0.0
+    tol = sv[0] * max(n, p) * np.finfo(np.float64).eps
     rank = int(np.sum(sv > tol))
     cond = float(sv[0] / sv[-1]) if sv[-1] > tol else float("inf")
     if ridge_lambda > 0:

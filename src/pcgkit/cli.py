@@ -11,7 +11,9 @@ import enum
 import inspect
 import math
 import os
+import shutil
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -155,9 +157,7 @@ def resolve_config(args):
             ("--wavelet", config.method is EnvelopeMethod.WES,
              "with --method wes"),
             *((f, audio, "with --features-from-audio")
-              for f in ("--method", "--wavelet", "--frames", "--formula")),
-            ("--units", not getattr(args, "coeffs", None),
-             "without --coeffs")):
+              for f in ("--method", "--wavelet", "--frames", "--formula"))):
         if not used and flags[_FLAGS[flag]["dest"]] is not None:
             raise PcgKitError(f"{flag} is only used {where}")
     return config
@@ -253,27 +253,32 @@ def cmd_synth(args):
     coeffs = default_cohort_coefficients()
     cohort = generate_cohort(coeffs=coeffs, **params)
     out = Path(args.out)
-    for subject in cohort:
-        pcg, truth = generate_pcg(subject.spec)
-        ecg, r_times = generate_ecg(subject.spec)
-        peak = float(np.max(np.abs(pcg.samples)))
-        if not peak > 0:
-            raise PcgKitError(f"subject {subject.subject_id}: its PCG holds "
-                              f"no heart sound")
-        pcg = pcg.with_samples(pcg.samples * (0.99 / peak))
-        f = subject.features
-        meta = {
-            "subject_id": subject.subject_id,
-            "sbp_ref": subject.sbp_ref,
-            "dbp_ref": subject.dbp_ref,
-            "hr_bpm": subject.spec.hr_bpm,
-            "seed": subject.spec.seed,
-            "features": {**asdict(f), "t_s1": f.t_s1, "t_s2": f.t_s2},
-            "s1_times": truth.s1_times,
-            "s2_times": truth.s2_times,
-            "r_times": r_times,
-        }
-        write_subject_dir(out / subject.subject_id, pcg, ecg, meta)
+    with ExitStack() as undo:  # a failed run removes the folders it made
+        for subject in cohort:
+            pcg, truth = generate_pcg(subject.spec)
+            ecg, r_times = generate_ecg(subject.spec)
+            peak = float(np.max(np.abs(pcg.samples)))
+            if not peak > 0:
+                raise PcgKitError(f"subject {subject.subject_id}: its PCG "
+                                  f"holds no heart sound")
+            pcg = pcg.with_samples(pcg.samples * (0.99 / peak))
+            f = subject.features
+            meta = {
+                "subject_id": subject.subject_id,
+                "sbp_ref": subject.sbp_ref,
+                "dbp_ref": subject.dbp_ref,
+                "hr_bpm": subject.spec.hr_bpm,
+                "seed": subject.spec.seed,
+                "features": {**asdict(f), "t_s1": f.t_s1, "t_s2": f.t_s2},
+                "s1_times": truth.s1_times,
+                "s2_times": truth.s2_times,
+                "r_times": r_times,
+            }
+            subject_dir = out / subject.subject_id
+            if not subject_dir.exists():
+                undo.callback(shutil.rmtree, subject_dir, ignore_errors=True)
+            write_subject_dir(subject_dir, pcg, ecg, meta)
+        undo.pop_all()
     manifest = {
         "version": __version__,
         "n_subjects": len(cohort),
@@ -388,25 +393,19 @@ def cmd_bp(args):
         write_json_report(out / "bp_coefficients.json", report)
 
     elif args.bp_command == "predict":
-        if args.coeffs:
-            payload = read_json_object(args.coeffs)
-            coeffs = BpCoefficients.from_json_dict(
-                payload.get("coefficients", payload))
-            coeffs_id = str(args.coeffs)
-        else:
-            coeffs = BpCoefficients.reference(config.units)
-            coeffs_id = "reference"
+        payload = read_json_object(args.coeffs)
+        coeffs = BpCoefficients.from_json_dict(
+            payload.get("coefficients", payload))
         predictions = {}
         for sid, (features, *refs) in rows.items():
             pred = predict_pair(features, coeffs)
-            entry = {"sbp": pred.sbp, "dbp": pred.dbp,
-                     "flags": pred.flags}
+            entry = {"sbp": pred.sbp, "dbp": pred.dbp, "flags": pred.flags}
             for side, ref in zip(("sbp", "dbp"), refs):
                 if ref is not None:
                     entry[f"{side}_ref"] = ref
                     entry[f"{side}_error"] = getattr(pred, side) - ref
             predictions[sid] = entry
-        report["coefficients_id"] = coeffs_id
+        report["coefficients_id"] = str(args.coeffs)
         report["predictions"] = predictions
         write_json_report(out / "bp_predictions.json", report)
 
@@ -481,7 +480,7 @@ def cmd_quality(args):
 # Every report-command flag. A setting's dest is its RunConfig field and
 # its metavar the flag's name; an enum's values are its choices.
 _FLAGS = {
-    "--coeffs": dict(help="coefficients JSON"),
+    "--coeffs": dict(required=True, help="bp fit's coefficients JSON"),
     "--ridge": dict(dest="ridge_lambda", metavar="RIDGE", type=float,
                     help="ridge strength"),
     "--features-from-audio": dict(action="store_true", help=(
@@ -503,7 +502,7 @@ _FLAGS = {
                       help="interval-to-rate conversion"),
 }
 _ANALYSIS_FLAGS = ("--frames", "--method", "--wavelet", "--out", "--config")
-_BP_FLAGS = ("--features-from-audio", "--units", *_ANALYSIS_FLAGS, "--formula")
+_BP_FLAGS = ("--features-from-audio", *_ANALYSIS_FLAGS, "--formula")
 
 
 def _add_command(sub, name, help, func, flags):
@@ -539,11 +538,12 @@ def build_parser():
                  (*_ANALYSIS_FLAGS, "--formula"))
     bp = sub.add_parser("bp", help="blood-pressure model commands")
     bp_sub = bp.add_subparsers(dest="bp_command", required=True)
-    for name, flag, help in (
-            ("fit", "--ridge", "fit the pressure model"),
-            ("predict", "--coeffs", "predict pressures"),
-            ("loocv", "--ridge", "leave-one-subject-out cross-validation")):
-        _add_command(bp_sub, name, help, cmd_bp, (flag, *_BP_FLAGS))
+    fitting = ("--ridge", "--units")  # a coefficients file names its units
+    for name, flags, help in (
+            ("fit", fitting, "fit the pressure model"),
+            ("predict", ("--coeffs",), "predict pressures"),
+            ("loocv", fitting, "leave-one-subject-out cross-validation")):
+        _add_command(bp_sub, name, help, cmd_bp, (*flags, *_BP_FLAGS))
     _add_command(sub, "quality", "signal-quality report", cmd_quality,
                  _ANALYSIS_FLAGS)
     return parser

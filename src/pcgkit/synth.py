@@ -232,8 +232,7 @@ def default_cohort_coefficients():
 
     Chosen so that, over the default sampling ranges, systolic targets
     land near 105..120 mmHg and diastolic near 68..80 mmHg with systolic
-    strictly above diastolic. The built-in reference set is unsuitable
-    here because its intercepts put targets near zero.
+    strictly above diastolic.
     """
     return BpCoefficients(
         c1=100.0, sigma_sys=-40.0, sigma_rs1=60.0, sigma_ds1=55.0,

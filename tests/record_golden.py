@@ -30,8 +30,8 @@ COHORTS = {
 }
 # Input file name -> checked-in source. They live outside GOLDEN/<case>,
 # which recording replaces. The coefficients are synth's cohort set with
-# other intercepts: unlike the reference set's, their predictions are
-# plausible, and they differ from those of a run without --coeffs.
+# other intercepts, so their predictions are plausible but miss the
+# cohort's references by a few mmHg.
 INPUTS = {
     "coeffs.json": GOLDEN.parent / "golden_inputs" / "bp_coeffs.json",
     "run.cfg": GOLDEN.parent / "golden_inputs" / "run.cfg",
@@ -49,7 +49,8 @@ CASES = {
     "hr_wes_morse": ["hr", "ds", "--method", "wes", "--wavelet", "morse"],
     "hr_wes_bump": ["hr", "ds", "--method", "wes", "--wavelet", "bump"],
     "quality_frames_2": ["quality", "ds", "--frames", "2"],
-    "bp_predict_audio": ["bp", "predict", "ds", "--features-from-audio"],
+    "bp_predict_audio": ["bp", "predict", "ds", "--coeffs", "coeffs.json",
+                         "--features-from-audio"],
     "bp_predict_coeffs": ["bp", "predict", "ds", "--coeffs", "coeffs.json"],
     "bp_fit_ridge": ["bp", "fit", "ds12", "--features-from-audio",
                      "--ridge", "0.5"],

@@ -1,15 +1,17 @@
 """Pressure regression: evaluation, fitting, LOOCV, feature averaging.
 
-The hand-oracle constants below were produced by an independent
-term-by-term evaluation script (plain floats, sequential accumulation)
-against the published coefficient values, before comparing with the
-implementation.
+The hand-oracle constants below are term-by-term decimal sums over the
+checked-in coefficient file ``golden_inputs/bp_coeffs.json``, worked out
+independently of the implementation.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pcgkit import (
     BpCoefficients,
@@ -28,16 +30,25 @@ from pcgkit import (
     predict_pair,
     predict_sbp,
 )
+from pcgkit.bp import fit_coefficients
 
 FEATURES = PcgFeatureVector(t_sys=0.3, t_dias=0.5, t_rs1=0.04, t_ds1=0.05,
                             t_rd2=0.045, t_dd2=0.055, hr_pcg=72.0)
 ZERO_FEATURES = PcgFeatureVector(t_sys=0.0, t_dias=0.0, t_rs1=0.0, t_ds1=0.0,
                                  t_rd2=0.0, t_dd2=0.0, hr_pcg=0.0)
 
-SBP_TABLE_ORACLE = -0.09801759999999879
-DBP_TABLE_ORACLE = 0.38311349999999994
+COEFFS_FILE = (Path(__file__).resolve().parent / "golden_inputs"
+               / "bp_coeffs.json")
+SBP_FILE_ORACLE = 103.2178
+DBP_FILE_ORACLE = 77.38555
 SBP_SIMPLE_ORACLE = 36723.1829
 DBP_SIMPLE_ORACLE = 36724.96975
+
+
+def file_coeffs():
+    """The checked-in set that the goldens and the CLI tests read."""
+    return BpCoefficients.from_json_dict(
+        json.loads(COEFFS_FILE.read_text())["coefficients"])
 
 
 def simple_coeffs():
@@ -86,32 +97,38 @@ class TestPcgFeatureVector:
 
 
 class TestReferenceCoefficients:
+    """The checked-in coefficient file and the JSON form it is read from."""
 
     def test_intercepts(self):
-        ref = BpCoefficients.reference()
-        assert ref.c1 == 0.655
-        assert ref.c2 == 1.799
+        ref = file_coeffs()
+        assert ref.c1 == 95.0
+        assert ref.c2 == 65.0
 
     def test_spot_values(self):
-        ref = BpCoefficients.reference()
-        assert ref.sigma_rs1 == 48.90
-        assert ref.sigma_ds1 == 48.45
-        assert ref.sigma_s_hr2 == 0.41e-5
-        assert ref.alpha_s22 == 30.49
-        assert ref.alpha_rdd2 == -10.94
+        ref = file_coeffs()
+        assert ref.sigma_rs1 == 60.0
+        assert ref.sigma_ds1 == 55.0
+        assert ref.sigma_s_hr2 == -0.0008
+        assert ref.alpha_s22 == 40.0
+        assert ref.alpha_rdd2 == -30.0
         assert ref.unit_convention is UnitConvention.SECONDS
 
-    def test_json_round_trip(self):
-        ref = BpCoefficients.reference()
-        again = BpCoefficients.from_json_dict(ref.to_json_dict())
-        assert again == ref
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=20, max_size=20),
+           st.sampled_from(UnitConvention))
+    def test_json_round_trip(self, values, convention):
+        coeffs = BpCoefficients(*values, unit_convention=convention)
+        text = json.dumps(coeffs.to_json_dict())
+        again = BpCoefficients.from_json_dict(json.loads(text))
+        assert again == coeffs
+        assert again.unit_convention is convention
 
     def test_rejects_nonfinite(self):
         with pytest.raises(PcgKitError, match="coefficient c1 is not finite"):
             intercept_only(float("inf"), 80.0)
 
     def test_json_unknown_keys_rejected(self):
-        d = dict(BpCoefficients.reference().to_json_dict(),
+        d = dict(file_coeffs().to_json_dict(),
                  sigma_sys_typo=5.0, c3=1.0)
         with pytest.raises(PcgKitError,
                            match="unknown coefficient entries: c3, "
@@ -121,14 +138,14 @@ class TestReferenceCoefficients:
     @pytest.mark.parametrize("value", [True, False])
     def test_json_boolean_rejected(self, value):
         # float(True) is 1.0; a JSON boolean is not a coefficient
-        d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
+        d = dict(file_coeffs().to_json_dict(), c1=value)
         with pytest.raises(PcgKitError, match="c1 must be a number"):
             BpCoefficients.from_json_dict(d)
 
     @pytest.mark.parametrize("value", ["1.5", "nan", None, [1.5]])
     def test_json_non_number_rejected(self, value):
         # float("1.5") is 1.5; a JSON string is not a coefficient either
-        d = dict(BpCoefficients.reference().to_json_dict(), c1=value)
+        d = dict(file_coeffs().to_json_dict(), c1=value)
         with pytest.raises(PcgKitError, match="c1 must be a number"):
             BpCoefficients.from_json_dict(d)
 
@@ -136,16 +153,16 @@ class TestReferenceCoefficients:
 class TestPredict:
 
     def test_zero_features_return_intercepts(self):
-        ref = BpCoefficients.reference()
-        assert abs(predict_sbp(ZERO_FEATURES, ref) - 0.655) < 1e-12
-        assert abs(predict_dbp(ZERO_FEATURES, ref) - 1.799) < 1e-12
+        ref = file_coeffs()
+        assert abs(predict_sbp(ZERO_FEATURES, ref) - 95.0) < 1e-12
+        assert abs(predict_dbp(ZERO_FEATURES, ref) - 65.0) < 1e-12
 
     def test_table_coefficients_hand_oracle(self):
-        ref = BpCoefficients.reference()
+        ref = file_coeffs()
         assert predict_sbp(FEATURES, ref) == pytest.approx(
-            SBP_TABLE_ORACLE, abs=1e-9)
+            SBP_FILE_ORACLE, abs=1e-9)
         assert predict_dbp(FEATURES, ref) == pytest.approx(
-            DBP_TABLE_ORACLE, abs=1e-9)
+            DBP_FILE_ORACLE, abs=1e-9)
 
     def test_simple_coefficients_hand_oracle(self):
         c = simple_coeffs()
@@ -155,7 +172,7 @@ class TestPredict:
             DBP_SIMPLE_ORACLE, abs=1e-9)
 
     def test_linear_in_coefficients(self):
-        a = BpCoefficients.reference()
+        a = file_coeffs()
         b = simple_coeffs()
         summed_fields = {f: getattr(a, f) + getattr(b, f)
                          for f in a.to_json_dict() if f != "unit_convention"}
@@ -171,10 +188,10 @@ class TestPredict:
                                 hr_pcg=1e200)
         with pytest.raises(PcgKitError,
                            match="SBP evaluated to a non-finite value"):
-            predict_sbp(huge, BpCoefficients.reference())
+            predict_sbp(huge, file_coeffs())
 
     def test_pair_flags_implausible_values(self):
-        pred = predict_pair(ZERO_FEATURES, BpCoefficients.reference())
+        pred = predict_pair(ZERO_FEATURES, intercept_only(0.0, 0.0))
         assert "sbp_implausible" in pred.flags
         assert "dbp_implausible" in pred.flags
 
@@ -189,7 +206,8 @@ class TestPredict:
         (59.0, 80.0, ("sbp_implausible",)),
         (225.0, 80.0, ("sbp_implausible",)),
         (120.0, 27.5, ("dbp_implausible",)),
-        (120.0, 141.0, ("dbp_implausible",))])
+        (120.0, 141.0, ("dbp_implausible",)),
+        (220.5, 80.0, ("sbp_implausible",))])
     def test_pair_plausible_bounds_are_inclusive(self, sbp, dbp, flags):
         pred = predict_pair(FEATURES, intercept_only(sbp, dbp))
         assert (pred.sbp, pred.dbp) == (sbp, dbp)
@@ -207,27 +225,6 @@ class TestUnitConvention:
         assert row_d[1] == pytest.approx(500.0)
         assert row_d[9] == pytest.approx(45.0 * 55.0)
 
-    def test_converted_coefficients_preserve_predictions(self):
-        ref = BpCoefficients.reference()
-        in_ms = ref.converted(UnitConvention.MILLISECONDS)
-        assert in_ms.unit_convention is UnitConvention.MILLISECONDS
-        assert predict_sbp(FEATURES, in_ms) == pytest.approx(
-            predict_sbp(FEATURES, ref), abs=1e-9)
-        assert predict_dbp(FEATURES, in_ms) == pytest.approx(
-            predict_dbp(FEATURES, ref), abs=1e-9)
-
-    def test_conversion_round_trip(self):
-        ref = BpCoefficients.reference()
-        back = ref.converted("ms").converted("s")
-        for name, value in ref.to_json_dict().items():
-            if name == "unit_convention":
-                continue
-            assert getattr(back, name) == pytest.approx(value, rel=1e-12)
-
-    def test_identity_conversion_returns_self(self):
-        ref = BpCoefficients.reference()
-        assert ref.converted(UnitConvention.SECONDS) is ref
-
 
 class TestFitMultipleRegression:
 
@@ -239,7 +236,31 @@ class TestFitMultipleRegression:
         assert np.max(np.abs(fit.coeffs - beta)) < 1e-8
         assert fit.rank == 10
         assert fit.residual_rms < 1e-8
-        assert np.isfinite(fit.condition_number)
+        assert fit.condition_number == pytest.approx(np.linalg.cond(X),
+                                                     rel=1e-12)
+
+    def test_square_design_accepted(self):
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((10, 10))  # as many rows as columns
+        beta = rng.standard_normal(10)
+        fit = fit_multiple_regression(X, X @ beta)
+        assert np.max(np.abs(fit.coeffs - beta)) < 1e-8
+
+    def test_rank_tolerance_scales_with_the_largest_singular_value(self):
+        # singular values 1e6, eight 1s and 1e-9: the last is under the
+        # tolerance 1e6 * 12 * eps, though far above 12 * eps
+        rng = np.random.default_rng(28)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 10)))
+        v, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        X = u @ np.diag([1e6] + [1.0] * 8 + [1e-9]) @ v.T
+        fit = fit_multiple_regression(X, X @ np.ones(10))
+        assert fit.rank == 9
+        assert fit.condition_number == math.inf
+
+    def test_zero_design_has_rank_zero(self):
+        fit = fit_multiple_regression(np.zeros((12, 10)), np.ones(12))
+        assert (fit.rank, fit.condition_number) == (0, math.inf)
+        assert np.all(fit.coeffs == 0.0)
 
     def test_min_norm_solution_reaches_row_space_targets(self):
         rng = np.random.default_rng(23)
@@ -281,15 +302,21 @@ class TestFitMultipleRegression:
         with pytest.raises(PcgKitError, match="need rows >= columns"):
             fit_multiple_regression(rng.standard_normal((5, 10)),
                                     rng.standard_normal(5))
-        with pytest.raises(PcgKitError,
-                           match=r"X must be \(n, p\) and y \(n,\)"):
-            fit_multiple_regression(rng.standard_normal((12, 10)),
-                                    rng.standard_normal(11))
+        for X, y in ((rng.standard_normal((12, 10)), rng.standard_normal(11)),
+                     (rng.standard_normal(12), rng.standard_normal(12)),
+                     (rng.standard_normal((12, 10)),
+                      rng.standard_normal((12, 1)))):
+            with pytest.raises(PcgKitError,
+                               match=r"X must be \(n, p\) and y \(n,\)"):
+                fit_multiple_regression(X, y)
         X = rng.standard_normal((12, 10))
-        X[0, 0] = np.nan
-        with pytest.raises(PcgKitError,
-                           match="design matrix and targets must be finite"):
-            fit_multiple_regression(X, rng.standard_normal(12))
+        y = rng.standard_normal(12)
+        X_nan, y_nan = X.copy(), y.copy()
+        X_nan[0, 0] = y_nan[0] = np.nan
+        for args in ((X_nan, y), (X, y_nan)):
+            with pytest.raises(PcgKitError, match="design matrix and "
+                                                  "targets must be finite"):
+                fit_multiple_regression(*args)
 
 
 def cohort_dataset(seed=3, sbp_noise_sd=0.0, dbp_noise_sd=0.0):
@@ -297,6 +324,20 @@ def cohort_dataset(seed=3, sbp_noise_sd=0.0, dbp_noise_sd=0.0):
                              sbp_noise_sd=sbp_noise_sd,
                              dbp_noise_sd=dbp_noise_sd)
     return [(cs.features, cs.sbp_ref, cs.dbp_ref) for cs in cohort]
+
+
+class TestFitCoefficients:
+
+    def test_noiseless_cohort_fitted_exactly_by_default(self):
+        data = cohort_dataset()
+        coeffs, fit_s, fit_d = fit_coefficients(data)
+        assert coeffs.unit_convention is UnitConvention.SECONDS
+        assert fit_s.residual_rms < 1e-8 and fit_d.residual_rms < 1e-8
+        for features, sbp, dbp in data:
+            assert predict_sbp(features, coeffs) == pytest.approx(sbp,
+                                                                  abs=1e-6)
+            assert predict_dbp(features, coeffs) == pytest.approx(dbp,
+                                                                  abs=1e-6)
 
 
 class TestLoocv:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcgkit import (
-    BpCoefficients,
     EnvelopeMethod,
     HrEstimate,
     HrFormula,
@@ -47,6 +46,10 @@ from pcgkit.cli import (
 )
 
 
+# The checked-in coefficient file, and bp predict reading it.
+COEFFS = str(Path(__file__).resolve().parent / "golden_inputs"
+             / "bp_coeffs.json")
+PREDICT = ["bp", "predict", "--coeffs", COEFFS]
 # The analysis chain's fixed settings, as every report's config lists them.
 FIXED_SETTINGS = {
     "peak_height_frac": 0.15, "peak_distance_s": 0.125,
@@ -61,6 +64,11 @@ def synth_ds(root, subjects):
     assert main(["synth", "--out", str(root), "--subjects", str(subjects),
                  "--seed", "1", "--duration", "8"]) == 0
     return root
+
+
+def file_coeffs():
+    """A fresh dict of the checked-in file's coefficient entries."""
+    return json.loads(Path(COEFFS).read_text())["coefficients"]
 
 
 def edit_meta(subject_dir, **changes):
@@ -258,6 +266,17 @@ class TestSynthCommand:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
 
+    def test_failed_run_leaves_no_partial_dataset(self, tmp_path, capsys):
+        # at 0.1 s, s01 and s02 are written before s03 holds no heart sound
+        ds = tmp_path / "ds"
+        (ds / "s02").mkdir(parents=True)  # a folder this run did not make
+        (ds / "s02" / "notes.txt").write_text("kept")
+        assert main(["synth", "--out", str(ds), "--subjects", "6",
+                     "--duration", "0.1"]) == 1
+        assert "subject s03: its PCG holds no" in capsys.readouterr().err
+        assert sorted(p.name for p in ds.iterdir()) == ["s02"]
+        assert (ds / "s02" / "notes.txt").read_text() == "kept"
+
     @pytest.mark.parametrize("flags, needle", [
         (["--seed", "-1"], "seed must be >= 0"),
         (["--subjects", "-3"], "n_subjects must be >= 1"),
@@ -439,7 +458,7 @@ class TestHrCommand:
     @pytest.mark.parametrize("command, flags, report", [
         (["hr"], [], "hr_report.json"),
         (["quality"], [], "quality_report.json"),
-        (["bp", "predict"], ["--features-from-audio"], "bp_predictions.json"),
+        (PREDICT, ["--features-from-audio"], "bp_predictions.json"),
     ], ids=["hr", "quality", "bp"])
     def test_wav_too_long_once_resampled_is_a_subject_error(
             self, command, flags, report, tmp_path, capsys):
@@ -577,7 +596,7 @@ class TestBpCommand:
 
     def test_predict_from_audio_features(self, small_ds, tmp_path):
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(small_ds), "--features-from-audio",
+        assert main([*PREDICT, str(small_ds), "--features-from-audio",
                      "--out", str(out)]) == 0
         report = json.loads((out / "bp_predictions.json").read_text())
         assert sorted(report["predictions"]) == ["s01", "s02", "s03"]
@@ -598,7 +617,9 @@ class TestBpCommand:
         edit_meta(ds / "s13", subject_id="s13",
                   features=dict(features, t_sys=value))
         out = tmp_path / "out"
-        assert main(["bp", command, str(ds), "--out", str(out)]) == 1
+        coeffs = ["--coeffs", COEFFS] if command == "predict" else []
+        assert main(["bp", command, str(ds), *coeffs,
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == ""
         name = {"fit": "coefficients", "predict": "predictions",
                 "loocv": "loocv"}[command]
@@ -611,21 +632,27 @@ class TestBpCommand:
         shutil.copytree(small_ds, ds)
         edit_meta(ds / "s02", features="abc")
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        assert main([*PREDICT, str(ds), "--out", str(out)]) == 1
         report = json.loads((out / "bp_predictions.json").read_text())
         assert sorted(report["predictions"]) == ["s01", "s03"]
         assert "features must be an object" in report["errors"]["s02"]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_millisecond_units_predict_the_same(self, source, small_ds,
-                                                tmp_path):
+    def test_millisecond_units_predict_the_same(self, source, cohort_ds,
+                                                small_ds, tmp_path):
+        # each coefficients file names the units it was fitted under
         units = (["--units", "ms"] if source == "flag" else
                  ["--config", write_cfg(tmp_path, "units = ms\n")])
 
         def predictions(name, extra):
             out = tmp_path / name
-            assert main(["bp", "predict", str(small_ds), *extra,
+            assert main(["bp", "fit", str(cohort_ds), *extra,
                          "--out", str(out)]) == 0
+            coeffs = out / "bp_coefficients.json"
+            fitted = json.loads(coeffs.read_text())["coefficients"]
+            assert fitted["unit_convention"] == name
+            assert main(["bp", "predict", str(small_ds), "--coeffs",
+                         str(coeffs), "--out", str(out)]) == 0
             return json.loads((out / "bp_predictions.json").read_text())[
                 "predictions"]
 
@@ -651,7 +678,9 @@ class TestBpCommand:
         edit_meta(ds / "s13", subject_id="s13",
                   features=dict(features, t_sys=5.0))
         out = tmp_path / "out"
-        assert main(["bp", command, str(ds), "--out", str(out)]) == 1
+        coeffs = ["--coeffs", COEFFS] if command == "predict" else []
+        assert main(["bp", command, str(ds), *coeffs,
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == ""
         name = {"fit": "coefficients", "predict": "predictions",
                 "loocv": "loocv"}[command]
@@ -668,10 +697,10 @@ class TestBpCommand:
         del meta["features"]  # no block at all: audio features
         (ds / "s03" / "meta.json").write_text(json.dumps(meta))
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(ds), "--features-from-audio",
+        assert main([*PREDICT, str(ds), "--features-from-audio",
                      "--out", str(out)]) == 0
         audio = json.loads((out / "bp_predictions.json").read_text())
-        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        assert main([*PREDICT, str(ds), "--out", str(out)]) == 1
         report = json.loads((out / "bp_predictions.json").read_text())
         assert list(report["errors"]) == ["s02"]
         assert report["predictions"]["s03"] == audio["predictions"]["s03"]
@@ -681,7 +710,7 @@ class TestBpCommand:
         config = tmp_path / "run.cfg"
         config.write_text("ridge_lambda = 0.5\n")
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(small_ds), "--config", str(config),
+        assert main([*PREDICT, str(small_ds), "--config", str(config),
                      "--out", str(out)]) == 0
         assert (out / "bp_predictions.json").exists()
 
@@ -746,7 +775,7 @@ class TestFrameFailure:
 
     def test_bp_from_audio_uses_surviving_frame(self, silent_frame_ds,
                                                  tmp_path):
-        assert main(["bp", "predict", str(silent_frame_ds),
+        assert main([*PREDICT, str(silent_frame_ds),
                      "--features-from-audio", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "bp_predictions.json").read_text())
         assert report["errors"] == {}
@@ -756,7 +785,7 @@ class TestFrameFailure:
         ds = shutil.copytree(small_ds, tmp_path / "ds")
         write_silent_frame_subject(ds, "silent", silent_from_s=0.0)
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(ds), "--features-from-audio",
+        assert main([*PREDICT, str(ds), "--features-from-audio",
                      "--out", str(out)]) == 1
         report = json.loads((out / "bp_predictions.json").read_text())
         # the screen saw no frame; both failed before it
@@ -932,7 +961,7 @@ class TestDeterminism:
             monkeypatch.chdir(cwd)
             assert main(["hr", str(small_ds), "--out", "out"]) == 0
             assert main(["quality", str(small_ds), "--out", "out"]) == 0
-            assert main(["bp", "predict", str(small_ds), "--out", "out"]) == 0
+            assert main([*PREDICT, str(small_ds), "--out", "out"]) == 0
             payloads[run] = {p.name: p.read_bytes()
                              for p in (cwd / "out").iterdir()}
         assert sorted(payloads["a"]) == sorted(payloads["b"])
@@ -968,22 +997,29 @@ class TestMainEntry:
 class TestUnreadFlags:
     """A flag the command would ignore is rejected; config values are not."""
 
-    @pytest.mark.parametrize("command, flag", [
-        (["hr"], ["--units", "ms"]),
-        (["quality"], ["--units", "ms"]),
-        (["quality"], ["--formula", "eq7"]),
-        (["bp", "fit"], ["--coeffs", "/nonexistent.json"]),
-        (["bp", "loocv"], ["--coeffs", "/nonexistent.json"]),
-        (["bp", "predict"], ["--ridge", "5"]),
+    @pytest.mark.parametrize("command, flag, needle", [
+        (["hr"], ["--units", "ms"], None),
+        (["quality"], ["--units", "ms"], None),
+        (["quality"], ["--formula", "eq7"], None),
+        (["bp", "fit"], ["--coeffs", "/nonexistent.json"], None),
+        (["bp", "loocv"], ["--coeffs", "/nonexistent.json"], None),
+        (PREDICT, ["--ridge", "5"], None),
+        # a coefficients file names its own units
+        (PREDICT, ["--units", "ms"], None),
+        # there is no built-in coefficient set to predict with
+        (["bp", "predict"], [], "the following arguments are required: "
+                                "--coeffs"),
     ], ids=["hr-units", "quality-units", "quality-formula", "bp-fit-coeffs",
-            "bp-loocv-coeffs", "bp-predict-ridge"])
-    def test_flag_not_registered(self, command, flag, small_ds, tmp_path,
-                                 capsys):
+            "bp-loocv-coeffs", "bp-predict-ridge", "bp-predict-units",
+            "bp-predict-no-coeffs"])
+    def test_flag_not_registered(self, command, flag, needle, small_ds,
+                                 tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*command, str(small_ds), *flag, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        needle = needle or f"unrecognized arguments: {flag[0]}"
+        assert needle in capsys.readouterr().err
         assert not out.exists()
 
     def test_each_command_registers_the_flags_it_reads(self):
@@ -999,12 +1035,12 @@ class TestUnreadFlags:
         commands = subcommands(build_parser())
         bp = subcommands(commands["bp"])
         analysis = {"--frames", "--method", "--wavelet", "--out", "--config"}
-        bp_flags = analysis | {"--formula", "--units", "--features-from-audio"}
+        bp_flags = analysis | {"--formula", "--features-from-audio"}
         assert flags(commands["hr"]) == analysis | {"--formula"}
         assert flags(commands["quality"]) == analysis
-        assert flags(bp["fit"]) == bp_flags | {"--ridge"}
+        assert flags(bp["fit"]) == bp_flags | {"--ridge", "--units"}
         assert flags(bp["predict"]) == bp_flags | {"--coeffs"}
-        assert flags(bp["loocv"]) == bp_flags | {"--ridge"}
+        assert flags(bp["loocv"]) == bp_flags | {"--ridge", "--units"}
         # a setting flag stores its value under the RunConfig field name
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         for parser in (commands["hr"], commands["quality"], *bp.values()):
@@ -1016,7 +1052,7 @@ class TestUnreadFlags:
         ["hr"],
         ["hr", "--method", "hilbert"],
         ["quality"],
-        ["bp", "predict"],
+        PREDICT,
     ], ids=["hr", "hr-hilbert", "quality", "bp"])
     def test_wavelet_without_wes_rejected(self, argv, tmp_path, capsys):
         # the dataset does not exist: the flag is rejected before loading
@@ -1046,31 +1082,18 @@ class TestUnreadFlags:
                 "frames": ["--frames", "2"],
                 "formula": ["--formula", "eq7"]}[flag]
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(tmp_path / "nope"), *argv,
+        assert main([*PREDICT, str(tmp_path / "nope"), *argv,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: --{flag} is only used with --features-from-audio\n")
         assert not out.exists()
 
-    def test_units_flag_refused_with_coeffs(self, tmp_path, capsys):
-        # the coefficients file names its own units; the dataset does not
-        # exist, so the flag is rejected before anything loads
-        out = tmp_path / "out"
-        assert main(["bp", "predict", str(tmp_path / "nope"), "--coeffs",
-                     str(tmp_path / "c.json"), "--units", "ms",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: --units is only used without --coeffs\n")
-        assert not out.exists()
-
     def test_config_file_units_and_formula_accepted_with_coeffs(
             self, small_ds, tmp_path):
-        coeffs = tmp_path / "coeffs.json"
-        coeffs.write_text(json.dumps(BpCoefficients.reference().to_json_dict()))
         config = write_cfg(tmp_path, "units = ms\nformula = eq7\n")
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(small_ds), "--coeffs", str(coeffs),
-                     "--config", config, "--out", str(out)]) == 0
+        assert main([*PREDICT, str(small_ds), "--config", config,
+                     "--out", str(out)]) == 0
         report = json.loads((out / "bp_predictions.json").read_text())
         assert (report["config"]["units"], report["config"]["formula"]) == (
             "ms", "eq7")
@@ -1078,7 +1101,7 @@ class TestUnreadFlags:
 
     def test_bp_analysis_flags_used_from_audio(self, small_ds, tmp_path):
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(small_ds), "--features-from-audio",
+        assert main([*PREDICT, str(small_ds), "--features-from-audio",
                      "--method", "wes", "--wavelet", "bump", "--frames", "4",
                      "--out", str(out)]) == 0
         config = json.loads((out / "bp_predictions.json").read_text())[
@@ -1090,7 +1113,7 @@ class TestUnreadFlags:
         config = write_cfg(tmp_path, "method = wes\nwavelet = bump\n"
                                      "frame_len_s = 4.0\n")
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(small_ds), "--config", config,
+        assert main([*PREDICT, str(small_ds), "--config", config,
                      "--out", str(out)]) == 0
         report = json.loads((out / "bp_predictions.json").read_text())
         assert report["config"]["method"] == "wes"
@@ -1129,7 +1152,7 @@ class TestJsonInputs:
                             str(tmp_path)], capsys, "nope.json")
 
     def test_coeffs_missing_entry(self, small_ds, tmp_path, capsys):
-        coeffs = BpCoefficients.reference().to_json_dict()
+        coeffs = file_coeffs()
         del coeffs["c1"]
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"coefficients": coeffs}))
@@ -1138,7 +1161,7 @@ class TestJsonInputs:
 
     def test_coeffs_boolean_entry(self, small_ds, tmp_path, capsys):
         # JSON true would otherwise read as the number 1.0
-        coeffs = dict(BpCoefficients.reference().to_json_dict(), c1=True)
+        coeffs = dict(file_coeffs(), c1=True)
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"coefficients": coeffs}))
         self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
@@ -1147,7 +1170,7 @@ class TestJsonInputs:
 
     def test_coeffs_unknown_entry(self, small_ds, tmp_path, capsys):
         # a misspelt coefficient would otherwise leave the real one in use
-        coeffs = dict(BpCoefficients.reference().to_json_dict(),
+        coeffs = dict(file_coeffs(),
                       sigma_sys_typo=5.0)
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"coefficients": coeffs}))
@@ -1161,7 +1184,7 @@ class TestJsonInputs:
         ds = shutil.copytree(small_ds, tmp_path / "ds")
         edit_meta(ds / "s02", sbp_ref=float(constant))  # json writes constant
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        assert main([*PREDICT, str(ds), "--out", str(out)]) == 1
         report = strict_json((out / "bp_predictions.json").read_text())
         assert sorted(report["predictions"]) == ["s01", "s03"]
         error = report["errors"]["s02"]
@@ -1170,7 +1193,7 @@ class TestJsonInputs:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_in_coeffs(self, constant, small_ds,
                                            tmp_path, capsys):
-        coeffs = dict(BpCoefficients.reference().to_json_dict(),
+        coeffs = dict(file_coeffs(),
                       c1=float(constant))
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"coefficients": coeffs}))
@@ -1196,7 +1219,7 @@ class TestJsonInputs:
         assert not (tmp_path / "ds").exists()
 
     def test_repeated_key_in_coeffs(self, small_ds, tmp_path, capsys):
-        coeffs = BpCoefficients.reference().to_json_dict()
+        coeffs = file_coeffs()
         text = json.dumps({"coefficients": coeffs})
         path = tmp_path / "coeffs.json"
         path.write_text(text[:-2] + ', "c1": 0.5}}')
@@ -1210,7 +1233,7 @@ class TestJsonInputs:
         meta = ds / "s02" / "meta.json"
         meta.write_text('{"sbp_ref": 90.0, ' + meta.read_text()[1:])
         out = tmp_path / "out"
-        assert main(["bp", "predict", str(ds), "--out", str(out)]) == 1
+        assert main([*PREDICT, str(ds), "--out", str(out)]) == 1
         report = strict_json((out / "bp_predictions.json").read_text())
         assert sorted(report["predictions"]) == ["s01", "s03"]
         error = report["errors"]["s02"]
@@ -1224,9 +1247,9 @@ class TestJsonInputs:
 
     @out_of_range
     @pytest.mark.parametrize("keys, argv, prefix", [
-        (("sbp_ref",), ["bp", "predict"], "ingest: "),
+        (("sbp_ref",), PREDICT, "ingest: "),
         (("ecg_rate_hz",), ["hr"], "ingest: "),
-        (("features", "t_sys"), ["bp", "predict"], "meta.json: features."),
+        (("features", "t_sys"), PREDICT, "meta.json: features."),
     ])
     def test_out_of_range_number_in_meta(self, keys, argv, prefix, literal,
                                          small_ds, tmp_path):
@@ -1251,7 +1274,7 @@ class TestJsonInputs:
     @out_of_range
     def test_out_of_range_number_in_coeffs(self, literal, small_ds, tmp_path,
                                            capsys):
-        coeffs = dict(BpCoefficients.reference().to_json_dict(), c1="@")
+        coeffs = dict(file_coeffs(), c1="@")
         path = self.write_with(tmp_path / "coeffs.json",
                                {"coefficients": coeffs}, literal)
         self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
@@ -1394,8 +1417,7 @@ class TestEveryFolderOnce:
             for argv, report_name, key in (
                     (["hr"], "hr_report.json", "subjects"),
                     (["quality"], "quality_report.json", "subjects"),
-                    (["bp", "predict"], "bp_predictions.json",
-                     "predictions")):
+                    (PREDICT, "bp_predictions.json", "predictions")):
                 out = Path(tmp) / "out"
                 rc = main([*argv, str(ds), "--out", str(out)])
                 report = strict_json((out / report_name).read_text())
@@ -1447,7 +1469,7 @@ class TestEcgReadByHrAlone:
                 return rc, files
 
             others = (["quality"],
-                      ["bp", "predict", "--features-from-audio"])
+                      [*PREDICT, "--features-from-audio"])
             intact = [run(*argv) for argv in others]
             for name, damage in zip(names, damages):
                 damage_ecg(ds / name / "ecg.txt", damage)
