@@ -13,8 +13,10 @@ import math
 import os
 import shutil
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +35,14 @@ from .core import PCG_RATE_HZ, resample_rational, segment_frames
 from .envelopes import SMOOTHING_CUTOFF_HZ, EnvelopeMethod
 from .errors import PcgKitError, TooShortError
 from .evaluation import MIN_AGREEMENT_PAIRS, bland_altman, subject_aggregate
-from .hr import ECG_PROMINENCE, HrFormula, hr_from_ecg_frame, hr_pipeline
+from .hr import (ECG_PROMINENCE, HrFormula, _denoise_normalize,
+                 hr_from_ecg_frame, hr_pipeline)
 from .io import (
+    _subject_records,
     is_json_number,
     map_subjects,
     read_json_object,
+    read_wav_pcm16,
     write_csv_series,
     write_json_report,
     write_subject_dir,
@@ -167,16 +172,20 @@ def _report_header(config):
     return {"version": __version__, "config": config.to_dict()}
 
 
+def _raw_frames(pcg, config):
+    """A subject's PCG resampled to the analysis rate and framed."""
+    if abs(pcg.rate_hz - PCG_RATE_HZ) > 1e-9:
+        pcg = resample_rational(pcg, PCG_RATE_HZ)
+    return segment_frames(pcg, config.frame_len_s)
+
+
 def _frame_results(record, config):
     """Resample and frame a subject's PCG now; analyse frames lazily.
 
     The returned iterator yields, per frame, the :class:`PipelineResult`
     or the :class:`PcgKitError` that frame raised.
     """
-    pcg = record.pcg
-    if abs(pcg.rate_hz - PCG_RATE_HZ) > 1e-9:
-        pcg = resample_rational(pcg, PCG_RATE_HZ)
-    frames = segment_frames(pcg, config.frame_len_s)
+    frames = _raw_frames(record.pcg, config)
 
     def analyse():
         for frame in frames:
@@ -254,6 +263,9 @@ def cmd_synth(args):
     cohort = generate_cohort(coeffs=coeffs, **params)
     out = Path(args.out)
     with ExitStack() as undo:  # a failed run removes the folders it made
+        made = [p for p in (out, *out.parents) if not p.exists()]
+        if made:  # the outermost folder this run makes, --out or above it
+            undo.callback(shutil.rmtree, made[-1], ignore_errors=True)
         for subject in cohort:
             pcg, truth = generate_pcg(subject.spec)
             ecg, r_times = generate_ecg(subject.spec)
@@ -369,6 +381,10 @@ def cmd_hr(args):
 def cmd_bp(args):
     """Fit, predict, or cross-validate the pressure model on a dataset."""
     config = resolve_config(args)
+    if args.bp_command == "predict":  # a bad file fails before any analysis
+        payload = read_json_object(args.coeffs)
+        coeffs = BpCoefficients.from_json_dict(
+            payload.get("coefficients", payload))
     # the pressure model reads PCG features alone: no ecg.txt is parsed
     # subject id -> (features, sbp_ref, dbp_ref)
     rows, errors = map_subjects(args.dataset, lambda record: (
@@ -393,9 +409,6 @@ def cmd_bp(args):
         write_json_report(out / "bp_coefficients.json", report)
 
     elif args.bp_command == "predict":
-        payload = read_json_object(args.coeffs)
-        coeffs = BpCoefficients.from_json_dict(
-            payload.get("coefficients", payload))
         predictions = {}
         for sid, (features, *refs) in rows.items():
             pred = predict_pair(features, coeffs)
@@ -431,42 +444,82 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _stamp(path):
+    """``(size, mtime_ns)`` of a file."""
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns
+
+
 def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR.
 
-    Each subject's frames go through :func:`frame_qualities` on a thread
-    pool of one worker per usable CPU, which runs one wavelet family at a
-    time over them: the first while the main thread segments the frames,
-    the others after it. Its ``numpy.fft`` transforms and array arithmetic
-    release the interpreter lock. Results are taken in frame order, so the
-    reports are identical at any worker count.
+    The cohort's frames go through one :func:`frame_qualities` call on one
+    thread per usable CPU, so each wavelet family's bank is built once.
+    The main thread loads the subjects and runs :func:`hr_pipeline` on
+    each frame for the first family; for a later one it re-reads each
+    ``pcg.wav``, a subject at a time, and denoises and normalizes each
+    frame again. A subject whose ``pcg.wav`` changed size or mtime since
+    its first read is an error. Results come in frame order, so the
+    reports are identical at any thread count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     config = resolve_config(args)
-    table = {}
+    subjects, errors, table, counts = {}, {}, {}, []
+    held = [None, None]  # the subject re-read last, and its raw frames
 
-    def analyze(record):
-        frames = ((r.normalized, r.segmentation)
-                  if not isinstance(r, PcgKitError) else r
-                  for r in _frame_results(record, config))
-        results = frame_qualities(frames, pool)
-        qualities = [q for q in results if not isinstance(q, PcgKitError)]
+    def again(sid, path, stamp, i):
+        if held[0] != sid:
+            held[:] = sid, None  # the previous subject's frames go first
+            with suppress(PcgKitError, OSError):
+                if _stamp(path) == stamp:
+                    held[1] = _raw_frames(read_wav_pcm16(path), config)
+        if held[1] is None:
+            errors[sid] = "pcg.wav changed during the run"
+            raise PcgKitError(errors[sid])
+        return _denoise_normalize(held[1][i])[1]
+
+    def frames():
+        for folder, record in _subject_records(args.dataset, ecg=False):
+            if isinstance(record, str):
+                errors[folder.name] = record
+                continue
+            sid, path = record.subject_id, folder / "pcg.wav"
+            try:
+                stamp, results = _stamp(path), _frame_results(record, config)
+            except (PcgKitError, OSError) as exc:
+                errors[sid] = str(exc)
+                continue
+            finally:
+                del record  # before the next folder loads
+            n = 0
+            for n, r in enumerate(results, 1):
+                # a failed frame's traceback would keep its arrays alive
+                yield PcgKitError(str(r)) if isinstance(r, PcgKitError) else (
+                    r.normalized, r.segmentation,
+                    partial(again, sid, path, stamp, n - 1))
+            counts.append((sid, n))
+
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        results = iter(frame_qualities(frames(), pool))
+    for sid, n in counts:
+        qualities = [q for q in islice(results, n)
+                     if not isinstance(q, PcgKitError)]
+        if sid in errors:  # its pcg.wav changed
+            continue
         if not qualities:
-            raise PcgKitError("no frame survived segmentation")
+            errors[sid] = "no frame survived segmentation"
+            continue
         agg = aggregate_quality(qualities)
         row = (*agg.freq_range_hz,
                *(agg.nrmse[w.value] for w in WaveletKind), *agg.snr_db)
-        table[record.subject_id] = row
+        table[sid] = row
         entry = {c: v for c, v in zip(_QUALITY_COLUMNS, row)
                  if not c.startswith("nrmse_")}
-        return dict(entry, nrmse=agg.nrmse,
-                    per_frame_snr_db=agg.per_frame_snr,
-                    n_frames=len(qualities),
-                    n_failed=len(results) - len(qualities))
-
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        subjects, errors = map_subjects(args.dataset, analyze, ecg=False)
+        subjects[sid] = dict(entry, nrmse=agg.nrmse,
+                             per_frame_snr_db=agg.per_frame_snr,
+                             n_frames=len(qualities),
+                             n_failed=n - len(qualities))
     report = _report_header(config)
     report["subjects"] = subjects
     report["errors"] = errors

@@ -136,6 +136,16 @@ class PipelineResult:
     segmentation: CycleSegmentation
 
 
+def _denoise_normalize(pcg_frame):
+    """``(denoised, normalized)``: the frame db4-denoised, then scaled to
+    unit peak, or left unscaled if it is all zero."""
+    denoised = dwt_denoise_db4(pcg_frame)
+    try:
+        return denoised, normalize_max_abs(denoised)
+    except DegenerateSignalError:
+        return denoised, denoised
+
+
 def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
                 formula=HrFormula.CYCLE_PERIOD,
                 wavelet_kind=WaveletKind.MORLET):
@@ -160,11 +170,7 @@ def hr_pipeline(pcg_frame, method=EnvelopeMethod.SHANNON,
         except PcgKitError as exc:
             raise StageError(stage, exc) from exc
 
-    denoised = run("denoise", dwt_denoise_db4, pcg_frame)
-    try:
-        normalized = normalize_max_abs(denoised)
-    except DegenerateSignalError:
-        normalized = denoised
+    denoised, normalized = run("denoise", _denoise_normalize, pcg_frame)
     envelope = run("envelope", compute_envelope, normalized, method,
                    kind=wavelet_kind)
     seg = run("segmentation", segment, envelope)

@@ -290,6 +290,39 @@ def load_subject_dir(subject_dir, ecg=True):
         meta=meta)
 
 
+def _subject_records(root, ecg=True):
+    """``(folder, record)`` for each folder :func:`map_subjects` loads, in
+    its order and when asked; ``record`` is the ``"ingest: <reason>"`` of
+    a folder it does not analyse."""
+    root = Path(root)
+    if not root.is_dir():
+        raise PcgKitError(f"dataset directory not found: {root}")
+    dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
+    if not dirs:
+        raise PcgKitError(f"{root}: no subject folders with pcg.wav")
+    names = {d.name for d in dirs}
+    folder_of = {}
+    for d in dirs:
+        try:
+            record = load_subject_dir(d, ecg=ecg)
+        except (PcgKitError, OSError) as exc:
+            yield d, f"ingest: {exc}"
+            continue
+        sid = record.subject_id
+        # results are keyed by subject_id and ingest errors by folder
+        # name, so an id may not be another folder's name
+        if sid in folder_of:
+            record = (f"ingest: duplicate subject_id {sid} "
+                      f"(also {folder_of[sid]})")
+        elif sid != d.name and sid in names:
+            record = (f"ingest: subject_id {sid} is the name "
+                      f"of another folder")
+        else:
+            folder_of[sid] = d.name
+        yield d, record
+        del record  # before the next folder loads
+
+
 def map_subjects(root, analyze, ecg=True):
     """``analyze`` each subject folder under a dataset root, in name order.
 
@@ -309,35 +342,15 @@ def map_subjects(root, analyze, ecg=True):
     PcgKitError
         If the root is not a directory or holds no subject folder.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise PcgKitError(f"dataset directory not found: {root}")
-    dirs = sorted(p for p in root.iterdir() if (p / "pcg.wav").exists())
-    if not dirs:
-        raise PcgKitError(f"{root}: no subject folders with pcg.wav")
-    names = {d.name for d in dirs}
-    results, errors, folder_of = {}, {}, {}
-    for d in dirs:
-        try:
-            record = load_subject_dir(d, ecg=ecg)
-        except (PcgKitError, OSError) as exc:
-            errors[d.name] = f"ingest: {exc}"
+    results, errors = {}, {}
+    for folder, record in _subject_records(root, ecg):
+        if isinstance(record, str):
+            errors[folder.name] = record
             continue
-        sid = record.subject_id
-        # results are keyed by subject_id and ingest errors by folder
-        # name, so an id may not be another folder's name
-        if sid in folder_of:
-            errors[d.name] = (f"ingest: duplicate subject_id {sid} "
-                              f"(also {folder_of[sid]})")
-        elif sid != d.name and sid in names:
-            errors[d.name] = (f"ingest: subject_id {sid} is the name "
-                              f"of another folder")
-        else:
-            folder_of[sid] = d.name
-            try:
-                results[sid] = analyze(record)
-            except PcgKitError as exc:
-                errors[sid] = str(exc)
+        try:
+            results[record.subject_id] = analyze(record)
+        except PcgKitError as exc:
+            errors[record.subject_id] = str(exc)
         del record  # before the next folder loads
     return results, errors
 

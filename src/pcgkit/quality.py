@@ -10,14 +10,13 @@ into a per-subject :class:`QualityReport`. Every transform runs on
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateSignalError, PcgKitError, TooShortError
-from .wavelets import WaveletKind, held_kind, hold_bank, wes
+from .wavelets import WaveletKind, hold_bank, wes
 
 __all__ = [
     "fft_band", "energy_spectrum", "nrmse_wes_vs_es", "snr_frame",
@@ -140,88 +139,105 @@ class FrameQuality:
 
 @dataclass
 class _Measures:
-    """A frame's measures so far; ``nrmse`` maps each family to its error."""
+    """A frame's values between families, and ``again``: the frame or a
+    callable giving it anew. ``snr_db`` may be the error the SNR raised."""
 
-    frame: object
-    seg: object
+    again: object
     band_hz: tuple
-    es_n: np.ndarray
+    snr_db: object
     nrmse: dict
 
 
-def _begin(item):
-    """The frame's band and unit-energy sample energy track, or the error."""
-    if isinstance(item, PcgKitError):
-        return item
-    frame, seg = item
+def _take(item):
+    """``(state, frame, seg)``: a frame's state and the frame to measure,
+    with its segmentation on the first pass, or the frame's error."""
     try:
-        band = fft_band(frame)
+        if isinstance(item, _Measures):
+            again = item.again
+            return item, again() if callable(again) else again, None
+        if not isinstance(item, PcgKitError):
+            frame, seg, *again = item
+            band = fft_band(frame)
+            return _Measures((again or [frame])[0], band, None, {}), frame, seg
     except PcgKitError as exc:
-        return exc
-    es = energy_spectrum(frame).samples
-    return _Measures(frame, seg, band, es / np.sqrt(np.sum(es ** 2)), {})
+        item = exc.with_traceback(None)
+    return item, None, None
 
 
-def _step(kind, st):
-    """``st`` with its ``kind`` energy-track error, or the first error."""
-    if isinstance(st, PcgKitError):
-        return st
+def _step(kind, st, frame, seg):
+    """``st`` with its ``kind`` error, and its SNR if ``seg`` is given, or
+    the first error, whose traceback would keep the frame alive."""
     try:
-        track = wes(st.frame, kind).samples
+        es = energy_spectrum(frame).samples
+        track = wes(frame, kind).samples
         st.nrmse[kind] = nrmse_wes_vs_es(track / np.sqrt(np.sum(track ** 2)),
-                                         st.es_n)
+                                         es / np.sqrt(np.sum(es ** 2)))
+        if seg is not None:
+            st.snr_db = snr_frame(frame, seg)
     except PcgKitError as exc:
-        return exc
+        if kind not in st.nrmse:
+            return exc.with_traceback(None)
+        st.snr_db = exc.with_traceback(None)
     return st
+
+
+def _pass(kind, pending, executor):
+    """``pending``'s states after ``kind``, with at most twice the
+    executor's workers of frames submitted ahead of the oldest one."""
+    states, window, held = [], deque(), None
+    for st, frame, seg in pending:
+        if isinstance(st, _Measures):
+            # held before the pass queues a task, so that a build spread
+            # over the executor waits behind no task
+            held = held or hold_bank(kind, frame.rate_hz, len(frame.samples),
+                                     getattr(executor, "map", map))
+            if executor is None:
+                st = _step(kind, st, frame, seg)
+            else:
+                window.append(len(states))
+                st = executor.submit(_step, kind, st, frame, seg)
+        states.append(st)
+        if len(window) == 2 * getattr(executor, "_max_workers", 1):
+            i = window.popleft()
+            states[i] = states[i].result()
+    for i in window:
+        states[i] = states[i].result()
+    return states
 
 
 def frame_qualities(frames, executor=None):
     """Band, per-wavelet energy-track error, and SNR for each frame.
 
-    ``frames`` yields ``(frame, seg)`` pairs, or the :class:`PcgKitError`
-    of a frame that failed before; the result lists, in frame order, each
-    frame's :class:`FrameQuality` or the first error a measure raised.
-    The measures run in one order: :func:`fft_band`, then :func:`wes` for
-    every :class:`WaveletKind`, then :func:`snr_frame`, and a frame that
-    fails one skips the rest. The wavelet and sample energy tracks are each
-    normalized to unit total energy before comparison, making the error a
-    pure shape mismatch independent of the methods' arbitrary gains.
+    ``frames`` yields, per frame, the :class:`PcgKitError` of a frame that
+    failed before, a ``(frame, seg)`` pair, or a ``(frame, seg, again)``
+    triple; the result lists, in frame order, each frame's
+    :class:`FrameQuality` or the first error of :func:`fft_band`,
+    :func:`wes` for each :class:`WaveletKind`, and :func:`snr_frame`, in
+    that order. Both energy tracks are normalized to unit total energy,
+    so the error is a pure shape mismatch, free of the methods' gains.
 
-    Each family is one ``map`` over all the frames, on ``executor`` (in
-    this thread without one), the family whose bank is held first, so one
-    kernel bank serves each. Before its first ``wes``, the bank of the
-    first frame still measured is built and held, its row blocks spread
-    over the executor; a frame of another length builds its bank inside
-    its own ``wes``. ``Executor.map`` takes its input at once, so the first
-    family's ``wes`` calls start as ``frames`` yields each frame. A build
-    waits for the previous family's ``map`` to end: an executor serves one
-    call at a time, and a build spread over it while another call's
-    ``wes`` tasks wait in its queue could wait behind them forever.
+    The families run one at a time over all the frames, in declaration
+    order, on ``executor`` (in this thread without one). Before a family's
+    first ``wes``, the bank of its first frame still measured is built,
+    spread over the executor, so frames of one length build each bank
+    once. The first family and the SNR run as ``frames`` yields each
+    frame. No samples are kept between families: a later family measures
+    what ``again()`` gives, or the frame itself without ``again``, and an
+    error ``again()`` raises is that frame's.
     """
-    mapper = map if executor is None else executor.map
-    held = held_kind()
-    states = map(_begin, frames)
-    for kind in sorted(WaveletKind, key=lambda k: k is not held):
-        states, head = iter(states), []
-        for st in states:
-            head.append(st)
-            if isinstance(st, _Measures):
-                hold_bank(kind, st.frame.rate_hz, len(st.frame.samples),
-                          mapper)
-                break
-        states = list(mapper(partial(_step, kind), chain(head, states)))
+    states = frames
+    for kind in WaveletKind:
+        states = _pass(kind, map(_take, states), executor)
     return [st if isinstance(st, PcgKitError) else _finish(st)
             for st in states]
 
 
 def _finish(st):
     """The frame's :class:`FrameQuality`, or the error its SNR raised."""
-    try:
-        snr = snr_frame(st.frame, st.seg)
-    except PcgKitError as exc:
-        return exc
+    if isinstance(st.snr_db, PcgKitError):
+        return st.snr_db
     nrmse = {kind.value: st.nrmse[kind] for kind in WaveletKind}
-    return FrameQuality(st.band_hz, nrmse, snr)
+    return FrameQuality(st.band_hz, nrmse, st.snr_db)
 
 
 @dataclass(frozen=True)

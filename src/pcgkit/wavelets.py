@@ -16,21 +16,21 @@ frame and the widest kernel, against the FFT-domain kernel bank of that
 (wavelet, rate, frame length). One bank is held at a time, as a tuple
 never written once published. A call that needs another bank drops the
 held one and builds the new one under a lock, in its own anonymous
-mapping, from time-domain kernels sampled once per (wavelet, rate);
-calls that miss together wait for one build, and a call still reading a
-replaced bank keeps it until it returns. ``hold_bank`` builds ahead of
-use, through an executor's ``map`` if given, and ``held_kind`` names the
-held family, so a caller can run several families one after another,
-the held one first. ``cwt`` streams the bank through the inverse FFT in
-blocks of ``CWT_BLOCK_ROWS`` rows and hands each cropped row, in ladder
-order, to its ``each_row`` callback: no call allocates the 64-row
-matrix. ``wes`` adds each row's squared magnitude into its track. Every
-other buffer is local to its call, so ``cwt`` and ``wes`` may run on
-several threads at once, and a callback may call them for another bank.
+mapping, from time-domain kernels sampled for that build and dropped
+once it is filled; calls that miss together wait for one build, and a
+call still reading a replaced bank keeps it until it returns.
+``hold_bank`` builds ahead of use, through an executor's ``map`` if
+given, so a caller that runs one family at a time over all its frames
+builds each family's bank once. ``cwt`` streams the bank through the
+inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows and hands each cropped
+row, in ladder order, to its ``each_row`` callback: no call allocates
+the 64-row matrix. ``wes`` adds each row's squared magnitude into its
+track. Every other buffer is local to its call, so ``cwt`` and ``wes``
+may run on several threads at once, and a callback may call them for
+another bank.
 """
 
 import enum
-import functools
 import math
 import mmap
 import threading
@@ -275,14 +275,12 @@ def _fft_of_real(x, n):
     return out
 
 
-@functools.lru_cache(maxsize=len(WaveletKind))
 def _kernels(kind, rate_hz):
     """Conjugated, time-reversed kernels of the ladder and their centres.
 
     ``(kernels, offsets)``: the read-only rows a bank transforms, and each
-    row's centre ``len // 2``. Sampled once per ``(kind, rate_hz)``, so a
-    rebuilt bank samples nothing; all three families at 2000 Hz hold
-    4.9 MB.
+    row's centre ``len // 2``. Sampled anew for each bank build and
+    dropped once the bank is filled (0.8-3.3 MB per family at 2000 Hz).
     """
     kernels = []
     for sc in _scale_ladder(kind, rate_hz):
@@ -342,12 +340,6 @@ def hold_bank(kind, rate_hz, n_sig, mapper=map):
         bank.flags.writeable = False
         _held = (key, bank, offsets)
         return _held
-
-
-def held_kind():
-    """The :class:`WaveletKind` of the held bank, or None if none is held."""
-    held = _held
-    return None if held is None else held[0][0]
 
 
 def cwt(s, kind, *, each_row):

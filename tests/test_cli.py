@@ -26,8 +26,11 @@ from pcgkit import (
     UnitConvention,
     WaveletKind,
     __version__,
+    aggregate_quality,
+    frame_qualities,
     generate_pcg,
     read_wav_pcm16,
+    resample_rational,
     write_subject_dir,
     write_wav_pcm16,
 )
@@ -276,6 +279,14 @@ class TestSynthCommand:
         assert "subject s03: its PCG holds no" in capsys.readouterr().err
         assert sorted(p.name for p in ds.iterdir()) == ["s02"]
         assert (ds / "s02" / "notes.txt").read_text() == "kept"
+
+    def test_failed_run_removes_the_folders_it_made(self, tmp_path, capsys):
+        # --out and the folder above it are made by this run, so both go
+        ds = tmp_path / "new" / "ds"
+        assert main(["synth", "--out", str(ds), "--subjects", "6",
+                     "--duration", "0.1"]) == 1
+        assert "subject s03: its PCG holds no" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, needle", [
         (["--seed", "-1"], "seed must be >= 0"),
@@ -861,15 +872,14 @@ class TestQualityPool:
                                         monkeypatch):
         # Bound set before measuring: the largest bank, Bump's for a 4 s
         # frame (64 rows of 20736 complex, 21.2 MB), plus a 16 MiB margin
-        # for the kernels of all three families (4.9 MB), one 8-row block
-        # buffer per worker (2.7 MB each), a frame's spectra and tracks,
-        # and the cohort's records, frames and reports. All three banks
-        # together (43.8 MB) exceed it. tracemalloc sees no memory mapping,
-        # so each bank is allocated by numpy here instead.
+        # for the kernels a build samples (3.3 MB at most), one 8-row
+        # block buffer per worker (2.7 MB each), a frame's spectra and
+        # tracks, and the cohort's records, frames and reports. All three
+        # banks together (43.8 MB) exceed it. tracemalloc sees no memory
+        # mapping, so each bank is allocated by numpy here instead.
         monkeypatch.setattr(pcgkit_wavelets, "_held", None)
         monkeypatch.setattr(pcgkit_wavelets, "_pages", lambda rows, length:
                             np.zeros((rows, length), dtype=complex))
-        pcgkit_wavelets._kernels.cache_clear()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
@@ -879,6 +889,21 @@ class TestQualityPool:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 20736 * 16 + 16 * 2 ** 20
+
+    def test_one_bank_build_per_family_per_run(self, small_ds, tmp_path,
+                                              monkeypatch, bank_maps):
+        # three subjects of two 4 s frames: one build per family, and each
+        # later family re-reads each subject's pcg.wav once
+        maps, _ = bank_maps
+        reads = []
+        real_read = cli.read_wav_pcm16
+        monkeypatch.setattr(pcgkit_wavelets, "_held", None)
+        monkeypatch.setattr(cli, "read_wav_pcm16",
+                            lambda path: reads.append(path.parent.name)
+                            or real_read(path))
+        assert main(["quality", str(small_ds), "--out", str(tmp_path)]) == 0
+        assert len(maps) == 3
+        assert reads == ["s01", "s02", "s03"] * 2
 
     def test_each_bank_released_before_the_next_is_built(
             self, small_ds, tmp_path, monkeypatch, bank_maps):
@@ -893,6 +918,89 @@ class TestQualityPool:
         assert alive == [0] * len(maps)
         assert [ref() is not None for ref in maps] == [False] * (
             len(maps) - 1) + [True]
+
+
+def quality_entries(subject_dir):
+    """The ``quality`` report entry of one subject, from its in-memory
+    frames measured by one ``frame_qualities`` call, or its error."""
+    record = pcgkit_io.load_subject_dir(subject_dir, ecg=False)
+    got = frame_qualities([
+        r if isinstance(r, PcgKitError) else (r.normalized, r.segmentation)
+        for r in cli._frame_results(record, RunConfig())])
+    qualities = [q for q in got if not isinstance(q, PcgKitError)]
+    if not qualities:
+        return "no frame survived segmentation"
+    agg = aggregate_quality(qualities)
+    return json.loads(json.dumps(dict(
+        freq_low_hz=agg.freq_range_hz[0], freq_high_hz=agg.freq_range_hz[1],
+        snr_max_db=agg.snr_db[0], snr_min_db=agg.snr_db[1],
+        snr_avg_db=agg.snr_db[2], nrmse=agg.nrmse,
+        per_frame_snr_db=agg.per_frame_snr, n_frames=len(qualities),
+        n_failed=len(got) - len(qualities))))
+
+
+class TestQualityPasses:
+    """One pass per wavelet family over the whole cohort."""
+
+    @pytest.fixture(scope="class")
+    def mixed_ds(self, tmp_path_factory, small_ds):
+        # s02 one 4 s frame long, s03 at 4 kHz, a subject whose second
+        # frame is silent, one silent throughout, and one that fails ingest
+        ds = shutil.copytree(small_ds, tmp_path_factory.mktemp("passes")
+                             / "ds")
+        pcg = read_wav_pcm16(ds / "s02" / "pcg.wav")
+        write_wav_pcm16(ds / "s02" / "pcg.wav",
+                        pcg.with_samples(pcg.samples[:11000]))
+        pcg = read_wav_pcm16(ds / "s03" / "pcg.wav")
+        write_wav_pcm16(ds / "s03" / "pcg.wav",
+                        resample_rational(pcg, 4000.0))
+        write_silent_frame_subject(ds, "half")
+        write_silent_frame_subject(ds, "silent", silent_from_s=0.0)
+        (ds / "zzbad").mkdir()
+        (ds / "zzbad" / "pcg.wav").write_bytes(b"garbage, not audio")
+        return ds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_subject_as_measured_alone(self, mixed_ds, workers,
+                                            tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        assert main(["quality", str(mixed_ds), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "quality_report.json").read_text())
+        expected = {d.name: quality_entries(d) for d in mixed_ds.iterdir()
+                    if d.is_dir() and d.name != "zzbad"}
+        assert report["errors"].pop("zzbad").startswith("ingest: ")
+        assert report["errors"] == {
+            "silent": "no frame survived segmentation"}
+        assert report["subjects"] == {
+            sid: e for sid, e in expected.items() if sid != "silent"}
+        assert report["subjects"]["s02"]["n_frames"] == 1
+        assert report["subjects"]["half"]["n_failed"] == 1
+        assert report["subjects"]["s03"]["n_frames"] == 2
+
+    def test_pcg_rewritten_between_passes_is_an_error(
+            self, small_ds, tmp_path, monkeypatch):
+        ds = shutil.copytree(small_ds, tmp_path / "ds")
+        real_hold = pcgkit_quality.hold_bank
+        holds = []
+
+        def rewriting(*args):
+            holds.append(args[0])
+            if len(holds) == 2:  # the second family is about to start
+                pcg = read_wav_pcm16(ds / "s02" / "pcg.wav")
+                write_wav_pcm16(ds / "s02" / "pcg.wav",
+                                pcg.with_samples(pcg.samples[:12000]))
+            return real_hold(*args)
+
+        monkeypatch.setattr(pcgkit_quality, "hold_bank", rewriting)
+        assert main(["quality", str(ds), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "quality_report.json")
+                            .read_text())
+        assert report["errors"] == {"s02": "pcg.wav changed during the run"}
+        assert report["subjects"] == {
+            sid: quality_entries(small_ds / sid) for sid in ("s01", "s03")}
+        table = (tmp_path / "out" / "quality_table.csv").read_text()
+        assert [line.split(",")[0] for line in table.splitlines()] == [
+            "subject", "s01", "s03"]
 
 
 class TestStreaming:
@@ -1150,6 +1258,24 @@ class TestJsonInputs:
         self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
                             str(tmp_path / "nope.json"), "--out",
                             str(tmp_path)], capsys, "nope.json")
+
+    @pytest.mark.parametrize("bad", ["missing", "no_c1"])
+    def test_bad_coeffs_file_fails_before_any_subject(
+            self, bad, small_ds, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "coeffs.json"
+        if bad == "no_c1":
+            path.write_text(json.dumps({"coefficients": dict(
+                file_coeffs(), c1=None)}))
+        analysed = []
+        real = cli._subject_features
+        monkeypatch.setattr(cli, "_subject_features",
+                            lambda *args: analysed.append(args) or real(*args))
+        self.fails_cleanly(["bp", "predict", str(small_ds), "--coeffs",
+                            str(path), "--features-from-audio", "--out",
+                            str(tmp_path / "out")], capsys, "coeffs.json"
+                           if bad == "missing" else "c1")
+        assert analysed == []
+        assert not (tmp_path / "out").exists()
 
     def test_coeffs_missing_entry(self, small_ds, tmp_path, capsys):
         coeffs = file_coeffs()

@@ -18,6 +18,7 @@ from pcgkit import (
     SynthSpec,
     compute_envelope,
     detrend,
+    dwt_denoise_db4,
     frame_qualities,
     generate_ecg,
     generate_pcg,
@@ -27,6 +28,7 @@ from pcgkit import (
     normalize_max_abs,
     segment_frames,
 )
+from pcgkit import hr as pcgkit_hr
 from pcgkit.hr import ECG_PROMINENCE, _r_peaks
 
 ECG_RATE = 190.0
@@ -262,6 +264,39 @@ class TestHrPipeline:
             result = hr_pipeline(sig, method=method)
             expected = compute_envelope(result.normalized, method)
             assert np.array_equal(result.envelope.samples, expected.samples)
+
+
+class TestDenoiseNormalize:
+    """The one denoise-and-normalize step ``hr_pipeline`` and ``quality``'s
+    later wavelet families both run."""
+
+    @pytest.mark.filterwarnings("ignore:peak at .* has truncated support")
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(256, 8000), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 1e-200, 1e-6, 1.0, 3e4]))
+    def test_equals_what_hr_pipeline_normalizes(self, n, seed, scale):
+        # the envelope stage's input is hr_pipeline's normalized frame,
+        # also where a later stage fails, as it does on all-zero frames
+        frame = SampledSignal(
+            scale * np.random.default_rng(seed).standard_normal(n), 2000.0)
+        seen = []
+
+        def envelope(normalized, *args, **kwargs):
+            seen.append(normalized)
+            return compute_envelope(normalized, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pcgkit_hr, "compute_envelope", envelope)
+            try:
+                assert hr_pipeline(frame).normalized is seen[0]
+            except PcgKitError:
+                pass
+        denoised, normalized = pcgkit_hr._denoise_normalize(frame)
+        assert np.array_equal(normalized.samples, seen[0].samples)
+        assert normalized.rate_hz == seen[0].rate_hz
+        assert np.array_equal(denoised.samples,
+                              dwt_denoise_db4(frame).samples)
+        assert (normalized is denoised) == (scale == 0.0)
 
 
 def degenerate_frame(shape, amp, position, freq_hz, rate_hz=2000.0, n=8000):

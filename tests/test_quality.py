@@ -1,6 +1,9 @@
 """Band estimation, energy tracks, NRMSE, and SNR."""
 
+import gc
 import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -289,9 +292,14 @@ def direct_quality(frame, seg):
     return FrameQuality(band, nrmse, snr_frame(frame, seg))
 
 
-def measured(items, held, held_n, workers):
+def measured(items, held, held_n, workers, again=False):
     """``frame_qualities`` of ``items`` from a fresh bank, holding the
-    ``held`` bank of ``held_n`` samples if any, on ``workers`` threads."""
+    ``held`` bank of ``held_n`` samples if any, on ``workers`` threads;
+    with ``again``, each frame comes with a callable giving a copy."""
+    if again:
+        items = [item if isinstance(item, PcgKitError) else
+                 (*item, lambda frame=item[0]: frame.with_samples(
+                     frame.samples.copy())) for item in items]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelets, "_held", None)
         if held is not None:
@@ -376,12 +384,12 @@ class TestFrameQualities:
 
     @settings(max_examples=25, deadline=None)
     @given(items=drawn_items, workers=st.sampled_from([None, 2]),
-           held=st.sampled_from([None, *WaveletKind]),
-           held_n=st.integers(200, 1200))
+           again=st.booleans(), held_n=st.integers(200, 1200))
     def test_drawn_frames_equal_each_measured_directly(self, items, workers,
-                                                       held, held_n):
-        assert_each_measured_directly(
-            items, measured(items, held, held_n, workers))
+                                                       again, held_n):
+        # a stale Morlet bank of a drawn length is held beforehand
+        assert_each_measured_directly(items, measured(
+            items, WaveletKind.MORLET, held_n, workers, again))
 
     def test_first_family_starts_before_frames_run_out(self, items,
                                                        monkeypatch):
@@ -407,19 +415,12 @@ class TestFrameQualities:
         assert waited == [True]
         assert_each_measured_directly([items[0], items[-1]], got)
 
-    def test_held_family_runs_first_over_every_frame(self, items,
-                                                     cwt_kinds):
-        # four frames reach the wavelets; the SNR of one fails after them
-        wavelets.hold_bank(WaveletKind.MORSE, RATE, 1000)
-        frame_qualities(items)
-        assert cwt_kinds == [WaveletKind.MORSE] * 4 + [
-            WaveletKind.MORLET] * 4 + [WaveletKind.BUMP] * 4
-        assert wavelets.held_kind() is WaveletKind.BUMP
-
     def test_each_family_holds_its_bank_before_its_first_wes(
             self, items, cwt_kinds, monkeypatch):
-        # the held bank is of another length, so every family builds its
-        # bank over the executor for the first frame still measured (1000)
+        # the families run in declaration order, whichever bank is held;
+        # it is of another length, so every family builds its bank over
+        # the executor for the first frame still measured (1000), then
+        # measures the four frames that reach the wavelets
         real_hold = quality.hold_bank
 
         def holding(kind, rate_hz, n_sig, mapper):
@@ -431,9 +432,106 @@ class TestFrameQualities:
         with ThreadPoolExecutor(max_workers=2) as pool:
             frame_qualities(items, pool)
         assert cwt_kinds == [
-            event for kind in (WaveletKind.MORSE, WaveletKind.MORLET,
-                               WaveletKind.BUMP)
+            event for kind in WaveletKind
             for event in [("hold", kind, RATE, 1000)] + [kind] * 4]
+
+    def test_later_families_measure_the_frame_again_gives(self, items):
+        # between families no first-pass frame is kept: each later family
+        # asks again() for the frames still measured, in frame order
+        firsts, asked = [], []
+
+        def frames():
+            for i, item in enumerate(items):
+                if isinstance(item, PcgKitError):
+                    yield item
+                    continue
+                frame = item[0].with_samples(item[0].samples.copy())
+                firsts.append(weakref.ref(frame))
+
+                def again(i=i):
+                    gc.collect()
+                    asked.append((i, sum(r() is not None for r in firsts)))
+                    return items[i][0]
+
+                yield frame, item[1], again
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = frame_qualities(frames(), pool)
+        assert asked == [(i, 0) for i in (0, 3, 4, 5)] * 2
+        assert_each_measured_directly(items, got)
+
+    def test_error_of_again_is_that_frames_error(self, items):
+        # it comes before a failed SNR, and the other frames go on
+        failure = PcgKitError("recording changed")
+        asked = []
+
+        def again(i):
+            asked.append(i)
+            if i == 4:
+                raise failure
+            return items[i][0]
+
+        got = frame_qualities(
+            item if isinstance(item, PcgKitError)
+            else (*item, lambda i=i: again(i)) for i, item in enumerate(items))
+        assert got[4] is failure
+        assert asked == [0, 3, 4, 5, 0, 3, 5]
+        assert_each_measured_directly(items[:4] + items[5:],
+                                      got[:4] + got[5:])
+
+    @pytest.mark.parametrize("failing", [*WaveletKind])
+    def test_first_failing_family_wins_over_the_snr(self, items, failing,
+                                                    cwt_kinds, monkeypatch):
+        # the 400-sample frame's SNR fails too; the family's error is first
+        # and the frame skips the families after it (its wes raises before
+        # its cwt)
+        real_wes = quality.wes
+
+        def failing_wes(frame, kind):
+            if kind is failing and len(frame.samples) == 400:
+                raise PcgKitError(f"{kind.value} failed")
+            return real_wes(frame, kind)
+
+        monkeypatch.setattr(quality, "wes", failing_wes)
+        got = frame_qualities(items)
+        assert type(got[4]) is PcgKitError
+        assert str(got[4]) == f"{failing.value} failed"
+        later = list(WaveletKind)[list(WaveletKind).index(failing) + 1:]
+        assert len(cwt_kinds) == 4 * 3 - 1 - len(later)
+        assert_each_measured_directly(items[:4] + items[5:],
+                                      got[:4] + got[5:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_submits_at_most_twice_the_workers_ahead(self, workers,
+                                                     monkeypatch):
+        # before frame k is taken, the first k - 2 * workers + 1 frames
+        # have finished; a pass that took its whole input at once would
+        # take all ten frames before the first slow wes returned
+        real_wes = quality.wes
+        finished = []
+
+        def slow(frame, kind):
+            time.sleep(0.02)
+            track = real_wes(frame, kind)
+            if kind is WaveletKind.MORLET:
+                finished.append(frame)
+            return track
+
+        monkeypatch.setattr(quality, "wes", slow)
+        rng = np.random.default_rng(8)
+        seg = forced_segmentation([0.1, 0.3])
+        taken = []
+
+        def frames():
+            for k in range(10):
+                taken.append((k, len(finished)))
+                yield SampledSignal(rng.standard_normal(600), RATE), seg
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = frame_qualities(frames(), pool)
+        assert all(isinstance(q, FrameQuality) for q in got)
+        assert all(done >= k - 2 * workers + 1 for k, done in taken)
+        assert any(done == k - 2 * workers + 1 for k, done in taken)
 
     def test_one_frame_gives_its_first_error(self, cwt_kinds):
         frame = SampledSignal(np.ones(400), RATE)

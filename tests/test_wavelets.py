@@ -60,14 +60,9 @@ def full_matrix_cwt(s, kind):
     return out
 
 
-def fresh_bank(monkeypatch, sampled=False):
-    """Hold no bank for the test's duration, so ``cwt`` builds one.
-
-    With ``sampled=False`` the time-domain kernels are sampled again too.
-    """
+def fresh_bank(monkeypatch):
+    """Hold no bank for the test's duration, so ``cwt`` builds one."""
     monkeypatch.setattr(wavelets, "_held", None)
-    if not sampled:
-        wavelets._kernels.cache_clear()
 
 
 def counting_sampler(monkeypatch):
@@ -343,7 +338,9 @@ class TestCwt:
         rhs = streamed_rows(x, kind) + streamed_rows(y, kind)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
-    def test_kernels_sampled_once_per_length(self, monkeypatch):
+    def test_kernels_sampled_once_per_build(self, monkeypatch):
+        # one build serves every call on its bank; each switch of kind,
+        # length or rate builds a bank from kernels sampled for it alone
         calls = counting_sampler(monkeypatch)
         fresh_bank(monkeypatch)
         kind = WaveletKind.MORSE
@@ -358,23 +355,16 @@ class TestCwt:
         fresh_bank(monkeypatch)
         for s, coeffs in rows:
             assert np.array_equal(streamed_rows(s, kind), coeffs)
-
-    def test_kernels_sampled_once_per_kind_and_rate(self, monkeypatch):
-        # each switch of kind or length builds a bank, from kernels
-        # sampled the first time their kind and rate are seen
-        calls = counting_sampler(monkeypatch)
-        fresh_bank(monkeypatch)
-        rng = np.random.default_rng(13)
-        for kind, n in [(WaveletKind.MORSE, 777), (WaveletKind.MORSE, 1500),
-                        (WaveletKind.BUMP, 777), (WaveletKind.MORSE, 777),
-                        (WaveletKind.BUMP, 1500)]:
+        assert len(calls) == 128
+        for kind, n in [(WaveletKind.MORSE, 1500), (WaveletKind.BUMP, 777),
+                        (WaveletKind.MORSE, 777), (WaveletKind.BUMP, 1500)]:
             s = SampledSignal(rng.standard_normal(n), RATE)
             assert np.array_equal(streamed_rows(s, kind),
                                   full_matrix_cwt(s, kind))
-        assert len(calls) == 128
+        assert len(calls) == 384
         s = SampledSignal(rng.standard_normal(777), 1000.0)
         streamed_rows(s, WaveletKind.MORSE)
-        assert len(calls) == 192
+        assert len(calls) == 448
 
 
 class TestFftHelpers:
@@ -388,7 +378,7 @@ class TestFftHelpers:
                     == next_fast_len(n, real=True)), n
 
     def test_bank_lengths_of_a_4_s_frame(self, monkeypatch):
-        fresh_bank(monkeypatch, sampled=True)
+        fresh_bank(monkeypatch)
         lengths = [wavelets.hold_bank(kind, RATE, 8000)[1].shape[1]
                    for kind in ALL_KINDS]
         assert lengths == [11088, 10935, 20736]
@@ -646,7 +636,7 @@ class TestHeldBank:
         expected, offsets, length = per_row_bank(kind, n)
         with ThreadPoolExecutor(max_workers=3) as pool:
             for mapper in (map, pool.map):
-                fresh_bank(monkeypatch, sampled=True)
+                fresh_bank(monkeypatch)
                 key, bank_h, offs = wavelets.hold_bank(kind, RATE, n, mapper)
                 assert key == (kind, RATE, n)
                 assert bank_h.shape == (64, length)
@@ -658,15 +648,15 @@ class TestHeldBank:
         # 4 s frames at 2 kHz: Morlet's bank is 11.4 MB, Morse's 11.2 MB
         # and Bump's 21.2 MB, each in its own mapping; the one a build
         # replaces is read by no call, so it is unmapped before the build
-        fresh_bank(monkeypatch, sampled=True)
+        fresh_bank(monkeypatch)
         maps, alive = bank_maps
-        assert wavelets.held_kind() is None
+        assert wavelets._held is None
         keys = [(WaveletKind.BUMP, 8000), (WaveletKind.MORLET, 8000),
                 (WaveletKind.BUMP, 8001), (WaveletKind.MORSE, 8000)]
         for i, (kind, n) in enumerate(keys):
             held = wavelets.hold_bank(kind, RATE, n)
             assert held[0] == (kind, RATE, n)
-            assert wavelets.held_kind() is kind
+            assert wavelets._held is held
             assert wavelets.hold_bank(kind, RATE, n) is held
             assert [ref() is not None for ref in maps] == [False] * i + [True]
             del held
@@ -680,7 +670,7 @@ class TestHeldBank:
         # a cwt call paused in its callback while another thread holds
         # another kind reads on from its own bank, which lives until the
         # call returns
-        fresh_bank(monkeypatch, sampled=True)
+        fresh_bank(monkeypatch)
         maps, _ = bank_maps
         s = SampledSignal(np.random.default_rng(14).standard_normal(777),
                           RATE)
@@ -703,7 +693,7 @@ class TestHeldBank:
             holder.start()
             holder.join(timeout=60)
             assert not holder.is_alive()
-            assert wavelets.held_kind() is WaveletKind.BUMP
+            assert wavelets._held[0] == (WaveletKind.BUMP, RATE, 777)
             assert [ref() is not None for ref in maps] == [True, True]
         finally:
             resume.set()
@@ -717,7 +707,7 @@ class TestHeldBank:
         # more threads than cores, each switching kind on every call, with
         # a short switch interval: a build that overwrote a bank while
         # another thread streamed it would change that thread's track
-        fresh_bank(monkeypatch, sampled=True)
+        fresh_bank(monkeypatch)
         rng = np.random.default_rng(12)
         signals = [SampledSignal(rng.standard_normal(n), RATE)
                    for n in (777, 1500, 777)]
