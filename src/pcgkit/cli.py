@@ -436,14 +436,6 @@ def cmd_bp(args):
     return 0 if not errors else 1
 
 
-def _usable_cpus():
-    """CPUs this process may run on (the ``quality`` thread count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _stamp(path):
     """``(size, mtime_ns)`` of a file."""
     st = path.stat()
@@ -453,17 +445,13 @@ def _stamp(path):
 def cmd_quality(args):
     """Per-subject quality table: band, energy-track errors, SNR.
 
-    The cohort's frames go through one :func:`frame_qualities` call on one
-    thread per usable CPU, so each wavelet family's bank is built once.
-    The main thread loads the subjects and runs :func:`hr_pipeline` on
-    each frame for the first family; for a later one it re-reads each
-    ``pcg.wav``, a subject at a time, and denoises and normalizes each
-    frame again. A subject whose ``pcg.wav`` changed size or mtime since
-    its first read is an error. Results come in frame order, so the
-    reports are identical at any thread count.
+    The cohort's frames go through one :func:`frame_qualities` call, so
+    each wavelet family's bank is built once. The main thread loads the
+    subjects and runs :func:`hr_pipeline` on each frame for the first
+    family; for a later one it re-reads each ``pcg.wav``, a subject at a
+    time, and denoises and normalizes each frame again. A subject whose
+    ``pcg.wav`` changed size or mtime since its first read is an error.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     config = resolve_config(args)
     subjects, errors, table, counts = {}, {}, {}, []
     held = [None, None]  # the subject re-read last, and its raw frames
@@ -480,10 +468,8 @@ def cmd_quality(args):
         return _denoise_normalize(held[1][i])[1]
 
     def frames():
-        for folder, record in _subject_records(args.dataset, ecg=False):
-            if isinstance(record, str):
-                errors[folder.name] = record
-                continue
+        for folder, record in _subject_records(args.dataset, errors,
+                                               ecg=False):
             sid, path = record.subject_id, folder / "pcg.wav"
             try:
                 stamp, results = _stamp(path), _frame_results(record, config)
@@ -500,8 +486,7 @@ def cmd_quality(args):
                     partial(again, sid, path, stamp, n - 1))
             counts.append((sid, n))
 
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        results = iter(frame_qualities(frames(), pool))
+    results = iter(frame_qualities(frames()))
     for sid, n in counts:
         qualities = [q for q in islice(results, n)
                      if not isinstance(q, PcgKitError)]

@@ -43,7 +43,7 @@ def read_wav_pcm16(path):
     PcgKitError
         A missing file, one that is not 16-bit PCM WAV (compressed, another
         sample width, or cut short inside its header or inside a sample
-        frame), or one with no samples.
+        frame), one with no samples, or one whose header rate is 0.
     """
     path = Path(path)
     if not path.exists():
@@ -70,7 +70,10 @@ def read_wav_pcm16(path):
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels)[:, 0]
     samples = data.astype(np.float64)
     samples /= PCM16_SCALE
-    return SampledSignal(samples, float(rate))
+    try:
+        return SampledSignal(samples, float(rate))
+    except PcgKitError as exc:  # a header rate of 0
+        raise PcgKitError(f"{path}: {exc}") from None
 
 
 def write_wav_pcm16(path, signal):
@@ -136,7 +139,7 @@ def read_ecg_text(path, rate_hz=None):
         that is not positive and uniform, each with its line number; a
         single timed row; a time column whose rate disagrees with
         ``rate_hz``; a file with no non-blank line; or plain values
-        without ``rate_hz``.
+        without ``rate_hz``, or with one that is not finite and > 0.
     """
     path = Path(path)
     if not path.exists():
@@ -170,7 +173,10 @@ def read_ecg_text(path, rate_hz=None):
     if times is None:
         if rate_hz is None:
             raise PcgKitError("rate_hz required for plain value files")
-        return SampledSignal(values, float(rate_hz))
+        try:
+            return SampledSignal(values, float(rate_hz))
+        except PcgKitError as exc:  # a rate that is not finite and > 0
+            raise PcgKitError(f"{path}: {exc}") from None
     dt = np.diff(times)
     if len(dt) == 0:
         raise PcgKitError(f"{path}: single row, rate cannot be inferred")
@@ -290,10 +296,10 @@ def load_subject_dir(subject_dir, ecg=True):
         meta=meta)
 
 
-def _subject_records(root, ecg=True):
-    """``(folder, record)`` for each folder :func:`map_subjects` loads, in
-    its order and when asked; ``record`` is the ``"ingest: <reason>"`` of
-    a folder it does not analyse."""
+def _subject_records(root, errors, ecg=True):
+    """``(folder, record)`` for each folder :func:`map_subjects` analyses,
+    in its order and when asked; each folder it does not analyse is filed
+    in ``errors`` under its name as ``"ingest: <reason>"`` instead."""
     root = Path(root)
     if not root.is_dir():
         raise PcgKitError(f"dataset directory not found: {root}")
@@ -306,20 +312,20 @@ def _subject_records(root, ecg=True):
         try:
             record = load_subject_dir(d, ecg=ecg)
         except (PcgKitError, OSError) as exc:
-            yield d, f"ingest: {exc}"
+            errors[d.name] = f"ingest: {exc}"
             continue
         sid = record.subject_id
         # results are keyed by subject_id and ingest errors by folder
         # name, so an id may not be another folder's name
         if sid in folder_of:
-            record = (f"ingest: duplicate subject_id {sid} "
-                      f"(also {folder_of[sid]})")
+            errors[d.name] = (f"ingest: duplicate subject_id {sid} "
+                              f"(also {folder_of[sid]})")
         elif sid != d.name and sid in names:
-            record = (f"ingest: subject_id {sid} is the name "
-                      f"of another folder")
+            errors[d.name] = (f"ingest: subject_id {sid} is the name "
+                              f"of another folder")
         else:
             folder_of[sid] = d.name
-        yield d, record
+            yield d, record
         del record  # before the next folder loads
 
 
@@ -343,10 +349,7 @@ def map_subjects(root, analyze, ecg=True):
         If the root is not a directory or holds no subject folder.
     """
     results, errors = {}, {}
-    for folder, record in _subject_records(root, ecg):
-        if isinstance(record, str):
-            errors[folder.name] = record
-            continue
+    for _, record in _subject_records(root, errors, ecg):
         try:
             results[record.subject_id] = analyze(record)
         except PcgKitError as exc:

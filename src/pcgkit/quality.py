@@ -6,10 +6,12 @@ sample energy track, and a burst-versus-background SNR. Each measure has
 one fixed setting: a 5% band threshold, the 64-step 500..10 Hz wavelet
 scale ladder and a +-50 ms peak window. Frame-level results aggregate
 into a per-subject :class:`QualityReport`. Every transform runs on
-``numpy.fft``, so no measure loads scipy.
+``numpy.fft``, so no measure loads scipy. :func:`frame_qualities` runs
+the wavelet measures on threads it creates, one per usable CPU.
 """
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -181,23 +183,27 @@ def _step(kind, st, frame, seg):
     return st
 
 
-def _pass(kind, pending, executor):
-    """``pending``'s states after ``kind``, with at most twice the
-    executor's workers of frames submitted ahead of the oldest one."""
+def _usable_cpus():
+    """CPUs this process may run on (frame_qualities' thread count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pass(kind, pending, pool, workers):
+    """``pending``'s states after ``kind`` on ``pool``, with at most
+    ``2 * workers`` frames submitted ahead of the oldest one."""
     states, window, held = [], deque(), None
     for st, frame, seg in pending:
         if isinstance(st, _Measures):
-            # held before the pass queues a task, so that a build spread
-            # over the executor waits behind no task
-            held = held or hold_bank(kind, frame.rate_hz, len(frame.samples),
-                                     getattr(executor, "map", map))
-            if executor is None:
-                st = _step(kind, st, frame, seg)
-            else:
-                window.append(len(states))
-                st = executor.submit(_step, kind, st, frame, seg)
+            # held in this thread before the first submit: when a worker
+            # built the bank, peak RSS read 0.3-0.5 MB higher
+            held = held or hold_bank(kind, frame.rate_hz, len(frame.samples))
+            window.append(len(states))
+            st = pool.submit(_step, kind, st, frame, seg)
         states.append(st)
-        if len(window) == 2 * getattr(executor, "_max_workers", 1):
+        if len(window) == 2 * workers:
             i = window.popleft()
             states[i] = states[i].result()
     for i in window:
@@ -205,7 +211,7 @@ def _pass(kind, pending, executor):
     return states
 
 
-def frame_qualities(frames, executor=None):
+def frame_qualities(frames):
     """Band, per-wavelet energy-track error, and SNR for each frame.
 
     ``frames`` yields, per frame, the :class:`PcgKitError` of a frame that
@@ -217,17 +223,21 @@ def frame_qualities(frames, executor=None):
     so the error is a pure shape mismatch, free of the methods' gains.
 
     The families run one at a time over all the frames, in declaration
-    order, on ``executor`` (in this thread without one). Before a family's
-    first ``wes``, the bank of its first frame still measured is built,
-    spread over the executor, so frames of one length build each bank
-    once. The first family and the SNR run as ``frames`` yields each
-    frame. No samples are kept between families: a later family measures
-    what ``again()`` gives, or the frame itself without ``again``, and an
-    error ``again()`` raises is that frame's.
+    order, on one thread per usable CPU. Before a family's first ``wes``,
+    the calling thread builds the bank of its first frame still measured,
+    so frames of one length build each bank once. The first family and
+    the SNR run as ``frames`` yields each frame. No samples are kept
+    between families: a later family measures what ``again()`` gives, or
+    the frame itself without ``again``, and an error ``again()`` raises
+    is that frame's.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _usable_cpus()
     states = frames
-    for kind in WaveletKind:
-        states = _pass(kind, map(_take, states), executor)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for kind in WaveletKind:
+            states = _pass(kind, map(_take, states), pool, workers)
     return [st if isinstance(st, PcgKitError) else _finish(st)
             for st in states]
 

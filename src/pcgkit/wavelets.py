@@ -15,12 +15,12 @@ CWT rows are computed by FFT convolution (Torrence & Compo 1998) on
 frame and the widest kernel, against the FFT-domain kernel bank of that
 (wavelet, rate, frame length). One bank is held at a time, as a tuple
 never written once published. A call that needs another bank drops the
-held one and builds the new one under a lock, in its own anonymous
-mapping, from time-domain kernels sampled for that build and dropped
-once it is filled; calls that miss together wait for one build, and a
-call still reading a replaced bank keeps it until it returns.
-``hold_bank`` builds ahead of use, through an executor's ``map`` if
-given, so a caller that runs one family at a time over all its frames
+held one and builds the new one under a lock, in the calling thread and
+in its own anonymous mapping: it copies in time-domain kernels sampled
+for that build, transforms them with one in-place FFT and drops them.
+Calls that miss together wait for one build, and a call still reading a
+replaced bank keeps it until it returns. ``hold_bank`` builds ahead of
+use, so a caller that runs one family at a time over all its frames
 builds each family's bank once. ``cwt`` streams the bank through the
 inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows and hands each cropped
 row, in ladder order, to its ``each_row`` callback: no call allocates
@@ -304,16 +304,15 @@ def _pages(rows, length):
                          complex).reshape(rows, length)
 
 
-def hold_bank(kind, rate_hz, n_sig, mapper=map):
+def hold_bank(kind, rate_hz, n_sig):
     """The held bank for these arguments, built first if another is held.
 
     Returns ``(key, bank_h, offsets)``: ``(kind, rate_hz, n_sig)``, the
     read-only FFT-domain bank and each row's centre. On a miss the held
-    bank is dropped and the new one built under one lock, so calls that
-    miss together wait for one build. Its row blocks are transformed
-    through ``mapper``; with an executor's ``map``, no task that needs
-    another bank may be queued on that executor meanwhile, or the build
-    could wait behind it forever.
+    bank is dropped and the new one built under one lock, in the calling
+    thread, so calls that miss together wait for one build. The build
+    copies the zero-padded kernels into the bank's mapping and transforms
+    it with one in-place FFT.
     """
     global _held
     key = (kind, rate_hz, n_sig)
@@ -328,15 +327,9 @@ def hold_bank(kind, rate_hz, n_sig, mapper=map):
         kernels, offsets = _kernels(kind, rate_hz)
         length = _next_fast_len(n_sig + 2 * int(offsets.max()))
         bank = _pages(len(kernels), length)
-
-        def fill(b0):
-            block = bank[b0:b0 + CWT_BLOCK_ROWS]
-            for row, w in zip(block, kernels[b0:b0 + CWT_BLOCK_ROWS]):
-                row[:len(w)] = w
-            np.fft.fft(block, axis=1, out=block)
-
-        for _ in mapper(fill, range(0, len(kernels), CWT_BLOCK_ROWS)):
-            pass
+        for row, w in zip(bank, kernels):
+            row[:len(w)] = w
+        np.fft.fft(bank, axis=1, out=bank)
         bank.flags.writeable = False
         _held = (key, bank, offsets)
         return _held
@@ -351,7 +344,8 @@ def cwt(s, kind, *, each_row):
     Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
     the call, each equal to the row of one full-bank transform, and
     streamed to ``each_row``; none is kept. The call keeps the bank
-    :func:`hold_bank` gives it until it returns, even if it is replaced.
+    :func:`hold_bank` gives it until it returns, even if it is replaced;
+    a call that finds another bank held builds its own in its thread.
 
     Parameters
     ----------

@@ -828,7 +828,8 @@ class TestQualityPool:
         payloads = {}
         for workers in (1, 3):
             threads.clear()
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(pcgkit_quality, "_usable_cpus",
+                                lambda: workers)
             cwd = tmp_path / str(workers)
             cwd.mkdir()
             monkeypatch.chdir(cwd)
@@ -880,7 +881,7 @@ class TestQualityPool:
         monkeypatch.setattr(pcgkit_wavelets, "_held", None)
         monkeypatch.setattr(pcgkit_wavelets, "_pages", lambda rows, length:
                             np.zeros((rows, length), dtype=complex))
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pcgkit_quality, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
             assert main(["quality", str(small_ds), "--out",
@@ -905,6 +906,24 @@ class TestQualityPool:
         assert len(maps) == 3
         assert reads == ["s01", "s02", "s03"] * 2
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_bank_built_on_the_main_thread(self, small_ds, tmp_path,
+                                                workers, monkeypatch):
+        # at any thread count the run makes one mapping per family, each
+        # on the thread that calls frame_qualities, none on a worker
+        threads = []
+        real_pages = pcgkit_wavelets._pages
+
+        def recording(rows, length):
+            threads.append(threading.current_thread())
+            return real_pages(rows, length)
+
+        monkeypatch.setattr(pcgkit_wavelets, "_held", None)
+        monkeypatch.setattr(pcgkit_wavelets, "_pages", recording)
+        monkeypatch.setattr(pcgkit_quality, "_usable_cpus", lambda: workers)
+        assert main(["quality", str(small_ds), "--out", str(tmp_path)]) == 0
+        assert threads == [threading.main_thread()] * 3
+
     def test_each_bank_released_before_the_next_is_built(
             self, small_ds, tmp_path, monkeypatch, bank_maps):
         # every frame has one length, so no wes reads a bank while it is
@@ -912,7 +931,7 @@ class TestQualityPool:
         # the held one outlives the run
         maps, alive = bank_maps
         monkeypatch.setattr(pcgkit_wavelets, "_held", None)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pcgkit_quality, "_usable_cpus", lambda: 2)
         assert main(["quality", str(small_ds), "--out", str(tmp_path)]) == 0
         assert len(maps) >= 3
         assert alive == [0] * len(maps)
@@ -963,7 +982,7 @@ class TestQualityPasses:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_subject_as_measured_alone(self, mixed_ds, workers,
                                             tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(pcgkit_quality, "_usable_cpus", lambda: workers)
         assert main(["quality", str(mixed_ds), "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "quality_report.json").read_text())
         expected = {d.name: quality_entries(d) for d in mixed_ds.iterdir()

@@ -72,7 +72,8 @@ class TestReadWav:
     def test_non_16_bit_rejected(self, tmp_path, width):
         path = tmp_path / "a.wav"
         raw_wav(path, [0, 0], sampwidth=width)
-        with pytest.raises(PcgKitError, match="only 16-bit PCM supported"):
+        with pytest.raises(PcgKitError, match=f"only 16-bit PCM supported, "
+                           f"got {8 * width}-bit"):
             read_wav_pcm16(path)
 
     def test_garbage_bytes_rejected(self, tmp_path):
@@ -80,6 +81,16 @@ class TestReadWav:
         path.write_bytes(b"definitely not RIFF data")
         with pytest.raises(PcgKitError, match="does not start with RIFF id"):
             read_wav_pcm16(path)
+
+    @pytest.mark.parametrize("cut", [0, 6, 30])
+    def test_header_cut_short_is_named(self, tmp_path, cut):
+        # the wave module raises an EOFError with no message here
+        path = tmp_path / "a.wav"
+        raw_wav(path, [1, 2, 3])
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(PcgKitError) as info:
+            read_wav_pcm16(path)
+        assert str(info.value) == f"{path}: truncated header"
 
     def test_zero_frames_rejected(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -90,6 +101,19 @@ class TestReadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PcgKitError, match="no such file"):
             read_wav_pcm16(tmp_path / "absent.wav")
+
+    def test_zero_header_rate_names_the_file(self, tmp_path):
+        # the wave module writes no rate of 0, so the fmt chunk's rate
+        # field (bytes 24-27) is zeroed after writing
+        path = tmp_path / "a.wav"
+        raw_wav(path, [1, 2, 3])
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(PcgKitError) as info:
+            read_wav_pcm16(path)
+        assert str(info.value) == (
+            f"{path}: rate_hz must be finite and > 0, got 0.0")
 
 
 class TestWriteWav:
@@ -129,6 +153,16 @@ class TestReadEcgText:
         with pytest.raises(PcgKitError,
                            match="rate_hz required for plain value files"):
             read_ecg_text(path)
+
+    @pytest.mark.parametrize("rate_hz", [0, -190, math.inf])
+    def test_plain_values_refuse_a_bad_rate_naming_the_file(self, tmp_path,
+                                                             rate_hz):
+        path = tmp_path / "e.txt"
+        path.write_text("1.0\n-2.5\n3.0\n")
+        with pytest.raises(PcgKitError) as info:
+            read_ecg_text(path, rate_hz=rate_hz)
+        assert str(info.value) == (
+            f"{path}: rate_hz must be finite and > 0, got {float(rate_hz)}")
 
     def test_time_value_rate_inferred(self, tmp_path):
         path = tmp_path / "e.txt"
@@ -180,6 +214,17 @@ class TestReadEcgText:
         path.write_text("0,1\n0.01,2\n\n0.5,3\n0.51,4\n0.52,5\n")
         with pytest.raises(PcgKitError, match="increase uniformly at line 4 "):
             read_ecg_text(path)
+
+    @pytest.mark.parametrize("last", [0.875, 1.125])
+    def test_steps_of_half_and_one_and_a_half_median_accepted(self, tmp_path,
+                                                             last):
+        # the bounds are inclusive: 0.125 and 0.375 s against a 0.25 s
+        # median, each exact in binary
+        path = tmp_path / "e.txt"
+        path.write_text(f"0,1\n0.25,2\n0.5,3\n0.75,4\n{last},5\n")
+        sig = read_ecg_text(path)
+        assert sig.rate_hz == 4.0
+        assert np.array_equal(sig.samples, [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_rounded_time_stamps_accepted(self, tmp_path):
         # 190 Hz stamps rounded to the millisecond: steps of 5 and 6 ms
@@ -281,6 +326,16 @@ class TestReadEcgText:
         sig = read_ecg_text(path, rate_hz=rate_hz)
         assert sig.rate_hz == pytest.approx(250.0, rel=1e-12)
         assert sig.rate_hz == read_ecg_text(path).rate_hz
+
+    @pytest.mark.parametrize("step, inferred", [
+        ("0.008008008008008008", 124.875), ("0.007992007992007992", 125.125)])
+    def test_given_rate_exactly_at_the_tolerance_accepted(self, tmp_path,
+                                                          step, inferred):
+        # |inferred - 125| == ECG_RATE_TOLERANCE * 125 == 0.125 exactly
+        path = tmp_path / "e.txt"
+        path.write_text(f"0,1\n{step},2\n")
+        assert abs(inferred - 125.0) == ECG_RATE_TOLERANCE * 125.0
+        assert read_ecg_text(path, rate_hz=125.0).rate_hz == inferred
 
     @pytest.mark.parametrize("rate_hz", [190.0, 250.3, 249.7])
     def test_given_rate_disagreeing_with_time_column(self, tmp_path,
@@ -483,12 +538,15 @@ class TestSubjectRecord:
             SubjectRecord(subject_id="x", pcg=None)
 
     def test_reference_ordering_enforced(self):
-        with pytest.raises(PcgKitError, match="need sbp_ref > dbp_ref > 0"):
-            SubjectRecord(subject_id="x", pcg=self._pcg(),
-                          sbp_ref=80.0, dbp_ref=120.0)
-        with pytest.raises(PcgKitError, match="need sbp_ref > dbp_ref > 0"):
-            SubjectRecord(subject_id="x", pcg=self._pcg(),
-                          sbp_ref=120.0, dbp_ref=-5.0)
+        # both bounds are strict: equal references and a zero dbp refused
+        for sbp, dbp in ((80.0, 120.0), (120.0, -5.0), (80.0, 80.0),
+                         (120.0, 0.0)):
+            with pytest.raises(PcgKitError,
+                               match="need sbp_ref > dbp_ref > 0"):
+                SubjectRecord(subject_id="x", pcg=self._pcg(),
+                              sbp_ref=sbp, dbp_ref=dbp)
+        assert SubjectRecord(subject_id="x", pcg=self._pcg(), sbp_ref=1.0,
+                             dbp_ref=0.5).dbp_ref == 0.5
 
     def test_partial_references_allowed(self):
         record = SubjectRecord(subject_id="x", pcg=self._pcg(), sbp_ref=120.0)
@@ -598,6 +656,16 @@ class TestSubjectDirs:
         records, errors = load_dataset(tmp_path, ecg=False)
         assert [r.subject_id for r in records] == ["s01"] and errors == {}
 
+    @pytest.mark.parametrize("value", [
+        "1.7976931348623157e308", "-1.7976931348623157e308"])
+    def test_largest_float_meta_number_accepted(self, value, tmp_path):
+        pcg, _ = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, meta={"sbp_ref": 0.0})
+        meta_path = tmp_path / "s01" / "meta.json"
+        meta_path.write_text(meta_path.read_text().replace("0.0", value))
+        meta = load_subject_dir(tmp_path / "s01").meta
+        assert meta["sbp_ref"] == float(value)
+
     @pytest.mark.parametrize("value", ["true", '"190"', "1e400"])
     def test_without_ecg_meta_is_still_checked(self, value, tmp_path):
         pcg, ecg = self._signals()
@@ -609,6 +677,18 @@ class TestSubjectDirs:
             load_subject_dir(tmp_path / "s01", ecg=False)
         records, errors = load_dataset(tmp_path, ecg=False)
         assert records == [] and errors["s01"].startswith("ingest: ")
+
+    @pytest.mark.parametrize("rate_hz", [0, -190])
+    def test_non_positive_ecg_rate_is_an_ingest_error_naming_the_file(
+            self, rate_hz, tmp_path):
+        pcg, ecg = self._signals()
+        write_subject_dir(tmp_path / "s01", pcg, ecg=ecg,
+                          meta={"ecg_rate_hz": rate_hz})
+        records, errors = load_dataset(tmp_path)
+        assert records == []
+        assert errors == {"s01": (
+            f"ingest: {tmp_path / 's01' / 'ecg.txt'}: rate_hz must be "
+            f"finite and > 0, got {float(rate_hz)}")}
 
     def test_non_finite_meta_number_loads_as_none(self, tmp_path):
         pcg, _ = self._signals()

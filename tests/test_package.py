@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import pcgkit
-from pcgkit import PcgKitError, cli, errors
+from pcgkit import PcgKitError, cli, errors, quality
 from pcgkit.plots import write_scatter_svg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -131,6 +131,7 @@ def test_import_and_version_load_no_scipy(tmp_path):
                 if line.startswith("import time:")]
     assert "pcgkit.cli" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert "concurrent.futures" not in imported
 
 
 def _synth(cwd, subjects=2):
@@ -162,6 +163,7 @@ def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
     out = run_python("""
         import json, sys, threading
         import pcgkit.cli as cli
+        import pcgkit.quality as quality
 
         class Watch:
             threads = []
@@ -173,14 +175,14 @@ def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
 
         assert "numpy.fft" not in sys.modules
         sys.meta_path.insert(0, Watch())
-        cli._usable_cpus = lambda: 3
+        quality._usable_cpus = lambda: 3
         assert cli.main(["quality", "ds", "--out", "r"]) == 0
         print(json.dumps(Watch.threads))
     """, tmp_path)
     threads = json.loads(out.splitlines()[-1])
     assert threads == ["MainThread"]
     (tmp_path / "r").rename(tmp_path / "three")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(quality, "_usable_cpus", lambda: 1)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["quality", "ds", "--out", "r"]) == 0
     for name in ("quality_report.json", "quality_table.csv"):

@@ -1,10 +1,10 @@
 """Band estimation, energy tracks, NRMSE, and SNR."""
 
 import gc
+import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,20 +294,20 @@ def direct_quality(frame, seg):
 
 def measured(items, held, held_n, workers, again=False):
     """``frame_qualities`` of ``items`` from a fresh bank, holding the
-    ``held`` bank of ``held_n`` samples if any, on ``workers`` threads;
-    with ``again``, each frame comes with a callable giving a copy."""
+    ``held`` bank of ``held_n`` samples if any, with ``workers`` usable
+    CPUs (this process's count if None); with ``again``, each frame comes
+    with a callable giving a copy."""
     if again:
         items = [item if isinstance(item, PcgKitError) else
                  (*item, lambda frame=item[0]: frame.with_samples(
                      frame.samples.copy())) for item in items]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelets, "_held", None)
+        if workers is not None:
+            mp.setattr(quality, "_usable_cpus", lambda: workers)
         if held is not None:
             wavelets.hold_bank(held, RATE, held_n)
-        if workers is None:
-            return frame_qualities(iter(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return frame_qualities(iter(items), pool)
+        return frame_qualities(iter(items))
 
 
 def assert_each_measured_directly(items, got):
@@ -340,6 +340,28 @@ drawn_items = st.lists(st.one_of(
     st.builds(PcgKitError, st.just("failed before")),
     st.builds(noise_item, st.integers(200, 1200), st.integers(0, 2 ** 32 - 1),
               st.sampled_from([[0.05, 0.08], [50.0, 51.0]]))), max_size=5)
+
+
+class TestUsableCpus:
+    """``frame_qualities`` runs one thread per CPU this process may use."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_follows_this_threads_affinity(self):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert quality._usable_cpus() == 1
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert quality._usable_cpus() == len(cpus)
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_without_affinity_every_cpu_or_one(self, count, usable,
+                                               monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert quality._usable_cpus() == usable
 
 
 class TestFrameQualities:
@@ -403,6 +425,7 @@ class TestFrameQualities:
             return real_cwt(s, kind, **kwargs)
 
         monkeypatch.setattr(wavelets, "cwt", signalling)
+        monkeypatch.setattr(quality, "_usable_cpus", lambda: 2)
         waited = []
 
         def frames():
@@ -410,32 +433,34 @@ class TestFrameQualities:
             waited.append(started.wait(10.0))
             yield items[-1]
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = frame_qualities(frames(), pool)
+        got = frame_qualities(frames())
         assert waited == [True]
         assert_each_measured_directly([items[0], items[-1]], got)
 
     def test_each_family_holds_its_bank_before_its_first_wes(
             self, items, cwt_kinds, monkeypatch):
         # the families run in declaration order, whichever bank is held;
-        # it is of another length, so every family builds its bank over
-        # the executor for the first frame still measured (1000), then
+        # it is of another length, so every family builds its bank on
+        # this thread for the first frame still measured (1000), then
         # measures the four frames that reach the wavelets
         real_hold = quality.hold_bank
 
-        def holding(kind, rate_hz, n_sig, mapper):
-            cwt_kinds.append(("hold", kind, rate_hz, n_sig))
-            return real_hold(kind, rate_hz, n_sig, mapper)
+        def holding(kind, rate_hz, n_sig):
+            cwt_kinds.append(("hold", kind, threading.current_thread(),
+                              rate_hz, n_sig))
+            return real_hold(kind, rate_hz, n_sig)
 
         monkeypatch.setattr(quality, "hold_bank", holding)
+        monkeypatch.setattr(quality, "_usable_cpus", lambda: 2)
         wavelets.hold_bank(WaveletKind.MORSE, RATE, 777)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            frame_qualities(items, pool)
+        frame_qualities(items)
+        main = threading.main_thread()
         assert cwt_kinds == [
             event for kind in WaveletKind
-            for event in [("hold", kind, RATE, 1000)] + [kind] * 4]
+            for event in [("hold", kind, main, RATE, 1000)] + [kind] * 4]
 
-    def test_later_families_measure_the_frame_again_gives(self, items):
+    def test_later_families_measure_the_frame_again_gives(self, items,
+                                                          monkeypatch):
         # between families no first-pass frame is kept: each later family
         # asks again() for the frames still measured, in frame order
         firsts, asked = [], []
@@ -455,8 +480,8 @@ class TestFrameQualities:
 
                 yield frame, item[1], again
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = frame_qualities(frames(), pool)
+        monkeypatch.setattr(quality, "_usable_cpus", lambda: 2)
+        got = frame_qualities(frames())
         assert asked == [(i, 0) for i in (0, 3, 4, 5)] * 2
         assert_each_measured_directly(items, got)
 
@@ -527,8 +552,8 @@ class TestFrameQualities:
                 taken.append((k, len(finished)))
                 yield SampledSignal(rng.standard_normal(600), RATE), seg
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            got = frame_qualities(frames(), pool)
+        monkeypatch.setattr(quality, "_usable_cpus", lambda: workers)
+        got = frame_qualities(frames())
         assert all(isinstance(q, FrameQuality) for q in got)
         assert all(done >= k - 2 * workers + 1 for k, done in taken)
         assert any(done == k - 2 * workers + 1 for k, done in taken)

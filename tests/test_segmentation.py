@@ -12,6 +12,7 @@ from pcgkit import (
     PcgKitError,
     PeakEvent,
     PeakLabel,
+    RiseDecayTimes,
     SampledSignal,
     SynthSpec,
     compute_envelope,
@@ -86,6 +87,14 @@ class TestFindEnvelopePeaks:
         y[15] = 1.0
         peaks = find_envelope_peaks(envelope_of(y, 100.0))
         assert [p.index for p in peaks] == [15]
+
+    def test_distance_rule_keeps_peaks_exactly_the_spacing_apart(self):
+        # 10 samples at 80 Hz are 0.125 s: a shorter peak between two
+        # taller ones, exactly that far from each, is kept
+        y = np.zeros(40)
+        y[5], y[15], y[25] = 1.0, 0.8, 0.9
+        peaks = find_envelope_peaks(envelope_of(y, 80.0))
+        assert [p.index for p in peaks] == [5, 15, 25]
 
     def test_plateau_reports_center_sample(self):
         env = envelope_of([0, 0.2, 1, 1, 1, 0.2, 0], 10.0)
@@ -279,8 +288,40 @@ class TestCycleIntervals:
         with pytest.raises(PcgKitError, match="S2->S1 pair, got 1 and 0"):
             cycle_intervals(peaks_at([0.0, 0.3], [PeakLabel.S1, PeakLabel.S2]))
 
+    def test_missing_systolic_pair_raises(self):
+        with pytest.raises(PcgKitError, match="S2->S1 pair, got 0 and 1"):
+            cycle_intervals(peaks_at([0.0, 0.5], [PeakLabel.S2, PeakLabel.S1]))
+
+    def test_pairs_of_one_label_count_in_neither(self):
+        # S1->S1 and S2->S2 gaps (0.1 s each) are no interval
+        times = [0.0, 0.1, 0.4, 0.5, 1.0]
+        labels = [PeakLabel.S1, PeakLabel.S1, PeakLabel.S2, PeakLabel.S2,
+                  PeakLabel.S1]
+        t_sys, t_dias, n = cycle_intervals(peaks_at(times, labels))
+        assert (t_sys, t_dias, n) == (pytest.approx(0.3, abs=1e-12),
+                                      pytest.approx(0.5, abs=1e-12), 1)
+
 
 class TestRiseDecayTimes:
+
+    def test_constructed_without_a_count_skips_none(self):
+        assert RiseDecayTimes(0.1, 0.2, 0.3, 0.4).n_skipped == 0
+
+    def test_peak_without_a_sample_index_is_placed_by_its_time(self):
+        # built without ``index`` (-1), the S1 peak is found at its time,
+        # and the S2 rise search behind it starts at the frame start
+        rate = 1000.0
+        y = np.zeros(400)
+        triangle(y, 100, 40)
+        triangle(y, 300, 40)
+        labeled = [PeakEvent(time_s=0.100, height=1.0, label=PeakLabel.S1),
+                   PeakEvent(time_s=0.300, height=1.0, label=PeakLabel.S2,
+                             index=300)]
+        assert labeled[0].index == -1
+        rd = rise_decay_times(envelope_of(y, rate), labeled)
+        for value in (rd.t_rs1, rd.t_ds1, rd.t_rd2, rd.t_dd2):
+            assert value == pytest.approx(0.034, abs=1e-12)
+        assert rd.n_skipped == 0
 
     def test_triangular_peak_crossing_times(self):
         # 40 ms half-width ramps at 1000 Hz cross 15% of peak height
@@ -354,6 +395,27 @@ class TestRiseDecayTimes:
             rd = rise_decay_times(envelope_of(y, rate), labeled)
         assert rd.n_skipped == 1
         assert rd.t_rs1 == pytest.approx(0.034, abs=1e-12)
+
+    def test_searches_stop_at_the_neighbouring_peaks(self):
+        # the envelope stays at half height between the first two peaks
+        # and between the last two, so the searches there end truncated
+        # at the neighbour, not at a crossing beyond it
+        rate = 1000.0
+        y = np.zeros(1200)
+        for idx in range(100, 1200, 200):
+            triangle(y, idx, 40)
+        for a, b in ((100, 300), (900, 1100)):
+            y[a + 1:b] = np.maximum(y[a + 1:b], 0.5)
+        labeled = [PeakEvent(time_s=i / rate, height=1.0, label=lab, index=i)
+                   for i, lab in zip(range(100, 1200, 200),
+                                     [PeakLabel.S1, PeakLabel.S2] * 3)]
+        with pytest.warns(RuntimeWarning) as caught:
+            rd = rise_decay_times(envelope_of(y, rate), labeled)
+        assert rd.n_skipped == 4
+        for value in (rd.t_rs1, rd.t_ds1, rd.t_rd2, rd.t_dd2):
+            assert value == pytest.approx(0.034, abs=1e-12)
+        # each warning names the line that called rise_decay_times
+        assert {w.filename for w in caught} == {__file__}
 
     def test_no_usable_peak_for_a_label_raises(self):
         rate = 1000.0

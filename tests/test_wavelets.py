@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,8 +33,8 @@ def ladder_kernels(kind, rate=RATE):
 def per_row_bank(kind, n, rate=RATE):
     """``(bank_h, offsets, length)``, one ``fft`` per kernel row.
 
-    The bank ``cwt`` built row by row before it held one bank built in
-    blocks; the blocked build must reproduce it exactly.
+    The bank ``cwt`` built row by row before it held one bank built by
+    one in-place fft; that build must reproduce it exactly.
     """
     kernels = ladder_kernels(kind, rate)
     offsets = [len(w) // 2 for w in kernels]
@@ -631,17 +630,15 @@ class TestHeldBank:
     @pytest.mark.parametrize("n", [777, 8000])
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_refill_equals_per_row_fft(self, kind, n, monkeypatch):
-        # blocks of CWT_BLOCK_ROWS zero-padded rows, each one in-place fft,
-        # in this thread and spread over a pool, against one fft per row
+        # all 64 zero-padded rows in one in-place fft, against one fft
+        # per row
         expected, offsets, length = per_row_bank(kind, n)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for mapper in (map, pool.map):
-                fresh_bank(monkeypatch)
-                key, bank_h, offs = wavelets.hold_bank(kind, RATE, n, mapper)
-                assert key == (kind, RATE, n)
-                assert bank_h.shape == (64, length)
-                assert list(offs) == offsets
-                assert np.array_equal(bank_h, expected)
+        fresh_bank(monkeypatch)
+        key, bank_h, offs = wavelets.hold_bank(kind, RATE, n)
+        assert key == (kind, RATE, n)
+        assert bank_h.shape == (64, length)
+        assert list(offs) == offsets
+        assert np.array_equal(bank_h, expected)
 
     def test_one_bank_held_and_a_replaced_one_released(self, monkeypatch,
                                                         bank_maps):
