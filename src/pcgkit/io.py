@@ -172,7 +172,8 @@ def read_ecg_text(path, rate_hz=None):
         raise PcgKitError(f"{path}:{bad}: non-finite time or value")
     if times is None:
         if rate_hz is None:
-            raise PcgKitError("rate_hz required for plain value files")
+            raise PcgKitError(f"{path}: rate_hz required for plain value "
+                              "files")
         try:
             return SampledSignal(values, float(rate_hz))
         except PcgKitError as exc:  # a rate that is not finite and > 0

@@ -25,9 +25,12 @@ builds each family's bank once. ``cwt`` streams the bank through the
 inverse FFT in blocks of ``CWT_BLOCK_ROWS`` rows and hands each cropped
 row, in ladder order, to its ``each_row`` callback: no call allocates
 the 64-row matrix. ``wes`` adds each row's squared magnitude into its
-track. Every other buffer is local to its call, so ``cwt`` and ``wes``
-may run on several threads at once, and a callback may call them for
-another bank.
+track. The block and the signal's spectrum live in one workspace per
+thread, which ``cwt`` takes for its whole call and reuses from call to
+call; a thread keeps it until it exits or a call needs another shape.
+So ``cwt`` and ``wes`` may run on several threads at once, and a
+callback may call them again, for any bank: the nested call finds no
+workspace in its thread and makes its own.
 """
 
 import enum
@@ -72,9 +75,10 @@ _DEC_HI = np.array([(-1.0) ** k * _REC_LO[k] for k in range(_FILT_LEN)])
 _REC_HI = _DEC_HI[::-1].copy()
 
 # Kernel-bank rows multiplied and inverse-transformed together in ``cwt``:
-# enough to batch each inverse FFT, few enough that the block buffer stays
-# a small fraction of the full bank.
-CWT_BLOCK_ROWS = 8
+# enough to batch each inverse FFT, few enough that each thread's
+# workspace stays a small fraction of the full bank (1.7 MB for Bump's
+# 4 s frame at 2 kHz).
+CWT_BLOCK_ROWS = 4
 
 
 def _dwt_step(x):
@@ -260,18 +264,18 @@ def sample_wavelet(kind, scale):
     return w[half - r:half + r + 1]
 
 
-def _fft_of_real(x, n):
+def _fft_of_real(x, n, out):
     """Full ``n``-point spectrum of a real array, from its real FFT.
 
     numpy's complex ``fft`` of a real array rounds differently from
     ``scipy.fft.fft``, which transforms real input by its real FFT. This
-    does the same: the half spectrum of ``rfft`` and its conjugate mirror,
-    so the result equals scipy's bit for bit.
+    does the same: ``rfft`` writes the half spectrum into the complex
+    length-``n`` array ``out`` and its conjugate mirror fills the rest,
+    so ``out``, which is returned, equals scipy's result bit for bit.
     """
-    half = np.fft.rfft(x, n)
-    out = np.empty(n, dtype=complex)
-    out[:len(half)] = half
-    np.conjugate(half[(n - 1) // 2:0:-1], out=out[len(half):])
+    half = n // 2 + 1
+    np.fft.rfft(x, n, out=out[:half])
+    np.conjugate(out[(n - 1) // 2:0:-1], out=out[half:])
     return out
 
 
@@ -295,6 +299,10 @@ def _kernels(kind, rate_hz):
 # The held bank as ``hold_bank`` returns it; swapped only under the lock.
 _held = None
 _held_lock = threading.Lock()
+
+# Each thread's ``cwt`` workspace as its attribute ``work``, absent while
+# a call of that thread has it.
+_spare = threading.local()
 
 
 def _pages(rows, length):
@@ -341,11 +349,22 @@ def cwt(s, kind, *, each_row):
     Each row is the convolution of the signal with the conjugated,
     time-reversed sampled wavelet at that scale (energy-preserving
     1/sqrt(scale) normalization), zero-padded at the frame boundaries.
-    Rows are computed ``CWT_BLOCK_ROWS`` at a time in a buffer local to
-    the call, each equal to the row of one full-bank transform, and
-    streamed to ``each_row``; none is kept. The call keeps the bank
-    :func:`hold_bank` gives it until it returns, even if it is replaced;
-    a call that finds another bank held builds its own in its thread.
+    Rows are computed ``CWT_BLOCK_ROWS`` at a time, each equal to the
+    row of one full-bank transform, and streamed to ``each_row``; none
+    is kept. The call keeps the bank :func:`hold_bank` gives it until it
+    returns, even if it is replaced; a call that finds another bank held
+    builds its own in its thread.
+
+    The block and the signal's spectrum share one complex workspace of
+    ``min(CWT_BLOCK_ROWS, 64) + 1`` rows of the bank length, its last
+    row the spectrum. The call takes its thread's workspace for its
+    whole duration and leaves it for the thread's next call, allocating
+    a new one only when the thread has none of that shape. A call made
+    from ``each_row`` finds none and allocates its own. A thread holds
+    one workspace until it exits: the pool threads of
+    ``frame_qualities`` drop theirs when it shuts its pool down, while
+    the main thread keeps one (1.7 MB at most for 4 s frames at 2 kHz)
+    after ``hr --method wes``.
 
     Parameters
     ----------
@@ -354,24 +373,29 @@ def cwt(s, kind, *, each_row):
     each_row : callable
         Called as ``each_row(i, row)`` for ``i = 0 .. 63`` in ladder
         order, from 500 Hz down to 10 Hz, with ``row`` the complex
-        ``i``-th row of length ``len(s)`` as a view into the block
-        buffer, valid only during that call. The call holds only the
-        block buffer (``CWT_BLOCK_ROWS`` rows of the bank length), the
-        signal's spectrum and its bank.
+        ``i``-th row of length ``len(s)`` as a view into the workspace,
+        valid only during that call. The call holds only the workspace
+        and its bank.
     """
     n = len(s.samples)
     _, bank_h, offsets = hold_bank(kind, s.rate_hz, n)
-    length = bank_h.shape[1]
-    spectrum = _fft_of_real(s.samples, length)
     n_rows = len(offsets)
-    buf = np.empty((min(CWT_BLOCK_ROWS, n_rows), length), dtype=complex)
-    for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
-        offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
-        block = buf[:len(offs)]
-        np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
-        np.fft.ifft(block, axis=1, out=block)
-        for j, off in enumerate(offs):
-            each_row(b0 + j, block[j, off:off + n])
+    shape = (min(CWT_BLOCK_ROWS, n_rows) + 1, bank_h.shape[1])
+    work = _spare.__dict__.pop("work", None)
+    if work is None or work.shape != shape:
+        del work  # one of another shape is dropped before allocating
+        work = np.empty(shape, dtype=complex)
+    try:
+        spectrum = _fft_of_real(s.samples, shape[1], work[-1])
+        for b0 in range(0, n_rows, CWT_BLOCK_ROWS):
+            offs = offsets[b0:b0 + CWT_BLOCK_ROWS]
+            block = work[:len(offs)]
+            np.multiply(spectrum, bank_h[b0:b0 + len(offs)], out=block)
+            np.fft.ifft(block, axis=1, out=block)
+            for j, off in enumerate(offs):
+                each_row(b0 + j, block[j, off:off + n])
+    finally:
+        _spare.work = work
 
 
 def wes(s, kind):
@@ -380,8 +404,9 @@ def wes(s, kind):
     ``WES[n] = (1/N) * sum_k |CWT[k, n]|**2`` with N the frame length.
     Nonnegative, same length and rate as the input. ``cwt`` hands over
     each row in ladder order and its squared magnitude is added into the
-    track in place, so the call holds the block buffer of ``cwt`` and two
-    length-N tracks, never the 64-row matrix.
+    track in place, so the call holds the workspace of ``cwt`` and two
+    length-N tracks, never the 64-row matrix; a thread's second call
+    allocates only the tracks.
     """
     n = len(s.samples)
     track = np.zeros(n)

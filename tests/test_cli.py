@@ -873,11 +873,12 @@ class TestQualityPool:
                                         monkeypatch):
         # Bound set before measuring: the largest bank, Bump's for a 4 s
         # frame (64 rows of 20736 complex, 21.2 MB), plus a 16 MiB margin
-        # for the kernels a build samples (3.3 MB at most), one 8-row
-        # block buffer per worker (2.7 MB each), a frame's spectra and
-        # tracks, and the cohort's records, frames and reports. All three
-        # banks together (43.8 MB) exceed it. tracemalloc sees no memory
-        # mapping, so each bank is allocated by numpy here instead.
+        # for the kernels a build samples (3.3 MB at most), one CWT
+        # workspace per thread (a 4-row block and the signal's spectrum,
+        # 1.7 MB each), a frame's tracks, and the cohort's records,
+        # frames and reports. All three banks together (43.8 MB) exceed
+        # it. tracemalloc sees no memory mapping, so each bank is
+        # allocated by numpy here instead.
         monkeypatch.setattr(pcgkit_wavelets, "_held", None)
         monkeypatch.setattr(pcgkit_wavelets, "_pages", lambda rows, length:
                             np.zeros((rows, length), dtype=complex))

@@ -150,9 +150,10 @@ class TestReadEcgText:
         sig = read_ecg_text(path, rate_hz=190.0)
         assert np.array_equal(sig.samples, [1.0, -2.5, 3.0])
         assert sig.rate_hz == 190.0
-        with pytest.raises(PcgKitError,
-                           match="rate_hz required for plain value files"):
+        with pytest.raises(PcgKitError) as info:
             read_ecg_text(path)
+        assert str(info.value) == (
+            f"{path}: rate_hz required for plain value files")
 
     @pytest.mark.parametrize("rate_hz", [0, -190, math.inf])
     def test_plain_values_refuse_a_bad_rate_naming_the_file(self, tmp_path,
@@ -410,7 +411,7 @@ def _read_ecg_text_by_lines(path, rate_hz=None):
                 f"{bad} (step not within 0.5-1.5x the median {step:g} s)")
         rate_hz = 1.0 / step
     elif rate_hz is None:
-        raise PcgKitError("rate_hz required for plain value files")
+        raise PcgKitError(f"{path}: rate_hz required for plain value files")
     return SampledSignal(values, float(rate_hz))
 
 

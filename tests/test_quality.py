@@ -485,6 +485,24 @@ class TestFrameQualities:
         assert asked == [(i, 0) for i in (0, 3, 4, 5)] * 2
         assert_each_measured_directly(items, got)
 
+    def test_pool_threads_drop_their_cwt_workspaces(self, items,
+                                                    monkeypatch):
+        # each workspace lives in its pool thread's local storage, so it
+        # is freed by the time frame_qualities has joined the threads
+        made = []
+        real_fft = wavelets._fft_of_real
+
+        def recording(x, n, out):
+            made.append((threading.current_thread(), weakref.ref(out.base)))
+            return real_fft(x, n, out)
+
+        monkeypatch.setattr(wavelets, "_fft_of_real", recording)
+        monkeypatch.setattr(quality, "_usable_cpus", lambda: 2)
+        frame_qualities(items)
+        assert len(made) == 4 * 3
+        assert threading.current_thread() not in {t for t, _ in made}
+        assert [ref() for _, ref in made] == [None] * len(made)
+
     def test_error_of_again_is_that_frames_error(self, items):
         # it comes before a failed SNR, and the other frames go on
         failure = PcgKitError("recording changed")

@@ -387,15 +387,21 @@ class TestFftHelpers:
                                         (777, 777), (777, 2000), (777, 2001),
                                         (8000, 11088), (8000, 10935)])
     def test_fft_of_real_equals_scipy(self, n_x, n):
+        # written into the last row of a workspace left full of NaN, as
+        # cwt reuses one, so every entry must be written
         x = np.random.default_rng(n_x + n).standard_normal(n_x)
-        assert np.array_equal(wavelets._fft_of_real(x, n), fft(x, n))
+        work = np.full((2, n), np.nan, dtype=complex)
+        out = work[-1]
+        assert wavelets._fft_of_real(x, n, out) is out
+        assert np.array_equal(out, fft(x, n))
+        assert np.isnan(work[0]).all()
 
 
 class TestBlockedCwt:
     @pytest.mark.parametrize("n", [300, 777, 8000])
-    # rows per block over the 64-row ladder: 8 (the default) and 64 fill
-    # every block; 13 leaves a partial last block of 12 rows
-    @pytest.mark.parametrize("block_rows", [64, 13, 8])
+    # rows per block over the 64-row ladder: 4 (the default), 8 and 64
+    # fill every block; 13 leaves a partial last block of 12 rows
+    @pytest.mark.parametrize("block_rows", [64, 13, 8, 4])
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_equals_full_matrix_oracle(self, kind, block_rows, n,
                                        monkeypatch):
@@ -525,6 +531,65 @@ class TestBlockedCwt:
         for track in inner:
             assert np.array_equal(track, expected)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_each_row_may_call_cwt_and_wes_for_the_same_family(self, kind):
+        # the nested calls use the same bank length as the outer one, in
+        # the same thread, on another signal; had they shared the outer
+        # call's workspace, they would overwrite its block and spectrum
+        rng = np.random.default_rng(15)
+        s, t = (SampledSignal(rng.standard_normal(777), RATE)
+                for _ in range(2))
+        matrix = full_matrix_cwt(t, kind)
+        # leaves this thread a workspace of the shape every call here needs
+        assert np.array_equal(streamed_rows(t, kind), matrix)
+        rows, inner_rows, inner_tracks = [], [], []
+
+        def nested(i, row):
+            rows.append(row.copy())
+            if i in (0, 30, 63):
+                inner_rows.append(streamed_rows(t, kind))
+                inner_tracks.append(wes(t, kind).samples)
+
+        cwt(s, kind, each_row=nested)
+        assert np.array_equal(np.array(rows), full_matrix_cwt(s, kind))
+        expected = np.sum(np.abs(matrix) ** 2, axis=0) / 777
+        assert len(inner_rows) == len(inner_tracks) == 3
+        for got_rows, track in zip(inner_rows, inner_tracks):
+            assert np.array_equal(got_rows, matrix)
+            assert np.array_equal(track, expected)
+
+    def test_a_thread_reuses_one_workspace_of_its_block_shape(
+            self, monkeypatch):
+        # block rows plus the spectrum's row, of the bank length; kept
+        # between calls of one shape, replaced when the block size or the
+        # bank length changes, and kept by a call whose callback raises
+        kind = WaveletKind.MORSE
+        rng = np.random.default_rng(16)
+        short, long = (SampledSignal(rng.standard_normal(n), RATE)
+                       for n in (777, 1500))
+
+        def work_after(s):
+            assert np.array_equal(streamed_rows(s, kind),
+                                  full_matrix_cwt(s, kind))
+            return wavelets._spare.work
+
+        length = wavelets.hold_bank(kind, RATE, 777)[1].shape[1]
+        first = work_after(short)
+        assert first.shape == (wavelets.CWT_BLOCK_ROWS + 1, length)
+        assert work_after(short) is first
+        for block_rows, rows in [(64, 65), (100, 65), (7, 8), (4, 5)]:
+            monkeypatch.setattr(wavelets, "CWT_BLOCK_ROWS", block_rows)
+            assert work_after(short).shape == (rows, length)
+        assert work_after(long).shape[1] != length
+        held = work_after(long)
+
+        def fail(i, row):
+            raise RuntimeError(i)
+
+        with pytest.raises(RuntimeError):
+            cwt(long, kind, each_row=fail)
+        assert wavelets._spare.work is held
+
 
 class TestWes:
     def test_threads_missing_together_build_one_bank(self, monkeypatch,
@@ -559,19 +624,20 @@ class TestWes:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_peak_memory_adds_no_matrix_to_cwt(self, kind):
-        # wes takes each row from the cwt block buffer, so it never holds
-        # the (64, 8000) complex matrix, 7.8 MiB on its own: its peak is the
-        # 8-row block buffer (Bump has the widest bank, 2.5 MiB), the
-        # signal's spectrum and length-n tracks
+        # wes takes each row from the cwt workspace, so it never holds
+        # the (64, 8000) complex matrix, 7.8 MiB on its own; and a thread's
+        # second call reuses the workspace its first call left (for Bump,
+        # 5 rows of its widest bank, 1.6 MiB), so its peak is the length-n
+        # tracks, 0.19 MiB
         s = SampledSignal(np.random.default_rng(9).standard_normal(8000), RATE)
-        wes(s, kind)  # make its kernel bank the held one
+        wes(s, kind)  # make its kernel bank the held one and its workspace
         tracemalloc.start()
         try:
             wes(s, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 1 * 2 ** 20
 
     def test_calls_cwt_once(self, monkeypatch):
         calls = []
