@@ -2,9 +2,9 @@
 
 A :class:`SampledSignal` is samples plus a rate and nothing else: raw
 recordings, frames and envelopes are all plain signals, and every
-downstream module consumes them. Operations here are pure: they return
-new signals and never mutate their inputs, so frames can be processed in
-parallel without locking.
+downstream module consumes them. Operations here are pure, and the type
+enforces it: a signal's samples are read-only. So frames are views of
+their recording, processed in parallel without locking or copying.
 """
 
 import functools
@@ -39,8 +39,8 @@ class SampledSignal:
     Parameters
     ----------
     samples : ndarray
-        Amplitude values, converted to float64 and validated finite in
-        one ``np.isfinite`` scan.
+        Amplitude values as float64, checked finite in one ``np.isfinite``
+        scan; held as a read-only view, the caller's array left writable.
     rate_hz : float
         Sampling rate, finite and strictly positive.
     """
@@ -61,6 +61,8 @@ class SampledSignal:
         if not (self.rate_hz > 0 and math.isfinite(self.rate_hz)):
             raise PcgKitError(
                 f"rate_hz must be finite and > 0, got {self.rate_hz}")
+        arr = arr.view()
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     def __len__(self):
@@ -184,8 +186,8 @@ def resample_rational(s, target_rate_hz):
 def segment_frames(s, frame_len_s):
     """Split a signal into consecutive non-overlapping frames.
 
-    A trailing partial frame is discarded. Frames are independent signals
-    of their own; nothing ties them back to the recording.
+    A trailing partial frame is discarded. Frames are read-only views of
+    the signal's samples, so framing copies nothing.
 
     Returns
     -------
@@ -211,7 +213,7 @@ def segment_frames(s, frame_len_s):
         raise TooShortError(
             f"signal of {s.duration_s:.3f} s shorter than one "
             f"{frame_len_s:.3f} s frame")
-    return [s.with_samples(s.samples[start:start + frame_len].copy())
+    return [s.with_samples(s.samples[start:start + frame_len])
             for start in range(0, len(s.samples) - frame_len + 1, frame_len)]
 
 

@@ -95,14 +95,12 @@ def wes_envelope(frame, kind=WaveletKind.MORLET):
 def smooth(envelope):
     """Zero-phase 4th-order lowpass an envelope, clipping undershoot to zero.
 
-    The cutoff is ``SMOOTHING_CUTOFF_HZ``. Well below it (around 8 Hz)
-    adjacent S1/S2 peaks start to merge and timing-based estimates
-    degrade.
+    The clip is a new array, as signals are read-only. The cutoff is
+    ``SMOOTHING_CUTOFF_HZ``. Well below it (around 8 Hz) adjacent S1/S2
+    peaks start to merge and timing-based estimates degrade.
     """
     filtered = butterworth_lowpass_zero_phase(envelope, SMOOTHING_CUTOFF_HZ)
-    # the filter's output is new, so it is clipped where it lies
-    return filtered.with_samples(
-        np.maximum(filtered.samples, 0.0, out=filtered.samples))
+    return filtered.with_samples(np.maximum(filtered.samples, 0.0))
 
 
 def compute_envelope(frame, method, kind=WaveletKind.MORLET):

@@ -10,12 +10,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import signal as sps
 
 from pcgkit import (
+    EnvelopeMethod,
     SampledSignal,
     butterworth_lowpass_zero_phase,
+    compute_envelope,
     detrend,
     normalize_max_abs,
+    read_wav_pcm16,
     resample_rational,
     segment_frames,
+    write_wav_pcm16,
 )
 from pcgkit import core
 from pcgkit.core import (
@@ -119,6 +123,32 @@ class TestSampledSignal:
         assert out.rate_hz == 44100.0
         assert np.all(out.samples == 2.0)
         assert np.all(s.samples == 1.0)
+
+    @pytest.mark.parametrize("holder", ["recording", "frame", "envelope"])
+    def test_holders_cannot_write_samples(self, tmp_path, holder):
+        t = np.arange(8000) / 2000.0
+        path = tmp_path / "pcg.wav"
+        write_wav_pcm16(path, SampledSignal(
+            0.5 * np.sin(2 * np.pi * 3.0 * t), 2000.0))
+        s = read_wav_pcm16(path)
+        if holder != "recording":
+            s = segment_frames(s, 2.0)[1]
+        if holder == "envelope":
+            s = compute_envelope(s, EnvelopeMethod.SHANNON)
+        before = s.samples.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            s.samples[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.samples *= 2.0
+        assert np.array_equal(s.samples, before)
+
+    def test_leaves_the_callers_array_writable(self):
+        arr = np.arange(4.0)
+        s = SampledSignal(arr, 1.0)
+        assert arr.flags.writeable
+        assert not s.samples.flags.writeable
+        arr[0] = 7.0
+        assert arr[0] == 7.0
 
 
 class TestDetrend:
@@ -305,6 +335,23 @@ class TestFrames:
     def test_exact_and_shortest_frames(self, n, frame_len_s, rate, lengths):
         frames = segment_frames(SampledSignal(np.ones(n), rate), frame_len_s)
         assert [len(f) for f in frames] == lengths
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 5000), data=st.data(),
+           rate=st.floats(1.0, 5e4, allow_nan=False),
+           seed=st.integers(0, 2**32 - 1))
+    def test_frames_are_read_only_views_of_the_signal(self, n, data, rate,
+                                                      seed):
+        frame_len = data.draw(st.integers(2, n), label="frame_len")
+        s = SampledSignal(np.random.default_rng(seed).normal(size=n), rate)
+        frames = segment_frames(s, frame_len / rate)
+        assert len(frames) == n // frame_len
+        for f in frames:
+            assert f.rate_hz == rate
+            assert np.shares_memory(f.samples, s.samples)
+            assert not f.samples.flags.writeable
+        assert np.array_equal(np.concatenate([f.samples for f in frames]),
+                              s.samples[:len(frames) * frame_len])
 
     def test_too_short_raises(self):
         s = SampledSignal(np.ones(5000), 1000.0)
