@@ -2,12 +2,13 @@
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-Writes the ``COHORTS`` synth datasets and copies the ``INPUTS`` files
-into a temporary directory, runs each command of ``CASES`` there through
-``pcgkit.cli.main`` and copies its output tree to
-``tests/golden/<case>/``. The numpy version that computed them goes to
-``tests/golden/numpy_version.txt``: FFT rounding can differ between
-numpy versions, so the test compares bytes only under that one.
+Writes the ``COHORTS`` synth datasets and the ``BUILT_COHORTS``
+datasets and copies the ``INPUTS`` files into a temporary directory,
+runs each command of ``CASES`` there through ``pcgkit.cli.main`` and
+copies its output tree to ``tests/golden/<case>/``. The numpy version
+that computed them goes to ``tests/golden/numpy_version.txt``: FFT
+rounding can differ between numpy versions, so the test compares bytes
+only under that one.
 Re-record only when a change to the reports is intended.
 """
 
@@ -28,6 +29,26 @@ COHORTS = {
     "ds": ["--subjects", "4", "--seed", "11", "--duration", "12"],
     "ds12": ["--subjects", "12", "--seed", "11", "--duration", "8"],
 }
+
+
+def _write_rates_cohort(root):
+    """Two 8 s subjects whose pcg.wav is at 4000 and 44100 Hz.
+
+    Each is synthesized at its own rate, so that no resampler makes the
+    input and the case pins the one that reads it.
+    """
+    from pcgkit.io import write_subject_dir
+    from pcgkit.synth import SynthSpec, generate_ecg, generate_pcg
+
+    for i, rate in enumerate((4000.0, 44100.0), 1):
+        spec = SynthSpec(hr_bpm=60.0 + 15 * i, snr_db=10.0, duration_s=8.0,
+                         rate_hz=rate, seed=11 + i)
+        write_subject_dir(Path(root) / f"s{i:02d}", generate_pcg(spec)[0],
+                          generate_ecg(spec)[0])
+
+
+# Dataset name -> function that writes it, for datasets synth cannot write.
+BUILT_COHORTS = {"ds_rates": _write_rates_cohort}
 # Input file name -> checked-in source. They live outside GOLDEN/<case>,
 # which recording replaces. The coefficients are synth's cohort set with
 # other intercepts, so their predictions are plausible but miss the
@@ -40,7 +61,8 @@ INPUTS = {
 # and on the eq. 7 rate formula, bp predict from audio features and from
 # a coefficients file, a ridge fit and millisecond LOOCV, LOOCV with
 # every setting from a config file, quality at a frame length other than
-# 4 s, and the synth dataset itself.
+# 4 s, hr on pcg.wav files that are not at 2000 Hz, and the synth
+# dataset itself.
 CASES = {
     "hr_shannon": ["hr", "ds"],
     "hr_hilbert": ["hr", "ds", "--method", "hilbert"],
@@ -58,6 +80,7 @@ CASES = {
                     "--units", "ms"],
     "bp_loocv_config": ["bp", "loocv", "ds12", "--features-from-audio",
                         "--config", "run.cfg"],
+    "hr_resampled": ["hr", "ds_rates"],
     "synth_2x4": ["synth", "--subjects", "2", "--seed", "11",
                   "--duration", "4"],
 }
@@ -78,6 +101,8 @@ def run_case(name):
         if arg in COHORTS:
             if main(["synth", "--out", arg, *COHORTS[arg]]) != 0:
                 raise RuntimeError(f"synth {arg} failed")
+        elif arg in BUILT_COHORTS:
+            BUILT_COHORTS[arg](arg)
         elif arg in INPUTS:
             shutil.copyfile(INPUTS[arg], arg)
     out = Path("out") / name
