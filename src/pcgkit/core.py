@@ -31,6 +31,8 @@ PCG_RATE_HZ = 2000.0
 LOWPASS_ORDER = 4
 # Grid points a lowpass plan evaluates at a time; bounds its scratch memory.
 _PLAN_CHUNK = 2 ** 15
+# Input samples a resampling step reads at a time; bounds its scratch memory.
+_RESAMPLE_CHUNK = 2 ** 16
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -124,16 +126,23 @@ def _antialias_fir(up, down, rate_in):
     target), with the stopband edge at 0.9 of it: cutoff 0.75, transition
     width 0.3, 60 dB design. That leaves the 0.9 contract point deep in
     the stopband and keeps passband ripple well under 1%.
+
+    ``scipy.signal.kaiserord`` and ``firwin`` on numpy: about
+    ``24 * max(up, down)`` taps, each within a few 1e-16 of the peak tap
+    of scipy's design (``np.i0`` against ``scipy.special.i0``).
     """
     rate_up = rate_in * up
     f_lim = min(rate_in, rate_in * up / down) / 2.0
     width = 0.3 * f_lim
     cutoff = 0.75 * f_lim
-    from scipy import signal as sps  # loaded only to resample
-
-    numtaps, beta = sps.kaiserord(60.0, width / (rate_up / 2.0))
+    atten = 60.0
+    numtaps = math.ceil(
+        (atten - 7.95) / 2.285 / (np.pi * (width / (rate_up / 2.0))) + 1)
     numtaps |= 1  # force odd length for a symmetric (type I) filter
-    return sps.firwin(numtaps, cutoff, window=("kaiser", beta), fs=rate_up)
+    c = cutoff / (rate_up / 2.0)
+    h = c * np.sinc(c * (np.arange(numtaps) - 0.5 * (numtaps - 1)))
+    h *= np.kaiser(numtaps, 0.1102 * (atten - 8.7))
+    return h / h.sum()
 
 
 def resample_rational(s, target_rate_hz):
@@ -151,7 +160,10 @@ def resample_rational(s, target_rate_hz):
     SampledSignal
         Signal at ``target_rate_hz``. Content above 0.9 of the new
         Nyquist is attenuated by at least 40 dB; content below 0.6 of
-        the limiting Nyquist passes within 1% amplitude.
+        the limiting Nyquist passes within 1% amplitude. Bit for bit
+        ``scipy.signal.resample_poly(x, up, down, window=h)`` on the
+        same taps, whose order of summation it keeps; beside the output
+        it holds the taps and one chunk of ``_RESAMPLE_CHUNK`` samples.
 
     Raises
     ------
@@ -159,8 +171,9 @@ def resample_rational(s, target_rate_hz):
         If the rate ratio has no small rational representation, or the
         result would exceed ``max(len(s), MAX_SAMPLES)`` samples.
     """
-    if not target_rate_hz > 0:
-        raise PcgKitError(f"target_rate_hz must be > 0, got {target_rate_hz}")
+    if not (target_rate_hz > 0 and math.isfinite(target_rate_hz)):
+        raise PcgKitError(
+            f"target_rate_hz must be > 0 and finite, got {target_rate_hz}")
     ratio = target_rate_hz / s.rate_hz
     frac = Fraction(ratio).limit_denominator(10_000)
     if frac.numerator <= 0 or abs(float(frac) - ratio) > 1e-9 * ratio:
@@ -176,10 +189,32 @@ def resample_rational(s, target_rate_hz):
             f"{MAX_SAMPLES}")
     if up == down:
         return SampledSignal(s.samples, float(target_rate_hz))
-    from scipy import signal as sps  # loaded only to resample
-
-    h = _antialias_fir(up, down, s.rate_hz)
-    out = sps.resample_poly(s.samples, up, down, window=h)
+    h = _antialias_fir(up, down, s.rate_hz) * up
+    half = (len(h) - 1) // 2
+    per_phase = -(-len(h) // up)
+    # row r: the taps of phase r, oldest input sample first
+    taps = np.pad(h, (0, per_phase * up - len(h))).reshape(per_phase, up)
+    taps = np.ascontiguousarray(taps.T[:, ::-1])
+    x, out = s.samples, np.empty(n_out)
+    step = up * (_RESAMPLE_CHUNK // down)  # down <= 10000: 6 rows or more
+    for i0 in range(0, n_out, step):
+        i1 = min(i0 + step, n_out)
+        # the chunk's input, zero past either end, stored last sample
+        # first: numpy hands no product through negative strides to BLAS,
+        # so it sums each output in upfirdn's order, oldest sample first
+        lo = (i0 * down + half) // up - per_phase + 1
+        hi = ((i1 - 1) * down + half) // up + 1
+        buf = np.zeros(hi - lo)
+        a, b = max(lo, 0), min(hi, n)
+        buf[hi - b:hi - a] = x[a:b][::-1]
+        windows = np.lib.stride_tricks.sliding_window_view(buf, per_phase)
+        # outputs i0 + c, i0 + c + up, ... share one phase and step
+        # through the input by down
+        for c in range(min(up, i1 - i0)):
+            pos = (i0 + c) * down + half  # on the input upsampled by up
+            dest = out[i0 + c:i1:up]
+            rows = windows[hi - 1 - pos // up::-down][:len(dest), ::-1]
+            dest[:] = rows @ taps[pos % up]
     return SampledSignal(out, float(target_rate_hz))
 
 

@@ -260,8 +260,10 @@ class TestResample:
         assert np.array_equal(h, h[::-1])
 
     def test_target_rate_checked_first(self):
-        with pytest.raises(PcgKitError, match="target_rate_hz must be > 0"):
-            resample_rational(sig(np.ones(100), 1.0), 0.0)
+        for target in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(PcgKitError,
+                               match="target_rate_hz must be > 0"):
+                resample_rational(sig(np.ones(100), 1.0), target)
 
     def test_sub_hertz_target(self):
         out = resample_rational(sig(np.ones(100), 1.0), 0.5)
@@ -305,6 +307,75 @@ class TestResample:
                 resample_rational(s, 2000.0)
         else:
             assert len(resample_rational(s, 2000.0).samples) == n_out
+
+
+def scipy_antialias_fir(up, down, rate_in):
+    """``_antialias_fir``'s design as scipy makes it."""
+    rate_up = rate_in * up
+    f_lim = min(rate_in, rate_in * up / down) / 2.0
+    numtaps, beta = sps.kaiserord(60.0, 0.3 * f_lim / (rate_up / 2.0))
+    return sps.firwin(numtaps | 1, 0.75 * f_lim, window=("kaiser", beta),
+                      fs=rate_up)
+
+
+class TestResampleAgainstScipy:
+    """The numpy Kaiser design and polyphase filter against scipy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(up=st.integers(1, 2000), down=st.integers(1, 2000),
+           rate_in=st.floats(0.5, 50000.0))
+    @example(up=20, down=441, rate_in=44100.0)
+    @example(up=2000, down=1999, rate_in=1999.0)
+    def test_taps_equal_kaiserord_firwin(self, up, down, rate_in):
+        expected = scipy_antialias_fir(up, down, rate_in)
+        got = _antialias_fir(up, down, rate_in)
+        assert len(got) == len(expected)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-15 * expected.max())
+
+    # 2000/1999 reads 1999 input samples between outputs of one phase,
+    # more than the 25 taps it applies; rows is the outputs per phase
+    # that one chunk of input gives
+    @settings(max_examples=60, deadline=None)
+    @given(rate_in=st.integers(1, 3000), rate_out=st.integers(1, 3000),
+           n=st.one_of(st.integers(1, 50), st.integers(1, 20000)),
+           rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(rate_in=1999, rate_out=2000, n=8000, rows=32, seed=0)
+    @example(rate_in=44100, rate_out=2000, n=176400, rows=148, seed=0)
+    @example(rate_in=48000, rate_out=2000, n=1, rows=2730, seed=0)
+    @example(rate_in=8000, rate_out=2000, n=32000, rows=16384, seed=0)
+    @example(rate_in=2205, rate_out=2000, n=8820, rows=148, seed=0)
+    def test_output_equals_resample_poly(self, rate_in, rate_out, n, rows,
+                                         seed):
+        g = math.gcd(rate_in, rate_out)
+        up, down = rate_out // g, rate_in // g
+        n = min(n, 20000 * down // up + 1)  # at most about 20000 outputs
+        x = np.random.default_rng(seed).normal(size=n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_antialias_fir", scipy_antialias_fir)
+            mp.setattr(core, "_RESAMPLE_CHUNK", rows * down)
+            got = resample_rational(SampledSignal(x, float(rate_in)),
+                                    rate_out)
+        if up == down:
+            expected = x
+        else:
+            expected = sps.resample_poly(
+                x, up, down, window=scipy_antialias_fir(up, down, rate_in))
+        assert got.samples.tobytes() == expected.tobytes()
+
+    def test_memory_is_the_output_and_a_fixed_chunk(self):
+        # 60 s at 44.1 kHz: a 21 MB input and a 0.96 MB output; 2 MiB
+        # holds the taps and one chunk, but no copy of the input
+        x = np.random.default_rng(0).normal(size=60 * 44100)
+        s = SampledSignal(x, 44100.0)
+        tracemalloc.start()
+        try:
+            out = resample_rational(s, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 120_000
+        assert peak <= out.samples.nbytes + 2 * 2 ** 20
 
 
 class TestFrames:

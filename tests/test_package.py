@@ -191,22 +191,31 @@ def test_first_fft_import_on_quality_threads(tmp_path, monkeypatch):
 
 
 def test_non_2000_hz_wav_resamples_through_hr(tmp_path):
-    """A 4000 Hz pcg.wav loads scipy.signal inside the resampler only."""
+    """A 4000 Hz pcg.wav runs through hr with every scipy import refused,
+    and no scipy module loads."""
     out = run_python("""
         import json, sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} refused")
+                return None  # the usual finders load it
+
+        sys.meta_path.insert(0, RefuseScipy())
         from pcgkit import load_subject_dir, resample_rational, write_wav_pcm16
         from pcgkit.cli import main
         assert main(["synth", "--out", "ds", "--subjects", "1", "--seed",
                      "3", "--duration", "8"]) == 0
         assert main(["hr", "ds", "--out", "at2000"]) == 0
         pcg = load_subject_dir("ds/s01").pcg
-        before = "scipy.signal" in sys.modules
         write_wav_pcm16("ds/s01/pcg.wav", resample_rational(pcg, 4000.0))
         assert load_subject_dir("ds/s01").pcg.rate_hz == 4000.0
         assert main(["hr", "ds", "--out", "at4000"]) == 0
-        print(json.dumps([before, "scipy.signal" in sys.modules]))
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")))
     """, tmp_path)
-    assert json.loads(out.splitlines()[-1]) == [False, True]
+    assert json.loads(out.splitlines()[-1]) == []
     frames = [json.loads((tmp_path / d / "hr_report.json").read_text())
               ["subjects"]["s01"]["frames"] for d in ("at2000", "at4000")]
     assert len(frames[0]) == len(frames[1]) == 2
